@@ -4,15 +4,14 @@ spectra, 1D dispersion analysis, and a symplectic time-domain solver."""
 
 __version__ = "0.1.0"
 
-from .mesh import (BcSpec, Mesh, MeshFormatError, extract_edges,
-                   generate_cube_mesh, generate_interval_mesh,
-                   generate_square_mesh, read_tetgen_mesh, read_triangle_mesh,
-                   write_tetgen_mesh, write_triangle_mesh)
+from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
+                   generate_interval_mesh, generate_square_mesh,
+                   read_tetgen_mesh, read_triangle_mesh, write_tetgen_mesh,
+                   write_triangle_mesh)
 from .elements import (DofMap, QuadratureRule, ReferenceElement,
-                       build_dof_maps, count_dofs, eval_basis, quadrature,
+                       build_dof_maps, eval_basis, quadrature,
                        reference_element)
-from .assembly import (AssembledOperators, BlockDiagonalMatrix,
-                       apply_u_mass_inverse, assemble, assemble_divergence,
+from .assembly import (AssembledOperators, BlockDiagonalMatrix, assemble,
                        export_matrix_market, semidiscrete_rhs)
 from .spectral import (Spectrum, laplacian_pencil, laplacian_spectrum,
                        max_eigenvalue, null_space_dimension,
@@ -20,6 +19,6 @@ from .spectral import (Spectrum, laplacian_pencil, laplacian_spectrum,
 from .dispersion import (DispersionSample, dispersion_closed_form,
                          dispersion_sweep, mode_discontinuity,
                          semidiscrete_consistency_check, symbol_matrix)
-from .dynamics import (ConfigurationError, FieldState, InstabilityError,
-                       SimulationConfig, energy, interpolate_state, simulate,
+from .dynamics import (ConfigurationError, FieldState, SimulationConfig,
+                       energy, interpolate_state, simulate,
                        stable_dt_estimate, verlet_step)

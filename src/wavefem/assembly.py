@@ -26,14 +26,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elements import DofMap, P1_DG, P2_CG, quadrature, reference_element, tabulate
-from .mesh import BcSpec, Mesh
+from .mesh import CELL_FACETS, BcSpec, Mesh
 
 __all__ = [
     "BlockDiagonalMatrix",
     "AssembledOperators",
     "assemble",
-    "assemble_divergence",
-    "apply_u_mass_inverse",
     "semidiscrete_rhs",
     "export_matrix_market",
 ]
@@ -85,13 +83,13 @@ class BlockDiagonalMatrix:
         return np.einsum("cij,cj->ci", self.inverse_blocks(), bb).ravel()
 
     def to_csr(self) -> sp.csr_matrix:
-        n, b = self.n_blocks, self.block_size
+        n = self.n_blocks
         mat = sp.bsr_matrix((self.blocks, np.arange(n), np.arange(n + 1)),
                             shape=self.shape)
         return mat.tocsr()
 
     def inverse_to_csr(self) -> sp.csr_matrix:
-        n, b = self.n_blocks, self.block_size
+        n = self.n_blocks
         mat = sp.bsr_matrix((self.inverse_blocks(), np.arange(n), np.arange(n + 1)),
                             shape=self.shape)
         return mat.tocsr()
@@ -126,24 +124,30 @@ def _cell_jacobians(mesh: Mesh):
     return Jinv, det
 
 
-def _barycentric_on_cell(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of physical points w.r.t. a simplex."""
-    d1 = corners.shape[0]
-    A = np.vstack([np.ones(d1), corners.T])
-    rhs = np.vstack([np.ones(len(points)), points.T])
-    return np.linalg.solve(A, rhs).T
+def _facet_rule(d: int):
+    """Facet quadrature embedded in the reference cell.
+
+    Returns barycentric cell points of shape (d+1, n, d+1), one set per
+    local facet (``CELL_FACETS`` order, zero on the opposite corner), and
+    weights summing to 1 so that scaling by a facet's measure integrates
+    over it.
+    """
+    if d == 1:
+        points, weights = np.ones((1, 1)), np.ones(1)
+    else:
+        rule = quadrature(d - 1, QUAD_DEGREE)
+        points, weights = rule.points, rule.weights / rule.weights.sum()
+    lam = np.zeros((d + 1, len(weights), d + 1))
+    for j, corners in enumerate(CELL_FACETS[d]):
+        lam[j][:, corners] = points
+    return lam, weights
 
 
-def _facet_quadrature(mesh: Mesh, k: int):
-    """Physical quadrature points/weights on boundary facet ``k`` plus the
-    owning cell and its outward unit normal."""
-    cell, coords, normal, measure = mesh.boundary_facet_geometry(k)
-    if mesh.dim == 1:
-        return cell, coords, np.ones(1), normal
-    rule = quadrature(mesh.dim - 1, QUAD_DEGREE)
-    pts = rule.points @ coords
-    w = rule.weights * (measure / rule.weights.sum())
-    return cell, pts, w, normal
+def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Sum ``values`` at ``index`` into a float vector of ``length``; the cast
+    covers an empty ``index``, for which ``np.bincount`` returns integers."""
+    return np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=length).astype(float, copy=False)
 
 
 def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
@@ -190,104 +194,47 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     h_mass = sp.coo_matrix((mh_cells.ravel(), (mh_rows, mh_cols)),
                            shape=(m_h, m_h)).tocsr()
 
-    g_rows = np.repeat(ud, n2, axis=1).ravel()
-    g_cols = np.tile(hd, (1, n1)).ravel()
-    grad_entries = [
-        [grad_cells[:, :, :, i].ravel()] for i in range(d)
-    ]
-    grad_rows = [g_rows]
-    grad_cols = [g_cols]
+    # Boundary facets, all at once: each facet's quadrature points are the
+    # embedded rule of its local facet, so the owner-cell bases come from
+    # one tabulation of the d+1 embedded rules.
+    lam, fw = _facet_rule(d)
+    nq = len(fw)
+    fv1 = tabulate(p1, lam.reshape(-1, d + 1))[0].reshape(d + 1, nq, n1)
+    fv2 = tabulate(p2, lam.reshape(-1, d + 1))[0].reshape(d + 1, nq, n2)
+    cell, lf = mesh.boundary_cells, mesh.boundary_local_facets
+    w = mesh.boundary_measures[:, None] * fw                            # (B, nq)
+    pts = np.einsum("bqk,bkx->bqx", lam[lf], mesh.cell_coords[cell])    # (B, nq, d)
+    dirichlet = np.isin(mesh.boundary_markers, list(bc.dirichlet_markers))
 
-    dirichlet_rhs = [np.zeros(m_u) for _ in range(d)]
-    neumann_rhs = np.zeros(m_h)
+    def sample(fn, on):
+        """Boundary datum at the quadrature points of the selected facets."""
+        x = pts[on].reshape(-1, d)
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), (len(x),)).reshape(-1, nq)
 
-    for k in range(len(mesh.boundary_facets)):
-        marker = int(mesh.boundary_markers[k])
-        cell, pts, w, normal = _facet_quadrature(mesh, k)
-        lam = _barycentric_on_cell(mesh.cell_coords[cell], pts)
-        fv1, _ = tabulate(p1, lam)
-        fv2, _ = tabulate(p2, lam)
-        if marker in bc.dirichlet_markers:
-            block = np.einsum("q,qa,qb->ab", w, fv1, fv2)
-            rows = np.repeat(ud[cell], n2)
-            cols = np.tile(hd[cell], n1)
-            gvals = np.array([float(bc.g(x)) for x in pts])
-            gvec = np.einsum("q,qa->a", w * gvals, fv1)
-            for i in range(d):
-                grad_entries[i].append((-normal[i] * block).ravel())
-                dirichlet_rhs[i][ud[cell]] += normal[i] * gvec
-            grad_rows.append(rows)
-            grad_cols.append(cols)
-        else:
-            fvals = np.array([float(bc.f(x)) for x in pts])
-            neumann_rhs[hd[cell]] += np.einsum("q,qb->b", w * fvals, fv2)
+    # Dirichlet facets: -n_i (v, h) joins the gradient as one more block
+    # on the owner's DOFs; n_i (v, g) goes to the right-hand side.
+    cD, lfD, wD = cell[dirichlet], lf[dirichlet], w[dirichlet]
+    nD = mesh.boundary_normals[dirichlet]
+    blocks = np.einsum("bq,bqa,bqc->bac", wD, fv1[lfD], fv2[lfD])
+    gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, dirichlet), fv1[lfD])
+    dirichlet_rhs = tuple(_accumulate(ud[cD], nD[:, i, None] * gvec, m_u) for i in range(d))
 
-    rows = np.concatenate(grad_rows)
-    cols = np.concatenate(grad_cols)
+    rows = np.repeat(np.concatenate([ud, ud[cD]]), n2, axis=1).ravel()
+    cols = np.tile(np.concatenate([hd, hd[cD]]), (1, n1)).ravel()
     grad = tuple(
-        sp.coo_matrix((np.concatenate(grad_entries[i]), (rows, cols)),
-                      shape=(m_u, m_h)).tocsr()
-        for i in range(d)
-    )
+        sp.coo_matrix((np.concatenate([grad_cells[..., i],
+                                       -nD[:, i, None, None] * blocks]).ravel(),
+                       (rows, cols)), shape=(m_u, m_h)).tocsr()
+        for i in range(d))
+
+    # Neumann facets: (v, f) for every scalar test function v
+    cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
+    fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
+    neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
     return AssembledOperators(
         dim=d, dofs=dofs, u_mass=u_mass, h_mass=h_mass, grad=grad,
-        dirichlet_rhs=tuple(dirichlet_rhs), neumann_rhs=neumann_rhs)
-
-
-def assemble_divergence(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> tuple:
-    """Assemble the scalar-equation operators directly from their own weak
-    integrals (test gradient against velocity, minus the Dirichlet facet
-    term). By the structure of the weak form these must equal the
-    transposed gradient matrices entrywise; assembling them independently
-    gives a cross-check of the facet machinery.
-    """
-    d = mesh.dim
-    p1 = reference_element(d, P1_DG)
-    p2 = reference_element(d, P2_CG)
-    rule = quadrature(d, QUAD_DEGREE)
-    v1, _ = tabulate(p1, rule.points)
-    v2, g2 = tabulate(p2, rule.points)
-    Jinv, det = _cell_jacobians(mesh)
-
-    div_ref = np.einsum("q,qbk,qa->bak", rule.weights, g2, v1)
-    div_cells = det[:, None, None, None] * np.einsum("bak,cki->cbai", div_ref, Jinv)
-
-    n1, n2 = p1.n_local, p2.n_local
-    hd, ud = dofs.h_cell_dofs, dofs.u_cell_dofs
-    rows = [np.repeat(hd, n1, axis=1).ravel()]
-    cols = [np.tile(ud, (1, n2)).ravel()]
-    entries = [[div_cells[:, :, :, i].ravel()] for i in range(d)]
-
-    for k in range(len(mesh.boundary_facets)):
-        if int(mesh.boundary_markers[k]) not in bc.dirichlet_markers:
-            continue
-        cell, pts, w, normal = _facet_quadrature(mesh, k)
-        lam = _barycentric_on_cell(mesh.cell_coords[cell], pts)
-        fv1, _ = tabulate(p1, lam)
-        fv2, _ = tabulate(p2, lam)
-        block = np.einsum("q,qb,qa->ba", w, fv2, fv1)
-        rows.append(np.repeat(hd[cell], n1))
-        cols.append(np.tile(ud[cell], n2))
-        for i in range(d):
-            entries[i].append((-normal[i] * block).ravel())
-
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return tuple(
-        sp.coo_matrix((np.concatenate(entries[i]), (r, c)),
-                      shape=(dofs.m_h, dofs.m_u)).tocsr()
-        for i in range(d)
-    )
-
-
-def apply_u_mass_inverse(u_mass: BlockDiagonalMatrix, vector: np.ndarray) -> np.ndarray:
-    """Apply the inverse of the velocity mass matrix, cell block by cell
-    block; no global solve and no lumping."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (u_mass.shape[0],):
-        raise ValueError(f"expected vector of length {u_mass.shape[0]}")
-    return u_mass.solve(vector)
+        dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs)
 
 
 def semidiscrete_rhs(ops: AssembledOperators, u_components, h: np.ndarray):

@@ -87,7 +87,7 @@ def dispersion_closed_form(phi: float) -> tuple[float, float]:
     lower_sq = (26.0 + 4.0 * c - root) / denom
     upper_sq = (26.0 + 4.0 * c + root) / denom
     assert lower_sq >= -1e-12 and upper_sq >= 0.0, f"negative branch at phi={phi}"
-    return 2.0 * np.sqrt(max(lower_sq, 0.0)), 2.0 * np.sqrt(upper_sq)
+    return float(2.0 * np.sqrt(max(lower_sq, 0.0))), float(2.0 * np.sqrt(upper_sq))
 
 
 def _null_mode(phi: float, w: float) -> np.ndarray:
@@ -168,8 +168,8 @@ def sweep_to_csv(samples, path):
         writer = csv.writer(fh)
         writer.writerow(["phi", "w_lower", "w_upper", "disc_lower", "disc_upper"])
         for s in samples:
-            writer.writerow([repr(s.phi), repr(s.w_lower), repr(s.w_upper),
-                             repr(s.disc_lower), repr(s.disc_upper)])
+            writer.writerow([repr(float(v)) for v in (s.phi, s.w_lower, s.w_upper,
+                                                      s.disc_lower, s.disc_upper)])
 
 
 @dataclass

@@ -14,7 +14,7 @@ matrix is factorized once and reused across steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "ConfigurationError",
-    "InstabilityError",
     "interpolate_state",
     "verlet_step",
     "energy",
@@ -40,15 +39,6 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """A run configuration violates its preconditions."""
-
-
-class InstabilityError(RuntimeError):
-    """The time integration produced non-finite values."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite field values after step {step}; "
-                         "time step exceeds the stability limit")
-        self.step = step
 
 
 @dataclass
@@ -71,29 +61,26 @@ def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
                       u0: Optional[Callable] = None) -> FieldState:
     """Nodal interpolation of initial data onto the two spaces.
 
-    ``h0`` is sampled at the scalar nodes (vertices and midpoints); ``u0``,
-    when given, must return a ``dim``-vector and is sampled per cell at the
-    cell corners (the velocity nodes of each cell's own copy).
+    Both callables are called once with an ``(n, dim)`` array of points.
+    ``h0`` is sampled at the scalar nodes (vertices and midpoints) and its
+    result is broadcast to ``(n,)``; ``u0``, when given, is sampled at
+    every cell's corners (the velocity nodes of each cell's own copy) and
+    its result is broadcast to ``(n, dim)``.
     """
     coords = h_dof_coords(mesh, dofs)
-    h = np.array([float(h0(x)) for x in coords])
+    h = np.broadcast_to(np.asarray(h0(coords), dtype=float), (dofs.m_h,)).copy()
     u = [np.zeros(dofs.m_u) for _ in range(mesh.dim)]
     if u0 is not None:
-        for c in range(mesh.n_cells):
-            for j, x in enumerate(mesh.cell_coords[c]):
-                vec = np.asarray(u0(x), dtype=float)
-                for i in range(mesh.dim):
-                    u[i][dofs.u_cell_dofs[c, j]] = vec[i]
+        corners = mesh.cell_coords.reshape(-1, mesh.dim)
+        values = np.broadcast_to(np.asarray(u0(corners), dtype=float), corners.shape)
+        for i in range(mesh.dim):
+            u[i][dofs.u_cell_dofs.ravel()] = values[:, i]
     return FieldState(u=u, h=h, time=0.0)
 
 
 def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
                 wave_speed: float = 1.0) -> FieldState:
-    """One Stormer-Verlet step: half-kick, drift, half-kick.
-
-    Raises :class:`InstabilityError` when the updated scalar field is no
-    longer finite.
-    """
+    """One Stormer-Verlet step: half-kick, drift, half-kick."""
     c = wave_speed
     h_solve = ops.h_mass_solver()
     half = 0.5 * dt * c
@@ -107,8 +94,6 @@ def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
     u_new = [u_half[i] - half * ops.u_mass.solve(ops.grad[i] @ h_new
                                                  + ops.dirichlet_rhs[i])
              for i in range(ops.dim)]
-    if not np.all(np.isfinite(h_new)):
-        raise InstabilityError(step=0)
     return FieldState(u=u_new, h=h_new, time=state.time + dt)
 
 
@@ -176,8 +161,10 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
 
     Energy is sampled at step 0 and every ``energy_stride`` steps. Unless
     ``config.allow_unstable_dt`` is set, the requested dt is checked
-    against the stability estimate first. On instability the partial
-    series is returned with ``aborted`` set.
+    against the stability estimate first. A step that leaves a field or
+    the energy non-finite counts as unstable: the run stops there and
+    returns the series and final state recorded before it, with
+    ``aborted`` set and ``abort_step`` naming the step.
     """
     dofs = ops.dofs if ops is not None else build_dof_maps(mesh)
     if ops is None:
@@ -199,15 +186,18 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     aborted = False
     abort_step = None
     for step in range(1, config.n_steps + 1):
-        try:
-            state = verlet_step(state, ops, config.dt, config.wave_speed)
-        except InstabilityError as exc:
+        new = verlet_step(state, ops, config.dt, config.wave_speed)
+        record = step % config.energy_stride == 0
+        e = energy(new, ops) if record else 0.0
+        if not (np.isfinite(e) and np.isfinite(new.h).all()
+                and all(np.isfinite(u).all() for u in new.u)):
             aborted = True
             abort_step = step
             break
-        if step % config.energy_stride == 0:
+        state = new
+        if record:
             times.append(state.time)
-            energies.append(energy(state, ops))
+            energies.append(e)
         if (snapshot_callback is not None and snapshot_stride is not None
                 and step % snapshot_stride == 0):
             snapshot_callback(step, state)

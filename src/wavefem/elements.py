@@ -11,7 +11,6 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,7 +27,6 @@ __all__ = [
     "tabulate",
     "quadrature",
     "build_dof_maps",
-    "count_dofs",
     "h_dof_coords",
 ]
 
@@ -181,25 +179,12 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         h_map = np.column_stack([mesh.cells, mids])
         m_h = mesh.n_vertices + n_cells
     else:
-        edge_index = {tuple(e): i for i, e in enumerate(mesh.edges)}
-        n_local = nv * (nv + 1) // 2
-        h_map = np.empty((n_cells, n_local), dtype=np.int64)
-        h_map[:, :nv] = mesh.cells
-        for k, (a, b) in enumerate(CELL_EDGES[d]):
-            for c in range(n_cells):
-                key = tuple(sorted((mesh.cells[c, a], mesh.cells[c, b])))
-                h_map[c, nv + k] = mesh.n_vertices + edge_index[key]
+        h_map = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
         m_h = mesh.n_vertices + mesh.n_edges
     for arr in (u_map, h_map):
         arr.setflags(write=False)
     return DofMap(d, n_cells, mesh.n_vertices, u_map, h_map,
                   m_u=n_cells * nv, m_h=m_h)
-
-
-def count_dofs(mesh: Mesh) -> tuple[int, int]:
-    """(velocity DOFs per component, scalar DOFs) for a mesh."""
-    dofs = build_dof_maps(mesh)
-    return dofs.m_u, dofs.m_h
 
 
 def h_dof_coords(mesh: Mesh, dofs: DofMap) -> np.ndarray:

@@ -11,7 +11,7 @@ File I/O covers the Triangle (.node/.ele/.edge/.poly) and TetGen
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
@@ -21,7 +21,6 @@ __all__ = [
     "Mesh",
     "BcSpec",
     "MeshFormatError",
-    "extract_edges",
     "generate_interval_mesh",
     "generate_square_mesh",
     "generate_cube_mesh",
@@ -60,13 +59,12 @@ def _signed_measures(cell_coords: np.ndarray) -> np.ndarray:
     return np.linalg.det(diffs) / factorial(dim)
 
 
-def _edge_table(cells: np.ndarray, dim: int) -> np.ndarray:
-    """Unique vertex pairs (a, b) with a < b, sorted lexicographically."""
-    pairs = []
-    for a, b in CELL_EDGES[dim]:
-        pairs.append(np.sort(cells[:, [a, b]], axis=1))
-    table = np.unique(np.vstack(pairs), axis=0)
-    return table
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One structured scalar per integer row, ordered like the rows
+    lexicographically, so row tables can be searched with searchsorted."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    fields = [(f"f{i}", np.int64) for i in range(rows.shape[1])]
+    return rows.view(np.dtype(fields)).reshape(len(rows))
 
 
 class Mesh:
@@ -89,6 +87,14 @@ class Mesh:
     cell_coords : (C, dim+1, dim) array, optional
         Per-cell corner coordinates, overriding ``vertices[cells]``. Used
         by the periodic interval generator for the wrap-around cell.
+
+    Derived attributes: ``edges`` (E, 2), the unique vertex pairs (a < b)
+    in lexicographic order, and ``cell_edges`` (C, local edges), each
+    cell's rows of that table in ``CELL_EDGES`` order. Per boundary facet:
+    ``boundary_cells`` and ``boundary_local_facets`` name the owning cell
+    and the local facet (``CELL_FACETS`` order), ``boundary_normals`` is
+    the outward unit normal and ``boundary_measures`` the facet measure
+    (1 for the points bounding an interval).
     """
 
     def __init__(self, dim, vertices, cells, boundary_facets=None,
@@ -113,6 +119,8 @@ class Mesh:
             cell_coords = np.ascontiguousarray(cell_coords, dtype=float)
             if cell_coords.shape != (len(cells), dim + 1, dim):
                 raise ValueError("cell_coords shape mismatch")
+        if not np.isfinite(cell_coords).all():
+            raise ValueError("vertex coordinates must be finite")
 
         # Canonical orientation: swap the last two corners of inverted cells.
         measures = _signed_measures(cell_coords)
@@ -134,20 +142,26 @@ class Mesh:
         self.cell_coords = cell_coords
         self.cell_measures = measures
 
-        self.edges = _edge_table(cells, dim)
+        # One row per (cell, local edge), cell-major; the inverse of the
+        # unique gives each cell's global edge indices.
+        local_edges = np.array(CELL_EDGES[dim])
+        edge_rows = np.sort(cells[:, local_edges], axis=2).reshape(-1, 2)
+        edges, edge_index = np.unique(edge_rows, axis=0, return_inverse=True)
+        self.edges = edges
+        self.cell_edges = edge_index.reshape(len(cells), len(local_edges))
 
-        # Facet incidence: sorted vertex tuple -> list of (cell, local facet).
-        incidence: dict[tuple, list] = {}
-        for c in range(len(cells)):
-            for lf, corners in enumerate(CELL_FACETS[dim]):
-                key = tuple(sorted(cells[c, list(corners)]))
-                incidence.setdefault(key, []).append((c, lf))
-        self._facet_incidence = incidence
-
+        # Facet incidence: one sorted row per (cell, local facet); a facet
+        # seen once lies on the boundary, and its single occurrence names
+        # the owning cell and local facet.
+        n_facets = dim + 1
+        facet_rows = np.sort(cells[:, np.array(CELL_FACETS[dim])], axis=2).reshape(-1, dim)
+        facets, first, counts = np.unique(facet_rows, axis=0, return_index=True,
+                                          return_counts=True)
         if boundary_facets is None:
-            keys = sorted(k for k, v in incidence.items() if len(v) == 1)
-            boundary_facets = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
-            boundary_markers = np.ones(len(keys), dtype=np.int64)
+            on_boundary = counts == 1
+            boundary_facets = facets[on_boundary]
+            boundary_markers = np.ones(len(boundary_facets), dtype=np.int64)
+            owner_rows = first[on_boundary]
         else:
             boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64)
             boundary_facets = boundary_facets.reshape(-1, dim)
@@ -157,20 +171,31 @@ class Mesh:
                 boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
             if len(boundary_markers) != len(boundary_facets):
                 raise ValueError("one marker per boundary facet required")
-            for f in boundary_facets:
-                key = tuple(sorted(f))
-                owners = incidence.get(key)
-                if owners is None:
-                    raise ValueError(f"boundary facet {tuple(f)} is not a cell face")
-                if len(owners) != 1:
-                    raise ValueError(
-                        f"boundary facet {tuple(f)} is shared by {len(owners)} cells")
+            keys = _row_keys(facets)
+            wanted = _row_keys(np.sort(boundary_facets, axis=1))
+            pos = np.searchsorted(keys, wanted)
+            found = pos < len(keys)
+            found[found] = keys[pos[found]] == wanted[found]
+            if not found.all():
+                f = tuple(boundary_facets[np.argmin(found)].tolist())
+                raise ValueError(f"boundary facet {f} is not a cell face")
+            shared = counts[pos] != 1
+            if shared.any():
+                k = np.argmax(shared)
+                f = tuple(boundary_facets[k].tolist())
+                raise ValueError(f"boundary facet {f} is shared by {counts[pos[k]]} cells")
+            owner_rows = first[pos]
         self.boundary_facets = boundary_facets
         self.boundary_markers = boundary_markers
+        self.boundary_cells = owner_rows // n_facets
+        self.boundary_local_facets = owner_rows % n_facets
+        self.boundary_normals, self.boundary_measures = self._boundary_geometry()
 
         for arr in (self.vertices, self.cells, self.cell_coords,
-                    self.cell_measures, self.edges, self.boundary_facets,
-                    self.boundary_markers):
+                    self.cell_measures, self.edges, self.cell_edges,
+                    self.boundary_facets, self.boundary_markers,
+                    self.boundary_cells, self.boundary_local_facets,
+                    self.boundary_normals, self.boundary_measures):
             arr.setflags(write=False)
 
     # -- basic counts ------------------------------------------------------
@@ -194,51 +219,33 @@ class Mesh:
 
     # -- boundary geometry -------------------------------------------------
 
-    def facet_owner(self, facet) -> tuple[int, int]:
-        """Owning cell and local facet index of a boundary facet."""
-        owners = self._facet_incidence[tuple(sorted(facet))]
-        if len(owners) != 1:
-            raise ValueError(f"facet {tuple(facet)} is not on the boundary")
-        return owners[0]
+    def _boundary_geometry(self):
+        """Outward unit normals and measures of all boundary facets.
 
-    def boundary_facet_geometry(self, k: int):
-        """Geometry of boundary facet ``k``.
-
-        Returns ``(owner_cell, corner_coords, normal, measure)`` with the
-        unit normal pointing out of the owning cell. Corner coordinates are
-        taken from the owner's ``cell_coords`` row so they stay consistent
-        with the cell geometry.
+        Facet corners are taken from the owner's ``cell_coords`` row so
+        they stay consistent with the cell geometry; the normal is oriented
+        away from the owner's corner opposite the facet.
         """
-        facet = self.boundary_facets[k]
-        cell, lf = self.facet_owner(facet)
-        local = CELL_FACETS[self.dim][lf]
-        coords = self.cell_coords[cell][list(local)]
-        opposite = self.cell_coords[cell][lf]
-        if self.dim == 1:
-            normal = np.array([1.0 if coords[0, 0] > opposite[0] else -1.0])
-            measure = 1.0
-        elif self.dim == 2:
-            t = coords[1] - coords[0]
-            normal = np.array([t[1], -t[0]])
-            measure = float(np.linalg.norm(t))
+        d = self.dim
+        cells, lf = self.boundary_cells, self.boundary_local_facets
+        owner = self.cell_coords[cells]                          # (B, d+1, d)
+        corners = np.take_along_axis(
+            owner, np.array(CELL_FACETS[d])[lf][:, :, None], axis=1)  # (B, d, d)
+        opposite = owner[np.arange(len(lf)), lf]                 # (B, d)
+        if d == 1:
+            normals = np.ones((len(lf), 1))
+            measures = np.ones(len(lf))
+        elif d == 2:
+            t = corners[:, 1] - corners[:, 0]
+            normals = np.column_stack([t[:, 1], -t[:, 0]])
+            measures = np.linalg.norm(t, axis=1)
         else:
-            n = np.cross(coords[1] - coords[0], coords[2] - coords[0])
-            normal = n
-            measure = float(np.linalg.norm(n)) / 2.0
-        if self.dim > 1:
-            normal = normal / np.linalg.norm(normal)
-            if np.dot(normal, coords.mean(axis=0) - opposite) < 0.0:
-                normal = -normal
-        return cell, coords, normal, measure
-
-
-def extract_edges(mesh: Mesh) -> np.ndarray:
-    """Derive the canonical edge table of a mesh from its cells.
-
-    Each edge appears once, stored (a, b) with a < b, in lexicographic
-    order; the result is independent of cell ordering.
-    """
-    return _edge_table(mesh.cells, mesh.dim)
+            normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+            measures = np.linalg.norm(normals, axis=1) / 2.0
+        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+        outward = np.einsum("bi,bi->b", normals, corners.mean(axis=1) - opposite)
+        normals[outward < 0.0] *= -1.0
+        return normals, measures
 
 
 # -- boundary conditions ---------------------------------------------------
@@ -255,6 +262,10 @@ class BcSpec:
     ``g``); markers in ``neumann_markers`` prescribe its normal derivative
     (datum ``f``). The two sets must be disjoint and together must cover
     every marker present on the mesh boundary.
+
+    Assembly calls ``g`` and ``f`` once each with an ``(n, dim)`` array
+    of boundary quadrature points; the result is broadcast to ``(n,)``,
+    so a constant may be returned as a scalar.
     """
 
     dirichlet_markers: frozenset = frozenset()
@@ -324,18 +335,12 @@ def generate_square_mesh(n: int) -> Mesh:
     s = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(s, s, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(2, verts, np.array(cells, dtype=np.int64))
+    # lower-left vertex of each quad, quads ordered by (i, j)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    cells = np.stack([np.column_stack([v00, v10, v11]),
+                      np.column_stack([v00, v11, v01])], axis=1)
+    return Mesh(2, verts, cells.reshape(-1, 3))
 
 
 # Kuhn decomposition of the unit cube: one tetrahedron per permutation,
@@ -350,22 +355,15 @@ def generate_cube_mesh(n: int) -> Mesh:
     s = np.linspace(0.0, 1.0, n + 1)
     xx, yy, zz = np.meshgrid(s, s, s, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for perm in _CUBE_TET_PERMS:
-                    corner = np.array([i, j, k])
-                    tet = [vid(*corner)]
-                    for axis in perm:
-                        corner = corner + np.eye(3, dtype=int)[axis]
-                        tet.append(vid(*corner))
-                    cells.append(tet)
-    return Mesh(3, verts, np.array(cells, dtype=np.int64))
+    # vertex-index step along each axis; each tetrahedron walks from the
+    # subcube's lowest corner one axis step at a time
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    walks = np.zeros((len(_CUBE_TET_PERMS), 4), dtype=np.int64)
+    walks[:, 1:] = np.cumsum(stride[np.array(_CUBE_TET_PERMS)], axis=1)
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    base = (i * stride[0] + j * stride[1] + k).ravel()
+    cells = base[:, None, None] + walks
+    return Mesh(3, verts, cells.reshape(-1, 4))
 
 
 # -- Triangle / TetGen file I/O --------------------------------------------
@@ -373,10 +371,13 @@ def generate_cube_mesh(n: int) -> Mesh:
 def _data_rows(path):
     """Yield (line_number, tokens) for non-empty, non-comment lines."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line.split()
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"{path}: not a text file") from exc
 
 
 def _parse_ints(path, lineno, tokens, count):
@@ -386,22 +387,38 @@ def _parse_ints(path, lineno, tokens, count):
         raise MeshFormatError(f"{path}:{lineno}: expected integers, got {tokens}") from exc
     if len(vals) < count:
         raise MeshFormatError(f"{path}:{lineno}: expected {count} fields")
+    if any(not -2 ** 63 <= v < 2 ** 63 for v in vals):
+        raise MeshFormatError(f"{path}:{lineno}: integer out of range")
     return vals
 
 
+def _read_table(path, kind, header_fields):
+    """Header values and data rows of a file whose header starts with the
+    row count; the count is checked before anything is allocated."""
+    rows = list(_data_rows(path))
+    if not rows:
+        raise MeshFormatError(f"{path}: empty {kind} file")
+    lineno, header = rows[0]
+    values = _parse_ints(path, lineno, header, header_fields)
+    if values[0] != len(rows) - 1:
+        raise MeshFormatError(
+            f"{path}: header promised {values[0]} {kind}s, found {len(rows) - 1}")
+    return lineno, values, rows[1:]
+
+
+def _check_vertices(path, lineno, conn, n_vertices):
+    if min(conn) < 0 or max(conn) >= n_vertices:
+        raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
+
+
 def _read_node_file(path, expected_dim):
-    rows = _data_rows(path)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty node file") from None
-    n, dim, _n_attr, _has_marker = _parse_ints(path, lineno, header, 4)
+    lineno, (n, dim, _n_attr, _has_marker), rows = _read_table(path, "node", 4)
     if dim != expected_dim:
         raise MeshFormatError(
             f"{path}:{lineno}: dimension {dim}, expected {expected_dim}")
     coords = np.empty((n, dim))
+    filled = np.zeros(n, dtype=bool)
     base = None
-    seen = 0
     for lineno, tokens in rows:
         if len(tokens) < 1 + dim:
             raise MeshFormatError(f"{path}:{lineno}: short node row")
@@ -414,29 +431,24 @@ def _read_node_file(path, expected_dim):
         i = idx - base
         if not 0 <= i < n:
             raise MeshFormatError(f"{path}:{lineno}: node index {idx} out of range")
+        if filled[i]:
+            raise MeshFormatError(f"{path}:{lineno}: duplicate node index {idx}")
         try:
             coords[i] = [float(t) for t in tokens[1:1 + dim]]
         except ValueError as exc:
             raise MeshFormatError(f"{path}:{lineno}: bad coordinate") from exc
-        seen += 1
-    if seen != n:
-        raise MeshFormatError(f"{path}: header promised {n} nodes, found {seen}")
+        filled[i] = True
     return coords, base
 
 
 def _read_ele_file(path, nodes_per_cell, n_vertices, node_base):
-    rows = _data_rows(path)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty element file") from None
-    n, per, _n_attr = _parse_ints(path, lineno, header, 3)
+    lineno, (n, per, _n_attr), rows = _read_table(path, "element", 3)
     if per != nodes_per_cell:
         raise MeshFormatError(
             f"{path}:{lineno}: {per} nodes per element, expected {nodes_per_cell}")
     cells = np.empty((n, per), dtype=np.int64)
+    filled = np.zeros(n, dtype=bool)
     base = None
-    seen = 0
     for lineno, tokens in rows:
         vals = _parse_ints(path, lineno, tokens, 1 + per)
         if base is None:
@@ -444,13 +456,12 @@ def _read_ele_file(path, nodes_per_cell, n_vertices, node_base):
         i = vals[0] - base
         if not 0 <= i < n:
             raise MeshFormatError(f"{path}:{lineno}: element index {vals[0]} out of range")
-        conn = np.array(vals[1:], dtype=np.int64) - node_base
-        if conn.min() < 0 or conn.max() >= n_vertices:
-            raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
+        if filled[i]:
+            raise MeshFormatError(f"{path}:{lineno}: duplicate element index {vals[0]}")
+        conn = [v - node_base for v in vals[1:]]
+        _check_vertices(path, lineno, conn, n_vertices)
         cells[i] = conn
-        seen += 1
-    if seen != n:
-        raise MeshFormatError(f"{path}: header promised {n} elements, found {seen}")
+        filled[i] = True
     return cells
 
 
@@ -460,30 +471,20 @@ def _read_facet_file(path, facet_size, n_vertices, node_base):
     When the file carries a marker column, rows with marker 0 (interior)
     are dropped; otherwise every row is kept with marker 1.
     """
-    rows = _data_rows(path)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty facet file") from None
-    n, has_marker = _parse_ints(path, lineno, header, 2)
+    _, (_n, has_marker), rows = _read_table(path, "facet", 2)
     facets, markers = [], []
-    seen = 0
     for lineno, tokens in rows:
         want = 1 + facet_size + (1 if has_marker else 0)
         vals = _parse_ints(path, lineno, tokens, want)
-        conn = np.array(vals[1:1 + facet_size], dtype=np.int64) - node_base
-        if conn.min() < 0 or conn.max() >= n_vertices:
-            raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
+        conn = [v - node_base for v in vals[1:1 + facet_size]]
+        _check_vertices(path, lineno, conn, n_vertices)
         marker = vals[1 + facet_size] if has_marker else 1
         if marker != 0:
             facets.append(conn)
             markers.append(marker)
-        seen += 1
-    if seen != n:
-        raise MeshFormatError(f"{path}: header promised {n} facets, found {seen}")
     if not facets:
         return None, None
-    return np.array(facets), np.array(markers, dtype=np.int64)
+    return np.array(facets, dtype=np.int64), np.array(markers, dtype=np.int64)
 
 
 def _read_poly_segments(path, n_vertices, node_base):
@@ -493,6 +494,8 @@ def _read_poly_segments(path, n_vertices, node_base):
         raise MeshFormatError(f"{path}: empty poly file")
     lineno, header = rows[0]
     n_nodes = _parse_ints(path, lineno, header, 1)[0]
+    if n_nodes < 0:
+        raise MeshFormatError(f"{path}:{lineno}: negative node count {n_nodes}")
     pos = 1 + n_nodes  # node rows are listed inline when n_nodes > 0
     if pos >= len(rows):
         raise MeshFormatError(f"{path}: missing segment section")
@@ -502,16 +505,15 @@ def _read_poly_segments(path, n_vertices, node_base):
     for lineno, tokens in rows[pos + 1:pos + 1 + n_seg]:
         want = 3 + (1 if has_marker else 0)
         vals = _parse_ints(path, lineno, tokens, want)
-        conn = np.array(vals[1:3], dtype=np.int64) - node_base
-        if conn.min() < 0 or conn.max() >= n_vertices:
-            raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
+        conn = [v - node_base for v in vals[1:3]]
+        _check_vertices(path, lineno, conn, n_vertices)
         facets.append(conn)
         markers.append(vals[3] if has_marker else 1)
     if len(facets) != n_seg:
         raise MeshFormatError(f"{path}: header promised {n_seg} segments")
     if not facets:
         return None, None
-    return np.array(facets), np.array(markers, dtype=np.int64)
+    return np.array(facets, dtype=np.int64), np.array(markers, dtype=np.int64)
 
 
 def read_triangle_mesh(node_path, ele_path, poly_or_edge_path=None) -> Mesh:

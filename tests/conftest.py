@@ -67,7 +67,7 @@ def gaussian_bump(center, width=0.1):
     center = np.asarray(center, dtype=float)
 
     def h0(x):
-        r2 = float(np.sum((np.asarray(x) - center) ** 2))
-        return float(np.exp(-r2 / (2.0 * width ** 2)))
+        r2 = np.sum((x - center) ** 2, axis=-1)
+        return np.exp(-r2 / (2.0 * width ** 2))
 
     return h0

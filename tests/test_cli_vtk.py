@@ -41,6 +41,25 @@ def test_dof_report_missing_file(capsys):
     assert run(["dof-report", "--mesh", "nope.node", "nope.ele"]) == 1
 
 
+def test_dof_report_short_ele_header(capsys, tmp_path):
+    node = tmp_path / "m.node"
+    node.write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    ele = tmp_path / "m.ele"
+    ele.write_text("1\n1 1 2 3\n")
+    assert run(["dof-report", "--mesh", str(node), str(ele)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dof_report_negative_node_count(capsys, tmp_path):
+    node = tmp_path / "m.node"
+    node.write_text("-1 2 0 0\n")
+    ele = tmp_path / "m.ele"
+    ele.write_text("1 3 0\n1 1 2 3\n")
+    assert run(["dof-report", "--mesh", str(node), str(ele)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "m.node" in err
+
+
 def test_spectrum_json(capsys, tmp_path):
     out = str(tmp_path / "eigs.json")
     code = run(["spectrum", "--mesh", mesh_path("square_150.node"),

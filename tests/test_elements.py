@@ -93,21 +93,26 @@ def test_quadrature_unsupported():
         quadrature(4, 2)
 
 
+def dof_counts(mesh):
+    dofs = build_dof_maps(mesh)
+    return dofs.m_u, dofs.m_h
+
+
 def test_dof_counts_1d():
     mesh = wf.generate_interval_mesh(4, 1.0)
-    assert wf.count_dofs(mesh) == (8, 9)
+    assert dof_counts(mesh) == (8, 9)
     mesh = wf.generate_interval_mesh(4, 1.0, periodic=True)
-    assert wf.count_dofs(mesh) == (8, 8)
+    assert dof_counts(mesh) == (8, 8)
 
 
 def test_dof_counts_2d_paper_mesh(square_36):
     # 36 triangles, 24 vertices, 61 edges
-    assert wf.count_dofs(square_36) == (108, 85)
+    assert dof_counts(square_36) == (108, 85)
 
 
 def test_dof_counts_3d_paper_mesh(cube_44):
     # 44 tets, 26 vertices, 93 edges
-    assert wf.count_dofs(cube_44) == (176, 119)
+    assert dof_counts(cube_44) == (176, 119)
 
 
 def test_dof_map_invariants(square_150):
@@ -131,14 +136,14 @@ def test_dof_ratio_trends():
     # 2D: ratio of velocity to scalar DOFs climbs toward 1.5
     ratios2 = []
     for n in (4, 8, 16, 32, 64):
-        mu, mh = wf.count_dofs(wf.generate_square_mesh(n))
+        mu, mh = dof_counts(wf.generate_square_mesh(n))
         ratios2.append(mu / mh)
     assert all(b > a for a, b in zip(ratios2, ratios2[1:]))
     assert abs(ratios2[-1] - 1.5) / 1.5 <= 0.05
     # 3D: climbs toward 2.5
     ratios3 = []
     for n in (1, 2, 4, 8):
-        mu, mh = wf.count_dofs(wf.generate_cube_mesh(n))
+        mu, mh = dof_counts(wf.generate_cube_mesh(n))
         ratios3.append(mu / mh)
     assert all(b > a for a, b in zip(ratios3, ratios3[1:]))
     assert abs(ratios3[-1] - 2.5) / 2.5 <= 0.05

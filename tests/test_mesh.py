@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.mesh import Mesh, MeshFormatError, extract_edges
+from wavefem.mesh import CELL_EDGES, Mesh, MeshFormatError
 
 
 def write_single_triangle(tmp_path, base=1):
@@ -61,6 +61,27 @@ def test_out_of_range_index(tmp_path):
         wf.read_triangle_mesh(node, str(bad))
 
 
+def test_duplicate_index_rejected(tmp_path):
+    # a repeated index would leave another row unset
+    node, ele = write_single_triangle(tmp_path)
+    dup_node = tmp_path / "dup.node"
+    dup_node.write_text("3 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n2 0.0 1.0\n")
+    with pytest.raises(MeshFormatError, match="duplicate node"):
+        wf.read_triangle_mesh(str(dup_node), ele)
+    dup_ele = tmp_path / "dup.ele"
+    dup_ele.write_text("2 3 0\n1 1 2 3\n1 1 3 2\n")
+    with pytest.raises(MeshFormatError, match="duplicate element"):
+        wf.read_triangle_mesh(node, str(dup_ele))
+
+
+def test_negative_poly_node_count(tmp_path):
+    node, ele = write_single_triangle(tmp_path)
+    poly = tmp_path / "tri.poly"
+    poly.write_text("-3 2 0 0\n1 1 1 2 1\n2 1\n3 0\n")
+    with pytest.raises(MeshFormatError, match="negative node count"):
+        wf.read_triangle_mesh(node, ele, str(poly))
+
+
 def test_single_tetrahedron(tmp_path):
     node = tmp_path / "t.node"
     ele = tmp_path / "t.ele"
@@ -78,8 +99,8 @@ def test_interval_mesh():
     assert np.allclose(mesh.vertices.ravel(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.n_cells == 4
     assert sorted(mesh.boundary_markers.tolist()) == [1, 2]
-    mu, mh = wf.count_dofs(mesh)
-    assert (mu, mh) == (8, 9)  # 2I and 2I+1
+    dofs = wf.build_dof_maps(mesh)
+    assert (dofs.m_u, dofs.m_h) == (8, 9)  # 2I and 2I+1
 
 
 def test_periodic_interval_mesh():
@@ -87,8 +108,8 @@ def test_periodic_interval_mesh():
     assert mesh.n_vertices == 4
     assert len(mesh.boundary_facets) == 0
     assert np.allclose(mesh.cell_measures, 0.5)
-    mu, mh = wf.count_dofs(mesh)
-    assert (mu, mh) == (8, 8)  # one h DOF fewer than the bounded interval
+    dofs = wf.build_dof_maps(mesh)
+    assert (dofs.m_u, dofs.m_h) == (8, 8)  # one h DOF fewer than the bounded interval
 
 
 def test_square_mesh_counts():
@@ -118,13 +139,27 @@ def test_edge_extraction_order_independent():
     mesh = wf.generate_square_mesh(3)
     perm = np.random.default_rng(0).permutation(mesh.n_cells)
     shuffled = Mesh(2, mesh.vertices, mesh.cells[perm])
-    assert np.array_equal(extract_edges(mesh), extract_edges(shuffled))
-    assert np.array_equal(extract_edges(mesh), mesh.edges)
+    assert np.array_equal(mesh.edges, shuffled.edges)
+    # reference: every cell's vertex pairs, deduplicated and sorted
+    pairs = {tuple(sorted(c[[a, b]].tolist()))
+             for c in shuffled.cells for a, b in CELL_EDGES[2]}
+    assert shuffled.edges.tolist() == sorted(map(list, pairs))
+    # per-cell edge indices point at the cell's own vertex pairs
+    for c, cell in enumerate(shuffled.cells):
+        for k, (a, b) in enumerate(CELL_EDGES[2]):
+            edge = shuffled.edges[shuffled.cell_edges[c, k]]
+            assert edge.tolist() == sorted(cell[[a, b]].tolist())
 
 
 def test_degenerate_cell_rejected():
     verts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
     with pytest.raises(ValueError, match="degenerate"):
+        Mesh(2, verts, [(0, 1, 2)])
+
+
+def test_non_finite_coordinates_rejected():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, np.inf)]
+    with pytest.raises(ValueError, match="finite"):
         Mesh(2, verts, [(0, 1, 2)])
 
 
@@ -139,6 +174,27 @@ def test_boundary_facet_must_be_on_one_cell():
     cells = [(0, 1, 2), (1, 3, 2)]
     with pytest.raises(ValueError, match="shared by 2"):
         Mesh(2, verts, cells, boundary_facets=[(1, 2)])
+
+
+def test_boundary_facet_must_be_a_cell_face():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    cells = [(0, 1, 2), (1, 3, 2)]
+    with pytest.raises(ValueError, match="not a cell face"):
+        Mesh(2, verts, cells, boundary_facets=[(0, 1), (0, 3)])
+
+
+def test_boundary_owners_and_normals():
+    # reference: loop over cells and local facets for each boundary facet
+    mesh = wf.generate_cube_mesh(2)
+    for k, facet in enumerate(mesh.boundary_facets):
+        owners = [(c, j) for c, cell in enumerate(mesh.cells)
+                  for j in range(4) if sorted(np.delete(cell, j)) == sorted(facet)]
+        assert owners == [(mesh.boundary_cells[k], mesh.boundary_local_facets[k])]
+        c, j = owners[0]
+        inward = mesh.cell_coords[c, j] - mesh.vertices[facet].mean(axis=0)
+        assert np.dot(mesh.boundary_normals[k], inward) < 0.0
+    assert abs(np.linalg.norm(mesh.boundary_normals, axis=1) - 1.0).max() <= 1e-14
+    assert abs(mesh.boundary_measures.sum() - 6.0) <= 1e-13  # cube surface area
 
 
 def test_roundtrip_square(tmp_path):

@@ -1,0 +1,141 @@
+"""Property-based tests: operator invariants and parser robustness."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wavefem as wf
+from wavefem.mesh import MeshFormatError
+
+from conftest import load_cube
+
+MESHES = {
+    "interval": wf.generate_interval_mesh(6, 1.3),
+    "square:5": wf.generate_square_mesh(5),
+    "cube:3": wf.generate_cube_mesh(3),
+    "cube_44": load_cube("cube_44"),
+}
+DOFS = {name: wf.build_dof_maps(mesh) for name, mesh in MESHES.items()}
+
+coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), data=st.data())
+def test_gradient_exact_for_quadratics(name, data):
+    # grad P2 lies in P1_DG^d: for p quadratic and Dirichlet data g = p,
+    # the velocity mass solve of the gradient recovers grad p at every
+    # cell corner, the facet term cancelling against the boundary data
+    mesh, dofs = MESHES[name], DOFS[name]
+    d = mesh.dim
+    c = data.draw(coefficient)
+    b = np.array(data.draw(st.lists(coefficient, min_size=d, max_size=d)))
+    A = np.array(data.draw(st.lists(coefficient, min_size=d * d, max_size=d * d))).reshape(d, d)
+
+    def p(x):
+        return c + x @ b + np.einsum("...i,ij,...j->...", x, A, x)
+
+    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, g=p))
+    h = wf.interpolate_state(mesh, dofs, p).h
+    corners = mesh.cell_coords.reshape(-1, d)
+    exact = b + corners @ (A + A.T)
+    scale = max(1.0, np.abs(exact).max())
+    for i in range(d):
+        u = ops.u_mass.solve(ops.grad[i] @ h + ops.dirichlet_rhs[i])
+        assert np.abs(u[dofs.u_cell_dofs.ravel()] - exact[:, i]).max() <= 1e-12 * scale
+
+
+# -- parser fuzzing ----------------------------------------------------------
+
+def _valid_files(kind):
+    mesh = wf.generate_square_mesh(2) if kind == "triangle" else wf.generate_cube_mesh(1)
+    exts = ("node", "ele", "edge") if kind == "triangle" else ("node", "ele", "face")
+    writer = wf.write_triangle_mesh if kind == "triangle" else wf.write_tetgen_mesh
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"m.{ext}") for ext in exts]
+        writer(mesh, *paths)
+        return mesh, {ext: open(path).read() for ext, path in zip(exts, paths)}
+
+
+VALID = {kind: _valid_files(kind) for kind in ("triangle", "tetgen")}
+READERS = {"triangle": wf.read_triangle_mesh, "tetgen": wf.read_tetgen_mesh}
+
+token = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from(["x", "0.5", "-1.5", "nan", "inf", "1e999", "#",
+                     "99999999999999999999999", "٣"]))
+line = st.lists(token, max_size=6).map(" ".join)
+
+
+@st.composite
+def mangled(draw, text):
+    """A valid file with a few lines replaced, dropped, added or cut short."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "delete", "insert", "truncate"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif op == "replace":
+            lines[i] = draw(line)
+        elif op == "delete":
+            del lines[i]
+        else:
+            lines[i] = " ".join(lines[i].split()[:draw(st.integers(0, 3))])
+    return "\n".join(lines) + "\n"
+
+
+def _read(kind, texts):
+    """Write the texts to files and read them back as one mesh."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for ext, text in texts.items():
+            path = os.path.join(tmp, f"m.{ext}")
+            with open(path, "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode())
+            paths.append(path)
+        return READERS[kind](*paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(VALID)), data=st.data())
+def test_malformed_files_raise_mesh_format_error(kind, data):
+    _, valid = VALID[kind]
+    texts = {ext: data.draw(st.one_of(st.just(text), mangled(text),
+                                      st.lists(line, max_size=5).map("\n".join),
+                                      st.binary(max_size=40)))
+             for ext, text in valid.items()}
+    try:
+        mesh = _read(kind, texts)
+    except MeshFormatError:
+        return
+    assert isinstance(mesh, wf.Mesh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(VALID)), data=st.data())
+def test_facet_files_must_name_boundary_faces(kind, data):
+    # facets that are not cell faces, or are shared by two cells, are
+    # rejected; a file naming only boundary faces is accepted
+    mesh, valid = VALID[kind]
+    d = mesh.dim
+    vertex = st.integers(1, mesh.n_vertices)
+    facets = data.draw(st.lists(st.lists(vertex, min_size=d, max_size=d),
+                                min_size=1, max_size=5))
+    facet_ext = "edge" if kind == "triangle" else "face"
+    texts = dict(valid)
+    texts[facet_ext] = f"{len(facets)} 1\n" + "".join(
+        f"{k} " + " ".join(map(str, f)) + " 1\n" for k, f in enumerate(facets, start=1))
+    boundary = {tuple(sorted(f)) for f in (mesh.boundary_facets + 1).tolist()}
+    if all(tuple(sorted(f)) in boundary for f in facets):
+        assert len(_read(kind, texts).boundary_facets) == len(facets)
+    else:
+        try:
+            _read(kind, texts)
+        except MeshFormatError as exc:
+            assert "not a cell face" in str(exc) or "shared by 2 cells" in str(exc)
+        else:
+            raise AssertionError("facet file naming a non-boundary face was accepted")
