@@ -139,6 +139,16 @@ class AssembledOperators:
             return mat
         return mat[self.h_free][:, self.h_free]
 
+    def force(self, h):
+        """``grad_i h + dirichlet_rhs_i`` per velocity component, the
+        negated right-hand sides of the velocity equations."""
+        return [g @ h + r for g, r in zip(self.grad, self.dirichlet_rhs)]
+
+    def divergence(self, u):
+        """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of
+        the scalar equation."""
+        return sum((g.T @ u_i for g, u_i in zip(self.grad, u)), -self.neumann_rhs)
+
     def h_mass_solver(self):
         """Cached factorization of the free block of the scalar mass matrix."""
         if self._h_factor is None:
@@ -280,24 +290,17 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
 
 def semidiscrete_rhs(ops: AssembledOperators, u_components, h: np.ndarray):
     """Right-hand sides of the semi-discrete equations (before the mass
-    solves): ``-grad_i h - dirichlet_rhs_i`` per velocity component and
-    ``sum_i grad_i^T u_i - neumann_rhs`` for the scalar. Only the
-    ``ops.h_free`` entries of the scalar one are equations; fixed DOFs
-    do not move."""
+    solves): ``-ops.force(h)`` and ``ops.divergence(u)``. Only the
+    ``ops.h_free`` entries of the scalar one are equations."""
     h = np.asarray(h, dtype=float)
     if h.shape != (ops.dofs.m_h,):
         raise ValueError(f"expected scalar vector of length {ops.dofs.m_h}")
     if len(u_components) != ops.dim:
         raise ValueError(f"expected {ops.dim} velocity components")
-    du = []
-    dh = -ops.neumann_rhs.copy()
-    for i in range(ops.dim):
-        u_i = np.asarray(u_components[i], dtype=float)
-        if u_i.shape != (ops.dofs.m_u,):
-            raise ValueError(f"expected velocity vectors of length {ops.dofs.m_u}")
-        du.append(-(ops.grad[i] @ h) - ops.dirichlet_rhs[i])
-        dh += ops.grad[i].T @ u_i
-    return du, dh
+    u = [np.asarray(u_i, dtype=float) for u_i in u_components]
+    if any(u_i.shape != (ops.dofs.m_u,) for u_i in u):
+        raise ValueError(f"expected velocity vectors of length {ops.dofs.m_u}")
+    return [-f for f in ops.force(h)], ops.divergence(u)
 
 
 def export_matrix_market(ops: AssembledOperators, directory):

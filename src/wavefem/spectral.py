@@ -45,7 +45,7 @@ __all__ = [
     "spectrum_to_json",
 ]
 
-DENSE_CUTOFF = 3000      # scalar DOFs below which the dense solver is used
+DENSE_CUTOFF = 3000      # pencil size up to which the dense solver is used
 LOWEST_COUNT = 20        # eigenvalues resolved from the low end iteratively
 NULL_TOLERANCE = 1e-8    # relative to max(1, lambda_max)
 
@@ -82,66 +82,73 @@ class Spectrum:
     lambda_max: float
     m_h: int
     complete: bool
-    null_tolerance: float = NULL_TOLERANCE
     eigenvectors: Optional[np.ndarray] = None
 
+    @property
+    def null_threshold(self) -> float:
+        """Eigenvalues below this count as null modes."""
+        return NULL_TOLERANCE * max(1.0, self.lambda_max)
 
-def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False,
-                       dense_cutoff: int = DENSE_CUTOFF,
-                       null_tolerance: float = NULL_TOLERANCE) -> Spectrum:
+
+def _dense(A, M, **kw):
+    """The dense solve: ``scipy.linalg.eigh`` on the pencil as arrays."""
+    try:
+        return scipy.linalg.eigh(A.toarray(), M.toarray(), **kw)
+    except scipy.linalg.LinAlgError as exc:
+        raise RuntimeError("scalar mass matrix is not positive definite; "
+                           "assembly is inconsistent") from exc
+
+
+def _eigsh(A, M, k, **kw):
+    """The ARPACK solve, from a fixed start vector so that every call
+    gives the same eigenvalues. The vector is not constant: under Neumann
+    data that is the null eigenvector, and Lanczos breaks down on it."""
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    return spla.eigsh(A, k=k, M=M, v0=v0, **kw)
+
+
+def _lambda_max(A, M) -> float:
+    """Largest eigenvalue of the pencil: dense up to ``DENSE_CUTOFF`` DOFs,
+    else by ARPACK, with a dense fallback up to 20000 DOFs when ARPACK
+    does not converge."""
+    n = A.shape[0]
+    if n > DENSE_CUTOFF:
+        try:
+            return float(_eigsh(A, M, 1, which="LM", return_eigenvectors=False,
+                                maxiter=5000)[0])
+        except spla.ArpackNoConvergence as exc:
+            if n > 20000:
+                raise RuntimeError("largest-eigenvalue iteration failed "
+                                   "to converge") from exc
+    return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+
+
+def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
     """Solve the symmetric generalized eigenproblem of the discrete Laplacian.
 
-    Below ``dense_cutoff`` scalar DOFs the full spectrum is computed with a
-    dense symmetric-generalized solver; above it, a shift-invert Lanczos
-    iteration resolves the lowest eigenvalues and the largest one.
+    Up to ``DENSE_CUTOFF`` free scalar DOFs the full spectrum is computed
+    densely; above it, shift-invert Lanczos resolves the lowest
+    ``LOWEST_COUNT`` eigenvalues and ``_lambda_max`` the largest.
     """
     A, M = laplacian_pencil(ops)
     m_h = A.shape[0]
-    if m_h <= dense_cutoff:
-        Ad = A.toarray()
-        Md = M.toarray()
-        try:
-            if compute_vectors:
-                vals, vecs = scipy.linalg.eigh(Ad, Md)
-            else:
-                vals = scipy.linalg.eigh(Ad, Md, eigvals_only=True)
-                vecs = None
-        except scipy.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "scalar mass matrix is not positive definite; "
-                "assembly is inconsistent") from exc
-        return Spectrum(vals, float(vals[-1]), m_h, complete=True,
-                        null_tolerance=null_tolerance, eigenvectors=vecs)
+    if m_h <= DENSE_CUTOFF:
+        solved = _dense(A, M, eigvals_only=not compute_vectors)
+        vals, vecs = solved if compute_vectors else (solved, None)
+        return Spectrum(vals, float(vals[-1]), m_h, complete=True, eigenvectors=vecs)
 
-    lam_max = _largest_eigenvalue_iterative(A, M)
-    k = min(LOWEST_COUNT, m_h - 2)
     # Negative shift keeps the shifted matrix definite even when A has a
     # null space (Neumann constant mode).
     scale = A.diagonal().mean() / max(M.diagonal().mean(), np.finfo(float).tiny)
     sigma = -1e-3 * max(scale, 1.0)
-    vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM")
+    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma=sigma, which="LM")
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order] if compute_vectors else None
-    return Spectrum(vals, lam_max, m_h, complete=False,
-                    null_tolerance=null_tolerance, eigenvectors=vecs)
-
-
-def _largest_eigenvalue_iterative(A, M):
-    try:
-        vals = spla.eigsh(A, k=1, M=M, which="LM", return_eigenvectors=False,
-                          maxiter=5000)
-        return float(vals[0])
-    except spla.ArpackNoConvergence as exc:
-        if A.shape[0] <= 20000:
-            vals = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
-                                     subset_by_index=(A.shape[0] - 1, A.shape[0] - 1))
-            return float(vals[0])
-        raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
+    return Spectrum(vals[order], _lambda_max(A, M), m_h, complete=False,
+                    eigenvectors=vecs[:, order] if compute_vectors else None)
 
 
 def null_space_dimension(spectrum: Spectrum) -> int:
-    """Number of eigenvalues below the null tolerance.
+    """Number of eigenvalues below ``spectrum.null_threshold``.
 
     Exactly 1 for a stable Neumann problem (the constant mode), exactly 0
     for a stable Dirichlet problem. In 1D the strongly imposed Dirichlet
@@ -150,19 +157,12 @@ def null_space_dimension(spectrum: Spectrum) -> int:
     cells of ``square:N`` do, and so do the coarse ``cube_44`` and
     ``cube_200`` meshes, while the finer ``cube_400`` has none.
     """
-    threshold = spectrum.null_tolerance * max(1.0, spectrum.lambda_max)
-    return int(np.sum(spectrum.eigenvalues < threshold))
+    return int(np.sum(spectrum.eigenvalues < spectrum.null_threshold))
 
 
-def max_eigenvalue(ops: AssembledOperators, dense_cutoff: int = DENSE_CUTOFF) -> float:
+def max_eigenvalue(ops: AssembledOperators) -> float:
     """Largest eigenvalue of the discrete Laplacian."""
-    A, M = laplacian_pencil(ops)
-    m_h = A.shape[0]
-    if m_h <= dense_cutoff:
-        vals = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
-                                 subset_by_index=(m_h - 1, m_h - 1))
-        return float(vals[0])
-    return _largest_eigenvalue_iterative(A, M)
+    return _lambda_max(*laplacian_pencil(ops))
 
 
 @dataclass
@@ -195,8 +195,7 @@ def spurious_mode_report(spectra: list) -> SpuriousModeReport:
     levels = []
     for s in spectra:
         nnull = null_space_dimension(s)
-        threshold = s.null_tolerance * max(1.0, s.lambda_max)
-        nonzero = s.eigenvalues[s.eigenvalues >= threshold]
+        nonzero = s.eigenvalues[s.eigenvalues >= s.null_threshold]
         smallest = float(nonzero[0]) if len(nonzero) else None
         levels.append(LevelSummary(s.m_h, nnull, smallest, s.lambda_max))
     flags = []
@@ -227,7 +226,7 @@ def spectrum_to_json(spectrum: Spectrum, path, metadata=None):
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "lambda_max": spectrum.lambda_max,
         "null_space_dimension": null_space_dimension(spectrum),
-        "null_tolerance": spectrum.null_tolerance,
+        "null_tolerance": NULL_TOLERANCE,
         "n_h_dofs": spectrum.m_h,
         "complete": spectrum.complete,
     }

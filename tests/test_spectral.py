@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import wavefem as wf
+from wavefem import spectral
 from wavefem.spectral import (Spectrum, laplacian_pencil, laplacian_spectrum,
                               max_eigenvalue, null_space_dimension,
                               spectrum_to_csv, spectrum_to_json,
@@ -101,21 +103,38 @@ def test_eigen_residuals(square_36):
         assert np.linalg.norm(r) <= 1e-9 * normA * np.linalg.norm(v)
 
 
-def test_iterative_matches_dense(square_36):
+def test_iterative_matches_dense(square_36, monkeypatch):
     _, ops = assemble_all(square_36, "dirichlet")
     dense = laplacian_spectrum(ops)
-    iterative = laplacian_spectrum(ops, dense_cutoff=1)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    iterative = laplacian_spectrum(ops)
+    assert not iterative.complete
     k = len(iterative.eigenvalues)
     assert np.abs(iterative.eigenvalues - dense.eigenvalues[:k]).max() \
         <= 1e-6 * dense.lambda_max
     assert abs(iterative.lambda_max - dense.lambda_max) <= 1e-6 * dense.lambda_max
+    again = laplacian_spectrum(ops)
+    assert np.array_equal(again.eigenvalues, iterative.eigenvalues)
+    assert again.lambda_max == iterative.lambda_max
 
 
-def test_max_eigenvalue_paths(square_36):
+def test_max_eigenvalue_paths(square_36, monkeypatch):
     _, ops = assemble_all(square_36, "dirichlet")
     dense = max_eigenvalue(ops)
-    iterative = max_eigenvalue(ops, dense_cutoff=1)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    iterative = max_eigenvalue(ops)
     assert abs(dense - iterative) <= 1e-6 * dense
+    assert max_eigenvalue(ops) == iterative
+
+
+def test_indefinite_mass_raises(square_36):
+    """Both public solves report a mass matrix that is not positive
+    definite as an inconsistent assembly."""
+    _, ops = assemble_all(square_36, "dirichlet")
+    bad = dataclasses.replace(ops, h_mass=-ops.h_mass)
+    for solve in (laplacian_spectrum, max_eigenvalue):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            solve(bad)
 
 
 def test_max_eigenvalue_grows_under_refinement():
