@@ -13,9 +13,9 @@ from .elements import (DofMap, QuadratureRule, ReferenceElement,
                        reference_element)
 from .assembly import (AssembledOperators, BlockDiagonalMatrix, assemble,
                        export_matrix_market, semidiscrete_rhs)
-from .spectral import (Spectrum, laplacian_pencil, laplacian_spectrum,
-                       max_eigenvalue, null_space_dimension,
-                       spurious_mode_report)
+from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
+                       laplacian_spectrum, max_eigenvalue,
+                       null_space_dimension, spurious_mode_report)
 from .dispersion import (DispersionSample, dispersion_closed_form,
                          dispersion_sweep, mode_discontinuity,
                          semidiscrete_consistency_check, symbol_matrix)

@@ -7,7 +7,8 @@ Assembles, with quadrature exact for every integrand:
 * the sparse symmetric scalar mass matrix,
 * one sparse gradient matrix per spatial direction, including the
   boundary facet term that imposes Dirichlet data on the scalar weakly
-  in 2D and 3D,
+  in 2D and 3D; each facet term is folded into its owner cell's block,
+  and the per-cell blocks are kept for element-by-element bounds,
 * the boundary data vectors entering the two semi-discrete equations.
 
 The semi-discrete system reads, per velocity component i:
@@ -130,7 +131,13 @@ class AssembledOperators:
     h_free: np.ndarray          # free scalar DOFs, ascending
     h_fixed: np.ndarray         # fixed scalar DOFs
     h_fixed_values: np.ndarray  # g at the fixed scalar DOFs
+    grad_cells: np.ndarray      # (C, n1, n2, d) per-cell gradient blocks,
+                                # weak Dirichlet facet terms included
+    cell_dets: np.ndarray       # (C,) affine-map determinants
+    h_mass_ref: np.ndarray      # (n2, n2) scalar mass of the reference cell;
+                                # cell K's block is cell_dets[K] * h_mass_ref
     _h_factor: object = field(default=None, repr=False, compare=False)
+    _kick: object = field(default=None, repr=False, compare=False)
 
     def free_block(self, mat):
         """Free-by-free block of a scalar-space matrix; ``mat`` itself
@@ -149,10 +156,24 @@ class AssembledOperators:
         the scalar equation."""
         return sum((g.T @ u_i for g, u_i in zip(self.grad, u)), -self.neumann_rhs)
 
+    def kick_operator(self):
+        """Cached ``(B_i, s_i)`` per velocity component, with
+        ``B_i = u_mass^{-1} grad_i`` and ``s_i = u_mass^{-1} dirichlet_rhs_i``,
+        so that the velocity equation reads ``du_i/dt = -(B_i h + s_i)``."""
+        if self._kick is None:
+            inv = self.u_mass.inverse_to_csr()
+            self._kick = tuple((inv @ g, self.u_mass.solve(r))
+                               for g, r in zip(self.grad, self.dirichlet_rhs))
+        return self._kick
+
     def h_mass_solver(self):
-        """Cached factorization of the free block of the scalar mass matrix."""
+        """Cached LU solve of the free block of the scalar mass matrix. The
+        matrix is symmetric positive definite, so the LU takes a symmetric
+        fill-reducing ordering and the diagonal pivots."""
         if self._h_factor is None:
-            self._h_factor = spla.factorized(self.free_block(self.h_mass).tocsc())
+            self._h_factor = spla.splu(
+                self.free_block(self.h_mass).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
         return self._h_factor
 
 
@@ -260,8 +281,8 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     h_fixed_values = sample(bc.g, strong).ravel()
     h_free = np.setdiff1d(np.arange(m_h), h_fixed)
 
-    # Weak Dirichlet facets: -n_i (v, h) joins the gradient as one more
-    # block on the owner's DOFs; n_i (v, g) goes to the right-hand side.
+    # Weak Dirichlet facets: -n_i (v, h) joins the owner's gradient block;
+    # n_i (v, g) goes to the right-hand side.
     weak = dirichlet & ~strong
     cD, lfD, wD = cell[weak], lf[weak], w[weak]
     nD = mesh.boundary_normals[weak]
@@ -269,13 +290,13 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), fv1[lfD])
     dirichlet_rhs = tuple(_accumulate(ud[cD], nD[:, i, None] * gvec, m_u) for i in range(d))
 
-    rows = np.repeat(np.concatenate([ud, ud[cD]]), n2, axis=1).ravel()
-    cols = np.tile(np.concatenate([hd, hd[cD]]), (1, n1)).ravel()
-    grad = tuple(
-        sp.coo_matrix((np.concatenate([grad_cells[..., i],
-                                       -nD[:, i, None, None] * blocks]).ravel(),
-                       (rows, cols)), shape=(m_u, m_h)).tocsr()
-        for i in range(d))
+    np.add.at(grad_cells, cD, -blocks[..., None] * nD[:, None, None, :])
+
+    rows = np.repeat(ud, n2, axis=1).ravel()
+    cols = np.tile(hd, (1, n1)).ravel()
+    grad = tuple(sp.coo_matrix((grad_cells[..., i].ravel(), (rows, cols)),
+                               shape=(m_u, m_h)).tocsr()
+                 for i in range(d))
 
     # Neumann facets: (v, f) for every scalar test function v
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
@@ -285,7 +306,8 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     return AssembledOperators(
         dim=d, dofs=dofs, u_mass=u_mass, h_mass=h_mass, grad=grad,
         dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs,
-        h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values)
+        h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values,
+        grad_cells=grad_cells, cell_dets=det, h_mass_ref=mh_ref)
 
 
 def semidiscrete_rhs(ops: AssembledOperators, u_components, h: np.ndarray):

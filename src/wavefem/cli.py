@@ -2,8 +2,10 @@
 
 Verbs: dof-report, spectrum, dispersion, simulate, mesh-convert. Every
 command that writes outputs also writes a JSON run manifest next to them
-so a run can be reproduced. Exit codes: 0 success, 1 input error, 2
-numerical failure, 3 invariant violation.
+so a run can be reproduced. The ``simulate`` manifest also records
+``dt_check``: the path the dt check took (``cell_bound``, ``exact`` or
+``forced``), the limit it used and the cell-bound limit. Exit codes: 0
+success, 1 input error, 2 numerical failure, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -87,13 +89,14 @@ def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
     raise dynamics.ConfigurationError(f"unknown bc {kind!r}")
 
 
-def _write_manifest(path, command, parameters, outputs, started):
+def _write_manifest(path, command, parameters, outputs, started, **fields):
     manifest = {
         "command": command,
         "parameters": parameters,
         "outputs": [str(o) for o in outputs],
         "tool_version": __version__,
         "duration_seconds": round(time.monotonic() - started, 6),
+        **fields,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -281,7 +284,9 @@ def cmd_simulate(args) -> int:
                     {"mesh": source, "config": str(args.config),
                      "dt": dt, "n_steps": n_steps, "stride": stride,
                      "force_dt": args.force_dt},
-                    outputs, started)
+                    outputs, started,
+                    dt_check={"path": result.dt_check, "limit": result.stable_dt,
+                              "cell_bound_limit": result.cell_bound_dt})
 
     if result.aborted:
         print(f"UNSTABLE: aborted at step {result.abort_step}; "

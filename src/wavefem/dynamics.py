@@ -9,8 +9,18 @@ drifting, so any energy growth signals a stability violation. Nonzero
 boundary data do work on the fields and change the energy at any dt;
 its error is then no stability signal.
 
-Velocity mass solves are exact per-cell block solves; the scalar mass
-matrix is factorized once and reused across steps.
+Each half-kick is one sparse product with the cached kick operator
+B_i = u_mass^{-1} grad_i (exact, since the velocity mass is
+block-diagonal); the scalar mass matrix is LU-factorized once and
+reused across steps.
+
+The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
+checks a requested dt in two stages. The element-by-element bound
+``spectral.cell_lambda_bound`` >= lambda_max costs one batched small
+eigenproblem and certifies every dt up to its limit. Only a larger dt
+pays for the exact lambda_max (``stable_dt_estimate``), which then
+accepts or rejects it. The bound is loose on sliver cells, so it never
+rejects a dt by itself.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import numpy as np
 from .assembly import AssembledOperators, assemble
 from .elements import DofMap, build_dof_maps, h_dof_coords
 from .mesh import BcSpec, Mesh
-from .spectral import max_eigenvalue
+from .spectral import cell_lambda_bound, max_eigenvalue
 
 __all__ = [
     "FieldState",
@@ -36,6 +46,11 @@ __all__ = [
     "stable_dt_estimate",
     "simulate",
 ]
+
+# Relative margin added to the cell bound before it certifies a dt. In 1D
+# with Neumann data the bound equals lambda_max, and the two computations
+# may differ in the last bits.
+BOUND_MARGIN = 1e-10
 
 
 class ConfigurationError(ValueError):
@@ -85,11 +100,12 @@ def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
     moves the free scalar DOFs only."""
     c = wave_speed
     h_solve = ops.h_mass_solver()
+    kick = ops.kick_operator()
     half = 0.5 * dt * c
-    u_half = [u - half * ops.u_mass.solve(f) for u, f in zip(state.u, ops.force(state.h))]
+    u_half = [u - half * (B @ state.h + s) for u, (B, s) in zip(state.u, kick)]
     h_new = state.h.copy()
     h_new[ops.h_free] += dt * c * h_solve(ops.divergence(u_half)[ops.h_free])
-    u_new = [u - half * ops.u_mass.solve(f) for u, f in zip(u_half, ops.force(h_new))]
+    u_new = [u - half * (B @ h_new + s) for u, (B, s) in zip(u_half, kick)]
     return FieldState(u=u_new, h=h_new, time=state.time + dt)
 
 
@@ -103,11 +119,14 @@ def energy(state: FieldState, ops: AssembledOperators) -> float:
 
 
 def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> float:
-    """Linear stability bound of the scheme, 2 / (c sqrt(lambda_max)).
+    """Linear stability limit of the scheme, 2 / (c sqrt(lambda_max)).
 
     The fastest oscillation of the semi-discrete system has frequency
     c*sqrt(lambda_max); the leapfrog kernel is stable while that
-    oscillation is resolved with dt * frequency <= 2.
+    oscillation is resolved with dt * frequency <= 2. The limit is exact:
+    lambda_max is ``spectral.max_eigenvalue``, a dense solve up to
+    ``spectral.DENSE_CUTOFF`` scalar DOFs and ARPACK above it.
+    ``simulate`` calls it only for a dt the cell bound cannot certify.
     """
     return 2.0 / (wave_speed * np.sqrt(max_eigenvalue(ops)))
 
@@ -133,12 +152,24 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
+    """Recorded energy series and final state of a run.
+
+    ``dt_check`` names the path the dt check took: ``"cell_bound"`` (dt
+    certified by the element-by-element bound), ``"exact"`` (dt above the
+    certified limit, accepted by ``stable_dt_estimate``) or ``"forced"``
+    (no check). ``stable_dt`` is the limit that check used: the certified
+    limit, the exact one, or None. ``cell_bound_dt`` is the certified
+    limit whenever the check ran.
+    """
+
     times: np.ndarray
     energies: np.ndarray
     final_state: FieldState
     stable_dt: Optional[float]
     aborted: bool = False
     abort_step: Optional[int] = None
+    dt_check: str = "forced"
+    cell_bound_dt: Optional[float] = None
 
     @property
     def energy_errors(self) -> np.ndarray:
@@ -159,22 +190,31 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     scalar DOFs (1D Dirichlet vertices) set to their boundary values.
     Energy is sampled at step 0 and every ``energy_stride`` steps; it is
     conserved, and its drift measures stability, only when the boundary
-    data g and f are zero. Unless ``config.allow_unstable_dt`` is set,
-    the requested dt is checked against the stability estimate first. A step that leaves a field or
-    the energy non-finite counts as unstable: the run stops there and
-    returns the series and final state recorded before it, with
-    ``aborted`` set and ``abort_step`` naming the step.
+    data g and f are zero.
+
+    Unless ``config.allow_unstable_dt`` is set, the requested dt is
+    checked first (module docstring; the bound is inflated by
+    ``BOUND_MARGIN``) and ``ConfigurationError`` rejects it above the
+    exact limit. The check accepts and rejects exactly the dt values that
+    ``stable_dt_estimate`` alone would. A step that leaves a field or the
+    energy non-finite counts as unstable: the run stops there and returns
+    the series and final state recorded before it, with ``aborted`` set
+    and ``abort_step`` naming the step.
     """
     dofs = ops.dofs if ops is not None else build_dof_maps(mesh)
     if ops is None:
         ops = assemble(mesh, dofs, bc)
-    stable_dt = None
+    dt_check, stable_dt, cell_bound_dt = "forced", None, None
     if not config.allow_unstable_dt:
-        stable_dt = stable_dt_estimate(ops, config.wave_speed)
-        if config.dt > stable_dt:
-            raise ConfigurationError(
-                f"dt={config.dt} exceeds the stability estimate "
-                f"{stable_dt:.6g}; reduce dt or force the run")
+        c = config.wave_speed
+        cell_bound_dt = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
+        dt_check, stable_dt = "cell_bound", cell_bound_dt
+        if not config.dt <= cell_bound_dt:  # a NaN bound certifies nothing
+            dt_check, stable_dt = "exact", stable_dt_estimate(ops, c)
+            if config.dt > stable_dt:
+                raise ConfigurationError(
+                    f"dt={config.dt} exceeds the stability estimate "
+                    f"{stable_dt:.6g}; reduce dt or force the run")
 
     state = interpolate_state(mesh, dofs, config.ic_h, config.ic_u)
     state.h[ops.h_fixed] = ops.h_fixed_values
@@ -205,4 +245,5 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     return SimulationResult(
         times=np.array(times), energies=np.array(energies),
         final_state=state, stable_dt=stable_dt,
-        aborted=aborted, abort_step=abort_step)
+        aborted=aborted, abort_step=abort_step,
+        dt_check=dt_check, cell_bound_dt=cell_bound_dt)

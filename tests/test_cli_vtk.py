@@ -150,6 +150,37 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "energy.csv"))
 
 
+def test_simulate_manifest_dt_check(tmp_path):
+    # the manifest names the path of the dt check and the limits it used
+    mesh = wf.read_triangle_mesh(*(mesh_path(f"square_36.{ext}")
+                                   for ext in ("node", "ele", "edge")))
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
+    exact = wf.stable_dt_estimate(ops)
+    certified = 2.0 / np.sqrt(wf.cell_lambda_bound(ops))
+    cfg = write_config(tmp_path, "bc = neumann\n")
+    cases = [(0.5 * certified, [], "cell_bound"),
+             (0.5 * (certified + exact), [], "exact"),
+             (0.5 * certified, ["--force-dt"], "forced")]
+    for k, (dt, flags, path) in enumerate(cases):
+        out_dir = str(tmp_path / f"out{k}")
+        code = run(["simulate", "--mesh", mesh_path("square_36.node"),
+                    mesh_path("square_36.ele"), mesh_path("square_36.edge"),
+                    "--config", cfg, "--dt", repr(float(dt)), "--t-end", repr(float(2 * dt)),
+                    "--out-dir", out_dir, *flags])
+        assert code == 0
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            check = json.load(fh)["dt_check"]
+        assert check["path"] == path
+        if path == "forced":
+            assert check["limit"] is None and check["cell_bound_limit"] is None
+        elif path == "exact":
+            assert check["limit"] == exact
+            assert check["cell_bound_limit"] < dt
+        else:
+            assert check["limit"] == check["cell_bound_limit"]
+            assert dt < check["limit"] <= certified
+
+
 def test_simulate_bad_config_key(tmp_path):
     cfg = write_config(tmp_path, "dt = 0.001\nt_end = 1\nwhatever = 3\n")
     assert run(["simulate", "--generate", "square:2", "--config", cfg,

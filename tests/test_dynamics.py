@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 
 import wavefem as wf
+from wavefem import dynamics
 from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
-from wavefem.spectral import laplacian_pencil, max_eigenvalue
+from wavefem.spectral import cell_lambda_bound, laplacian_pencil, max_eigenvalue
 
 from conftest import assemble_all, gaussian_bump
 
@@ -192,6 +193,57 @@ def test_simulate_rejects_unstable_dt(square_36):
     config = SimulationConfig(dt=1.0, n_steps=10, ic_h=gaussian_bump([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="stability"):
         simulate(square_36, bc, config)
+
+
+def test_dt_check_paths(square_36, monkeypatch):
+    # a dt below the cell-bound limit runs without an eigensolve; one
+    # between that and the exact limit is accepted by the exact check;
+    # one above the exact limit is rejected
+    bc = wf.BcSpec.all_neumann(square_36)
+    ops = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
+    exact = stable_dt_estimate(ops)
+    certified = 2.0 / np.sqrt(cell_lambda_bound(ops))
+    assert certified < 0.6 * exact  # slivers: the bound is 3.6x lambda_max
+    between = 0.5 * (certified + exact)
+
+    def run(dt):
+        config = SimulationConfig(dt=dt, n_steps=2, ic_h=gaussian_bump([0.5, 0.5]))
+        return simulate(square_36, bc, config, ops=ops)
+
+    def no_eigensolve(ops):
+        raise RuntimeError("eigensolve called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "max_eigenvalue", no_eigensolve)
+        result = run(0.9 * certified)
+        assert result.dt_check == "cell_bound"
+        assert result.stable_dt == result.cell_bound_dt
+        assert 0.9 * certified < result.cell_bound_dt <= certified
+        with pytest.raises(RuntimeError, match="eigensolve called"):
+            run(between)
+    for dt in (between, exact):
+        result = run(dt)
+        assert result.dt_check == "exact"
+        assert result.stable_dt == exact
+        assert result.cell_bound_dt < between
+    with pytest.raises(ConfigurationError, match="stability estimate"):
+        run(np.nextafter(exact, 1.0))
+    forced = simulate(square_36, bc, SimulationConfig(dt=0.9 * certified, n_steps=2,
+                                                      allow_unstable_dt=True), ops=ops)
+    assert (forced.dt_check, forced.stable_dt, forced.cell_bound_dt) == ("forced", None, None)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_cell_bound_limit_at_most_exact_1d(periodic):
+    # with Neumann ends the cell bound equals lambda_max up to rounding;
+    # its margin keeps the certified limit at or below the exact one
+    mesh = wf.generate_interval_mesh(16, 1.0, periodic=periodic)
+    bc = wf.BcSpec.all_neumann(mesh)
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    exact = stable_dt_estimate(ops)
+    result = simulate(mesh, bc, SimulationConfig(dt=exact, n_steps=1), ops=ops)
+    assert result.cell_bound_dt <= exact
+    assert result.cell_bound_dt >= (1.0 - 1e-9) * exact
 
 
 def test_simulate_abort_keeps_partial_series(square_36):

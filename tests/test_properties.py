@@ -11,6 +11,7 @@ import wavefem as wf
 from wavefem.mesh import MeshFormatError
 
 from conftest import load_cube
+from test_assembly import divergence_reference
 
 MESHES = {
     "interval": wf.generate_interval_mesh(6, 1.3),
@@ -46,6 +47,49 @@ def test_gradient_exact_for_quadratics(name, data):
     for i in range(d):
         u = ops.u_mass.solve(ops.grad[i] @ h + ops.dirichlet_rhs[i])
         assert np.abs(u[dofs.u_cell_dofs.ravel()] - exact[:, i]).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), kind=st.sampled_from(["dirichlet", "neumann"]),
+       seed=st.integers(0, 2 ** 32 - 1), fraction=st.floats(0.01, 1.0))
+def test_verlet_step_time_reversible(name, kind, seed, fraction):
+    # with g = 0 and f = 0, a step of -dt undoes a step of dt
+    mesh, dofs = MESHES[name], DOFS[name]
+    bc = wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet" else wf.BcSpec.all_neumann(mesh)
+    ops = wf.assemble(mesh, dofs, bc)
+    dt = fraction * 2.0 / np.sqrt(wf.cell_lambda_bound(ops))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(dofs.m_h)
+    h[ops.h_fixed] = 0.0
+    state = wf.FieldState(u=[rng.standard_normal(dofs.m_u) for _ in range(mesh.dim)], h=h)
+    back = wf.verlet_step(wf.verlet_step(state, ops, dt), ops, -dt)
+    scale = max(np.abs(v).max() for v in [state.h, *state.u])
+    for v, w in zip([back.h, *back.u], [state.h, *state.u]):
+        assert np.abs(v - w).max() <= 1e-12 * scale
+
+
+def jittered(kind, n, seed):
+    """``square:n`` or ``cube:n`` with every interior vertex moved by up to
+    a tenth of the grid spacing per coordinate."""
+    mesh = wf.generate_square_mesh(n) if kind == "square" else wf.generate_cube_mesh(n)
+    x = mesh.vertices.copy()
+    interior = np.all((x > 1e-12) & (x < 1.0 - 1e-12), axis=1)
+    x[interior] += np.random.default_rng(seed).uniform(-0.1, 0.1, x[interior].shape) / n
+    return wf.Mesh(mesh.dim, x, mesh.cells, mesh.boundary_facets, mesh.boundary_markers)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["square", "cube"]), n=st.integers(2, 3),
+       bc_kind=st.sampled_from(["dirichlet", "neumann"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_adjoint_to_divergence(kind, n, bc_kind, seed):
+    # grad_i^T equals the scalar-side operator assembled from its own
+    # integrals, facet term included, on unstructured cells
+    mesh = jittered(kind, n, seed)
+    dofs = wf.build_dof_maps(mesh)
+    bc = wf.BcSpec.all_dirichlet(mesh) if bc_kind == "dirichlet" else wf.BcSpec.all_neumann(mesh)
+    ops = wf.assemble(mesh, dofs, bc)
+    for grad, div in zip(ops.grad, divergence_reference(mesh, dofs, bc)):
+        assert abs(div - grad.T).max() <= 1e-13 * abs(grad).max()
 
 
 # -- parser fuzzing ----------------------------------------------------------

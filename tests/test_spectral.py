@@ -6,10 +6,10 @@ import pytest
 
 import wavefem as wf
 from wavefem import spectral
-from wavefem.spectral import (Spectrum, laplacian_pencil, laplacian_spectrum,
-                              max_eigenvalue, null_space_dimension,
-                              spectrum_to_csv, spectrum_to_json,
-                              spurious_mode_report)
+from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
+                              laplacian_spectrum, max_eigenvalue,
+                              null_space_dimension, spectrum_to_csv,
+                              spectrum_to_json, spurious_mode_report)
 
 from conftest import assemble_all
 
@@ -135,6 +135,51 @@ def test_indefinite_mass_raises(square_36):
     for solve in (laplacian_spectrum, max_eigenvalue):
         with pytest.raises(RuntimeError, match="not positive definite"):
             solve(bad)
+
+
+def with_mixed_markers(mesh):
+    """The mesh with marker 2 on the boundary facets left of x = 0.5 and
+    marker 1 on the rest; intervals already carry markers 1 and 2."""
+    if mesh.dim == 1:
+        return mesh
+    x = mesh.vertices[mesh.boundary_facets].mean(axis=1)[:, 0]
+    return wf.Mesh(mesh.dim, mesh.vertices, mesh.cells, mesh.boundary_facets,
+                   np.where(x < 0.5, 2, 1))
+
+
+BOUND_MESHES = {
+    "square:8": lambda: wf.generate_square_mesh(8),
+    "cube:3": lambda: wf.generate_cube_mesh(3),
+    "interval": lambda: wf.generate_interval_mesh(16, 1.0),
+}
+FIXTURES = ["square_36", "square_150", "square_1500", "cube_44", "cube_200", "cube_400"]
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("name", [*BOUND_MESHES, *FIXTURES])
+def test_cell_bound_above_max_eigenvalue(name, kind, request):
+    # lambda_max(A, M) <= max_K lambda_max(A_K, M_K); the 1D Dirichlet ends
+    # are fixed DOFs, and in 1D Neumann the two are equal up to rounding.
+    # On structured meshes the bound is tight; slivers make it loose.
+    mesh = BOUND_MESHES[name]() if name in BOUND_MESHES else request.getfixturevalue(name)
+    if kind == "mixed":
+        mesh = with_mixed_markers(mesh)
+        bc = wf.BcSpec(dirichlet_markers={1}, neumann_markers={2})
+    else:
+        bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
+              else wf.BcSpec.all_neumann(mesh))
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    ratio = cell_lambda_bound(ops) / max_eigenvalue(ops)
+    assert ratio >= 1.0 - 1e-10
+    if name in ("square:8", "cube:3"):
+        assert ratio <= 1.25
+
+
+def test_cell_bound_periodic_interval():
+    mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
+    lam = max_eigenvalue(ops)
+    assert abs(cell_lambda_bound(ops) - lam) <= 1e-10 * lam
 
 
 def test_max_eigenvalue_grows_under_refinement():
