@@ -30,6 +30,13 @@ on the free DOFs only (``AssembledOperators.h_free``). In 2D and 3D
 every scalar DOF is free. There, the weak form can still leave null
 modes in a cell with d Dirichlet facets, such as a corner cell of
 ``square:N`` (see ``spectral.null_space_dimension``).
+
+Every global matrix is a scatter of per-cell dense blocks (``_scatter``):
+the scalar mass, each gradient, each kick operator u_mass^{-1} grad_i and
+the discrete Laplacian A = sum_K scatter(A_K) of ``spectral``. Because
+grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
+so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
+Dirichlet facet blocks change A only on the DOFs of their owner cells.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -49,8 +55,6 @@ __all__ = [
     "BlockDiagonalMatrix",
     "AssembledOperators",
     "assemble",
-    "semidiscrete_rhs",
-    "export_matrix_market",
 ]
 
 QUAD_DEGREE = 4  # highest assembled integrand: quadratic x quadratic
@@ -74,11 +78,6 @@ class BlockDiagonalMatrix:
     def block_size(self) -> int:
         return self.blocks.shape[1]
 
-    @property
-    def shape(self):
-        n = self.n_blocks * self.block_size
-        return (n, n)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         xb = np.asarray(x, dtype=float).reshape(self.n_blocks, self.block_size)
         return np.einsum("cij,cj->ci", self.blocks, xb).ravel()
@@ -98,18 +97,6 @@ class BlockDiagonalMatrix:
         cell's entries of ``b``."""
         bb = np.asarray(b, dtype=float).reshape(self.n_blocks, self.block_size)
         return np.einsum("cij,cj->ci", self.inverse_blocks(), bb).ravel()
-
-    def to_csr(self) -> sp.csr_matrix:
-        n = self.n_blocks
-        mat = sp.bsr_matrix((self.blocks, np.arange(n), np.arange(n + 1)),
-                            shape=self.shape)
-        return mat.tocsr()
-
-    def inverse_to_csr(self) -> sp.csr_matrix:
-        n = self.n_blocks
-        mat = sp.bsr_matrix((self.inverse_blocks(), np.arange(n), np.arange(n + 1)),
-                            shape=self.shape)
-        return mat.tocsr()
 
 
 @dataclass
@@ -161,9 +148,16 @@ class AssembledOperators:
         ``B_i = u_mass^{-1} grad_i`` and ``s_i = u_mass^{-1} dirichlet_rhs_i``,
         so that the velocity equation reads ``du_i/dt = -(B_i h + s_i)``."""
         if self._kick is None:
-            inv = self.u_mass.inverse_to_csr()
-            self._kick = tuple((inv @ g, self.u_mass.solve(r))
-                               for g, r in zip(self.grad, self.dirichlet_rhs))
+            inv, d = self.u_mass.inverse_blocks(), self.dofs
+            kick = []
+            for i, r in enumerate(self.dirichlet_rhs):
+                B = _scatter(d.u_cell_dofs, d.h_cell_dofs, inv @ self.grad_cells[..., i],
+                             (d.m_u, d.m_h))
+                # On structured meshes about a quarter of the entries are
+                # exact zeros, which every half-kick would multiply.
+                B.eliminate_zeros()
+                kick.append((B, self.u_mass.solve(r)))
+            self._kick = tuple(kick)
         return self._kick
 
     def h_mass_solver(self):
@@ -205,6 +199,16 @@ def _facet_rule(d: int):
     return lam, weights
 
 
+def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
+             shape) -> sp.csr_matrix:
+    """Global sparse matrix that sums each cell's dense block ``blocks[K]``
+    (shape (C, r, c)) into rows ``row_dofs[K]`` and columns ``col_dofs[K]``."""
+    full = blocks.shape
+    rows = np.broadcast_to(row_dofs[:, :, None], full).ravel()
+    cols = np.broadcast_to(col_dofs[:, None, :], full).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
 def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """Sum ``values`` at ``index`` into a float vector of ``length``; the cast
     covers an empty ``index``, for which ``np.bincount`` returns integers."""
@@ -239,7 +243,6 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
     mh_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
     u_mass = BlockDiagonalMatrix(det[:, None, None] * mu_ref)
-    mh_cells = det[:, None, None] * mh_ref
 
     # Volume gradient term: contract the reference tensor with each cell's
     # inverse Jacobian (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]).
@@ -251,10 +254,7 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     ud = dofs.u_cell_dofs
     n1, n2 = p1.n_local, p2.n_local
 
-    mh_rows = np.repeat(hd, n2, axis=1).ravel()
-    mh_cols = np.tile(hd, (1, n2)).ravel()
-    h_mass = sp.coo_matrix((mh_cells.ravel(), (mh_rows, mh_cols)),
-                           shape=(m_h, m_h)).tocsr()
+    h_mass = _scatter(hd, hd, det[:, None, None] * mh_ref, (m_h, m_h))
 
     # Boundary facets, all at once: each facet's quadrature points are the
     # embedded rule of its local facet, so the owner-cell bases come from
@@ -292,11 +292,7 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
 
     np.add.at(grad_cells, cD, -blocks[..., None] * nD[:, None, None, :])
 
-    rows = np.repeat(ud, n2, axis=1).ravel()
-    cols = np.tile(hd, (1, n1)).ravel()
-    grad = tuple(sp.coo_matrix((grad_cells[..., i].ravel(), (rows, cols)),
-                               shape=(m_u, m_h)).tocsr()
-                 for i in range(d))
+    grad = tuple(_scatter(ud, hd, grad_cells[..., i], (m_u, m_h)) for i in range(d))
 
     # Neumann facets: (v, f) for every scalar test function v
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
@@ -308,34 +304,3 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
         dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs,
         h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values,
         grad_cells=grad_cells, cell_dets=det, h_mass_ref=mh_ref)
-
-
-def semidiscrete_rhs(ops: AssembledOperators, u_components, h: np.ndarray):
-    """Right-hand sides of the semi-discrete equations (before the mass
-    solves): ``-ops.force(h)`` and ``ops.divergence(u)``. Only the
-    ``ops.h_free`` entries of the scalar one are equations."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (ops.dofs.m_h,):
-        raise ValueError(f"expected scalar vector of length {ops.dofs.m_h}")
-    if len(u_components) != ops.dim:
-        raise ValueError(f"expected {ops.dim} velocity components")
-    u = [np.asarray(u_i, dtype=float) for u_i in u_components]
-    if any(u_i.shape != (ops.dofs.m_u,) for u_i in u):
-        raise ValueError(f"expected velocity vectors of length {ops.dofs.m_u}")
-    return [-f for f in ops.force(h)], ops.divergence(u)
-
-
-def export_matrix_market(ops: AssembledOperators, directory):
-    """Write the assembled matrices in Matrix Market coordinate format."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    targets = {"u_mass": ops.u_mass.to_csr(), "h_mass": ops.h_mass}
-    for i, mat in enumerate(ops.grad):
-        targets[f"grad_{'xyz'[i]}"] = mat
-    for name, mat in targets.items():
-        path = os.path.join(directory, f"{name}.mtx")
-        scipy.io.mmwrite(path, mat.tocoo())
-        written.append(path)
-    return written

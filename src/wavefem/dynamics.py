@@ -112,9 +112,12 @@ def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
 def energy(state: FieldState, ops: AssembledOperators) -> float:
     """Discrete energy: half the mass-weighted squares of both fields.
     It is conserved (up to O(dt^2)) only for g = 0 and f = 0."""
-    e = 0.5 * float(state.h @ (ops.h_mass @ state.h))
-    for i in range(ops.dim):
-        e += 0.5 * float(state.u[i] @ ops.u_mass.matvec(state.u[i]))
+    # A blown-up state overflows here; ``simulate`` reports the non-finite
+    # energy, so numpy's warning would only duplicate it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = 0.5 * float(state.h @ (ops.h_mass @ state.h))
+        for i in range(ops.dim):
+            e += 0.5 * float(state.u[i] @ ops.u_mass.matvec(state.u[i]))
     return e
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureRule",
     "DofMap",
     "reference_element",
-    "eval_basis",
     "tabulate",
     "quadrature",
     "build_dof_maps",
@@ -83,17 +82,6 @@ def tabulate(element: ReferenceElement, points: np.ndarray):
         vals[:, nv + k] = 4.0 * lam[:, a] * lam[:, b]
         grads[:, nv + k, :] = 4.0 * (lam[:, a, None] * G[b] + lam[:, b, None] * G[a])
     return vals, grads
-
-
-def eval_basis(element: ReferenceElement, point):
-    """Basis values and gradients at one barycentric point inside the simplex."""
-    lam = np.asarray(point, dtype=float)
-    if lam.shape != (element.dim + 1,):
-        raise ValueError(f"expected {element.dim + 1} barycentric coordinates")
-    if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
-        raise ValueError(f"point {lam} is outside the reference simplex")
-    vals, grads = tabulate(element, lam[None, :])
-    return vals[0], grads[0]
 
 
 @dataclass(frozen=True)

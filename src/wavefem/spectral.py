@@ -18,6 +18,17 @@ would always keep a null vector: N cells give 2N velocity DOFs and
 ``assembly`` module). The problem size of every routine here is the
 pencil's, which is smaller than ``ops.dofs.m_h`` when DOFs are fixed.
 
+The velocity mass is block-diagonal and each weak Dirichlet facet term
+belongs to its owner cell, so A = sum_K scatter(A_K) exactly, with the
+cell Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``).
+Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
+Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
+G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
+of K unless K owns a weak Dirichlet facet. Hence A = S, the P2 Lagrange
+stiffness matrix (grad h, grad v), under Neumann data and in 1D (there
+restricted to the free DOFs); under weak Dirichlet data A - S is nonzero
+only on the DOFs of cells that own a Dirichlet facet.
+
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
 steps.
@@ -34,7 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledOperators
+from .assembly import AssembledOperators, _scatter
 
 __all__ = [
     "Spectrum",
@@ -54,17 +65,27 @@ LOWEST_COUNT = 20        # eigenvalues resolved from the low end iteratively
 NULL_TOLERANCE = 1e-8    # relative to max(1, lambda_max)
 
 
+def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
+    """Per-cell blocks A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki, shape (C, n2, n2),
+    on each cell's scalar DOFs ``ops.dofs.h_cell_dofs``; weak Dirichlet
+    facet terms are included."""
+    u_inv, G = ops.u_mass.inverse_blocks(), ops.grad_cells
+    return sum(G[..., i].swapaxes(1, 2) @ (u_inv @ G[..., i]) for i in range(ops.dim))
+
+
 def laplacian_pencil(ops: AssembledOperators):
     """Explicit sparse matrices (A, h_mass) of the generalized eigenproblem.
 
-    A is formed as ``sum_i grad_i^T B_i`` from the kick operator
-    ``B_i = u_mass^{-1} grad_i`` (``ops.kick_operator``); the block-diagonal
-    velocity mass inverse keeps it sparse (scalar DOFs couple only through
-    shared cells). The result is symmetrized to remove floating-point
-    asymmetry from the products. Both matrices are the free-by-free
+    A = sum_K scatter(A_K) is scattered from the cell Laplacians (module
+    docstring); it equals the P2 stiffness matrix under Neumann data and
+    in 1D, and differs from it under weak Dirichlet data only on the DOFs
+    of cells that own a Dirichlet facet. The result is symmetrized to
+    remove the floating-point asymmetry of the cell products and of the
+    summation of duplicate entries. Both matrices are the free-by-free
     blocks, of size ``len(ops.h_free)``.
     """
-    A = sum(grad.T @ B for grad, (B, _) in zip(ops.grad, ops.kick_operator()))
+    hd, m_h = ops.dofs.h_cell_dofs, ops.dofs.m_h
+    A = _scatter(hd, hd, _cell_laplacian(ops), (m_h, m_h))
     A = (A + A.T) * 0.5
     return ops.free_block(A.tocsr()), ops.free_block(ops.h_mass)
 
@@ -110,18 +131,16 @@ def _eigsh(A, M, k, **kw):
 
 def _lambda_max(A, M) -> float:
     """Largest eigenvalue of the pencil: dense up to ``DENSE_CUTOFF`` DOFs,
-    else by ARPACK, with a dense fallback up to 20000 DOFs when ARPACK
-    does not converge."""
+    else by ARPACK. ARPACK non-convergence is a ``RuntimeError``; a dense
+    fallback at that size would need two dense n x n arrays."""
     n = A.shape[0]
-    if n > DENSE_CUTOFF:
-        try:
-            return float(_eigsh(A, M, 1, which="LM", return_eigenvectors=False,
-                                maxiter=5000)[0])
-        except spla.ArpackNoConvergence as exc:
-            if n > 20000:
-                raise RuntimeError("largest-eigenvalue iteration failed "
-                                   "to converge") from exc
-    return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+    if n <= DENSE_CUTOFF:
+        return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+    try:
+        return float(_eigsh(A, M, 1, which="LM", return_eigenvectors=False,
+                            maxiter=5000)[0])
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
 
 
 def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
@@ -169,9 +188,9 @@ def max_eigenvalue(ops: AssembledOperators) -> float:
 def cell_lambda_bound(ops: AssembledOperators) -> float:
     """Element-by-element upper bound on ``max_eigenvalue``.
 
-    A and h_mass are sums of per-cell terms, A_K = sum_i G_Ki^T
-    M_u,K^{-1} G_Ki (the velocity mass is block-diagonal and each weak
-    Dirichlet facet term belongs to its owner cell) and M_K, so
+    A = sum_K scatter(A_K) and h_mass = sum_K scatter(M_K), with A_K the
+    cell Laplacian of the module docstring (the P2 stiffness block of K
+    unless K owns a weak Dirichlet facet), so
     lambda_max(A, M) <= max_K lambda_max(A_K, M_K) (Fried 1972). On an
     affine cell M_K = det_K L L^T, with L the Cholesky factor of the
     reference scalar mass, so lambda_max(A_K, M_K) is the largest
@@ -184,8 +203,7 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
     and loose on slivers (3 to over 100 times on the fixture meshes), so
     it certifies a dt as stable but is no estimate of the limit.
     """
-    u_inv, G = ops.u_mass.inverse_blocks(), ops.grad_cells
-    A = sum(G[..., i].swapaxes(1, 2) @ (u_inv @ G[..., i]) for i in range(ops.dim))
+    A = _cell_laplacian(ops)
     L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
     lam = np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets
     return float(lam.max())

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-import scipy.io
-
 import scipy.sparse as sp
 
 import wavefem as wf
-from wavefem.assembly import (QUAD_DEGREE, assemble, export_matrix_market,
-                              semidiscrete_rhs)
+from wavefem.assembly import QUAD_DEGREE, assemble
 from wavefem.elements import (P1_DG, P2_CG, quadrature, reference_element,
                               tabulate)
 
@@ -208,17 +205,17 @@ def test_u_mass_inverse_block_locality(square_36):
 
 
 def test_semidiscrete_rhs_zero_state(square_36):
+    # with zero boundary data both right-hand sides vanish at the zero state
     dofs, ops = assemble_all(square_36)
-    du, dh = semidiscrete_rhs(ops, [np.zeros(dofs.m_u)] * 2, np.zeros(dofs.m_h))
+    du = ops.force(np.zeros(dofs.m_h))
+    dh = ops.divergence([np.zeros(dofs.m_u)] * 2)
     assert all(np.abs(v).max() == 0.0 for v in du)
     assert np.abs(dh).max() == 0.0
 
 
 def test_constant_scalar_exerts_no_force(square_150):
     dofs, ops = assemble_all(square_150, "neumann")
-    du, _ = semidiscrete_rhs(ops, [np.zeros(dofs.m_u)] * 2,
-                             3.7 * np.ones(dofs.m_h))
-    for v in du:
+    for v in ops.force(3.7 * np.ones(dofs.m_h)):
         assert np.abs(v).max() <= 1e-13
 
 
@@ -280,10 +277,3 @@ def test_neumann_data_vector():
     for vec in ops.dirichlet_rhs:
         assert vec.dtype == np.float64 and vec.shape == (dofs.m_u,) and not vec.any()
 
-
-def test_matrix_market_export(tmp_path, square_36):
-    _, ops = assemble_all(square_36)
-    paths = export_matrix_market(ops, str(tmp_path))
-    assert len(paths) == 4
-    back = scipy.io.mmread(str(tmp_path / "h_mass.mtx"))
-    assert np.abs((back - ops.h_mass)).max() <= 1e-15

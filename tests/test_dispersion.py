@@ -143,7 +143,7 @@ def test_csv_export(tmp_path):
     assert abs(last[1] - W_LOWER_PI) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 16, 17, 32])
 def test_assembled_system_matches_closed_form(n):
     report = semidiscrete_consistency_check(n)
     assert report.max_error <= 1e-8

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.elements import (P1_DG, P2_CG, build_dof_maps, eval_basis,
-                              h_dof_coords, quadrature, reference_element,
-                              tabulate)
+from wavefem.elements import (P1_DG, P2_CG, build_dof_maps, h_dof_coords,
+                              quadrature, reference_element, tabulate)
 
 
 def random_interior_points(dim, n, rng):
@@ -36,20 +35,14 @@ def test_kronecker_at_nodes(dim, family):
 
 def test_p2_vertex_values():
     elem = reference_element(2, P2_CG)
-    vals, _ = eval_basis(elem, (1.0, 0.0, 0.0))
-    assert np.allclose(vals, [1, 0, 0, 0, 0, 0], atol=1e-14)
+    vals, _ = tabulate(elem, (1.0, 0.0, 0.0))
+    assert np.allclose(vals[0], [1, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_p1_interval_midpoint():
     elem = reference_element(1, P1_DG)
-    vals, _ = eval_basis(elem, (0.5, 0.5))
-    assert np.allclose(vals, [0.5, 0.5])
-
-
-def test_eval_basis_outside_raises():
-    elem = reference_element(2, P2_CG)
-    with pytest.raises(ValueError, match="outside"):
-        eval_basis(elem, (1.2, -0.2, 0.0))
+    vals, _ = tabulate(elem, (0.5, 0.5))
+    assert np.allclose(vals[0], [0.5, 0.5])
 
 
 def simplex_monomial_integral(exponents):

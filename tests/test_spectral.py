@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import wavefem as wf
 from wavefem import spectral
+from wavefem.elements import P2_CG, quadrature, reference_element, tabulate
 from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                               laplacian_spectrum, max_eigenvalue,
                               null_space_dimension, spectrum_to_csv,
@@ -59,6 +61,8 @@ def test_interval_null_space_trivial(n, kind):
 def test_square_neumann_spectrum(square_150):
     _, ops = assemble_all(square_150, "neumann")
     spec = laplacian_spectrum(ops)
+    # the pencil comes from the cell Laplacians, not the kick operator
+    assert ops._kick is None
     assert null_space_dimension(spec) == 1
     targets = [PI2, PI2, 2 * PI2]
     for lam, t in zip(spec.eigenvalues[1:4], targets):
@@ -127,6 +131,18 @@ def test_max_eigenvalue_paths(square_36, monkeypatch):
     assert max_eigenvalue(ops) == iterative
 
 
+def test_lambda_max_no_convergence_raises(square_36, monkeypatch):
+    _, ops = assemble_all(square_36, "dirichlet")
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spectral, "_eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        max_eigenvalue(ops)
+
+
 def test_indefinite_mass_raises(square_36):
     """Both public solves report a mass matrix that is not positive
     definite as an inconsistent assembly."""
@@ -180,6 +196,56 @@ def test_cell_bound_periodic_interval():
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
     lam = max_eigenvalue(ops)
     assert abs(cell_lambda_bound(ops) - lam) <= 1e-10 * lam
+
+
+def p2_stiffness(mesh, dofs):
+    """The P2 Lagrange stiffness matrix (grad h, grad v), dense, from the
+    tabulated P2 gradients and a degree-2 rule; no velocity space."""
+    d = mesh.dim
+    rule = quadrature(d, 2)
+    _, g2 = tabulate(reference_element(d, P2_CG), rule.points)
+    X = mesh.cell_coords
+    J = np.transpose(X[:, 1:, :] - X[:, :1, :], (0, 2, 1))
+    grads = np.einsum("qak,cki->cqai", g2, np.linalg.inv(J))
+    cells = np.abs(np.linalg.det(J))[:, None, None] * np.einsum(
+        "q,cqai,cqbi->cab", rule.weights, grads, grads)
+    K = np.zeros((dofs.m_h, dofs.m_h))
+    hd = dofs.h_cell_dofs
+    np.add.at(K, (hd[:, :, None], hd[:, None, :]), cells)
+    return K
+
+
+IDENTITY_MESHES = {
+    "interval:8": lambda: wf.generate_interval_mesh(8, 1.0),
+    "square:8": lambda: wf.generate_square_mesh(8),
+    "cube:3": lambda: wf.generate_cube_mesh(3),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_MESHES)
+def test_laplacian_is_p2_stiffness(name):
+    # grad P2 lies in P1_DG^d, so u_mass^{-1} grad_i h is the exact
+    # gradient of h and A = sum_i grad_i^T u_mass^{-1} grad_i is the P2
+    # stiffness matrix under Neumann data and in 1D
+    mesh = IDENTITY_MESHES[name]()
+    dofs = wf.build_dof_maps(mesh)
+    K = p2_stiffness(mesh, dofs)
+    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh))
+    A = laplacian_pencil(ops)[0].toarray()
+    assert np.linalg.norm(A - K) <= 1e-14 * np.linalg.norm(K)
+
+    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh))
+    A = laplacian_pencil(ops)[0].toarray()
+    if mesh.dim == 1:
+        # strong Dirichlet vertices: A is the free block of K
+        K_free = K[np.ix_(ops.h_free, ops.h_free)]
+        assert np.linalg.norm(A - K_free) <= 1e-14 * np.linalg.norm(K_free)
+        return
+    # weak Dirichlet facets change A only on the DOFs of their owner cells
+    rows = np.nonzero(np.abs(A - K).max(axis=1) > 1e-12 * np.abs(K).max())[0]
+    owners = np.unique(dofs.h_cell_dofs[mesh.boundary_cells])
+    assert len(rows) > 0
+    assert np.isin(rows, owners).all()
 
 
 def test_max_eigenvalue_grows_under_refinement():
