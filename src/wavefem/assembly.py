@@ -153,9 +153,6 @@ class AssembledOperators:
             for i, r in enumerate(self.dirichlet_rhs):
                 B = _scatter(d.u_cell_dofs, d.h_cell_dofs, inv @ self.grad_cells[..., i],
                              (d.m_u, d.m_h))
-                # On structured meshes about a quarter of the entries are
-                # exact zeros, which every half-kick would multiply.
-                B.eliminate_zeros()
                 kick.append((B, self.u_mass.solve(r)))
             self._kick = tuple(kick)
         return self._kick
@@ -202,11 +199,17 @@ def _facet_rule(d: int):
 def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
              shape) -> sp.csr_matrix:
     """Global sparse matrix that sums each cell's dense block ``blocks[K]``
-    (shape (C, r, c)) into rows ``row_dofs[K]`` and columns ``col_dofs[K]``."""
+    (shape (C, r, c)) into rows ``row_dofs[K]`` and columns ``col_dofs[K]``.
+
+    Exact zeros are not stored: a gradient block has many on structured
+    meshes (a quarter of each ``grad_i`` on ``cube:8``), and every product
+    with the matrix would multiply them."""
     full = blocks.shape
     rows = np.broadcast_to(row_dofs[:, :, None], full).ravel()
     cols = np.broadcast_to(col_dofs[:, None, :], full).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+    mat = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:

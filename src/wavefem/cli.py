@@ -242,17 +242,23 @@ def cmd_simulate(args) -> int:
         cfg["dt"] = args.dt
     if args.t_end is not None:
         cfg["t_end"] = args.t_end
-    for key in ("dt", "t_end"):
+    cfg.setdefault("c", 1.0)
+    for key in ("dt", "t_end", "c"):
         if key not in cfg:
             raise dynamics.ConfigurationError(f"config is missing {key!r}")
+        if not 0.0 < cfg[key] < np.inf:
+            raise dynamics.ConfigurationError(
+                f"{key} must be finite and positive, got {cfg[key]!r}")
     dt = cfg["dt"]
+    if not cfg["t_end"] / dt < np.inf:
+        raise dynamics.ConfigurationError("t_end / dt overflows")
     n_steps = max(1, int(round(cfg["t_end"] / dt)))
     stride = cfg.get("stride", 1)
     bc = _bc_for(mesh, cfg.get("bc", "neumann"))
     config = dynamics.SimulationConfig(
         dt=dt, n_steps=n_steps, energy_stride=stride,
         ic_h=_initial_condition(cfg, mesh.dim),
-        wave_speed=cfg.get("c", 1.0),
+        wave_speed=cfg["c"],
         allow_unstable_dt=args.force_dt)
 
     out_dir = args.out_dir

@@ -145,8 +145,9 @@ class SimulationConfig:
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigurationError("dt must be positive")
+        for name in ("dt", "wave_speed"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
         if self.energy_stride < 1:

@@ -77,8 +77,9 @@ class Mesh:
     vertices : (V, dim) array
         Vertex coordinates.
     cells : (C, dim+1) array
-        Vertex indices per cell. Cells are reoriented so every signed
-        measure is positive; zero-measure cells are rejected.
+        Vertex indices per cell, at least one cell. Cells are reoriented
+        so every signed measure is positive; zero-measure cells are
+        rejected.
     boundary_facets : (B, dim) array, optional
         Vertex indices of boundary facets. Derived (all facets incident to
         exactly one cell, marker 1) when omitted.
@@ -110,7 +111,9 @@ class Mesh:
         if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise ValueError(
                 f"cells must have shape (C, {dim + 1}), got {cells.shape}")
-        if cells.size and (cells.min() < 0 or cells.max() >= len(self.vertices)):
+        if len(cells) == 0:
+            raise ValueError("a mesh needs at least one cell")
+        if cells.min() < 0 or cells.max() >= len(self.vertices):
             raise ValueError("cell vertex index out of range")
 
         if cell_coords is None:
@@ -124,7 +127,7 @@ class Mesh:
 
         # Canonical orientation: swap the last two corners of inverted cells.
         measures = _signed_measures(cell_coords)
-        scale = max(np.ptp(self.vertices, axis=0).max(), 1.0) if len(self.vertices) else 1.0
+        scale = max(np.ptp(self.vertices, axis=0).max(), 1.0)
         degenerate = np.abs(measures) <= 1e-13 * scale ** dim
         if degenerate.any():
             raise ValueError(
@@ -418,6 +421,8 @@ def _read_node_file(path, expected_dim):
     if dim != expected_dim:
         raise MeshFormatError(
             f"{path}:{lineno}: dimension {dim}, expected {expected_dim}")
+    if n == 0:
+        raise MeshFormatError(f"{path}:{lineno}: no nodes")
     coords = np.empty((n, dim))
     filled = np.zeros(n, dtype=bool)
     base = None
@@ -553,24 +558,28 @@ def read_tetgen_mesh(node_path, ele_path, face_path=None) -> Mesh:
         raise MeshFormatError(f"{node_path}/{ele_path}: {exc}") from exc
 
 
+def _format_rows(line: str, table: np.ndarray) -> str:
+    """Every row of the 2D array ``table`` formatted by the one-row
+    %-format ``line``, in a single string operation."""
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
 def _write_mesh_files(mesh, node_path, ele_path, facet_path):
     if (mesh.boundary_markers == 0).any():
         raise ValueError("marker 0 is reserved for interior facets")
-    with open(node_path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.dim} 0 0\n")
-        for i, v in enumerate(mesh.vertices, start=1):
-            fh.write(f"{i} " + " ".join(repr(float(c)) for c in v) + "\n")
-    with open(ele_path, "w") as fh:
-        fh.write(f"{mesh.n_cells} {mesh.dim + 1} 0\n")
-        for i, cell in enumerate(mesh.cells, start=1):
-            fh.write(f"{i} " + " ".join(str(int(v) + 1) for v in cell) + "\n")
-    if facet_path is not None:
-        with open(facet_path, "w") as fh:
-            fh.write(f"{len(mesh.boundary_facets)} 1\n")
-            for i, (f, m) in enumerate(zip(mesh.boundary_facets,
-                                           mesh.boundary_markers), start=1):
-                fh.write(f"{i} " + " ".join(str(int(v) + 1) for v in f)
-                         + f" {int(m)}\n")
+    d = mesh.dim
+    ints = " ".join(["%d"] * (d + 2)) + "\n"
+    facets = np.column_stack([mesh.boundary_facets + 1, mesh.boundary_markers])
+    files = [(node_path, f"{mesh.n_vertices} {d} 0 0\n", "%d" + " %r" * d + "\n", mesh.vertices),
+             (ele_path, f"{mesh.n_cells} {d + 1} 0\n", ints, mesh.cells + 1),
+             (facet_path, f"{len(facets)} 1\n", ints, facets)]
+    for path, header, line, table in files:
+        if path is not None:
+            # 1-based row numbers lead each row; in the float node table
+            # they print as integers, since "%d" % 1.0 == "1"
+            numbered = np.column_stack([np.arange(1, len(table) + 1), table])
+            with open(path, "w") as fh:
+                fh.write(header + _format_rows(line, numbered))
 
 
 def write_triangle_mesh(mesh: Mesh, node_path, ele_path, edge_path=None):

@@ -29,6 +29,12 @@ stiffness matrix (grad h, grad v), under Neumann data and in 1D (there
 restricted to the free DOFs); under weak Dirichlet data A - S is nonzero
 only on the DOFs of cells that own a Dirichlet facet.
 
+The weak Dirichlet terms can leave null modes, and each one vanishes
+outside the scalar DOFs private to (shared with no other cell of) a cell
+with d Dirichlet facets. Such a cell with p private DOFs carries p - 1
+of them: the two corner cells of ``square:N`` have 3 each (the corner
+vertex and two boundary midpoints), which gives 4 modes.
+
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
 steps.
@@ -173,9 +179,10 @@ def null_space_dimension(spectrum: Spectrum) -> int:
     Exactly 1 for a stable Neumann problem (the constant mode), exactly 0
     for a stable Dirichlet problem. In 1D the strongly imposed Dirichlet
     vertices give 0 for every mesh. In 2D and 3D Dirichlet data are weak,
-    and a cell with d Dirichlet facets can carry null modes: the corner
-    cells of ``square:N`` do, and so do the coarse ``cube_44`` and
-    ``cube_200`` meshes, while the finer ``cube_400`` has none.
+    and a cell with d Dirichlet facets and p private scalar DOFs carries
+    p - 1 null modes, supported on those DOFs (module docstring): 4 on
+    ``square:N``, 3 on the coarse ``cube_44`` and ``cube_200``, 1 on
+    ``square_36`` and none on ``cube:2``, ``cube:3`` or ``cube_400``.
     """
     return int(np.sum(spectrum.eigenvalues < spectrum.null_threshold))
 

@@ -4,6 +4,8 @@ Two variants: the standard file carries the scalar field as point data on
 vertices plus midpoint nodes (quadratic cells), with the velocity reduced
 to one cell-averaged vector per cell; the exploded file duplicates every
 cell's corners so the discontinuous per-corner velocity values survive.
+Both go through one grid writer, which formats each block of rows in one
+string operation (``mesh._format_rows``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elements import DofMap
-from .mesh import Mesh
+from .mesh import Mesh, _format_rows
 
 __all__ = ["write_vtk", "write_vtk_exploded"]
 
@@ -20,25 +22,29 @@ __all__ = ["write_vtk", "write_vtk_exploded"]
 _QUADRATIC_TYPES = {1: 21, 2: 22, 3: 24}
 _EDGE_PERM = {1: [0], 2: [0, 2, 1], 3: [0, 3, 1, 2, 4, 5]}
 _LINEAR_TYPES = {1: 3, 2: 5, 3: 10}
+_SCALARS = "SCALARS h double\nLOOKUP_TABLE default\n"
 
 
-def _pad3(coords: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(coords), 3))
-    out[:, :coords.shape[1]] = coords
-    return out
+def _xyz(d: int) -> str:
+    """Row format of a d-column table written as 3D points or vectors; the
+    missing coordinates are the zeros that ``%.16g`` prints as ``0``."""
+    return " ".join(["%.16g"] * d + ["0"] * (3 - d)) + "\n"
 
 
-def _write_points(fh, coords):
-    fh.write(f"POINTS {len(coords)} double\n")
-    for p in _pad3(coords):
-        fh.write(f"{p[0]:.16g} {p[1]:.16g} {p[2]:.16g}\n")
-
-
-def _write_vectors(fh, name, comps):
-    data = _pad3(np.column_stack(comps))
-    fh.write(f"VECTORS {name} double\n")
-    for v in data:
-        fh.write(f"{v[0]:.16g} {v[1]:.16g} {v[2]:.16g}\n")
+def _write_grid(path, title, points, conn, cell_type, blocks):
+    """Write the grid (POINTS, CELLS from the (C, k) connectivity ``conn``,
+    CELL_TYPES), then each data block ``(header, row format, table)``."""
+    n_cells, k = conn.shape
+    with open(path, "w") as fh:
+        fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {len(points)} double\n")
+        fh.write(_format_rows(_xyz(points.shape[1]), points))
+        fh.write(f"CELLS {n_cells} {n_cells * (1 + k)}\n")
+        fh.write(_format_rows(f"{k}" + " %d" * k + "\n", conn))
+        fh.write(f"CELL_TYPES {n_cells}\n" + f"{cell_type}\n" * n_cells)
+        for header, line, table in blocks:
+            fh.write(header)
+            fh.write(_format_rows(line, table))
 
 
 def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
@@ -53,33 +59,15 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
     from .elements import h_dof_coords
 
     points = h_dof_coords(mesh, dofs)
-    perm = _EDGE_PERM[d]
-    n_corner = d + 1
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        _write_points(fh, points)
-        n_local = dofs.h_cell_dofs.shape[1]
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (1 + n_local)}\n")
-        for c in range(mesh.n_cells):
-            dofs_c = dofs.h_cell_dofs[c]
-            conn = list(dofs_c[:n_corner]) + [dofs_c[n_corner + p] for p in perm]
-            fh.write(f"{n_local} " + " ".join(str(int(v)) for v in conn) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for _ in range(mesh.n_cells):
-            fh.write(f"{_QUADRATIC_TYPES[d]}\n")
-        if h is not None:
-            fh.write(f"POINT_DATA {len(points)}\n")
-            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
-            for v in np.asarray(h, dtype=float):
-                fh.write(f"{v:.16g}\n")
-        if u is not None:
-            means = [np.asarray(u_i, dtype=float).reshape(mesh.n_cells, d + 1).mean(axis=1)
-                     for u_i in u]
-            fh.write(f"CELL_DATA {mesh.n_cells}\n")
-            _write_vectors(fh, "u_mean", means)
+    local = np.r_[0:d + 1, d + 1 + np.array(_EDGE_PERM[d])]
+    blocks = []
+    if h is not None:
+        blocks.append((f"POINT_DATA {len(points)}\n" + _SCALARS, "%.16g\n",
+                       np.asarray(h, dtype=float).reshape(-1, 1)))
+    if u is not None:
+        means = np.asarray(u, dtype=float).reshape(d, mesh.n_cells, d + 1).mean(axis=2).T
+        blocks.append((f"CELL_DATA {mesh.n_cells}\nVECTORS u_mean double\n", _xyz(d), means))
+    _write_grid(path, title, points, dofs.h_cell_dofs[:, local], _QUADRATIC_TYPES[d], blocks)
 
 
 def write_vtk_exploded(path, mesh: Mesh, dofs: DofMap, u, h=None,
@@ -90,25 +78,10 @@ def write_vtk_exploded(path, mesh: Mesh, dofs: DofMap, u, h=None,
     in the velocity are preserved exactly.
     """
     d = mesh.dim
-    n_corner = d + 1
     points = mesh.cell_coords.reshape(-1, d)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        _write_points(fh, points)
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (1 + n_corner)}\n")
-        for c in range(mesh.n_cells):
-            conn = range(c * n_corner, (c + 1) * n_corner)
-            fh.write(f"{n_corner} " + " ".join(str(v) for v in conn) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for _ in range(mesh.n_cells):
-            fh.write(f"{_LINEAR_TYPES[d]}\n")
-        fh.write(f"POINT_DATA {len(points)}\n")
-        _write_vectors(fh, "u", [np.asarray(u_i, dtype=float) for u_i in u])
-        if h is not None:
-            h = np.asarray(h, dtype=float)
-            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
-            for val in h[mesh.cells].ravel():
-                fh.write(f"{val:.16g}\n")
+    blocks = [(f"POINT_DATA {len(points)}\nVECTORS u double\n", _xyz(d),
+               np.asarray(u, dtype=float).T)]
+    if h is not None:
+        blocks.append((_SCALARS, "%.16g\n", np.asarray(h, dtype=float)[mesh.cells].reshape(-1, 1)))
+    conn = np.arange(len(points)).reshape(mesh.n_cells, d + 1)
+    _write_grid(path, title, points, conn, _LINEAR_TYPES[d], blocks)

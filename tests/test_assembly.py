@@ -142,6 +142,14 @@ def test_h_mass_symmetric(cube_44):
     assert abs(asym).max() <= 1e-14 * abs(ops.h_mass).max()
 
 
+def assert_no_stored_zeros(ops):
+    """The cell blocks of the gradient hold exact zeros (even on these
+    unstructured meshes); neither ``grad_i`` nor the kick operator
+    ``B_i`` may store them."""
+    for g, (B, _) in zip(ops.grad, ops.kick_operator()):
+        assert (g.data != 0.0).all() and (B.data != 0.0).all()
+
+
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
 def test_adjointness(square_36, bc_kind):
     # the scalar-side operator assembled from its own integrals must be
@@ -156,6 +164,7 @@ def test_adjointness(square_36, bc_kind):
         diff = abs(div[i] - ops.grad[i].T)
         scale = abs(ops.grad[i]).max()
         assert diff.max() <= 1e-13 * scale
+    assert_no_stored_zeros(ops)
 
 
 def test_adjointness_3d(cube_44):
@@ -165,6 +174,7 @@ def test_adjointness_3d(cube_44):
     div = divergence_reference(cube_44, dofs, bc)
     for i in range(3):
         assert abs(div[i] - ops.grad[i].T).max() <= 1e-13 * abs(ops.grad[i]).max()
+    assert_no_stored_zeros(ops)
 
 
 def test_dirichlet_facet_term_vs_boundary_data(square_150):

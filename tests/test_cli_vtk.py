@@ -9,6 +9,7 @@ from wavefem.cli import main
 from wavefem.vtk_io import write_vtk, write_vtk_exploded
 
 from conftest import mesh_path
+from vtk_reference import reference_write_vtk, reference_write_vtk_exploded
 
 
 def run(argv):
@@ -58,6 +59,19 @@ def test_dof_report_negative_node_count(capsys, tmp_path):
     assert run(["dof-report", "--mesh", str(node), str(ele)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "m.node" in err
+
+
+@pytest.mark.parametrize("node_text,message", [
+    ("0 2 0 0\n", "no nodes"),
+    ("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n", "at least one cell")], ids=["nodes", "cells"])
+def test_dof_report_empty_mesh(capsys, tmp_path, node_text, message):
+    node = tmp_path / "m.node"
+    node.write_text(node_text)
+    ele = tmp_path / "m.ele"
+    ele.write_text("0 3 0\n")
+    assert run(["dof-report", "--mesh", str(node), str(ele)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_spectrum_json(capsys, tmp_path):
@@ -181,6 +195,30 @@ def test_simulate_manifest_dt_check(tmp_path):
             assert dt < check["limit"] <= certified
 
 
+@pytest.mark.parametrize("key,value", [("dt", "0"), ("dt", "nan"), ("t_end", "inf"),
+                                       ("t_end", "-1"), ("c", "0"), ("c", "-1"),
+                                       ("c", "nan")])
+def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
+    # each bad number is an input error naming its key, raised before any
+    # step; dt and t_end come from the command line, c from the config
+    text = "dt = 0.01\nt_end = 0.02\nbc = neumann\n"
+    flags = ["--" + key.replace("_", "-"), value]
+    if key == "c":
+        text, flags = text + f"c = {value}\n", []
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", write_config(tmp_path, text),
+                "--out-dir", str(out_dir), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite and positive")
+    assert not out_dir.exists()
+
+
+def test_simulate_rejects_step_count_overflow(tmp_path, capsys):
+    cfg = write_config(tmp_path, "dt = 1e-300\nt_end = 1e300\n")
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert "t_end / dt overflows" in capsys.readouterr().err
+
+
 def test_simulate_bad_config_key(tmp_path):
     cfg = write_config(tmp_path, "dt = 0.001\nt_end = 1\nwhatever = 3\n")
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
@@ -242,3 +280,40 @@ def test_vtk_exploded_output(tmp_path):
     # per-corner values survive: corner coefficients are not averaged
     second = [float(t) for t in text[idx + 2].split()]
     assert second[0] == 1.0
+
+
+VTK_MESHES = {
+    "square:3": lambda: wf.generate_square_mesh(3),
+    "cube:2": lambda: wf.generate_cube_mesh(2),
+    "interval:4": lambda: wf.generate_interval_mesh(4, 1.0),
+    "interval:4:periodic": lambda: wf.generate_interval_mesh(4, 1.0, periodic=True),
+}
+
+
+def awkward_values(n, seed):
+    """Random values led by -0.0, 1e-300 and nan, which a formatter may
+    print differently from ``format(value, ".16g")``."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    v[:5] = [-0.0, -0.0, -0.0, 1e-300, np.nan]
+    return v
+
+
+@pytest.mark.parametrize("with_u", [False, True])
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("name", VTK_MESHES)
+def test_vtk_bytes_match_reference(tmp_path, name, with_h, with_u):
+    # the block writers reproduce the row-at-a-time writers byte for byte;
+    # the first cell's velocity is all -0.0, so its mean prints as -0
+    mesh = VTK_MESHES[name]()
+    dofs = wf.build_dof_maps(mesh)
+    h = awkward_values(dofs.m_h, 0) if with_h else None
+    u = ([awkward_values(dofs.m_u, i + 1) for i in range(mesh.dim)]
+         if with_u else None)
+    pairs = [(write_vtk, reference_write_vtk, dict(h=h, u=u))]
+    if with_u:
+        pairs.append((write_vtk_exploded, reference_write_vtk_exploded, dict(u=u, h=h)))
+    for writer, reference, kw in pairs:
+        got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+        writer(str(got), mesh, dofs, **kw)
+        reference(str(want), mesh, dofs, **kw)
+        assert got.read_bytes() == want.read_bytes()

@@ -271,3 +271,13 @@ def test_snapshot_callback(square_36):
              snapshot_callback=lambda step, state: seen.append(step),
              snapshot_stride=5)
     assert seen == [0, 5, 10]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", np.nan), ("dt", np.inf),
+    ("wave_speed", 0.0), ("wave_speed", -1.0), ("wave_speed", np.nan),
+    ("wave_speed", np.inf)])
+def test_config_rejects_bad_numbers(field, value):
+    kw = {"dt": 1e-3, "n_steps": 1, field: value}
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive"):
+        SimulationConfig(**kw)

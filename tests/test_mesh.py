@@ -4,6 +4,8 @@ import pytest
 import wavefem as wf
 from wavefem.mesh import CELL_EDGES, Mesh, MeshFormatError
 
+from conftest import mesh_path
+
 
 def write_single_triangle(tmp_path, base=1):
     node = tmp_path / "tri.node"
@@ -72,6 +74,33 @@ def test_duplicate_index_rejected(tmp_path):
     dup_ele.write_text("2 3 0\n1 1 2 3\n1 1 3 2\n")
     with pytest.raises(MeshFormatError, match="duplicate element"):
         wf.read_triangle_mesh(node, str(dup_ele))
+
+
+TRI_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
+TRI_ELE = "1 3 0\n1 1 2 3\n"
+TET_NODE = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+TET_ELE = "1 4 0\n1 1 2 3 4\n"
+
+
+@pytest.mark.parametrize("reader,node,ele,match", [
+    (wf.read_triangle_mesh, "0 2 0 0\n", TRI_ELE, "no nodes"),
+    (wf.read_triangle_mesh, "0 2 0 0\n", "0 3 0\n", "no nodes"),
+    (wf.read_triangle_mesh, TRI_NODE, "0 3 0\n", "at least one cell"),
+    (wf.read_tetgen_mesh, "0 3 0 0\n", TET_ELE, "no nodes"),
+    (wf.read_tetgen_mesh, TET_NODE, "0 4 0\n", "at least one cell")],
+    ids=["tri-nodes", "tri-both", "tri-cells", "tet-nodes", "tet-cells"])
+def test_empty_tables_rejected(tmp_path, reader, node, ele, match):
+    # an empty node table leaves no index base to read the elements with,
+    # and a mesh without cells has no DOFs
+    (tmp_path / "m.node").write_text(node)
+    (tmp_path / "m.ele").write_text(ele)
+    with pytest.raises(MeshFormatError, match=match):
+        reader(str(tmp_path / "m.node"), str(tmp_path / "m.ele"))
+
+
+def test_mesh_needs_a_cell():
+    with pytest.raises(ValueError, match="at least one cell"):
+        Mesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], np.zeros((0, 3), dtype=int))
 
 
 def test_negative_poly_node_count(tmp_path):
@@ -236,3 +265,20 @@ def test_fixture_counts(square_36, cube_44):
 def test_bcspec_disjoint():
     with pytest.raises(ValueError, match="both sets"):
         wf.BcSpec(dirichlet_markers={1}, neumann_markers={1, 2})
+
+
+@pytest.mark.parametrize("name", ["square_36", "square_150", "square_1500",
+                                  "cube_44", "cube_200", "cube_400"])
+def test_writers_reproduce_fixture_files(tmp_path, name):
+    # the committed fixtures were written by these writers; reading one
+    # and writing it again gives the same bytes
+    exts = ("node", "ele", "edge") if name.startswith("square") else ("node", "ele", "face")
+    reader, writer = ((wf.read_triangle_mesh, wf.write_triangle_mesh)
+                      if name.startswith("square") else
+                      (wf.read_tetgen_mesh, wf.write_tetgen_mesh))
+    mesh = reader(*(mesh_path(f"{name}.{ext}") for ext in exts))
+    paths = [tmp_path / f"m.{ext}" for ext in exts]
+    writer(mesh, *map(str, paths))
+    for ext, path in zip(exts, paths):
+        with open(mesh_path(f"{name}.{ext}"), "rb") as fh:
+            assert path.read_bytes() == fh.read(), ext

@@ -13,7 +13,7 @@ from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                               null_space_dimension, spectrum_to_csv,
                               spectrum_to_json, spurious_mode_report)
 
-from conftest import assemble_all
+from conftest import assemble_all, load_cube, load_square
 
 PI2 = np.pi ** 2
 
@@ -280,6 +280,35 @@ def test_spurious_transition_3d(cube_44, cube_200, cube_400):
     # smallest nonzero stays near 3 pi^2 across the sequence
     for lev in report.levels:
         assert abs(lev.smallest_nonzero - 3 * PI2) / (3 * PI2) <= 0.02
+
+
+NULL_MODE_MESHES = {
+    **{f"square:{n}": (lambda n=n: wf.generate_square_mesh(n), 4) for n in (2, 3, 4, 8, 16)},
+    "cube_44": (lambda: load_cube("cube_44"), 3),
+    "cube_200": (lambda: load_cube("cube_200"), 3),
+    "square_36": (lambda: load_square("square_36"), 1),
+    "cube:2": (lambda: wf.generate_cube_mesh(2), 0),
+    "cube:3": (lambda: wf.generate_cube_mesh(3), 0),
+}
+
+
+@pytest.mark.parametrize("name", NULL_MODE_MESHES)
+def test_dirichlet_null_modes_live_in_corner_cells(name):
+    # every weak-Dirichlet null mode vanishes outside the scalar DOFs that
+    # belong to one cell only, in a cell with d Dirichlet facets; each
+    # such cell with p private DOFs carries p - 1 of them
+    make, expected = NULL_MODE_MESHES[name]
+    mesh = make()
+    dofs, ops = assemble_all(mesh, "dirichlet")
+    spec = laplacian_spectrum(ops, compute_vectors=True)
+    null = spec.eigenvectors[:, spec.eigenvalues < spec.null_threshold]
+    corner = np.bincount(mesh.boundary_cells, minlength=mesh.n_cells) == mesh.dim
+    cells = dofs.h_cell_dofs[corner]
+    private = np.bincount(dofs.h_cell_dofs.ravel())[cells] == 1
+    assert null.shape[1] == (private.sum(axis=1) - 1).sum() == expected
+    outside = np.ones(dofs.m_h, dtype=bool)
+    outside[cells[private]] = False
+    assert np.abs(null[outside]).max(initial=0.0) <= 1e-12 * np.abs(null).max(initial=0.0)
 
 
 def test_single_level_report_unflagged(square_36):

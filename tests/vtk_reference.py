@@ -1,0 +1,96 @@
+"""Loop-based reference writers for the legacy VTK files.
+
+They write one row per ``write`` call, the plain way, and pin the bytes
+of ``wavefem.vtk_io``: every block of the package writers is formatted in
+one string operation and must reproduce these files exactly.
+"""
+
+import numpy as np
+
+from wavefem.elements import h_dof_coords
+
+# quadratic VTK cell types and the mapping from the canonical local edge
+# order (lexicographic corner pairs) to VTK's midpoint ordering
+_QUADRATIC_TYPES = {1: 21, 2: 22, 3: 24}
+_EDGE_PERM = {1: [0], 2: [0, 2, 1], 3: [0, 3, 1, 2, 4, 5]}
+_LINEAR_TYPES = {1: 3, 2: 5, 3: 10}
+
+
+def _pad3(coords: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(coords), 3))
+    out[:, :coords.shape[1]] = coords
+    return out
+
+
+def _write_points(fh, coords):
+    fh.write(f"POINTS {len(coords)} double\n")
+    for p in _pad3(coords):
+        fh.write(f"{p[0]:.16g} {p[1]:.16g} {p[2]:.16g}\n")
+
+
+def _write_vectors(fh, name, comps):
+    data = _pad3(np.column_stack(comps))
+    fh.write(f"VECTORS {name} double\n")
+    for v in data:
+        fh.write(f"{v[0]:.16g} {v[1]:.16g} {v[2]:.16g}\n")
+
+
+def reference_write_vtk(path, mesh, dofs, h=None, u=None, title="wavefem fields"):
+    """``wavefem.vtk_io.write_vtk``, one row at a time."""
+    d = mesh.dim
+    points = h_dof_coords(mesh, dofs)
+    perm = _EDGE_PERM[d]
+    n_corner = d + 1
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        _write_points(fh, points)
+        n_local = dofs.h_cell_dofs.shape[1]
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (1 + n_local)}\n")
+        for c in range(mesh.n_cells):
+            dofs_c = dofs.h_cell_dofs[c]
+            conn = list(dofs_c[:n_corner]) + [dofs_c[n_corner + p] for p in perm]
+            fh.write(f"{n_local} " + " ".join(str(int(v)) for v in conn) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        for _ in range(mesh.n_cells):
+            fh.write(f"{_QUADRATIC_TYPES[d]}\n")
+        if h is not None:
+            fh.write(f"POINT_DATA {len(points)}\n")
+            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
+            for v in np.asarray(h, dtype=float):
+                fh.write(f"{v:.16g}\n")
+        if u is not None:
+            means = [np.asarray(u_i, dtype=float).reshape(mesh.n_cells, d + 1).mean(axis=1)
+                     for u_i in u]
+            fh.write(f"CELL_DATA {mesh.n_cells}\n")
+            _write_vectors(fh, "u_mean", means)
+
+
+def reference_write_vtk_exploded(path, mesh, dofs, u, h=None,
+                                 title="wavefem fields (exploded)"):
+    """``wavefem.vtk_io.write_vtk_exploded``, one row at a time."""
+    d = mesh.dim
+    n_corner = d + 1
+    points = mesh.cell_coords.reshape(-1, d)
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        _write_points(fh, points)
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (1 + n_corner)}\n")
+        for c in range(mesh.n_cells):
+            conn = range(c * n_corner, (c + 1) * n_corner)
+            fh.write(f"{n_corner} " + " ".join(str(v) for v in conn) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
+        for _ in range(mesh.n_cells):
+            fh.write(f"{_LINEAR_TYPES[d]}\n")
+        fh.write(f"POINT_DATA {len(points)}\n")
+        _write_vectors(fh, "u", [np.asarray(u_i, dtype=float) for u_i in u])
+        if h is not None:
+            h = np.asarray(h, dtype=float)
+            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
+            for val in h[mesh.cells].ravel():
+                fh.write(f"{val:.16g}\n")
