@@ -5,9 +5,8 @@ spectra, 1D dispersion analysis, and a symplectic time-domain solver."""
 __version__ = "0.1.0"
 
 from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
-                   generate_interval_mesh, generate_square_mesh,
-                   read_tetgen_mesh, read_triangle_mesh, write_tetgen_mesh,
-                   write_triangle_mesh)
+                   generate_interval_mesh, generate_square_mesh, read_mesh,
+                   write_tetgen_mesh, write_triangle_mesh)
 from .elements import (DofMap, QuadratureRule, ReferenceElement,
                        build_dof_maps, quadrature, reference_element)
 from .assembly import AssembledOperators, BlockDiagonalMatrix, assemble

@@ -133,11 +133,6 @@ class AssembledOperators:
             return mat
         return mat[self.h_free][:, self.h_free]
 
-    def force(self, h):
-        """``grad_i h + dirichlet_rhs_i`` per velocity component, the
-        negated right-hand sides of the velocity equations."""
-        return [g @ h + r for g, r in zip(self.grad, self.dirichlet_rhs)]
-
     def divergence(self, u):
         """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of
         the scalar equation."""

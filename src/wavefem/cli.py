@@ -23,9 +23,8 @@ from . import __version__
 from . import assembly, dispersion, dynamics, spectral, vtk_io
 from .elements import build_dof_maps
 from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
-                   generate_interval_mesh, generate_square_mesh,
-                   read_tetgen_mesh, read_triangle_mesh, write_tetgen_mesh,
-                   write_triangle_mesh)
+                   generate_interval_mesh, generate_square_mesh, read_mesh,
+                   write_tetgen_mesh, write_triangle_mesh)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,29 +55,7 @@ def _load_mesh(args) -> tuple[Mesh, str]:
     paths = args.mesh
     if len(paths) < 2 or len(paths) > 3:
         raise MeshFormatError("--mesh takes NODE ELE [EDGE|FACE|POLY] paths")
-    node, ele = paths[0], paths[1]
-    extra = paths[2] if len(paths) == 3 else None
-    if ele.endswith(".ele"):
-        with open(ele) as fh:
-            for line in fh:
-                tokens = line.split("#", 1)[0].split()
-                if tokens:
-                    try:
-                        per = int(tokens[1])
-                    except (IndexError, ValueError):
-                        raise MeshFormatError(
-                            f"{ele}: bad element header {line.strip()!r}") from None
-                    break
-            else:
-                raise MeshFormatError(f"{ele}: empty element file")
-    else:
-        raise MeshFormatError(f"{ele}: expected a .ele file")
-    source = " ".join(paths)
-    if per == 3:
-        return read_triangle_mesh(node, ele, extra), source
-    if per == 4:
-        return read_tetgen_mesh(node, ele, extra), source
-    raise MeshFormatError(f"{ele}: unsupported element size {per}")
+    return read_mesh(*paths), " ".join(paths)
 
 
 def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
@@ -215,6 +192,10 @@ def _initial_condition(cfg: dict, dim: int):
         width = cfg.get("width", 0.1)
         if len(center) != dim:
             raise dynamics.ConfigurationError("center must have one value per dimension")
+        if not 0.0 < width < np.inf:
+            raise dynamics.ConfigurationError(f"width must be finite and positive, got {width!r}")
+        if not np.isfinite(center).all():
+            raise dynamics.ConfigurationError("center must be finite")
 
         def h0(x):
             r2 = np.sum((x - center) ** 2, axis=-1)
@@ -327,7 +308,10 @@ def cmd_mesh_convert(args) -> int:
 def _add_mesh_args(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mesh", nargs="+", metavar="PATH",
-                       help="mesh files: NODE ELE [EDGE|FACE|POLY]")
+                       help="Triangle/TetGen mesh files: NODE ELE [EDGE|FACE|POLY]. "
+                            "The NODE header gives the dimension (2 or 3); every "
+                            "row has exactly the width its header declares; a "
+                            "POLY file's node rows and holes are ignored")
     group.add_argument("--generate", metavar="SPEC",
                        help="structured mesh: square:N, cube:N, "
                             "interval:N[:LENGTH[:periodic]]")

@@ -194,7 +194,9 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     scalar DOFs (1D Dirichlet vertices) set to their boundary values.
     Energy is sampled at step 0 and every ``energy_stride`` steps; it is
     conserved, and its drift measures stability, only when the boundary
-    data g and f are zero.
+    data g and f are zero. ``snapshot_callback(step, state)`` runs at
+    step 0 and every ``snapshot_stride`` steps; a stride below 1 is a
+    ``ConfigurationError``.
 
     Unless ``config.allow_unstable_dt`` is set, the requested dt is
     checked first (module docstring; the bound is inflated by
@@ -205,6 +207,8 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     the series and final state recorded before it, with ``aborted`` set
     and ``abort_step`` naming the step.
     """
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ConfigurationError("snapshot_stride must be >= 1")
     dofs = ops.dofs if ops is not None else build_dof_maps(mesh)
     if ops is None:
         ops = assemble(mesh, dofs, bc)

@@ -6,11 +6,15 @@ cell has no single consistent set of global coordinates, can be assembled
 like any other cell.
 
 File I/O covers the Triangle (.node/.ele/.edge/.poly) and TetGen
-(.node/.ele/.face) ASCII formats, both reading and writing.
+(.node/.ele/.face) ASCII formats, both reading and writing. One reader,
+``read_mesh``, serves both: the .node header gives the dimension, and
+every data row must have exactly the width its file header declares.
+Of a .poly file only the segments are read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable
@@ -24,8 +28,7 @@ __all__ = [
     "generate_interval_mesh",
     "generate_square_mesh",
     "generate_cube_mesh",
-    "read_triangle_mesh",
-    "read_tetgen_mesh",
+    "read_mesh",
     "write_triangle_mesh",
     "write_tetgen_mesh",
 ]
@@ -372,188 +375,178 @@ def generate_cube_mesh(n: int) -> Mesh:
 
 
 # -- Triangle / TetGen file I/O --------------------------------------------
+#
+# A file is read as one flat list of tokens. Its header fixes the width of
+# every row, so each table is a slice of that list reshaped to (rows,
+# width) and cast column by column with Python's int and float rules.
 
-def _data_rows(path):
-    """Yield (line_number, tokens) for non-empty, non-comment lines."""
-    with open(path) as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, line.split()
-        except UnicodeDecodeError as exc:
-            raise MeshFormatError(f"{path}: not a text file") from exc
+_COMMENT = re.compile(r"#.*")
+_NODE_HEADER = ("count", "dimension", "attributes", "markers")
 
 
-def _parse_ints(path, lineno, tokens, count):
+def _tokens(path) -> list:
+    """Whitespace-separated tokens of a text file, ``#`` comments dropped."""
     try:
-        vals = [int(t) for t in tokens[:count]]
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}:{lineno}: expected integers, got {tokens}") from exc
-    if len(vals) < count:
-        raise MeshFormatError(f"{path}:{lineno}: expected {count} fields")
-    if any(not -2 ** 63 <= v < 2 ** 63 for v in vals):
-        raise MeshFormatError(f"{path}:{lineno}: integer out of range")
-    return vals
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not a text file") from exc
+    if "\0" in text:  # numpy string arrays drop trailing NULs: "1\0" would read as 1
+        raise MeshFormatError(f"{path}: not a text file")
+    return _COMMENT.sub("", text).split()
 
 
-def _read_table(path, kind, header_fields):
-    """Header values and data rows of a file whose header starts with the
-    row count; the count is checked before anything is allocated."""
-    rows = list(_data_rows(path))
-    if not rows:
-        raise MeshFormatError(f"{path}: empty {kind} file")
-    lineno, header = rows[0]
-    values = _parse_ints(path, lineno, header, header_fields)
-    if values[0] != len(rows) - 1:
+def _cast(path, tokens, dtype, what) -> np.ndarray:
+    """``tokens`` cast to ``dtype`` by Python's int or float rules."""
+    try:
+        return np.asarray(tokens).astype(dtype)
+    except (ValueError, OverflowError) as exc:
+        raise MeshFormatError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _header(path, tokens, at, kind, names) -> list:
+    """The header integers ``names`` at ``tokens[at:]``. Each is a count
+    or a size, so none is negative, and a ``markers`` count is 0 or 1."""
+    if len(tokens) < at + len(names):
         raise MeshFormatError(
-            f"{path}: header promised {values[0]} {kind}s, found {len(rows) - 1}")
-    return lineno, values, rows[1:]
+            f"{path}: {kind} header needs {len(names)} integers ({' '.join(names)})")
+    values = _cast(path, tokens[at:at + len(names)], np.int64, f"{kind} header")
+    if values.min() < 0:
+        raise MeshFormatError(f"{path}: negative {kind} {names[values.argmin()]}")
+    if names[-1] == "markers" and values[-1] > 1:
+        raise MeshFormatError(f"{path}: {kind} markers must be 0 or 1, got {values[-1]}")
+    return values.tolist()
 
 
-def _check_vertices(path, lineno, conn, n_vertices):
-    if min(conn) < 0 or max(conn) >= n_vertices:
-        raise MeshFormatError(f"{path}:{lineno}: vertex index out of range")
-
-
-def _read_node_file(path, expected_dim):
-    lineno, (n, dim, _n_attr, _has_marker), rows = _read_table(path, "node", 4)
-    if dim != expected_dim:
+def _rows(path, tokens, at, n, width, kind, trailing=False) -> np.ndarray:
+    """The ``n`` rows of exactly ``width`` tokens at ``tokens[at:]`` as a
+    string array. The table ends the file unless ``trailing`` is set."""
+    end = at + n * width
+    if len(tokens) < end or (len(tokens) > end and not trailing):
         raise MeshFormatError(
-            f"{path}:{lineno}: dimension {dim}, expected {expected_dim}")
+            f"{path}: header promised {n} {kind}s of {width} values, "
+            f"found {len(tokens) - at} values")
+    return np.array(tokens[at:end]).reshape(n, width)
+
+
+def _positions(path, ids, base, kind) -> np.ndarray:
+    """Row positions ``ids - base``, which must be a permutation of the
+    rows: every id in range and none repeated."""
+    pos = ids - base
+    bad = (pos < 0) | (pos >= len(ids))
+    if bad.any():
+        raise MeshFormatError(f"{path}: {kind} index {ids[bad.argmax()]} out of range")
+    repeated = np.bincount(pos, minlength=len(ids)) > 1
+    if repeated.any():
+        raise MeshFormatError(f"{path}: duplicate {kind} index {repeated.argmax() + base}")
+    return pos
+
+
+def _vertex_refs(path, table, base, n_vertices, kind) -> np.ndarray:
+    """A table of vertex ids as 0-based vertex rows, each in range."""
+    conn = table - base
+    bad = ((conn < 0) | (conn >= n_vertices)).any(axis=1)
+    if bad.any():
+        raise MeshFormatError(
+            f"{path}: {kind} row {bad.argmax() + 1}: vertex index out of range")
+    return conn
+
+
+def _read_nodes(path):
+    """Vertex coordinates and index base (that of the first row) of a
+    .node file."""
+    tokens = _tokens(path)
+    n, d, n_attr, marked = _header(path, tokens, 0, "node", _NODE_HEADER)
+    if d not in (2, 3):
+        raise MeshFormatError(f"{path}: node dimension {d}, expected 2 or 3")
     if n == 0:
-        raise MeshFormatError(f"{path}:{lineno}: no nodes")
-    coords = np.empty((n, dim))
-    filled = np.zeros(n, dtype=bool)
-    base = None
-    for lineno, tokens in rows:
-        if len(tokens) < 1 + dim:
-            raise MeshFormatError(f"{path}:{lineno}: short node row")
-        idx = _parse_ints(path, lineno, tokens, 1)[0]
-        if base is None:
-            if idx not in (0, 1):
-                raise MeshFormatError(
-                    f"{path}:{lineno}: first node index must be 0 or 1, got {idx}")
-            base = idx
-        i = idx - base
-        if not 0 <= i < n:
-            raise MeshFormatError(f"{path}:{lineno}: node index {idx} out of range")
-        if filled[i]:
-            raise MeshFormatError(f"{path}:{lineno}: duplicate node index {idx}")
-        try:
-            coords[i] = [float(t) for t in tokens[1:1 + dim]]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate") from exc
-        filled[i] = True
+        raise MeshFormatError(f"{path}: no nodes")
+    rows = _rows(path, tokens, 4, n, 1 + d + n_attr + marked, "node")
+    ids = _cast(path, rows[:, 0], np.int64, "node index")
+    base = int(ids[0])
+    if base not in (0, 1):
+        raise MeshFormatError(f"{path}: first node index must be 0 or 1, got {base}")
+    coords = np.empty((n, d))
+    coords[_positions(path, ids, base, "node")] = _cast(path, rows[:, 1:1 + d], float,
+                                                        "coordinate")
     return coords, base
 
 
-def _read_ele_file(path, nodes_per_cell, n_vertices, node_base):
-    lineno, (n, per, _n_attr), rows = _read_table(path, "element", 3)
-    if per != nodes_per_cell:
+def _read_cells(path, d, n_vertices, node_base):
+    """Cell vertex rows of a .ele file with d + 1 nodes per element. The
+    element ids are 0- or 1-based by the first row, else by the nodes."""
+    tokens = _tokens(path)
+    n, per, n_attr = _header(path, tokens, 0, "element", ("count", "size", "attributes"))
+    if per != d + 1:
         raise MeshFormatError(
-            f"{path}:{lineno}: {per} nodes per element, expected {nodes_per_cell}")
+            f"{path}: {per} nodes per element, expected {d + 1} for {d}D nodes")
+    rows = _rows(path, tokens, 3, n, 1 + per + n_attr, "element")
+    table = _cast(path, rows[:, :1 + per], np.int64, "element row")
+    ids = table[:, 0]
+    base = int(ids[0]) if n and ids[0] in (0, 1) else node_base
     cells = np.empty((n, per), dtype=np.int64)
-    filled = np.zeros(n, dtype=bool)
-    base = None
-    for lineno, tokens in rows:
-        vals = _parse_ints(path, lineno, tokens, 1 + per)
-        if base is None:
-            base = vals[0] if vals[0] in (0, 1) else node_base
-        i = vals[0] - base
-        if not 0 <= i < n:
-            raise MeshFormatError(f"{path}:{lineno}: element index {vals[0]} out of range")
-        if filled[i]:
-            raise MeshFormatError(f"{path}:{lineno}: duplicate element index {vals[0]}")
-        conn = [v - node_base for v in vals[1:]]
-        _check_vertices(path, lineno, conn, n_vertices)
-        cells[i] = conn
-        filled[i] = True
+    cells[_positions(path, ids, base, "element")] = _vertex_refs(
+        path, table[:, 1:], node_base, n_vertices, "element")
     return cells
 
 
-def _read_facet_file(path, facet_size, n_vertices, node_base):
-    """Read a Triangle .edge or TetGen .face file; keep boundary facets.
+def _facet_table(path, tokens, at, size, node_base, n_vertices, kind, trailing=False):
+    """Facet vertex rows and markers (1 when the header declares none)
+    of the facet table at ``tokens[at:]``."""
+    n, marked = _header(path, tokens, at, kind, ("count", "markers"))
+    rows = _rows(path, tokens, at + 2, n, 1 + size + marked, kind, trailing)
+    table = _cast(path, rows, np.int64, f"{kind} row")
+    markers = table[:, 1 + size] if marked else np.ones(n, dtype=np.int64)
+    return _vertex_refs(path, table[:, 1:1 + size], node_base, n_vertices, kind), markers
 
-    When the file carries a marker column, rows with marker 0 (interior)
-    are dropped; otherwise every row is kept with marker 1.
-    """
-    _, (_n, has_marker), rows = _read_table(path, "facet", 2)
-    facets, markers = [], []
-    for lineno, tokens in rows:
-        want = 1 + facet_size + (1 if has_marker else 0)
-        vals = _parse_ints(path, lineno, tokens, want)
-        conn = [v - node_base for v in vals[1:1 + facet_size]]
-        _check_vertices(path, lineno, conn, n_vertices)
-        marker = vals[1 + facet_size] if has_marker else 1
-        if marker != 0:
-            facets.append(conn)
-            markers.append(marker)
-    if not facets:
+
+def _read_facets(path, d, n_vertices, node_base):
+    """Boundary facets and markers of a Triangle .edge, TetGen .face or
+    Triangle .poly file; ``(None, None)`` when it names none."""
+    tokens = _tokens(path)
+    if str(path).endswith(".poly"):
+        if d != 2:
+            raise MeshFormatError(f"{path}: a .poly file needs 2D nodes")
+        # skip the inline node rows; what follows the segments is ignored
+        n, pd, n_attr, marked = _header(path, tokens, 0, "node", _NODE_HEADER)
+        facets, markers = _facet_table(path, tokens, 4 + n * (1 + pd + n_attr + marked),
+                                       2, node_base, n_vertices, "segment", trailing=True)
+    else:
+        facets, markers = _facet_table(path, tokens, 0, d, node_base, n_vertices, "facet")
+        interior = markers == 0
+        facets, markers = facets[~interior], markers[~interior]
+    if len(facets) == 0:
         return None, None
-    return np.array(facets, dtype=np.int64), np.array(markers, dtype=np.int64)
+    return facets, markers
 
 
-def _read_poly_segments(path, n_vertices, node_base):
-    """Boundary segments from a Triangle .poly file (node section skipped)."""
-    rows = list(_data_rows(path))
-    if not rows:
-        raise MeshFormatError(f"{path}: empty poly file")
-    lineno, header = rows[0]
-    n_nodes = _parse_ints(path, lineno, header, 1)[0]
-    if n_nodes < 0:
-        raise MeshFormatError(f"{path}:{lineno}: negative node count {n_nodes}")
-    pos = 1 + n_nodes  # node rows are listed inline when n_nodes > 0
-    if pos >= len(rows):
-        raise MeshFormatError(f"{path}: missing segment section")
-    lineno, header = rows[pos]
-    n_seg, has_marker = _parse_ints(path, lineno, header, 2)
-    facets, markers = [], []
-    for lineno, tokens in rows[pos + 1:pos + 1 + n_seg]:
-        want = 3 + (1 if has_marker else 0)
-        vals = _parse_ints(path, lineno, tokens, want)
-        conn = [v - node_base for v in vals[1:3]]
-        _check_vertices(path, lineno, conn, n_vertices)
-        facets.append(conn)
-        markers.append(vals[3] if has_marker else 1)
-    if len(facets) != n_seg:
-        raise MeshFormatError(f"{path}: header promised {n_seg} segments")
-    if not facets:
-        return None, None
-    return np.array(facets, dtype=np.int64), np.array(markers, dtype=np.int64)
+def read_mesh(node_path, ele_path, facet_path=None) -> Mesh:
+    """Read a 2D Triangle or 3D TetGen mesh.
 
+    The dimension d comes from the .node header and must be 2 or 3; the
+    .ele header must then give d + 1 nodes per element. Every data row
+    has exactly the width its file header declares (index, values,
+    attributes, marker), and each file ends with its table. Node indices
+    are 0- or 1-based, from the first node row; node and element ids
+    must each name every row once.
 
-def read_triangle_mesh(node_path, ele_path, poly_or_edge_path=None) -> Mesh:
-    """Read a 2D mesh in Triangle format.
-
-    Boundary facets come from the optional .edge or .poly file (rows with
-    nonzero marker); without one they are derived as the edges incident to
-    exactly one triangle, with marker 1. Node indices may be 0- or 1-based,
-    detected from the first node row.
+    Boundary facets come from the optional ``facet_path``: a Triangle
+    .edge or TetGen .face file, whose marker-0 rows are interior and
+    dropped, or in 2D a Triangle .poly file, whose segments are kept
+    with their markers; its inline node rows are skipped (vertices come
+    from the .node file) and what follows the segments (holes, regional
+    attributes) is ignored. Without a facet file, or when it names no
+    boundary facet, the facets are derived as those of exactly one cell,
+    with marker 1.
     """
-    coords, base = _read_node_file(node_path, expected_dim=2)
-    cells = _read_ele_file(ele_path, 3, len(coords), base)
+    coords, base = _read_nodes(node_path)
+    d = coords.shape[1]
+    cells = _read_cells(ele_path, d, len(coords), base)
     facets = markers = None
-    if poly_or_edge_path is not None:
-        if str(poly_or_edge_path).endswith(".poly"):
-            facets, markers = _read_poly_segments(poly_or_edge_path, len(coords), base)
-        else:
-            facets, markers = _read_facet_file(poly_or_edge_path, 2, len(coords), base)
+    if facet_path is not None:
+        facets, markers = _read_facets(facet_path, d, len(coords), base)
     try:
-        return Mesh(2, coords, cells, facets, markers)
-    except ValueError as exc:
-        raise MeshFormatError(f"{node_path}/{ele_path}: {exc}") from exc
-
-
-def read_tetgen_mesh(node_path, ele_path, face_path=None) -> Mesh:
-    """Read a 3D mesh in TetGen format (.node/.ele and optional .face)."""
-    coords, base = _read_node_file(node_path, expected_dim=3)
-    cells = _read_ele_file(ele_path, 4, len(coords), base)
-    facets = markers = None
-    if face_path is not None:
-        facets, markers = _read_facet_file(face_path, 3, len(coords), base)
-    try:
-        return Mesh(3, coords, cells, facets, markers)
+        return Mesh(d, coords, cells, facets, markers)
     except ValueError as exc:
         raise MeshFormatError(f"{node_path}/{ele_path}: {exc}") from exc
 

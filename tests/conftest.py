@@ -13,13 +13,13 @@ def mesh_path(name):
 
 
 def load_square(name):
-    return wf.read_triangle_mesh(mesh_path(f"{name}.node"),
+    return wf.read_mesh(mesh_path(f"{name}.node"),
                                  mesh_path(f"{name}.ele"),
                                  mesh_path(f"{name}.edge"))
 
 
 def load_cube(name):
-    return wf.read_tetgen_mesh(mesh_path(f"{name}.node"),
+    return wf.read_mesh(mesh_path(f"{name}.node"),
                                mesh_path(f"{name}.ele"),
                                mesh_path(f"{name}.face"))
 

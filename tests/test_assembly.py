@@ -217,7 +217,7 @@ def test_u_mass_inverse_block_locality(square_36):
 def test_semidiscrete_rhs_zero_state(square_36):
     # with zero boundary data both right-hand sides vanish at the zero state
     dofs, ops = assemble_all(square_36)
-    du = ops.force(np.zeros(dofs.m_h))
+    du = [B @ np.zeros(dofs.m_h) + s for B, s in ops.kick_operator()]
     dh = ops.divergence([np.zeros(dofs.m_u)] * 2)
     assert all(np.abs(v).max() == 0.0 for v in du)
     assert np.abs(dh).max() == 0.0
@@ -225,8 +225,10 @@ def test_semidiscrete_rhs_zero_state(square_36):
 
 def test_constant_scalar_exerts_no_force(square_150):
     dofs, ops = assemble_all(square_150, "neumann")
-    for v in ops.force(3.7 * np.ones(dofs.m_h)):
-        assert np.abs(v).max() <= 1e-13
+    # B_i = u_mass^{-1} grad_i scales entries by 1/|K|, so the bound is
+    # relative to the operator's largest entry
+    for B, s in ops.kick_operator():
+        assert np.abs(B @ (3.7 * np.ones(dofs.m_h)) + s).max() <= 1e-13 * abs(B).max()
 
 
 def test_periodic_stencil_rows():

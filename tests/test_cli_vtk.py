@@ -166,7 +166,7 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
 
 def test_simulate_manifest_dt_check(tmp_path):
     # the manifest names the path of the dt check and the limits it used
-    mesh = wf.read_triangle_mesh(*(mesh_path(f"square_36.{ext}")
+    mesh = wf.read_mesh(*(mesh_path(f"square_36.{ext}")
                                    for ext in ("node", "ele", "edge")))
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
     exact = wf.stable_dt_estimate(ops)
@@ -212,6 +212,23 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("width = 0", "width must be finite and positive"),
+    ("width = nan", "width must be finite and positive"),
+    ("center = nan 0.5", "center must be finite"),
+    ("snapshot_stride = 0", "snapshot_stride must be >= 1"),
+    ("snapshot_stride = -5", "snapshot_stride must be >= 1")],
+    ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg"])
+def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
+    # bad input, not a numerical failure: exit 1 with no snapshot written
+    cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(out_dir.glob("*.vtk"))
+
+
 def test_simulate_rejects_step_count_overflow(tmp_path, capsys):
     cfg = write_config(tmp_path, "dt = 1e-300\nt_end = 1e300\n")
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
@@ -229,7 +246,7 @@ def test_mesh_convert_roundtrip(tmp_path):
     prefix = str(tmp_path / "cube")
     assert run(["mesh-convert", "--generate", "cube:1",
                 "--out-prefix", prefix]) == 0
-    mesh = wf.read_tetgen_mesh(prefix + ".node", prefix + ".ele",
+    mesh = wf.read_mesh(prefix + ".node", prefix + ".ele",
                                prefix + ".face")
     ref = wf.generate_cube_mesh(1)
     assert np.array_equal(mesh.vertices, ref.vertices)

@@ -271,6 +271,11 @@ def test_snapshot_callback(square_36):
              snapshot_callback=lambda step, state: seen.append(step),
              snapshot_stride=5)
     assert seen == [0, 5, 10]
+    # a stride below 1 would snapshot never (0) or on multiples of |stride|
+    for stride in (0, -5):
+        with pytest.raises(ConfigurationError, match="snapshot_stride must be >= 1"):
+            simulate(square_36, bc, config,
+                     snapshot_callback=lambda step, state: None, snapshot_stride=stride)
 
 
 @pytest.mark.parametrize("field,value", [

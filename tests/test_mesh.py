@@ -7,6 +7,12 @@ from wavefem.mesh import CELL_EDGES, Mesh, MeshFormatError
 from conftest import mesh_path
 
 
+TRI_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
+TRI_ELE = "1 3 0\n1 1 2 3\n"
+TET_NODE = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+TET_ELE = "1 4 0\n1 1 2 3 4\n"
+
+
 def write_single_triangle(tmp_path, base=1):
     node = tmp_path / "tri.node"
     ele = tmp_path / "tri.ele"
@@ -19,7 +25,7 @@ def write_single_triangle(tmp_path, base=1):
 
 def test_single_triangle_files(tmp_path):
     node, ele = write_single_triangle(tmp_path)
-    mesh = wf.read_triangle_mesh(node, ele)
+    mesh = wf.read_mesh(node, ele)
     assert mesh.n_vertices == 3
     assert mesh.n_cells == 1
     assert mesh.n_edges == 3
@@ -35,8 +41,8 @@ def test_index_base_detection(tmp_path):
     d1.mkdir()
     n0, e0 = write_single_triangle(d0, base=0)
     n1, e1 = write_single_triangle(d1, base=1)
-    m0 = wf.read_triangle_mesh(n0, e0)
-    m1 = wf.read_triangle_mesh(n1, e1)
+    m0 = wf.read_mesh(n0, e0)
+    m1 = wf.read_mesh(n1, e1)
     assert np.array_equal(m0.vertices, m1.vertices)
     assert np.array_equal(m0.cells, m1.cells)
 
@@ -45,14 +51,47 @@ def test_malformed_header_names_file(tmp_path):
     node = tmp_path / "bad.node"
     node.write_text("3 2 0\n")  # short header
     with pytest.raises(MeshFormatError, match="bad.node"):
-        wf.read_triangle_mesh(str(node), str(node))
+        wf.read_mesh(str(node), str(node))
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe3 2 0 0\n", b"3 2 0 0\n1\x00 0 0\n2 1 0\n3 0 1\n"],
+                         ids=["not-utf8", "nul"])
+def test_binary_file_rejected(tmp_path, data):
+    node = tmp_path / "m.node"
+    node.write_bytes(data)
+    (tmp_path / "m.ele").write_text(TRI_ELE)
+    with pytest.raises(MeshFormatError, match="m.node: not a text file"):
+        wf.read_mesh(str(node), str(tmp_path / "m.ele"))
+
+
+@pytest.mark.parametrize("ext,text", [
+    ("node", "3 2 0 0\n1 0 0 7\n2 1 0\n3 0 1\n"),
+    ("node", "3 2 0 1\n1 0 0\n2 1 0\n3 0 1\n"),
+    ("ele", "1 3 0\n1 1 2 3 1\n"),
+    ("edge", "3 1\n1 1 2\n2 2 3\n3 3 1\n")], ids=["node-extra", "node-marker", "ele", "edge"])
+def test_rows_have_declared_width(tmp_path, ext, text):
+    # a row has exactly the width its header declares; extra tokens are
+    # not silently ignored
+    texts = {"node": TRI_NODE, "ele": TRI_ELE, "edge": "3 0\n1 1 2\n2 2 3\n3 3 1\n", ext: text}
+    for e, t in texts.items():
+        (tmp_path / f"m.{e}").write_text(t)
+    with pytest.raises(MeshFormatError, match=f"m.{ext}: header promised"):
+        wf.read_mesh(*(str(tmp_path / f"m.{e}") for e in texts))
 
 
 def test_wrong_dimension_rejected(tmp_path):
-    node = tmp_path / "bad.node"
-    node.write_text("1 3 0 0\n1 0.0 0.0 0.0\n")
-    with pytest.raises(MeshFormatError, match="dimension"):
-        wf.read_triangle_mesh(str(node), str(node))
+    # the node header fixes the dimension; the element width must agree.
+    # Each message is matched past the path, which names this test.
+    node, ele = tmp_path / "m.node", tmp_path / "m.ele"
+    for node_text, ele_text, match in [
+            ("1 1 0 0\n1 0.0\n", TRI_ELE, "m.node: node dimension 1, expected 2 or 3"),
+            ("1 4 0 0\n1 0 0 0 0\n", TRI_ELE, "m.node: node dimension 4, expected 2 or 3"),
+            (TET_NODE, TRI_ELE, "m.ele: 3 nodes per element, expected 4 for 3D nodes"),
+            (TRI_NODE, TET_ELE, "m.ele: 4 nodes per element, expected 3 for 2D nodes")]:
+        node.write_text(node_text)
+        ele.write_text(ele_text)
+        with pytest.raises(MeshFormatError, match=match):
+            wf.read_mesh(str(node), str(ele))
 
 
 def test_out_of_range_index(tmp_path):
@@ -60,7 +99,7 @@ def test_out_of_range_index(tmp_path):
     bad = tmp_path / "bad.ele"
     bad.write_text("1 3 0\n1 1 2 9\n")
     with pytest.raises(MeshFormatError, match="out of range"):
-        wf.read_triangle_mesh(node, str(bad))
+        wf.read_mesh(node, str(bad))
 
 
 def test_duplicate_index_rejected(tmp_path):
@@ -69,33 +108,27 @@ def test_duplicate_index_rejected(tmp_path):
     dup_node = tmp_path / "dup.node"
     dup_node.write_text("3 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n2 0.0 1.0\n")
     with pytest.raises(MeshFormatError, match="duplicate node"):
-        wf.read_triangle_mesh(str(dup_node), ele)
+        wf.read_mesh(str(dup_node), ele)
     dup_ele = tmp_path / "dup.ele"
     dup_ele.write_text("2 3 0\n1 1 2 3\n1 1 3 2\n")
     with pytest.raises(MeshFormatError, match="duplicate element"):
-        wf.read_triangle_mesh(node, str(dup_ele))
+        wf.read_mesh(node, str(dup_ele))
 
 
-TRI_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
-TRI_ELE = "1 3 0\n1 1 2 3\n"
-TET_NODE = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
-TET_ELE = "1 4 0\n1 1 2 3 4\n"
-
-
-@pytest.mark.parametrize("reader,node,ele,match", [
-    (wf.read_triangle_mesh, "0 2 0 0\n", TRI_ELE, "no nodes"),
-    (wf.read_triangle_mesh, "0 2 0 0\n", "0 3 0\n", "no nodes"),
-    (wf.read_triangle_mesh, TRI_NODE, "0 3 0\n", "at least one cell"),
-    (wf.read_tetgen_mesh, "0 3 0 0\n", TET_ELE, "no nodes"),
-    (wf.read_tetgen_mesh, TET_NODE, "0 4 0\n", "at least one cell")],
+@pytest.mark.parametrize("node,ele,match", [
+    ("0 2 0 0\n", TRI_ELE, "no nodes"),
+    ("0 2 0 0\n", "0 3 0\n", "no nodes"),
+    (TRI_NODE, "0 3 0\n", "at least one cell"),
+    ("0 3 0 0\n", TET_ELE, "no nodes"),
+    (TET_NODE, "0 4 0\n", "at least one cell")],
     ids=["tri-nodes", "tri-both", "tri-cells", "tet-nodes", "tet-cells"])
-def test_empty_tables_rejected(tmp_path, reader, node, ele, match):
+def test_empty_tables_rejected(tmp_path, node, ele, match):
     # an empty node table leaves no index base to read the elements with,
     # and a mesh without cells has no DOFs
     (tmp_path / "m.node").write_text(node)
     (tmp_path / "m.ele").write_text(ele)
     with pytest.raises(MeshFormatError, match=match):
-        reader(str(tmp_path / "m.node"), str(tmp_path / "m.ele"))
+        wf.read_mesh(str(tmp_path / "m.node"), str(tmp_path / "m.ele"))
 
 
 def test_mesh_needs_a_cell():
@@ -108,7 +141,29 @@ def test_negative_poly_node_count(tmp_path):
     poly = tmp_path / "tri.poly"
     poly.write_text("-3 2 0 0\n1 1 1 2 1\n2 1\n3 0\n")
     with pytest.raises(MeshFormatError, match="negative node count"):
-        wf.read_triangle_mesh(node, ele, str(poly))
+        wf.read_mesh(node, ele, str(poly))
+
+
+def test_poly_segments_match_edge_file(tmp_path):
+    # a .poly file is read for its segment section only: its inline node
+    # rows are skipped and the holes after the segments are ignored
+    node, ele, edge = (mesh_path(f"square_36.{ext}") for ext in ("node", "ele", "edge"))
+    ref = wf.read_mesh(node, ele, edge)
+    with open(node) as fh:
+        node_text = fh.read()
+    with open(edge) as fh:
+        edge_text = fh.read()
+    holes = "# holes\n2\n1 0.3 0.3\n2 0.7 0.7\n"
+    for name, text in [("bare", "0 2 0 0\n" + edge_text),
+                       ("inline", node_text + edge_text + holes)]:
+        poly = tmp_path / f"{name}.poly"
+        poly.write_text(text)
+        mesh = wf.read_mesh(node, ele, str(poly))
+        assert np.array_equal(mesh.boundary_facets, ref.boundary_facets), name
+        assert np.array_equal(mesh.boundary_markers, ref.boundary_markers), name
+    cube = [mesh_path(f"cube_44.{ext}") for ext in ("node", "ele")]
+    with pytest.raises(MeshFormatError, match="bare.poly: a .poly file needs 2D nodes"):
+        wf.read_mesh(*cube, str(tmp_path / "bare.poly"))
 
 
 def test_single_tetrahedron(tmp_path):
@@ -116,7 +171,7 @@ def test_single_tetrahedron(tmp_path):
     ele = tmp_path / "t.ele"
     node.write_text("4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n")
     ele.write_text("1 4 0\n1 1 2 3 4\n")
-    mesh = wf.read_tetgen_mesh(str(node), str(ele))
+    mesh = wf.read_mesh(str(node), str(ele))
     assert mesh.n_vertices == 4
     assert mesh.n_cells == 1
     assert mesh.n_edges == 6
@@ -230,7 +285,7 @@ def test_roundtrip_square(tmp_path):
     mesh = wf.generate_square_mesh(2)
     paths = [str(tmp_path / f"m.{ext}") for ext in ("node", "ele", "edge")]
     wf.write_triangle_mesh(mesh, *paths)
-    back = wf.read_triangle_mesh(*paths)
+    back = wf.read_mesh(*paths)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.cells, mesh.cells)
     assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
@@ -241,7 +296,7 @@ def test_roundtrip_cube(tmp_path):
     mesh = wf.generate_cube_mesh(1)
     paths = [str(tmp_path / f"m.{ext}") for ext in ("node", "ele", "face")]
     wf.write_tetgen_mesh(mesh, *paths)
-    back = wf.read_tetgen_mesh(*paths)
+    back = wf.read_mesh(*paths)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.cells, mesh.cells)
     assert np.array_equal(back.boundary_markers, mesh.boundary_markers)
@@ -251,7 +306,7 @@ def test_comments_and_interior_edges_ignored(tmp_path):
     node, ele = write_single_triangle(tmp_path)
     edge = tmp_path / "tri.edge"
     edge.write_text("# boundary edges\n3 1\n1 1 2 1\n2 2 3 0\n3 3 1 2\n")
-    mesh = wf.read_triangle_mesh(node, ele, str(edge))
+    mesh = wf.read_mesh(node, ele, str(edge))
     # the marker-0 row is interior bookkeeping and must be dropped
     assert len(mesh.boundary_facets) == 2
     assert sorted(mesh.boundary_markers.tolist()) == [1, 2]
@@ -273,10 +328,8 @@ def test_writers_reproduce_fixture_files(tmp_path, name):
     # the committed fixtures were written by these writers; reading one
     # and writing it again gives the same bytes
     exts = ("node", "ele", "edge") if name.startswith("square") else ("node", "ele", "face")
-    reader, writer = ((wf.read_triangle_mesh, wf.write_triangle_mesh)
-                      if name.startswith("square") else
-                      (wf.read_tetgen_mesh, wf.write_tetgen_mesh))
-    mesh = reader(*(mesh_path(f"{name}.{ext}") for ext in exts))
+    writer = wf.write_triangle_mesh if name.startswith("square") else wf.write_tetgen_mesh
+    mesh = wf.read_mesh(*(mesh_path(f"{name}.{ext}") for ext in exts))
     paths = [tmp_path / f"m.{ext}" for ext in exts]
     writer(mesh, *map(str, paths))
     for ext, path in zip(exts, paths):

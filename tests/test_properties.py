@@ -105,7 +105,9 @@ def _valid_files(kind):
 
 
 VALID = {kind: _valid_files(kind) for kind in ("triangle", "tetgen")}
-READERS = {"triangle": wf.read_triangle_mesh, "tetgen": wf.read_tetgen_mesh}
+# a .poly file with inline node rows, the .edge table as its segment
+# section, and no holes
+POLY = VALID["triangle"][1]["node"] + VALID["triangle"][1]["edge"] + "0\n"
 
 token = st.one_of(
     st.integers(-3, 30).map(str),
@@ -141,13 +143,15 @@ def _read(kind, texts):
             with open(path, "wb") as fh:
                 fh.write(text if isinstance(text, bytes) else text.encode())
             paths.append(path)
-        return READERS[kind](*paths)
+        return wf.read_mesh(*paths)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(VALID)), data=st.data())
 def test_malformed_files_raise_mesh_format_error(kind, data):
     _, valid = VALID[kind]
+    if kind == "triangle" and data.draw(st.booleans()):
+        valid = {"node": valid["node"], "ele": valid["ele"], "poly": POLY}
     texts = {ext: data.draw(st.one_of(st.just(text), mangled(text),
                                       st.lists(line, max_size=5).map("\n".join),
                                       st.binary(max_size=40)))
