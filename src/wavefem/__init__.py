@@ -9,7 +9,7 @@ from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
                    write_tetgen_mesh, write_triangle_mesh)
 from .elements import (DofMap, QuadratureRule, ReferenceElement,
                        build_dof_maps, quadrature, reference_element)
-from .assembly import AssembledOperators, BlockDiagonalMatrix, assemble
+from .assembly import AssembledOperators, assemble
 from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                        laplacian_spectrum, max_eigenvalue,
                        null_space_dimension, spurious_mode_report)

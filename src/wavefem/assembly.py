@@ -2,8 +2,10 @@
 
 Assembles, with quadrature exact for every integrand:
 
-* the block-diagonal velocity mass matrix (one dense block per cell,
-  since the velocity space is discontinuous),
+* the velocity mass matrix, block-diagonal since the velocity space is
+  discontinuous; on affine cells each block is det_K times one reference
+  matrix (``u_mass_ref``), so it is stored as that matrix alone and
+  inverted once,
 * the sparse symmetric scalar mass matrix,
 * one sparse gradient matrix per spatial direction, including the
   boundary facet term that imposes Dirichlet data on the scalar weakly
@@ -52,51 +54,11 @@ from .elements import DofMap, P1_DG, P2_CG, quadrature, reference_element, tabul
 from .mesh import CELL_FACETS, BcSpec, Mesh
 
 __all__ = [
-    "BlockDiagonalMatrix",
     "AssembledOperators",
     "assemble",
 ]
 
 QUAD_DEGREE = 4  # highest assembled integrand: quadratic x quadratic
-
-
-class BlockDiagonalMatrix:
-    """Symmetric block-diagonal matrix, one dense block per mesh cell."""
-
-    def __init__(self, blocks: np.ndarray):
-        blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must have shape (n, b, b)")
-        self.blocks = blocks
-        self._inv = None
-
-    @property
-    def n_blocks(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def block_size(self) -> int:
-        return self.blocks.shape[1]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        xb = np.asarray(x, dtype=float).reshape(self.n_blocks, self.block_size)
-        return np.einsum("cij,cj->ci", self.blocks, xb).ravel()
-
-    def inverse_blocks(self) -> np.ndarray:
-        if self._inv is None:
-            try:
-                inv = np.linalg.inv(self.blocks)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError("singular velocity mass block") from exc
-            inv.setflags(write=False)
-            self._inv = inv
-        return self._inv
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Exact per-block solve; the result on a cell depends only on that
-        cell's entries of ``b``."""
-        bb = np.asarray(b, dtype=float).reshape(self.n_blocks, self.block_size)
-        return np.einsum("cij,cj->ci", self.inverse_blocks(), bb).ravel()
 
 
 @dataclass
@@ -110,7 +72,6 @@ class AssembledOperators:
 
     dim: int
     dofs: DofMap
-    u_mass: BlockDiagonalMatrix
     h_mass: sp.csr_matrix
     grad: tuple                 # d sparse matrices, shape (m_u, m_h)
     dirichlet_rhs: tuple        # d vectors of length m_u
@@ -121,8 +82,9 @@ class AssembledOperators:
     grad_cells: np.ndarray      # (C, n1, n2, d) per-cell gradient blocks,
                                 # weak Dirichlet facet terms included
     cell_dets: np.ndarray       # (C,) affine-map determinants
-    h_mass_ref: np.ndarray      # (n2, n2) scalar mass of the reference cell;
-                                # cell K's block is cell_dets[K] * h_mass_ref
+    u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
+    h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
+                                # cell_dets[K] times these
     _h_factor: object = field(default=None, repr=False, compare=False)
     _kick: object = field(default=None, repr=False, compare=False)
 
@@ -141,14 +103,17 @@ class AssembledOperators:
     def kick_operator(self):
         """Cached ``(B_i, s_i)`` per velocity component, with
         ``B_i = u_mass^{-1} grad_i`` and ``s_i = u_mass^{-1} dirichlet_rhs_i``,
-        so that the velocity equation reads ``du_i/dt = -(B_i h + s_i)``."""
+        so that the velocity equation reads ``du_i/dt = -(B_i h + s_i)``.
+        Cell K's block of ``u_mass^{-1}`` is ``inv(u_mass_ref) / cell_dets[K]``,
+        and K's velocity DOFs are row K of ``r.reshape(C, n1)``."""
         if self._kick is None:
-            inv, d = self.u_mass.inverse_blocks(), self.dofs
+            inv, d, det = np.linalg.inv(self.u_mass_ref), self.dofs, self.cell_dets
             kick = []
             for i, r in enumerate(self.dirichlet_rhs):
-                B = _scatter(d.u_cell_dofs, d.h_cell_dofs, inv @ self.grad_cells[..., i],
-                             (d.m_u, d.m_h))
-                kick.append((B, self.u_mass.solve(r)))
+                B = _scatter(d.u_cell_dofs, d.h_cell_dofs,
+                             inv @ self.grad_cells[..., i] / det[:, None, None], (d.m_u, d.m_h))
+                s = (r.reshape(d.u_cell_dofs.shape) @ inv) / det[:, None]
+                kick.append((B, s.ravel()))
             self._kick = tuple(kick)
         return self._kick
 
@@ -240,7 +205,6 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     # Affine cells: both mass matrices are the reference ones scaled by det.
     mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
     mh_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
-    u_mass = BlockDiagonalMatrix(det[:, None, None] * mu_ref)
 
     # Volume gradient term: contract the reference tensor with each cell's
     # inverse Jacobian (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]).
@@ -298,7 +262,7 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
     return AssembledOperators(
-        dim=d, dofs=dofs, u_mass=u_mass, h_mass=h_mass, grad=grad,
+        dim=d, dofs=dofs, h_mass=h_mass, grad=grad,
         dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs,
         h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values,
-        grad_cells=grad_cells, cell_dets=det, h_mass_ref=mh_ref)
+        grad_cells=grad_cells, cell_dets=det, u_mass_ref=mu_ref, h_mass_ref=mh_ref)

@@ -5,7 +5,7 @@ command that writes outputs also writes a JSON run manifest next to them
 so a run can be reproduced. The ``simulate`` manifest also records
 ``dt_check``: the path the dt check took (``cell_bound``, ``exact`` or
 ``forced``), the limit it used and the cell-bound limit. Exit codes: 0
-success, 1 input error, 2 numerical failure, 3 invariant violation.
+success, 1 input or usage error, 2 numerical failure, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def cmd_dof_report(args) -> int:
 
 def cmd_spectrum(args) -> int:
     started = time.monotonic()
+    if args.count < 0:
+        raise dynamics.ConfigurationError(f"--count must be >= 0, got {args.count}")
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     bc = _bc_for(mesh, args.bc)
@@ -238,6 +240,7 @@ def cmd_simulate(args) -> int:
     bc = _bc_for(mesh, cfg.get("bc", "neumann"))
     config = dynamics.SimulationConfig(
         dt=dt, n_steps=n_steps, energy_stride=stride,
+        snapshot_stride=cfg.get("snapshot_stride"),
         ic_h=_initial_condition(cfg, mesh.dim),
         wave_speed=cfg["c"],
         allow_unstable_dt=args.force_dt)
@@ -247,7 +250,6 @@ def cmd_simulate(args) -> int:
     dofs = build_dof_maps(mesh)
     ops = assembly.assemble(mesh, dofs, bc)
 
-    snapshot_stride = cfg.get("snapshot_stride")
     outputs = []
 
     def snapshot(step, state):
@@ -255,10 +257,8 @@ def cmd_simulate(args) -> int:
         vtk_io.write_vtk(path, mesh, dofs, h=state.h, u=state.u)
         outputs.append(path)
 
-    callback = snapshot if snapshot_stride else None
-    result = dynamics.simulate(mesh, bc, config, ops=ops,
-                               snapshot_callback=callback,
-                               snapshot_stride=snapshot_stride)
+    callback = snapshot if config.snapshot_stride else None
+    result = dynamics.simulate(mesh, bc, config, ops=ops, snapshot_callback=callback)
 
     energy_path = os.path.join(out_dir, "energy.csv")
     with open(energy_path, "w", newline="") as fh:
@@ -305,6 +305,13 @@ def cmd_mesh_convert(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 1, an input error: argparse's 2 is the numerical-failure code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_mesh_args(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mesh", nargs="+", metavar="PATH",
@@ -318,7 +325,7 @@ def _add_mesh_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavefem",
         description="Mixed discontinuous/continuous finite elements for the "
                     "first-order wave system")

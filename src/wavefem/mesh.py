@@ -511,6 +511,7 @@ def _read_facets(path, d, n_vertices, node_base):
         n, pd, n_attr, marked = _header(path, tokens, 0, "node", _NODE_HEADER)
         facets, markers = _facet_table(path, tokens, 4 + n * (1 + pd + n_attr + marked),
                                        2, node_base, n_vertices, "segment", trailing=True)
+        markers[markers == 0] = 1
     else:
         facets, markers = _facet_table(path, tokens, 0, d, node_base, n_vertices, "facet")
         interior = markers == 0
@@ -533,7 +534,8 @@ def read_mesh(node_path, ele_path, facet_path=None) -> Mesh:
     Boundary facets come from the optional ``facet_path``: a Triangle
     .edge or TetGen .face file, whose marker-0 rows are interior and
     dropped, or in 2D a Triangle .poly file, whose segments are kept
-    with their markers; its inline node rows are skipped (vertices come
+    with their markers, a marker 0 read as 1 as Triangle does for
+    boundary segments; its inline node rows are skipped (vertices come
     from the .node file) and what follows the segments (holes, regional
     attributes) is ignored. Without a facet file, or when it names no
     boundary facet, the facets are derived as those of exactly one cell,

@@ -18,9 +18,10 @@ would always keep a null vector: N cells give 2N velocity DOFs and
 ``assembly`` module). The problem size of every routine here is the
 pencil's, which is smaller than ``ops.dofs.m_h`` when DOFs are fixed.
 
-The velocity mass is block-diagonal and each weak Dirichlet facet term
-belongs to its owner cell, so A = sum_K scatter(A_K) exactly, with the
-cell Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``).
+The velocity mass is block-diagonal, with block M_u,K = det_K
+``ops.u_mass_ref`` on cell K, and each weak Dirichlet facet term belongs
+to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
+Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``).
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
@@ -73,9 +74,9 @@ NULL_TOLERANCE = 1e-8    # relative to max(1, lambda_max)
 
 def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
     """Per-cell blocks A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki, shape (C, n2, n2),
-    on each cell's scalar DOFs ``ops.dofs.h_cell_dofs``; weak Dirichlet
-    facet terms are included."""
-    u_inv, G = ops.u_mass.inverse_blocks(), ops.grad_cells
+    on ``ops.dofs.h_cell_dofs``, with M_u,K^{-1} = inv(u_mass_ref) / det_K;
+    weak Dirichlet facet terms are included."""
+    u_inv, G = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None], ops.grad_cells
     return sum(G[..., i].swapaxes(1, 2) @ (u_inv @ G[..., i]) for i in range(ops.dim))
 
 

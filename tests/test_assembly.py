@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import wavefem as wf
 from wavefem.assembly import QUAD_DEGREE, assemble
@@ -104,7 +107,7 @@ def test_local_1d_matrices(dx):
     c = ops.grad[0].toarray()[:, SPATIAL_ORDER]
     mh = ops.h_mass.toarray()[np.ix_(SPATIAL_ORDER, SPATIAL_ORDER)]
     assert np.abs(c - C_LOCAL).max() <= 1e-14
-    assert np.abs(ops.u_mass.blocks[0] - dx * MU_LOCAL).max() <= 1e-14
+    assert np.abs(ops.cell_dets[0] * ops.u_mass_ref - dx * MU_LOCAL).max() <= 1e-14
     assert np.abs(mh - dx * MH_LOCAL).max() <= 1e-14
 
 
@@ -112,7 +115,8 @@ def test_scaling_1d():
     # scaling the element stretches both mass matrices, not the gradient
     ops1 = one_element_ops(1.0)
     ops3 = one_element_ops(3.0)
-    assert np.allclose(ops3.u_mass.blocks[0], 3.0 * ops1.u_mass.blocks[0])
+    assert np.allclose(ops3.cell_dets[0] * ops3.u_mass_ref,
+                       3.0 * ops1.cell_dets[0] * ops1.u_mass_ref)
     assert np.allclose(ops3.h_mass.toarray(), 3.0 * ops1.h_mass.toarray())
     assert np.allclose(ops3.grad[0].toarray(), ops1.grad[0].toarray())
 
@@ -188,30 +192,58 @@ def test_dirichlet_facet_term_vs_boundary_data(square_150):
         assert np.abs(ops.grad[i] @ ones + ops.dirichlet_rhs[i]).max() <= 1e-13
 
 
-def test_u_mass_inverse_roundtrip(square_36):
-    dofs, ops = assemble_all(square_36)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(dofs.m_u)
-    back = ops.u_mass.solve(ops.u_mass.matvec(x))
-    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
-
-
 def test_u_mass_inverse_block_1d():
     ops = one_element_ops(1.0)
-    inv = ops.u_mass.inverse_blocks()[0]
+    inv = np.linalg.inv(ops.cell_dets[0] * ops.u_mass_ref)
     assert np.abs(inv - np.array([[4.0, -2.0], [-2.0, 4.0]])).max() <= 1e-12
 
 
-def test_u_mass_inverse_block_locality(square_36):
-    dofs, ops = assemble_all(square_36)
-    rng = np.random.default_rng(4)
+def velocity_mass_reference(mesh, dofs):
+    """Global velocity mass scattered from per-cell quadrature masses,
+    each scaled by the determinant of its cell's own Jacobian."""
+    d = mesh.dim
+    rule = quadrature(d, QUAD_DEGREE)
+    v1, _ = tabulate(reference_element(d, P1_DG), rule.points)
+    X = mesh.cell_coords
+    det = np.abs(np.linalg.det(X[:, 1:, :] - X[:, :1, :]))
+    blocks = np.einsum("c,q,qa,qb->cab", det, rule.weights, v1, v1)
+    ud = dofs.u_cell_dofs
+    rows = np.repeat(ud, ud.shape[1], axis=1).ravel()
+    cols = np.tile(ud, (1, ud.shape[1])).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(dofs.m_u, dofs.m_u)).tocsr()
+
+
+@pytest.mark.parametrize("name", ["square_36", "cube_44", "interval:5"])
+def test_velocity_mass_reference_form(name, request):
+    # energy and kick, which read u_mass as cell_dets[K] * u_mass_ref,
+    # against a global M_u built independently
+    if name == "interval:5":
+        mesh = wf.generate_interval_mesh(5, 2.0)
+    else:
+        mesh = request.getfixturevalue(name)
+    dofs = wf.build_dof_maps(mesh)
+    ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0]))
+    M_u = velocity_mass_reference(mesh, dofs)
+    rng = np.random.default_rng(5)
+    state = wf.FieldState(u=[rng.standard_normal(dofs.m_u) for _ in range(mesh.dim)],
+                          h=rng.standard_normal(dofs.m_h))
+    expected = 0.5 * state.h @ (ops.h_mass @ state.h) + 0.5 * sum(u @ (M_u @ u) for u in state.u)
+    assert abs(wf.energy(state, ops) - expected) <= 1e-14 * abs(expected)
+
+    solve = spla.factorized(M_u.tocsc())
+    for i, (B, s) in enumerate(ops.kick_operator()):
+        ref = solve(ops.grad[i] @ state.h + ops.dirichlet_rhs[i])
+        assert np.abs(B @ state.h + s - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # M_u^{-1} is cell-local: changing one cell's entries of the
+    # right-hand side changes exactly that cell's entries of s_i
     x = rng.standard_normal(dofs.m_u)
-    y = ops.u_mass.solve(x)
     x2 = x.copy()
-    x2[dofs.u_cell_dofs[7]] += 1.0
-    y2 = ops.u_mass.solve(x2)
-    changed = np.nonzero(np.abs(y2 - y) > 1e-14)[0]
-    assert set(changed.tolist()) <= set(dofs.u_cell_dofs[7].tolist())
+    x2[dofs.u_cell_dofs[3]] += 1.0
+    y, y2 = (replace(ops, dirichlet_rhs=(r,) * mesh.dim, _kick=None).kick_operator()[0][1]
+             for r in (x, x2))
+    changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
+    assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
 
 
 def test_semidiscrete_rhs_zero_state(square_36):
@@ -266,7 +298,8 @@ def test_assembly_deterministic(square_36):
     b = assemble(square_36, dofs, bc)
     assert np.array_equal(a.h_mass.data, b.h_mass.data)
     assert np.array_equal(a.grad[0].data, b.grad[0].data)
-    assert np.array_equal(a.u_mass.blocks, b.u_mass.blocks)
+    assert np.array_equal(a.cell_dets[:, None, None] * a.u_mass_ref,
+                          b.cell_dets[:, None, None] * b.u_mass_ref)
 
 
 def test_unknown_marker_rejected(square_150):

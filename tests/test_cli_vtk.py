@@ -220,13 +220,14 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
     ("snapshot_stride = -5", "snapshot_stride must be >= 1")],
     ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg"])
 def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
-    # bad input, not a numerical failure: exit 1 with no snapshot written
+    # bad input, not a numerical failure: exit 1 before the output
+    # directory is created
     cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\n{line}\n")
     out_dir = tmp_path / "out"
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
                 "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not list(out_dir.glob("*.vtk"))
+    assert not out_dir.exists()
 
 
 def test_simulate_rejects_step_count_overflow(tmp_path, capsys):
@@ -256,6 +257,52 @@ def test_mesh_convert_roundtrip(tmp_path):
 def test_mesh_convert_rejects_1d(tmp_path, capsys):
     assert run(["mesh-convert", "--generate", "interval:4",
                 "--out-prefix", str(tmp_path / "i")]) == 1
+
+
+def test_mesh_convert_poly_marker_zero(tmp_path):
+    # a .poly segment with marker 0 reads as marker 1, as in Triangle, so
+    # the mesh can be written back out
+    (tmp_path / "t.node").write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    (tmp_path / "t.ele").write_text("1 3 0\n1 1 2 3\n")
+    (tmp_path / "t.poly").write_text("0 2 0 0\n3 1\n1 1 2 0\n2 2 3 2\n3 3 1 0\n")
+    paths = [str(tmp_path / f"t.{ext}") for ext in ("node", "ele", "poly")]
+    mesh = wf.read_mesh(*paths)
+    assert mesh.boundary_markers.tolist() == [1, 2, 1]
+    prefix = str(tmp_path / "out")
+    assert run(["mesh-convert", "--mesh", *paths, "--out-prefix", prefix]) == 0
+    back = wf.read_mesh(prefix + ".node", prefix + ".ele", prefix + ".edge")
+    for name in ("vertices", "cells", "boundary_facets", "boundary_markers"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--generate", "square:2", "--bc", "foo"],
+    ["spectrum", "--generate", "square:2"],
+    ["spectrum", "--generate", "square:2", "--bc", "neumann", "--count", "x"],
+    ["frobnicate"], []],
+    ids=["bad-choice", "missing-option", "bad-int", "unknown-verb", "no-verb"])
+def test_usage_error_exits_1(capsys, argv):
+    # 2 is the numerical-failure code, so a usage error is an input error
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wavefem") and "error: " in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_spectrum_rejects_negative_count(capsys):
+    # a negative count used to slice off the last eigenvalues and exit 0
+    assert run(["spectrum", "--generate", "square:2", "--bc", "neumann",
+                "--count", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: --count must be >= 0")
 
 
 def test_bad_generate_spec():

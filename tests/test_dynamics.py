@@ -266,16 +266,14 @@ def test_snapshot_callback(square_36):
     bc = wf.BcSpec.all_neumann(square_36)
     seen = []
     config = SimulationConfig(dt=1e-3, n_steps=10, energy_stride=5,
-                              ic_h=gaussian_bump([0.5, 0.5]))
+                              snapshot_stride=5, ic_h=gaussian_bump([0.5, 0.5]))
     simulate(square_36, bc, config,
-             snapshot_callback=lambda step, state: seen.append(step),
-             snapshot_stride=5)
+             snapshot_callback=lambda step, state: seen.append(step))
     assert seen == [0, 5, 10]
     # a stride below 1 would snapshot never (0) or on multiples of |stride|
     for stride in (0, -5):
         with pytest.raises(ConfigurationError, match="snapshot_stride must be >= 1"):
-            simulate(square_36, bc, config,
-                     snapshot_callback=lambda step, state: None, snapshot_stride=stride)
+            SimulationConfig(dt=1e-3, n_steps=10, snapshot_stride=stride)
 
 
 @pytest.mark.parametrize("field,value", [
