@@ -24,7 +24,7 @@ from scipy.spatial import Delaunay
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wavefem.mesh import Mesh, write_tetgen_mesh, write_triangle_mesh
+from wavefem.mesh import Mesh, write_mesh
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "meshes")
 
@@ -137,20 +137,20 @@ def main():
     # 150-triangle unit square: 2D spectra and the time-domain run
     mesh, seed = first_good(lambda s: random_square(5, 66, s), kernel_free=True)
     print(f"square_150 (seed {seed}):", mesh)
-    write_triangle_mesh(mesh, *(os.path.join(OUT_DIR, f"square_150.{e}")
-                                for e in ("node", "ele", "edge")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"square_150.{e}")
+                       for e in ("node", "ele", "edge")))
 
     # ~1500-triangle square: DOF-count trend on an unstructured family
     mesh = random_square(16, 750, seed=3)
     print("square_1500:", mesh)
-    write_triangle_mesh(mesh, *(os.path.join(OUT_DIR, f"square_1500.{e}")
-                                for e in ("node", "ele", "edge")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"square_1500.{e}")
+                       for e in ("node", "ele", "edge")))
 
     # 24-vertex / 36-triangle / 61-edge two-hole mesh (DOF counting)
     mesh, seed = first_good(two_hole_square)
     print(f"square_36 (seed {seed}):", mesh)
-    write_triangle_mesh(mesh, *(os.path.join(OUT_DIR, f"square_36.{e}")
-                                for e in ("node", "ele", "edge")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"square_36.{e}")
+                       for e in ("node", "ele", "edge")))
 
     # 44-tet / 26-vertex / 93-edge surface-only cube: coarse end of the
     # spurious-mode study (Dirichlet kernel expected)
@@ -160,24 +160,24 @@ def main():
     if (mesh.n_cells, mesh.n_vertices, mesh.n_edges) != (44, 26, 93):
         raise SystemExit("cube_44 counts drifted; rerun the seed search")
     print(f"cube_44 (seed {seed}):", mesh)
-    write_tetgen_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_44.{e}")
-                              for e in ("node", "ele", "face")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_44.{e}")
+                       for e in ("node", "ele", "face")))
 
     # ~180-tet cube, strong jitter: middle of the spurious-mode study
     mesh, seed = first_good(
         lambda s: delaunay_mesh_3d(cube_points(3, s, jitter=0.25)),
         kernel_free=False)
     print(f"cube_200 (seed {seed}):", mesh)
-    write_tetgen_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_200.{e}")
-                              for e in ("node", "ele", "face")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_200.{e}")
+                       for e in ("node", "ele", "face")))
 
     # ~430-tet cube, moderate jitter: clean 3D spectra
     mesh, seed = first_good(
         lambda s: delaunay_mesh_3d(cube_points(4, s, jitter=0.2)),
         kernel_free=True)
     print(f"cube_400 (seed {seed}):", mesh)
-    write_tetgen_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_400.{e}")
-                              for e in ("node", "ele", "face")))
+    write_mesh(mesh, *(os.path.join(OUT_DIR, f"cube_400.{e}")
+                       for e in ("node", "ele", "face")))
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
                    generate_interval_mesh, generate_square_mesh, read_mesh,
-                   write_tetgen_mesh, write_triangle_mesh)
-from .elements import (DofMap, QuadratureRule, ReferenceElement,
-                       build_dof_maps, quadrature, reference_element)
+                   write_mesh)
+from .elements import (DofMap, QuadratureRule, build_dof_maps, p2_basis,
+                       quadrature)
 from .assembly import AssembledOperators, assemble
 from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                        laplacian_spectrum, max_eigenvalue,

@@ -13,6 +13,10 @@ Assembles, with quadrature exact for every integrand:
   and the per-cell blocks are kept for element-by-element bounds,
 * the boundary data vectors entering the two semi-discrete equations.
 
+On a cell the P1_DG basis is the barycentric coordinates, so its values
+at a quadrature point are the point's barycentric coordinates; only the
+P2 basis is tabulated (``elements.p2_basis``).
+
 The semi-discrete system reads, per velocity component i:
 
     d/dt (u_mass u_i) = -grad_i h - dirichlet_rhs_i
@@ -50,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import DofMap, P1_DG, P2_CG, quadrature, reference_element, tabulate
+from .elements import DofMap, p2_basis, quadrature
 from .mesh import CELL_FACETS, BcSpec, Mesh
 
 __all__ = [
@@ -145,11 +149,8 @@ def _facet_rule(d: int):
     weights summing to 1 so that scaling by a facet's measure integrates
     over it.
     """
-    if d == 1:
-        points, weights = np.ones((1, 1)), np.ones(1)
-    else:
-        rule = quadrature(d - 1, QUAD_DEGREE)
-        points, weights = rule.points, rule.weights / rule.weights.sum()
+    rule = quadrature(d - 1, QUAD_DEGREE)
+    points, weights = rule.points, rule.weights / rule.weights.sum()
     lam = np.zeros((d + 1, len(weights), d + 1))
     for j, corners in enumerate(CELL_FACETS[d]):
         lam[j][:, corners] = points
@@ -194,11 +195,9 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
                          "assigned to either condition")
 
     d = mesh.dim
-    p1 = reference_element(d, P1_DG)
-    p2 = reference_element(d, P2_CG)
     rule = quadrature(d, QUAD_DEGREE)
-    v1, _ = tabulate(p1, rule.points)
-    v2, g2 = tabulate(p2, rule.points)
+    v1 = rule.points  # P1_DG values (module docstring)
+    v2, g2 = p2_basis(rule.points)
 
     Jinv, det = _cell_jacobians(mesh)
 
@@ -214,17 +213,16 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     m_u, m_h = dofs.m_u, dofs.m_h
     hd = dofs.h_cell_dofs
     ud = dofs.u_cell_dofs
-    n1, n2 = p1.n_local, p2.n_local
 
     h_mass = _scatter(hd, hd, det[:, None, None] * mh_ref, (m_h, m_h))
 
     # Boundary facets, all at once: each facet's quadrature points are the
     # embedded rule of its local facet, so the owner-cell bases come from
-    # one tabulation of the d+1 embedded rules.
+    # the d+1 embedded rules: their barycentric points are the P1_DG
+    # values, and one P2 tabulation gives the rest.
     lam, fw = _facet_rule(d)
     nq = len(fw)
-    fv1 = tabulate(p1, lam.reshape(-1, d + 1))[0].reshape(d + 1, nq, n1)
-    fv2 = tabulate(p2, lam.reshape(-1, d + 1))[0].reshape(d + 1, nq, n2)
+    fv2 = p2_basis(lam.reshape(-1, d + 1))[0].reshape(d + 1, nq, -1)
     cell, lf = mesh.boundary_cells, mesh.boundary_local_facets
     w = mesh.boundary_measures[:, None] * fw                            # (B, nq)
     pts = np.einsum("bqk,bkx->bqx", lam[lf], mesh.cell_coords[cell])    # (B, nq, d)
@@ -248,8 +246,8 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     weak = dirichlet & ~strong
     cD, lfD, wD = cell[weak], lf[weak], w[weak]
     nD = mesh.boundary_normals[weak]
-    blocks = np.einsum("bq,bqa,bqc->bac", wD, fv1[lfD], fv2[lfD])
-    gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), fv1[lfD])
+    blocks = np.einsum("bq,bqa,bqc->bac", wD, lam[lfD], fv2[lfD])
+    gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), lam[lfD])
     dirichlet_rhs = tuple(_accumulate(ud[cD], nD[:, i, None] * gvec, m_u) for i in range(d))
 
     np.add.at(grad_cells, cD, -blocks[..., None] * nD[:, None, None, :])

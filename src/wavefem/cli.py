@@ -5,7 +5,8 @@ command that writes outputs also writes a JSON run manifest next to them
 so a run can be reproduced. The ``simulate`` manifest also records
 ``dt_check``: the path the dt check took (``cell_bound``, ``exact`` or
 ``forced``), the limit it used and the cell-bound limit. Exit codes: 0
-success, 1 input or usage error, 2 numerical failure, 3 invariant violation.
+success, 1 input, usage or output-path error, 2 numerical failure, 3
+invariant violation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import assembly, dispersion, dynamics, spectral, vtk_io
 from .elements import build_dof_maps
 from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
                    generate_interval_mesh, generate_square_mesh, read_mesh,
-                   write_tetgen_mesh, write_triangle_mesh)
+                   write_mesh)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,6 +67,13 @@ def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
     raise dynamics.ConfigurationError(f"unknown bc {kind!r}")
 
 
+def _check_output_dir(path):
+    """Reject an output path whose directory does not exist, before the
+    command spends any work."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"output directory of {path!r} does not exist")
+
+
 def _write_manifest(path, command, parameters, outputs, started, **fields):
     manifest = {
         "command": command,
@@ -84,6 +92,7 @@ def _write_manifest(path, command, parameters, outputs, started, **fields):
 
 def cmd_dof_report(args) -> int:
     started = time.monotonic()
+    _check_output_dir(args.out)
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     rows = [
@@ -113,6 +122,7 @@ def cmd_spectrum(args) -> int:
     started = time.monotonic()
     if args.count < 0:
         raise dynamics.ConfigurationError(f"--count must be >= 0, got {args.count}")
+    _check_output_dir(args.out)
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     bc = _bc_for(mesh, args.bc)
@@ -146,6 +156,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_dispersion(args) -> int:
     started = time.monotonic()
+    _check_output_dir(args.out)
     samples, summary = dispersion.dispersion_sweep(args.samples)
     print(f"samples: {len(samples)}")
     print(f"max lower-branch frequency: {summary.max_w_lower:.6f}")
@@ -286,16 +297,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_mesh_convert(args) -> int:
     started = time.monotonic()
-    mesh, source = _load_mesh(args)
     prefix = args.out_prefix
-    if mesh.dim == 2:
-        paths = [prefix + ".node", prefix + ".ele", prefix + ".edge"]
-        write_triangle_mesh(mesh, *paths)
-    elif mesh.dim == 3:
-        paths = [prefix + ".node", prefix + ".ele", prefix + ".face"]
-        write_tetgen_mesh(mesh, *paths)
-    else:
-        raise MeshFormatError("no on-disk format for 1D meshes")
+    _check_output_dir(prefix)
+    mesh, source = _load_mesh(args)
+    paths = [prefix + ext for ext in (".node", ".ele", ".edge" if mesh.dim == 2 else ".face")]
+    write_mesh(mesh, *paths)
     for p in paths:
         print(f"wrote {p}")
     _write_manifest(prefix + ".manifest.json", "mesh-convert",
@@ -374,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MeshFormatError, dynamics.ConfigurationError, FileNotFoundError,
+    except (MeshFormatError, dynamics.ConfigurationError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,11 +1,14 @@
-"""Reference-element bases, simplex quadrature, and DOF maps.
+"""The P1_DG-P2 element pair on simplices, simplex quadrature, and DOF maps.
 
-Two Lagrange families are provided on the reference simplex: discontinuous
-piecewise linears for the velocity components (one independent copy per
-cell) and continuous piecewise quadratics for the scalar field (DOFs at
-vertices and edge midpoints). Quadrature rules are conical-product Gauss
-rules, exact for all polynomial integrands up to the requested total
-degree.
+The velocity components are discontinuous piecewise linears (one
+independent copy per cell) whose basis on a cell is its barycentric
+coordinates, so assembly uses the barycentric quadrature points
+themselves as the P1_DG basis values. The scalar field is continuous
+piecewise quadratic, with DOFs at vertices and edge midpoints;
+``p2_basis`` tabulates it. Since grad P2 lies in P1_DG^d, the pair's
+discrete gradient is exact. Quadrature rules are collapsed-coordinate
+Gauss-Jacobi products (Stroud 1971), exact for all polynomial integrands
+up to the requested total degree.
 """
 
 from __future__ import annotations
@@ -13,129 +16,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 from .mesh import CELL_EDGES, Mesh
 
 __all__ = [
-    "ReferenceElement",
     "QuadratureRule",
     "DofMap",
-    "reference_element",
-    "tabulate",
+    "p2_basis",
     "quadrature",
     "build_dof_maps",
     "h_dof_coords",
 ]
 
-P1_DG = "p1_dg"
-P2_CG = "p2_cg"
 
-# Gradients of the barycentric coordinates w.r.t. reference coordinates.
-_BARY_GRADS = {d: np.vstack([-np.ones((1, d)), np.eye(d)]) for d in (1, 2, 3)}
-
-
-@dataclass(frozen=True)
-class ReferenceElement:
-    dim: int
-    family: str
-    n_local: int
-    node_coords: np.ndarray  # barycentric coordinates of the local nodes
-
-
-def reference_element(dim: int, family: str) -> ReferenceElement:
-    if dim not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension {dim}")
-    nv = dim + 1
-    if family == P1_DG:
-        nodes = np.eye(nv)
-        return ReferenceElement(dim, family, nv, nodes)
-    if family == P2_CG:
-        nodes = [np.eye(nv)[i] for i in range(nv)]
-        for a, b in CELL_EDGES[dim]:
-            nodes.append((np.eye(nv)[a] + np.eye(nv)[b]) / 2.0)
-        return ReferenceElement(dim, family, nv * (nv + 1) // 2, np.array(nodes))
-    raise ValueError(f"unknown element family {family!r}")
-
-
-def tabulate(element: ReferenceElement, points: np.ndarray):
-    """Basis values and reference-coordinate gradients at barycentric points.
-
-    Returns arrays of shape (n_points, n_local) and (n_points, n_local, dim).
+def p2_basis(points):
+    """P2 basis values and reference-coordinate gradients at barycentric
+    points, vertex functions first, then edge functions in ``CELL_EDGES``
+    order. Returns arrays of shape (n_points, n2) and (n_points, n2, dim).
     """
     lam = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(lam)
-    d = element.dim
-    G = _BARY_GRADS[d]
-    nv = d + 1
-    if element.family == P1_DG:
-        vals = lam.copy()
-        grads = np.broadcast_to(G, (n, nv, d)).copy()
-        return vals, grads
-    vals = np.empty((n, element.n_local))
-    grads = np.empty((n, element.n_local, d))
-    vals[:, :nv] = lam * (2.0 * lam - 1.0)
-    for i in range(nv):
-        grads[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * G[i]
-    for k, (a, b) in enumerate(CELL_EDGES[d]):
-        vals[:, nv + k] = 4.0 * lam[:, a] * lam[:, b]
-        grads[:, nv + k, :] = 4.0 * (lam[:, a, None] * G[b] + lam[:, b, None] * G[a])
+    d = lam.shape[1] - 1
+    # gradients of the barycentric coordinates w.r.t. reference coordinates
+    G = np.vstack([-np.ones((1, d)), np.eye(d)])
+    a, b = np.array(CELL_EDGES[d]).T
+    vals = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, a] * lam[:, b]])
+    grads = np.concatenate([(4.0 * lam - 1.0)[:, :, None] * G,
+                            4.0 * (lam[:, a, None] * G[b] + lam[:, b, None] * G[a])], axis=1)
     return vals, grads
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    dim: int
-    degree: int
     points: np.ndarray   # barycentric, shape (n, dim+1)
     weights: np.ndarray  # sum to the reference-simplex measure 1/dim!
 
 
-def _gauss01(n):
-    x, w = leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def _jacobi01(n, alpha):
-    # nodes/weights for weight (1-u)^alpha on [0, 1]
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return (x + 1.0) / 2.0, w * 0.5 ** (alpha + 1)
-
-
 def quadrature(dim: int, degree: int) -> QuadratureRule:
-    """Conical-product Gauss rule on the reference simplex.
+    """Collapsed-coordinate Gauss rule on the reference simplex.
 
     Exact for every polynomial of total degree <= ``degree``. Degrees up
-    to 6 are supported in dimensions 1 to 3 (degree 4 is the highest any
-    assembled integrand needs).
+    to 6 are supported in dimensions 0 to 3 (degree 4 is the highest any
+    assembled integrand needs). Dimension 0 is the single point of
+    weight 1. A dim-simplex is swept by x_1 = u in [0, 1] and the
+    (dim - 1)-simplex scaled by 1 - u, so the rule is a Gauss-Jacobi rule
+    in u for the weight (1 - u)^(dim - 1) times the (dim - 1) rule, whose
+    barycentric points are scaled by 1 - u with u inserted as x_1.
     """
-    if dim not in (1, 2, 3) or not 1 <= degree <= 6:
+    if not 0 <= dim <= 3 or not 1 <= degree <= 6:
         raise ValueError(f"unsupported quadrature request dim={dim} degree={degree}")
-    n = (degree + 2) // 2
-    if dim == 1:
-        x, w = _gauss01(n)
-        pts = np.column_stack([1.0 - x, x])
-        return QuadratureRule(dim, degree, pts, w)
-    if dim == 2:
-        u, wu = _jacobi01(n, 1)
-        v, wv = _gauss01(n)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        x = U.ravel()
-        y = (V * (1.0 - U)).ravel()
-        w = np.outer(wu, wv).ravel()
-        pts = np.column_stack([1.0 - x - y, x, y])
-        return QuadratureRule(dim, degree, pts, w)
-    u, wu = _jacobi01(n, 2)
-    v, wv = _jacobi01(n, 1)
-    t, wt = _gauss01(n)
-    U, V, T = np.meshgrid(u, v, t, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    z = (T * (1.0 - U) * (1.0 - V)).ravel()
-    w = (wu[:, None, None] * wv[None, :, None] * wt[None, None, :]).ravel()
-    pts = np.column_stack([1.0 - x - y - z, x, y, z])
-    return QuadratureRule(dim, degree, pts, w)
+    if dim == 0:
+        return QuadratureRule(np.ones((1, 1)), np.ones(1))
+    base = quadrature(dim - 1, degree)
+    x, w = roots_jacobi((degree + 2) // 2, dim - 1, 0.0)
+    u, wu = (x + 1.0) / 2.0, w * 0.5 ** dim
+    scaled = ((1.0 - u)[:, None, None] * base.points).reshape(-1, dim)
+    points = np.insert(scaled, 1, np.repeat(u, len(base.weights)), axis=1)
+    return QuadratureRule(points, np.outer(wu, base.weights).ravel())
 
 
 @dataclass(frozen=True)
@@ -147,9 +84,6 @@ class DofMap:
     order (per-cell midpoints in 1D).
     """
 
-    dim: int
-    n_cells: int
-    n_vertices: int
     u_cell_dofs: np.ndarray  # (C, dim+1)
     h_cell_dofs: np.ndarray  # (C, local P2 size)
     m_u: int
@@ -171,8 +105,7 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         m_h = mesh.n_vertices + mesh.n_edges
     for arr in (u_map, h_map):
         arr.setflags(write=False)
-    return DofMap(d, n_cells, mesh.n_vertices, u_map, h_map,
-                  m_u=n_cells * nv, m_h=m_h)
+    return DofMap(u_map, h_map, m_u=n_cells * nv, m_h=m_h)
 
 
 def h_dof_coords(mesh: Mesh, dofs: DofMap) -> np.ndarray:

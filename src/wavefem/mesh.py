@@ -9,7 +9,8 @@ File I/O covers the Triangle (.node/.ele/.edge/.poly) and TetGen
 (.node/.ele/.face) ASCII formats, both reading and writing. One reader,
 ``read_mesh``, serves both: the .node header gives the dimension, and
 every data row must have exactly the width its file header declares.
-Of a .poly file only the segments are read.
+Of a .poly file only the segments are read. One writer, ``write_mesh``,
+writes both, picking the format by the mesh dimension.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ __all__ = [
     "generate_square_mesh",
     "generate_cube_mesh",
     "read_mesh",
-    "write_triangle_mesh",
-    "write_tetgen_mesh",
+    "write_mesh",
 ]
 
 
@@ -559,10 +559,16 @@ def _format_rows(line: str, table: np.ndarray) -> str:
     return (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def _write_mesh_files(mesh, node_path, ele_path, facet_path):
+def write_mesh(mesh: Mesh, node_path, ele_path, facet_path=None):
+    """Write a mesh with 1-based indices, the dual of ``read_mesh``: a 2D
+    mesh as Triangle .node/.ele/.edge files, a 3D mesh as TetGen
+    .node/.ele/.face files (the row layouts coincide). The facet file,
+    if given, lists the boundary facets with their markers."""
+    d = mesh.dim
+    if d == 1:
+        raise ValueError("no on-disk format for 1D meshes")
     if (mesh.boundary_markers == 0).any():
         raise ValueError("marker 0 is reserved for interior facets")
-    d = mesh.dim
     ints = " ".join(["%d"] * (d + 2)) + "\n"
     facets = np.column_stack([mesh.boundary_facets + 1, mesh.boundary_markers])
     files = [(node_path, f"{mesh.n_vertices} {d} 0 0\n", "%d" + " %r" * d + "\n", mesh.vertices),
@@ -575,17 +581,3 @@ def _write_mesh_files(mesh, node_path, ele_path, facet_path):
             numbered = np.column_stack([np.arange(1, len(table) + 1), table])
             with open(path, "w") as fh:
                 fh.write(header + _format_rows(line, numbered))
-
-
-def write_triangle_mesh(mesh: Mesh, node_path, ele_path, edge_path=None):
-    """Write a 2D mesh in Triangle format with 1-based indices."""
-    if mesh.dim != 2:
-        raise ValueError("Triangle format is 2D only")
-    _write_mesh_files(mesh, node_path, ele_path, edge_path)
-
-
-def write_tetgen_mesh(mesh: Mesh, node_path, ele_path, face_path=None):
-    """Write a 3D mesh in TetGen format with 1-based indices."""
-    if mesh.dim != 3:
-        raise ValueError("TetGen format is 3D only")
-    _write_mesh_files(mesh, node_path, ele_path, face_path)

@@ -36,6 +36,20 @@ with d Dirichlet facets. Such a cell with p private DOFs carries p - 1
 of them: the two corner cells of ``square:N`` have 3 each (the corner
 vertex and two boundary midpoints), which gives 4 modes.
 
+In DG terms: with F_i the weak Dirichlet facet block of grad_i,
+
+    A = S - (B + B^T) + L,   B[b, c] = int_{Gamma_D} dn(phi_b) phi_c,
+                             L = sum_i F_i^T u_mass^{-1} F_i.
+
+This is a Bassi-Rebay-type DG form whose lifting penalty ||r(h)||^2 onto
+P1_DG has coefficient 1, a form that is not coercive in general (Arnold,
+Brezzi, Cockburn and Marini, SIAM J. Numer. Anal. 39, 2002). On every
+null vector v, v^T S v = v^T B v = v^T L v to rounding, on ``square:N``,
+``square_36``, ``cube_44`` and ``cube_200``: the discrete gradient
+u_mass^{-1} grad_i v vanishes, so the lifting r(v) equals grad v, and the
+boundary term and the penalty each equal ||grad v||^2 and cancel the
+stiffness exactly.
+
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
 steps.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
+from wavefem import assembly, cli, dispersion
 from wavefem.cli import main
 from wavefem.vtk_io import write_vtk, write_vtk_exploded
 
@@ -243,6 +244,34 @@ def test_simulate_bad_config_key(tmp_path):
                 "--out-dir", str(tmp_path / "o")]) == 1
 
 
+def test_simulate_out_dir_is_a_file(tmp_path, capsys):
+    # an OS error on an output path is an input error, not a traceback
+    cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.02\n")
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--generate", "square:2", "--bc", "dirichlet", "--out"],
+    ["dof-report", "--generate", "square:2", "--out"],
+    ["dispersion", "--samples", "4", "--out"],
+    ["mesh-convert", "--generate", "square:2", "--out-prefix"]],
+    ids=["spectrum", "dof-report", "dispersion", "mesh-convert"])
+def test_missing_output_directory_rejected_before_work(tmp_path, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(assembly, "assemble", never)
+    monkeypatch.setattr(cli, "_load_mesh", never)
+    monkeypatch.setattr(dispersion, "dispersion_sweep", never)
+    assert run(argv + [str(tmp_path / "nodir" / "x")]) == 1
+    assert "nodir" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_mesh_convert_roundtrip(tmp_path):
     prefix = str(tmp_path / "cube")
     assert run(["mesh-convert", "--generate", "cube:1",
@@ -257,6 +286,8 @@ def test_mesh_convert_roundtrip(tmp_path):
 def test_mesh_convert_rejects_1d(tmp_path, capsys):
     assert run(["mesh-convert", "--generate", "interval:4",
                 "--out-prefix", str(tmp_path / "i")]) == 1
+    assert "1D" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_mesh_convert_poly_marker_zero(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.elements import (P1_DG, P2_CG, build_dof_maps, h_dof_coords,
-                              quadrature, reference_element, tabulate)
+from wavefem.elements import build_dof_maps, h_dof_coords, p2_basis, quadrature
+from wavefem.mesh import CELL_EDGES
 
 
 def random_interior_points(dim, n, rng):
@@ -14,35 +14,32 @@ def random_interior_points(dim, n, rng):
     return x
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("family", [P1_DG, P2_CG])
-def test_partition_of_unity_and_gradient_sum(dim, family):
-    elem = reference_element(dim, family)
+def p2_nodes(dim):
+    """Barycentric P2 nodes: the vertices, then the edge midpoints in
+    ``CELL_EDGES`` order."""
+    eye = np.eye(dim + 1)
+    return np.vstack([eye] + [(eye[a] + eye[b]) / 2.0 for a, b in CELL_EDGES[dim]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=lambda d: f"p2_cg-{d}")
+def test_partition_of_unity_and_gradient_sum(dim):
     rng = np.random.default_rng(42 + dim)
     pts = random_interior_points(dim, 50, rng)
-    vals, grads = tabulate(elem, pts)
+    vals, grads = p2_basis(pts)
     assert np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-13
     assert np.abs(grads.sum(axis=1)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("family", [P1_DG, P2_CG])
-def test_kronecker_at_nodes(dim, family):
-    elem = reference_element(dim, family)
-    vals, _ = tabulate(elem, elem.node_coords)
-    assert np.abs(vals - np.eye(elem.n_local)).max() <= 1e-13
+@pytest.mark.parametrize("dim", [1, 2, 3], ids=lambda d: f"p2_cg-{d}")
+def test_kronecker_at_nodes(dim):
+    nodes = p2_nodes(dim)
+    vals, _ = p2_basis(nodes)
+    assert np.abs(vals - np.eye(len(nodes))).max() <= 1e-13
 
 
 def test_p2_vertex_values():
-    elem = reference_element(2, P2_CG)
-    vals, _ = tabulate(elem, (1.0, 0.0, 0.0))
+    vals, _ = p2_basis((1.0, 0.0, 0.0))
     assert np.allclose(vals[0], [1, 0, 0, 0, 0, 0], atol=1e-14)
-
-
-def test_p1_interval_midpoint():
-    elem = reference_element(1, P1_DG)
-    vals, _ = tabulate(elem, (0.5, 0.5))
-    assert np.allclose(vals[0], [0.5, 0.5])
 
 
 def simplex_monomial_integral(exponents):
@@ -68,6 +65,8 @@ def test_quadrature_exactness(dim, degree):
 
 
 def test_quadrature_weight_sums():
+    point = quadrature(0, 4)
+    assert point.points.tolist() == [[1.0]] and point.weights.tolist() == [1.0]
     assert abs(quadrature(2, 1).weights.sum() - 0.5) <= 1e-15
     assert abs(quadrature(3, 1).weights.sum() - 1.0 / 6.0) <= 1e-16
 
@@ -84,6 +83,8 @@ def test_quadrature_unsupported():
         quadrature(2, 7)
     with pytest.raises(ValueError):
         quadrature(4, 2)
+    with pytest.raises(ValueError):
+        quadrature(-1, 2)
 
 
 def dof_counts(mesh):

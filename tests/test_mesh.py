@@ -284,7 +284,7 @@ def test_boundary_owners_and_normals():
 def test_roundtrip_square(tmp_path):
     mesh = wf.generate_square_mesh(2)
     paths = [str(tmp_path / f"m.{ext}") for ext in ("node", "ele", "edge")]
-    wf.write_triangle_mesh(mesh, *paths)
+    wf.write_mesh(mesh, *paths)
     back = wf.read_mesh(*paths)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.cells, mesh.cells)
@@ -295,7 +295,7 @@ def test_roundtrip_square(tmp_path):
 def test_roundtrip_cube(tmp_path):
     mesh = wf.generate_cube_mesh(1)
     paths = [str(tmp_path / f"m.{ext}") for ext in ("node", "ele", "face")]
-    wf.write_tetgen_mesh(mesh, *paths)
+    wf.write_mesh(mesh, *paths)
     back = wf.read_mesh(*paths)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.cells, mesh.cells)
@@ -325,13 +325,12 @@ def test_bcspec_disjoint():
 @pytest.mark.parametrize("name", ["square_36", "square_150", "square_1500",
                                   "cube_44", "cube_200", "cube_400"])
 def test_writers_reproduce_fixture_files(tmp_path, name):
-    # the committed fixtures were written by these writers; reading one
+    # the committed fixtures were written by write_mesh; reading one
     # and writing it again gives the same bytes
     exts = ("node", "ele", "edge") if name.startswith("square") else ("node", "ele", "face")
-    writer = wf.write_triangle_mesh if name.startswith("square") else wf.write_tetgen_mesh
     mesh = wf.read_mesh(*(mesh_path(f"{name}.{ext}") for ext in exts))
     paths = [tmp_path / f"m.{ext}" for ext in exts]
-    writer(mesh, *map(str, paths))
+    wf.write_mesh(mesh, *map(str, paths))
     for ext, path in zip(exts, paths):
         with open(mesh_path(f"{name}.{ext}"), "rb") as fh:
             assert path.read_bytes() == fh.read(), ext

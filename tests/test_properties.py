@@ -98,10 +98,9 @@ def test_gradient_adjoint_to_divergence(kind, n, bc_kind, seed):
 def _valid_files(kind):
     mesh = wf.generate_square_mesh(2) if kind == "triangle" else wf.generate_cube_mesh(1)
     exts = ("node", "ele", "edge") if kind == "triangle" else ("node", "ele", "face")
-    writer = wf.write_triangle_mesh if kind == "triangle" else wf.write_tetgen_mesh
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"m.{ext}") for ext in exts]
-        writer(mesh, *paths)
+        wf.write_mesh(mesh, *paths)
         return mesh, {ext: open(path).read() for ext, path in zip(exts, paths)}
 
 

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 import wavefem as wf
 from wavefem import spectral
-from wavefem.elements import P2_CG, quadrature, reference_element, tabulate
+from wavefem.elements import p2_basis, quadrature
 from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                               laplacian_spectrum, max_eigenvalue,
                               null_space_dimension, spectrum_to_csv,
@@ -203,7 +203,7 @@ def p2_stiffness(mesh, dofs):
     tabulated P2 gradients and a degree-2 rule; no velocity space."""
     d = mesh.dim
     rule = quadrature(d, 2)
-    _, g2 = tabulate(reference_element(d, P2_CG), rule.points)
+    _, g2 = p2_basis(rule.points)
     X = mesh.cell_coords
     J = np.transpose(X[:, 1:, :] - X[:, :1, :], (0, 2, 1))
     grads = np.einsum("qak,cki->cqai", g2, np.linalg.inv(J))
@@ -246,6 +246,54 @@ def test_laplacian_is_p2_stiffness(name):
     owners = np.unique(dofs.h_cell_dofs[mesh.boundary_cells])
     assert len(rows) > 0
     assert np.isin(rows, owners).all()
+
+
+def boundary_flux(mesh, dofs):
+    """B[b, c] = integral over the boundary of dn(phi_b) phi_c, dense, by a
+    degree-4 facet rule mapped onto each facet and pulled back into its
+    owner cell."""
+    rule = quadrature(mesh.dim - 1, 4)
+    B = np.zeros((dofs.m_h, dofs.m_h))
+    for facet, cell, normal, measure in zip(mesh.boundary_facets, mesh.boundary_cells,
+                                            mesh.boundary_normals, mesh.boundary_measures):
+        X = mesh.cell_coords[cell]
+        J = (X[1:] - X[0]).T
+        xi = np.linalg.solve(J, (rule.points @ mesh.vertices[facet] - X[0]).T).T
+        vals, grads = p2_basis(np.column_stack([1.0 - xi.sum(axis=1), xi]))
+        dn = grads @ np.linalg.inv(J) @ normal
+        w = rule.weights * measure / rule.weights.sum()
+        hd = dofs.h_cell_dofs[cell]
+        B[np.ix_(hd, hd)] += np.einsum("q,qb,qc->bc", w, dn, vals)
+    return B
+
+
+@pytest.mark.parametrize("name", ["square:4", "square_36", "cube_44", "cube:2"])
+def test_dirichlet_laplacian_is_stiffness_minus_flux_plus_lifting(name):
+    # grad_i = V_i - F_i with V_i the volume gradient and F_i the weak
+    # Dirichlet facet block, and M_u^{-1} V_i h the exact gradient of h,
+    # so A = K - (B + B^T) + L with L = sum_i F_i^T M_u^{-1} F_i
+    mesh = {"square:4": lambda: wf.generate_square_mesh(4),
+            "square_36": lambda: load_square("square_36"),
+            "cube_44": lambda: load_cube("cube_44"),
+            "cube:2": lambda: wf.generate_cube_mesh(2)}[name]()
+    dofs = wf.build_dof_maps(mesh)
+    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh))
+    volume = wf.assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh)).grad
+    n_cells, n1 = dofs.u_cell_dofs.shape
+    u_inv = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None]
+    L = np.zeros((dofs.m_h, dofs.m_h))
+    for V, G in zip(volume, ops.grad):
+        F = (V - G).toarray().reshape(n_cells, n1, dofs.m_h)
+        L += np.einsum("cak,cab,cbl->kl", F, u_inv, F)
+    K, B = p2_stiffness(mesh, dofs), boundary_flux(mesh, dofs)
+    A = laplacian_pencil(ops)[0].toarray()
+    assert np.linalg.norm(A - (K - B - B.T + L)) <= 1e-13 * np.linalg.norm(K)
+
+    # on each null vector v the three forms agree (spectral docstring)
+    spec = laplacian_spectrum(ops, compute_vectors=True)
+    for v in spec.eigenvectors[:, spec.eigenvalues < spec.null_threshold].T:
+        k = v @ K @ v
+        assert abs(v @ B @ v - k) <= 1e-12 * k and abs(v @ L @ v - k) <= 1e-12 * k
 
 
 def test_max_eigenvalue_grows_under_refinement():
