@@ -122,23 +122,10 @@ class AssembledOperators:
         return self._kick
 
     def h_mass_solver(self):
-        """Cached LU solve of the free block of the scalar mass matrix. The
-        matrix is symmetric positive definite, so the LU takes a symmetric
-        fill-reducing ordering and the diagonal pivots."""
+        """Cached solve with the free block of the scalar mass (``_factor``)."""
         if self._h_factor is None:
-            self._h_factor = spla.splu(
-                self.free_block(self.h_mass).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
+            self._h_factor = _factor(self.free_block(self.h_mass))
         return self._h_factor
-
-
-def _cell_jacobians(mesh: Mesh):
-    """Batched inverse Jacobians and volume scale factors of the affine maps."""
-    X = mesh.cell_coords
-    J = np.transpose(X[:, 1:, :] - X[:, :1, :], (0, 2, 1))
-    det = mesh.cell_measures * factorial(mesh.dim)
-    Jinv = np.linalg.inv(J)
-    return Jinv, det
 
 
 def _facet_rule(d: int):
@@ -173,6 +160,15 @@ def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
     return mat
 
 
+def _factor(mat):
+    """Solve function of a sparse symmetric definite matrix: the scalar mass,
+    or a shifted pencil A - sigma M of ``spectral``. Elimination needs no
+    pivoting on it, so SuperLU takes a symmetric ordering (MMD on A + A^T)
+    and the diagonal pivots."""
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve
+
+
 def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """Sum ``values`` at ``index`` into a float vector of ``length``; the cast
     covers an empty ``index``, for which ``np.bincount`` returns integers."""
@@ -199,7 +195,10 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     v1 = rule.points  # P1_DG values (module docstring)
     v2, g2 = p2_basis(rule.points)
 
-    Jinv, det = _cell_jacobians(mesh)
+    # Inverse Jacobians and volume scale factors of the affine maps.
+    X = mesh.cell_coords
+    Jinv = np.linalg.inv(np.transpose(X[:, 1:, :] - X[:, :1, :], (0, 2, 1)))
+    det = mesh.cell_measures * factorial(d)
 
     # Affine cells: both mass matrices are the reference ones scaled by det.
     mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)

@@ -67,11 +67,14 @@ def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
     raise dynamics.ConfigurationError(f"unknown bc {kind!r}")
 
 
-def _check_output_dir(path):
-    """Reject an output path whose directory does not exist, before the
-    command spends any work."""
+def _check_output_dir(path, prefix=False):
+    """Reject, before the command spends any work, an output path whose
+    directory does not exist or, unless it is a file-name prefix, that is
+    a directory."""
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"output directory of {path!r} does not exist")
+    if path is not None and not prefix and os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
 def _write_manifest(path, command, parameters, outputs, started, **fields):
@@ -298,7 +301,7 @@ def cmd_simulate(args) -> int:
 def cmd_mesh_convert(args) -> int:
     started = time.monotonic()
     prefix = args.out_prefix
-    _check_output_dir(prefix)
+    _check_output_dir(prefix, prefix=True)
     mesh, source = _load_mesh(args)
     paths = [prefix + ext for ext in (".node", ".ele", ".edge" if mesh.dim == 2 else ".face")]
     write_mesh(mesh, *paths)

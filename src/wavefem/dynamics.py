@@ -11,8 +11,8 @@ its error is then no stability signal.
 
 Each half-kick is one sparse product with the cached kick operator
 B_i = u_mass^{-1} grad_i, exact since cell K's block of u_mass is
-det_K * u_mass_ref; the scalar mass matrix is LU-factorized once and
-reused across steps.
+det_K * u_mass_ref; the scalar mass matrix is factorized once
+(``assembly._factor``) and reused across steps.
 
 The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
 checks a requested dt in two stages. The element-by-element bound
@@ -20,7 +20,11 @@ checks a requested dt in two stages. The element-by-element bound
 eigenproblem and certifies every dt up to its limit. Only a larger dt
 pays for the exact lambda_max (``stable_dt_estimate``), which then
 accepts or rejects it. The bound is loose on sliver cells, so it never
-rejects a dt by itself.
+rejects a dt by itself. Above ``spectral.DENSE_CUTOFF`` DOFs the exact
+lambda_max is shift-invert Lanczos at the cell bound: A - sigma M is then
+negative definite and factors like the mass, and the Ritz vector's
+Rayleigh quotient keeps the digits that the Ritz value loses when sigma
+is far above lambda_max (``spectral`` module docstring).
 """
 
 from __future__ import annotations
@@ -130,8 +134,9 @@ def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> floa
     c*sqrt(lambda_max); the leapfrog kernel is stable while that
     oscillation is resolved with dt * frequency <= 2. The limit is exact:
     lambda_max is ``spectral.max_eigenvalue``, a dense solve up to
-    ``spectral.DENSE_CUTOFF`` scalar DOFs and ARPACK above it.
-    ``simulate`` calls it only for a dt the cell bound cannot certify.
+    ``spectral.DENSE_CUTOFF`` scalar DOFs and shift-invert at the cell
+    bound above it (module docstring). ``simulate`` calls it only for a
+    dt the cell bound cannot certify.
     """
     return 2.0 / (wave_speed * np.sqrt(max_eigenvalue(ops)))
 

@@ -52,7 +52,18 @@ stiffness exactly.
 
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
-steps.
+steps. Above ``DENSE_CUTOFF`` free DOFs both ends of the spectrum come
+from shift-invert Lanczos (ARPACK), which finds the eigenvalues nearest
+a shift sigma: the lowest at a small sigma < 0, where A - sigma M is
+positive definite despite the Neumann null space, and lambda_max at
+sigma = (1 + 1e-3) times the cell bound, where A - sigma M is negative
+definite (Ericsson and Ruhe, Math. Comp. 35, 1980). Both are definite
+like the scalar mass, so the routine that factors the mass,
+``assembly._factor``, is ARPACK's ``OPinv`` too. lambda_max is the
+Rayleigh quotient of the Ritz vector, not the Ritz value sigma + 1/nu:
+on slivers sigma is far above lambda_max (232 times on ``cube_200``),
+the Ritz value loses that factor in accuracy (to 1.4e-13 on
+``cube_400``), and the quotient's error is the square of the vector's.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledOperators, _scatter
+from .assembly import AssembledOperators, _factor, _scatter
 
 __all__ = [
     "Spectrum",
@@ -142,34 +153,41 @@ def _dense(A, M, **kw):
                            "assembly is inconsistent") from exc
 
 
-def _eigsh(A, M, k, **kw):
-    """The ARPACK solve, from a fixed start vector so that every call
-    gives the same eigenvalues. The vector is not constant: under Neumann
-    data that is the null eigenvector, and Lanczos breaks down on it."""
+def _eigsh(A, M, k, sigma, **kw):
+    """Shift-invert ARPACK for the ``k`` eigenvalues nearest ``sigma``, with
+    ``_factor(A - sigma M)`` as ``OPinv``. The fixed start vector makes every
+    call give the same eigenvalues; it is not constant, since under Neumann
+    data that is the null eigenvector, on which Lanczos breaks down."""
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    return spla.eigsh(A, k=k, M=M, v0=v0, **kw)
+    op_inv = spla.LinearOperator(A.shape, matvec=_factor(A - sigma * M), dtype=float)
+    return spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw)
 
 
-def _lambda_max(A, M) -> float:
+def _lambda_max(A, M, bound: float) -> float:
     """Largest eigenvalue of the pencil: dense up to ``DENSE_CUTOFF`` DOFs,
-    else by ARPACK. ARPACK non-convergence is a ``RuntimeError``; a dense
-    fallback at that size would need two dense n x n arrays."""
+    else the Rayleigh quotient of the Ritz vector at the shift
+    (1 + 1e-3) ``bound`` above it (module docstring). A bound that is not
+    finite and positive, or ARPACK non-convergence, is a ``RuntimeError``;
+    a dense fallback at that size would need two dense n x n arrays."""
     n = A.shape[0]
     if n <= DENSE_CUTOFF:
         return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+    if not 0.0 < bound < np.inf:
+        raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
     try:
-        return float(_eigsh(A, M, 1, which="LM", return_eigenvectors=False,
-                            maxiter=5000)[0])
+        v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), maxiter=5000)[1][:, 0]
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
+    return float(v @ (A @ v) / (v @ (M @ v)))
 
 
 def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
     """Solve the symmetric generalized eigenproblem of the discrete Laplacian.
 
     Up to ``DENSE_CUTOFF`` free scalar DOFs the full spectrum is computed
-    densely; above it, shift-invert Lanczos resolves the lowest
-    ``LOWEST_COUNT`` eigenvalues and ``_lambda_max`` the largest.
+    densely. Above it, shift-invert Lanczos resolves the lowest
+    ``LOWEST_COUNT`` eigenvalues at a small negative shift, and
+    ``_lambda_max`` the largest at a shift above ``cell_lambda_bound``.
     """
     A, M = laplacian_pencil(ops)
     m_h = A.shape[0]
@@ -178,14 +196,12 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
         vals, vecs = solved if compute_vectors else (solved, None)
         return Spectrum(vals, float(vals[-1]), m_h, complete=True, eigenvectors=vecs)
 
-    # Negative shift keeps the shifted matrix definite even when A has a
-    # null space (Neumann constant mode).
     scale = A.diagonal().mean() / max(M.diagonal().mean(), np.finfo(float).tiny)
     sigma = -1e-3 * max(scale, 1.0)
-    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma=sigma, which="LM")
+    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma)
     order = np.argsort(vals)
-    return Spectrum(vals[order], _lambda_max(A, M), m_h, complete=False,
-                    eigenvectors=vecs[:, order] if compute_vectors else None)
+    return Spectrum(vals[order], _lambda_max(A, M, cell_lambda_bound(ops)), m_h,
+                    complete=False, eigenvectors=vecs[:, order] if compute_vectors else None)
 
 
 def null_space_dimension(spectrum: Spectrum) -> int:
@@ -203,8 +219,12 @@ def null_space_dimension(spectrum: Spectrum) -> int:
 
 
 def max_eigenvalue(ops: AssembledOperators) -> float:
-    """Largest eigenvalue of the discrete Laplacian."""
-    return _lambda_max(*laplacian_pencil(ops))
+    """Largest eigenvalue of the discrete Laplacian: dense up to
+    ``DENSE_CUTOFF`` free scalar DOFs, above it the Rayleigh quotient of
+    the shift-invert Ritz vector at a shift just above
+    ``cell_lambda_bound`` (``_lambda_max``)."""
+    A, M = laplacian_pencil(ops)
+    return _lambda_max(A, M, cell_lambda_bound(ops))
 
 
 def cell_lambda_bound(ops: AssembledOperators) -> float:

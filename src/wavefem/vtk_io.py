@@ -1,11 +1,9 @@
 """Legacy VTK (ASCII unstructured grid) output of field snapshots.
 
-Two variants: the standard file carries the scalar field as point data on
-vertices plus midpoint nodes (quadratic cells), with the velocity reduced
-to one cell-averaged vector per cell; the exploded file duplicates every
-cell's corners so the discontinuous per-corner velocity values survive.
-Both go through one grid writer, which formats each block of rows in one
-string operation (``mesh._format_rows``).
+The file carries the scalar field as point data on vertices plus midpoint
+nodes (quadratic cells), with the velocity reduced to one cell-averaged
+vector per cell. Each block of rows is formatted in one string operation
+(``mesh._format_rows``).
 """
 
 from __future__ import annotations
@@ -15,36 +13,18 @@ import numpy as np
 from .elements import DofMap
 from .mesh import Mesh, _format_rows
 
-__all__ = ["write_vtk", "write_vtk_exploded"]
+__all__ = ["write_vtk"]
 
 # quadratic VTK cell types and the mapping from the canonical local edge
 # order (lexicographic corner pairs) to VTK's midpoint ordering
 _QUADRATIC_TYPES = {1: 21, 2: 22, 3: 24}
 _EDGE_PERM = {1: [0], 2: [0, 2, 1], 3: [0, 3, 1, 2, 4, 5]}
-_LINEAR_TYPES = {1: 3, 2: 5, 3: 10}
-_SCALARS = "SCALARS h double\nLOOKUP_TABLE default\n"
 
 
 def _xyz(d: int) -> str:
     """Row format of a d-column table written as 3D points or vectors; the
     missing coordinates are the zeros that ``%.16g`` prints as ``0``."""
     return " ".join(["%.16g"] * d + ["0"] * (3 - d)) + "\n"
-
-
-def _write_grid(path, title, points, conn, cell_type, blocks):
-    """Write the grid (POINTS, CELLS from the (C, k) connectivity ``conn``,
-    CELL_TYPES), then each data block ``(header, row format, table)``."""
-    n_cells, k = conn.shape
-    with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-                 f"POINTS {len(points)} double\n")
-        fh.write(_format_rows(_xyz(points.shape[1]), points))
-        fh.write(f"CELLS {n_cells} {n_cells * (1 + k)}\n")
-        fh.write(_format_rows(f"{k}" + " %d" * k + "\n", conn))
-        fh.write(f"CELL_TYPES {n_cells}\n" + f"{cell_type}\n" * n_cells)
-        for header, line, table in blocks:
-            fh.write(header)
-            fh.write(_format_rows(line, table))
 
 
 def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
@@ -59,29 +39,22 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
     from .elements import h_dof_coords
 
     points = h_dof_coords(mesh, dofs)
-    local = np.r_[0:d + 1, d + 1 + np.array(_EDGE_PERM[d])]
+    conn = dofs.h_cell_dofs[:, np.r_[0:d + 1, d + 1 + np.array(_EDGE_PERM[d])]]
+    n_cells, k = conn.shape
     blocks = []
     if h is not None:
-        blocks.append((f"POINT_DATA {len(points)}\n" + _SCALARS, "%.16g\n",
-                       np.asarray(h, dtype=float).reshape(-1, 1)))
+        blocks.append((f"POINT_DATA {len(points)}\nSCALARS h double\nLOOKUP_TABLE default\n",
+                       "%.16g\n", np.asarray(h, dtype=float).reshape(-1, 1)))
     if u is not None:
-        means = np.asarray(u, dtype=float).reshape(d, mesh.n_cells, d + 1).mean(axis=2).T
-        blocks.append((f"CELL_DATA {mesh.n_cells}\nVECTORS u_mean double\n", _xyz(d), means))
-    _write_grid(path, title, points, dofs.h_cell_dofs[:, local], _QUADRATIC_TYPES[d], blocks)
-
-
-def write_vtk_exploded(path, mesh: Mesh, dofs: DofMap, u, h=None,
-                       title="wavefem fields (exploded)"):
-    """Write linear cells with duplicated corners and per-corner velocity.
-
-    Each cell references its own copies of its corners; interelement jumps
-    in the velocity are preserved exactly.
-    """
-    d = mesh.dim
-    points = mesh.cell_coords.reshape(-1, d)
-    blocks = [(f"POINT_DATA {len(points)}\nVECTORS u double\n", _xyz(d),
-               np.asarray(u, dtype=float).T)]
-    if h is not None:
-        blocks.append((_SCALARS, "%.16g\n", np.asarray(h, dtype=float)[mesh.cells].reshape(-1, 1)))
-    conn = np.arange(len(points)).reshape(mesh.n_cells, d + 1)
-    _write_grid(path, title, points, conn, _LINEAR_TYPES[d], blocks)
+        means = np.asarray(u, dtype=float).reshape(d, n_cells, d + 1).mean(axis=2).T
+        blocks.append((f"CELL_DATA {n_cells}\nVECTORS u_mean double\n", _xyz(d), means))
+    with open(path, "w") as fh:
+        fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {len(points)} double\n")
+        fh.write(_format_rows(_xyz(d), points))
+        fh.write(f"CELLS {n_cells} {n_cells * (1 + k)}\n")
+        fh.write(_format_rows(f"{k}" + " %d" * k + "\n", conn))
+        fh.write(f"CELL_TYPES {n_cells}\n" + f"{_QUADRATIC_TYPES[d]}\n" * n_cells)
+        for header, line, table in blocks:
+            fh.write(header)
+            fh.write(_format_rows(line, table))

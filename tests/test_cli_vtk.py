@@ -7,10 +7,10 @@ import pytest
 import wavefem as wf
 from wavefem import assembly, cli, dispersion
 from wavefem.cli import main
-from wavefem.vtk_io import write_vtk, write_vtk_exploded
+from wavefem.vtk_io import write_vtk
 
 from conftest import mesh_path
-from vtk_reference import reference_write_vtk, reference_write_vtk_exploded
+from vtk_reference import reference_write_vtk
 
 
 def run(argv):
@@ -270,6 +270,15 @@ def test_missing_output_directory_rejected_before_work(tmp_path, capsys, monkeyp
     assert run(argv + [str(tmp_path / "nodir" / "x")]) == 1
     assert "nodir" in capsys.readouterr().err
     assert not (tmp_path / "nodir").exists()
+    if argv[0] == "mesh-convert":
+        # a prefix may name a directory: D.node and the rest go beside it
+        with pytest.raises(AssertionError, match="work started"):
+            run(argv + [str(tmp_path)])
+        return
+    # an existing directory is no output file
+    assert run(argv + [str(tmp_path)]) == 1
+    assert "is a directory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_mesh_convert_roundtrip(tmp_path):
@@ -361,22 +370,6 @@ def test_vtk_quadratic_output(tmp_path):
     assert vals == list(range(n_points))
 
 
-def test_vtk_exploded_output(tmp_path):
-    mesh = wf.generate_square_mesh(1)
-    dofs = wf.build_dof_maps(mesh)
-    u = [np.arange(dofs.m_u, dtype=float), np.zeros(dofs.m_u)]
-    path = tmp_path / "x.vtk"
-    write_vtk_exploded(str(path), mesh, dofs, u=u, h=np.ones(dofs.m_h))
-    text = path.read_text().splitlines()
-    assert f"POINTS {3 * mesh.n_cells} double" in text
-    idx = text.index("VECTORS u double")
-    first = [float(t) for t in text[idx + 1].split()]
-    assert first == [0.0, 0.0, 0.0]
-    # per-corner values survive: corner coefficients are not averaged
-    second = [float(t) for t in text[idx + 2].split()]
-    assert second[0] == 1.0
-
-
 VTK_MESHES = {
     "square:3": lambda: wf.generate_square_mesh(3),
     "cube:2": lambda: wf.generate_cube_mesh(2),
@@ -404,11 +397,7 @@ def test_vtk_bytes_match_reference(tmp_path, name, with_h, with_u):
     h = awkward_values(dofs.m_h, 0) if with_h else None
     u = ([awkward_values(dofs.m_u, i + 1) for i in range(mesh.dim)]
          if with_u else None)
-    pairs = [(write_vtk, reference_write_vtk, dict(h=h, u=u))]
-    if with_u:
-        pairs.append((write_vtk_exploded, reference_write_vtk_exploded, dict(u=u, h=h)))
-    for writer, reference, kw in pairs:
-        got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
-        writer(str(got), mesh, dofs, **kw)
-        reference(str(want), mesh, dofs, **kw)
-        assert got.read_bytes() == want.read_bytes()
+    got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+    write_vtk(str(got), mesh, dofs, h=h, u=u)
+    reference_write_vtk(str(want), mesh, dofs, h=h, u=u)
+    assert got.read_bytes() == want.read_bytes()

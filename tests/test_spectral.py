@@ -143,6 +143,16 @@ def test_lambda_max_no_convergence_raises(square_36, monkeypatch):
         max_eigenvalue(ops)
 
 
+@pytest.mark.parametrize("bound", [np.nan, np.inf])
+def test_lambda_max_without_finite_bound_raises(square_36, monkeypatch, bound):
+    # the shift-invert solve has no other shift to fall back on
+    _, ops = assemble_all(square_36, "dirichlet")
+    monkeypatch.setattr(spectral, "cell_lambda_bound", lambda ops: bound)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    with pytest.raises(RuntimeError, match="gives no shift"):
+        max_eigenvalue(ops)
+
+
 def test_indefinite_mass_raises(square_36):
     """Both public solves report a mass matrix that is not positive
     definite as an inconsistent assembly."""
@@ -189,6 +199,29 @@ def test_cell_bound_above_max_eigenvalue(name, kind, request):
     assert ratio >= 1.0 - 1e-10
     if name in ("square:8", "cube:3"):
         assert ratio <= 1.25
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "mixed"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch):
+    # the shift lies just above the cell bound, which is 232 and 112 times
+    # lambda_max on cube_200 and cube_400; there the Ritz value misses
+    # 1e-13, and the Rayleigh quotient of the Ritz vector meets it
+    mesh = request.getfixturevalue(name)
+    if kind == "mixed":
+        mesh = with_mixed_markers(mesh)
+        bc = wf.BcSpec(dirichlet_markers={1}, neumann_markers={2})
+    else:
+        bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
+              else wf.BcSpec.all_neumann(mesh))
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    A, M = laplacian_pencil(ops)
+    n = A.shape[0]
+    dense = spectral._dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    lam = max_eigenvalue(ops)
+    assert abs(lam - dense) <= 1e-13 * dense
+    assert max_eigenvalue(ops) == lam
 
 
 def test_cell_bound_periodic_interval():
@@ -314,6 +347,22 @@ def test_neumann_lambda2_converges():
         spec = laplacian_spectrum(ops)
         errs.append(abs(spec.eigenvalues[1] - PI2))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_neumann_eigenvalues_converge_at_order_four():
+    # the first six nonzero eigenvalues against pi^2 (m^2 + n^2) on the
+    # unit square: the P2 error is O(h^4), and A is the P2 stiffness
+    # matrix, so by min-max each lies above its limit; square:32 is past
+    # DENSE_CUTOFF, so both shift-invert solves run
+    exact = PI2 * np.array([1, 1, 2, 4, 4, 5])
+    errs = []
+    for n in (16, 32):
+        mesh = wf.generate_square_mesh(n)
+        spec = laplacian_spectrum(assemble_all(mesh, "neumann")[1])
+        assert spec.complete == (n == 16)
+        errs.append(spec.eigenvalues[1:7] - exact)
+    assert (np.array(errs) > 0).all()
+    assert (np.log2(errs[0] / errs[1]) >= 3.9).all()
 
 
 def test_spurious_transition_3d(cube_44, cube_200, cube_400):

@@ -13,7 +13,6 @@ from wavefem.elements import h_dof_coords
 # order (lexicographic corner pairs) to VTK's midpoint ordering
 _QUADRATIC_TYPES = {1: 21, 2: 22, 3: 24}
 _EDGE_PERM = {1: [0], 2: [0, 2, 1], 3: [0, 3, 1, 2, 4, 5]}
-_LINEAR_TYPES = {1: 3, 2: 5, 3: 10}
 
 
 def _pad3(coords: np.ndarray) -> np.ndarray:
@@ -67,30 +66,3 @@ def reference_write_vtk(path, mesh, dofs, h=None, u=None, title="wavefem fields"
             fh.write(f"CELL_DATA {mesh.n_cells}\n")
             _write_vectors(fh, "u_mean", means)
 
-
-def reference_write_vtk_exploded(path, mesh, dofs, u, h=None,
-                                 title="wavefem fields (exploded)"):
-    """``wavefem.vtk_io.write_vtk_exploded``, one row at a time."""
-    d = mesh.dim
-    n_corner = d + 1
-    points = mesh.cell_coords.reshape(-1, d)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        _write_points(fh, points)
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (1 + n_corner)}\n")
-        for c in range(mesh.n_cells):
-            conn = range(c * n_corner, (c + 1) * n_corner)
-            fh.write(f"{n_corner} " + " ".join(str(v) for v in conn) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for _ in range(mesh.n_cells):
-            fh.write(f"{_LINEAR_TYPES[d]}\n")
-        fh.write(f"POINT_DATA {len(points)}\n")
-        _write_vectors(fh, "u", [np.asarray(u_i, dtype=float) for u_i in u])
-        if h is not None:
-            h = np.asarray(h, dtype=float)
-            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
-            for val in h[mesh.cells].ravel():
-                fh.write(f"{val:.16g}\n")
