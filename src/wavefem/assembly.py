@@ -89,8 +89,10 @@ class AssembledOperators:
     u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
     h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
                                 # cell_dets[K] times these
-    _h_factor: object = field(default=None, repr=False, compare=False)
-    _kick: object = field(default=None, repr=False, compare=False)
+    # Caches filled on first use; ``dataclasses.replace`` does not copy them.
+    _h_factor: object = field(default=None, init=False, repr=False, compare=False)
+    _kick: object = field(default=None, init=False, repr=False, compare=False)
+    _lambda_bound: object = field(default=None, init=False, repr=False, compare=False)
 
     def free_block(self, mat):
         """Free-by-free block of a scalar-space matrix; ``mat`` itself
@@ -195,9 +197,9 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     v1 = rule.points  # P1_DG values (module docstring)
     v2, g2 = p2_basis(rule.points)
 
-    # Inverse Jacobians and volume scale factors of the affine maps.
-    X = mesh.cell_coords
-    Jinv = np.linalg.inv(np.transpose(X[:, 1:, :] - X[:, :1, :], (0, 2, 1)))
+    # Inverse Jacobians and volume scale factors of the affine maps: rows
+    # 1..d of the barycentric gradients are J^{-1}, and det J = d! |K|.
+    Jinv = mesh.barycentric_gradients[:, 1:]
     det = mesh.cell_measures * factorial(d)
 
     # Affine cells: both mass matrices are the reference ones scaled by det.

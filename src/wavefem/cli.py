@@ -36,23 +36,22 @@ EXIT_INVARIANT = 3
 def _load_mesh(args) -> tuple[Mesh, str]:
     if args.generate:
         spec = args.generate
-        parts = spec.split(":")
-        kind = parts[0]
+        usage = "use square:N, cube:N or interval:N[:LENGTH[:periodic]]"
+        kind, *fields = spec.split(":")
+        arity = {"square": 1, "cube": 1, "interval": 3}
+        if kind not in arity:
+            raise MeshFormatError(f"unknown generator {kind!r}; {usage}")
+        if not 1 <= len(fields) <= arity[kind] or fields[2:] not in ([], ["periodic"]):
+            raise MeshFormatError(f"bad --generate spec {spec!r}; {usage}")
         try:
-            if kind == "square":
-                return generate_square_mesh(int(parts[1])), spec
-            if kind == "cube":
-                return generate_cube_mesh(int(parts[1])), spec
+            n = int(fields[0])
             if kind == "interval":
-                n = int(parts[1])
-                length = float(parts[2]) if len(parts) > 2 else 1.0
-                periodic = len(parts) > 3 and parts[3] == "periodic"
-                return generate_interval_mesh(n, length, periodic), spec
-        except (IndexError, ValueError) as exc:
+                length = float(fields[1]) if len(fields) > 1 else 1.0
+                return generate_interval_mesh(n, length, len(fields) == 3), spec
+            generate = generate_square_mesh if kind == "square" else generate_cube_mesh
+            return generate(n), spec
+        except ValueError as exc:
             raise MeshFormatError(f"bad --generate spec {spec!r}: {exc}") from exc
-        raise MeshFormatError(
-            f"unknown generator {kind!r}; use square:N, cube:N or "
-            "interval:N[:LENGTH[:periodic]]")
     paths = args.mesh
     if len(paths) < 2 or len(paths) > 3:
         raise MeshFormatError("--mesh takes NODE ELE [EDGE|FACE|POLY] paths")

@@ -148,7 +148,6 @@ class SimulationConfig:
     energy_stride: int = 1
     snapshot_stride: Optional[int] = None  # steps between snapshot callbacks
     ic_h: Callable = lambda x: 0.0
-    ic_u: Optional[Callable] = None
     wave_speed: float = 1.0
     allow_unstable_dt: bool = False
 
@@ -230,7 +229,7 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
                     f"dt={config.dt} exceeds the stability estimate "
                     f"{stable_dt:.6g}; reduce dt or force the run")
 
-    state = interpolate_state(mesh, dofs, config.ic_h, config.ic_u)
+    state = interpolate_state(mesh, dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
     times = [0.0]
     energies = [energy(state, ops)]

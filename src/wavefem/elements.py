@@ -109,11 +109,10 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
 
 
 def h_dof_coords(mesh: Mesh, dofs: DofMap) -> np.ndarray:
-    """Physical coordinates of the scalar DOFs (vertices, then midpoints)."""
-    coords = np.empty((dofs.m_h, mesh.dim))
+    """Physical coordinates of the scalar DOFs (vertices, then midpoints);
+    each cell writes its own edge midpoints, the periodic wrap cell too."""
+    d = mesh.dim
+    coords = np.empty((dofs.m_h, d))
     coords[:mesh.n_vertices] = mesh.vertices
-    if mesh.dim == 1:
-        coords[mesh.n_vertices:] = mesh.cell_coords.mean(axis=1)
-    else:
-        coords[mesh.n_vertices:] = mesh.vertices[mesh.edges].mean(axis=1)
+    coords[dofs.h_cell_dofs[:, d + 1:]] = mesh.cell_coords[:, CELL_EDGES[d]].mean(axis=2)
     return coords

@@ -53,15 +53,6 @@ CELL_FACETS = {
 }
 
 
-def _signed_measures(cell_coords: np.ndarray) -> np.ndarray:
-    """Signed measure of each simplex from its corner coordinates."""
-    dim = cell_coords.shape[2]
-    if dim == 1:
-        return cell_coords[:, 1, 0] - cell_coords[:, 0, 0]
-    diffs = cell_coords[:, 1:, :] - cell_coords[:, :1, :]
-    return np.linalg.det(diffs) / factorial(dim)
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One structured scalar per integer row, ordered like the rows
     lexicographically, so row tables can be searched with searchsorted."""
@@ -94,11 +85,16 @@ class Mesh:
 
     Derived attributes: ``edges`` (E, 2), the unique vertex pairs (a < b)
     in lexicographic order, and ``cell_edges`` (C, local edges), each
-    cell's rows of that table in ``CELL_EDGES`` order. Per boundary facet:
-    ``boundary_cells`` and ``boundary_local_facets`` name the owning cell
-    and the local facet (``CELL_FACETS`` order), ``boundary_normals`` is
-    the outward unit normal and ``boundary_measures`` the facet measure
-    (1 for the points bounding an interval).
+    cell's rows of that table in ``CELL_EDGES`` order. Cell K is the image
+    x = x_0 + J xi of the reference cell, column k of J the edge from
+    corner 0 to corner k + 1. ``cell_measures`` is det(J) / d!, and row j
+    of ``barycentric_gradients`` (C, d+1, d) is grad lambda_j: rows 1..d
+    are J^{-1}, row 0 minus their sum. Boundary facet b is local facet
+    j = ``boundary_local_facets[b]`` (``CELL_FACETS`` order) of cell
+    K = ``boundary_cells[b]`` and lies on lambda_j = 0, so its outward
+    unit normal ``boundary_normals[b]`` is -grad lambda_j / |grad lambda_j|
+    and its measure ``boundary_measures[b]`` is d |K| |grad lambda_j|
+    (Ciarlet 1978, section 2.2), 1 for the points bounding an interval.
     """
 
     def __init__(self, dim, vertices, cells, boundary_facets=None,
@@ -129,7 +125,7 @@ class Mesh:
             raise ValueError("vertex coordinates must be finite")
 
         # Canonical orientation: swap the last two corners of inverted cells.
-        measures = _signed_measures(cell_coords)
+        measures = np.linalg.det(cell_coords[:, 1:] - cell_coords[:, :1]) / factorial(dim)
         scale = max(np.ptp(self.vertices, axis=0).max(), 1.0)
         degenerate = np.abs(measures) <= 1e-13 * scale ** dim
         if degenerate.any():
@@ -147,6 +143,9 @@ class Mesh:
         self.cells = cells
         self.cell_coords = cell_coords
         self.cell_measures = measures
+        jac_inv = np.linalg.inv(np.transpose(cell_coords[:, 1:] - cell_coords[:, :1], (0, 2, 1)))
+        self.barycentric_gradients = np.concatenate(
+            [-jac_inv.sum(axis=1, keepdims=True), jac_inv], axis=1)
 
         # One row per (cell, local edge), cell-major; the inverse of the
         # unique gives each cell's global edge indices.
@@ -197,11 +196,10 @@ class Mesh:
         self.boundary_local_facets = owner_rows % n_facets
         self.boundary_normals, self.boundary_measures = self._boundary_geometry()
 
-        for arr in (self.vertices, self.cells, self.cell_coords,
-                    self.cell_measures, self.edges, self.cell_edges,
-                    self.boundary_facets, self.boundary_markers,
-                    self.boundary_cells, self.boundary_local_facets,
-                    self.boundary_normals, self.boundary_measures):
+        for arr in (self.vertices, self.cells, self.cell_coords, self.cell_measures,
+                    self.barycentric_gradients, self.edges, self.cell_edges,
+                    self.boundary_facets, self.boundary_markers, self.boundary_cells,
+                    self.boundary_local_facets, self.boundary_normals, self.boundary_measures):
             arr.setflags(write=False)
 
     # -- basic counts ------------------------------------------------------
@@ -226,32 +224,11 @@ class Mesh:
     # -- boundary geometry -------------------------------------------------
 
     def _boundary_geometry(self):
-        """Outward unit normals and measures of all boundary facets.
-
-        Facet corners are taken from the owner's ``cell_coords`` row so
-        they stay consistent with the cell geometry; the normal is oriented
-        away from the owner's corner opposite the facet.
-        """
-        d = self.dim
-        cells, lf = self.boundary_cells, self.boundary_local_facets
-        owner = self.cell_coords[cells]                          # (B, d+1, d)
-        corners = np.take_along_axis(
-            owner, np.array(CELL_FACETS[d])[lf][:, :, None], axis=1)  # (B, d, d)
-        opposite = owner[np.arange(len(lf)), lf]                 # (B, d)
-        if d == 1:
-            normals = np.ones((len(lf), 1))
-            measures = np.ones(len(lf))
-        elif d == 2:
-            t = corners[:, 1] - corners[:, 0]
-            normals = np.column_stack([t[:, 1], -t[:, 0]])
-            measures = np.linalg.norm(t, axis=1)
-        else:
-            normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-            measures = np.linalg.norm(normals, axis=1) / 2.0
-        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-        outward = np.einsum("bi,bi->b", normals, corners.mean(axis=1) - opposite)
-        normals[outward < 0.0] *= -1.0
-        return normals, measures
+        """Outward unit normals and measures of all boundary facets, from
+        the owners' barycentric gradients (class docstring)."""
+        grads = self.barycentric_gradients[self.boundary_cells, self.boundary_local_facets]
+        norms = np.linalg.norm(grads, axis=1)
+        return -grads / norms[:, None], self.dim * self.cell_measures[self.boundary_cells] * norms
 
 
 # -- boundary conditions ---------------------------------------------------

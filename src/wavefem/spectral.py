@@ -48,7 +48,10 @@ null vector v, v^T S v = v^T B v = v^T L v to rounding, on ``square:N``,
 ``square_36``, ``cube_44`` and ``cube_200``: the discrete gradient
 u_mass^{-1} grad_i v vanishes, so the lifting r(v) equals grad v, and the
 boundary term and the penalty each equal ||grad v||^2 and cancel the
-stiffness exactly.
+stiffness exactly. Past those modes the form still reaches h^4: on
+``square:N`` the first six eigenvalues converge to pi^2 (m^2 + n^2) at
+rates 3.48 to 3.79 from N = 16 to 32 and 3.79 to 3.91 from 32 to 64,
+against 3.97 to 3.99 under Neumann data.
 
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
@@ -243,12 +246,15 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
     The bound is tight on well-shaped cells (1.1 to 1.25 times
     lambda_max on ``square:8``, ``square:32``, ``cube:3`` and ``cube:8``)
     and loose on slivers (3 to over 100 times on the fixture meshes), so
-    it certifies a dt as stable but is no estimate of the limit.
+    it certifies a dt as stable but is no estimate of the limit. It is
+    cached on ``ops`` for the dt check and the shift of ``max_eigenvalue``.
     """
-    A = _cell_laplacian(ops)
-    L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
-    lam = np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets
-    return float(lam.max())
+    if ops._lambda_bound is None:
+        A = _cell_laplacian(ops)
+        L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
+        lam = np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets
+        ops._lambda_bound = float(lam.max())
+    return ops._lambda_bound
 
 
 @dataclass

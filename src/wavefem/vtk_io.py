@@ -27,8 +27,7 @@ def _xyz(d: int) -> str:
     return " ".join(["%.16g"] * d + ["0"] * (3 - d)) + "\n"
 
 
-def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
-              title="wavefem fields"):
+def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None):
     """Write quadratic cells with the scalar as point data.
 
     Point order matches the scalar DOF numbering (vertices, then edge or
@@ -49,7 +48,7 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None,
         means = np.asarray(u, dtype=float).reshape(d, n_cells, d + 1).mean(axis=2).T
         blocks.append((f"CELL_DATA {n_cells}\nVECTORS u_mean double\n", _xyz(d), means))
     with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        fh.write("# vtk DataFile Version 2.0\nwavefem fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {len(points)} double\n")
         fh.write(_format_rows(_xyz(d), points))
         fh.write(f"CELLS {n_cells} {n_cells * (1 + k)}\n")

@@ -237,10 +237,24 @@ def test_velocity_mass_reference_form(name, request):
     x = rng.standard_normal(dofs.m_u)
     x2 = x.copy()
     x2[dofs.u_cell_dofs[3]] += 1.0
-    y, y2 = (replace(ops, dirichlet_rhs=(r,) * mesh.dim, _kick=None).kick_operator()[0][1]
+    y, y2 = (replace(ops, dirichlet_rhs=(r,) * mesh.dim).kick_operator()[0][1]
              for r in (x, x2))
     changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
     assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
+
+
+def test_replace_drops_cached_solvers(square_36):
+    # a copy with a new scalar mass must factor that mass, not reuse the
+    # original's factor; the same holds for the kick and the cell bound
+    _, ops = assemble_all(square_36)
+    ops.h_mass_solver()
+    ops.kick_operator()
+    wf.cell_lambda_bound(ops)
+    scaled = replace(ops, h_mass=2.0 * ops.h_mass)
+    b = np.random.default_rng(0).standard_normal(ops.dofs.m_h)
+    x = scaled.h_mass_solver()(b)
+    assert np.abs(scaled.h_mass @ x - b).max() <= 1e-12 * np.abs(b).max()
+    assert (scaled._kick, scaled._lambda_bound) == (None, None)
 
 
 def test_semidiscrete_rhs_zero_state(square_36):

@@ -345,8 +345,13 @@ def test_spectrum_rejects_negative_count(capsys):
     assert capsys.readouterr().err.startswith("error: --count must be >= 0")
 
 
-def test_bad_generate_spec():
-    assert run(["dof-report", "--generate", "torus:3"]) == 1
+def test_bad_generate_spec(capsys):
+    # an unknown generator, a misspelt flag and trailing fields are all
+    # input errors, found before any mesh is built
+    for spec in ("torus:3", "interval:4:1:periodc", "square:4:9", "cube:2:x",
+                 "interval:4:1:periodic:extra"):
+        assert run(["dof-report", "--generate", spec]) == 1, spec
+        assert "error:" in capsys.readouterr().err
 
 
 # -- VTK writers -------------------------------------------------------------

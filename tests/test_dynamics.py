@@ -233,6 +233,21 @@ def test_dt_check_paths(square_36, monkeypatch):
     assert (forced.dt_check, forced.stable_dt, forced.cell_bound_dt) == ("forced", None, None)
 
 
+def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
+    # the dt check and the shift of the exact lambda_max share one
+    # evaluation of the per-cell eigenproblems
+    bc = wf.BcSpec.all_neumann(square_36)
+    probe = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
+    dt = 0.5 * (2.0 / np.sqrt(cell_lambda_bound(probe)) + stable_dt_estimate(probe))
+    ops = wf.assemble(square_36, probe.dofs, bc)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    result = simulate(square_36, bc, SimulationConfig(dt=dt, n_steps=1), ops=ops)
+    assert result.dt_check == "exact"
+    assert calls == [(square_36.n_cells, 6, 6)]
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_cell_bound_limit_at_most_exact_1d(periodic):
     # with Neumann ends the cell bound equals lambda_max up to rounding;

@@ -144,9 +144,15 @@ def test_dof_ratio_trends():
 
 
 def test_h_dof_coords_midpoints():
-    mesh = wf.generate_square_mesh(1)
-    dofs = build_dof_maps(mesh)
-    coords = h_dof_coords(mesh, dofs)
-    assert np.array_equal(coords[:4], mesh.vertices)
-    mids = mesh.vertices[mesh.edges].mean(axis=1)
-    assert np.allclose(coords[4:], mids)
+    # vertices, then edge midpoints in 2D and 3D and cell midpoints in 1D;
+    # the periodic wrap cell spans [2/3, 1], so its midpoint is 5/6
+    for mesh in (wf.generate_square_mesh(1), wf.generate_cube_mesh(2)):
+        dofs = build_dof_maps(mesh)
+        coords = h_dof_coords(mesh, dofs)
+        assert np.array_equal(coords[:mesh.n_vertices], mesh.vertices)
+        assert np.allclose(coords[mesh.n_vertices:], mesh.vertices[mesh.edges].mean(axis=1))
+    for periodic in (False, True):
+        mesh = wf.generate_interval_mesh(3, 1.0, periodic=periodic)
+        coords = h_dof_coords(mesh, build_dof_maps(mesh))
+        assert np.array_equal(coords[:mesh.n_vertices], mesh.vertices)
+        assert np.allclose(coords[mesh.n_vertices:, 0], [1 / 6, 1 / 2, 5 / 6])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.mesh import CELL_EDGES, Mesh, MeshFormatError
+from wavefem.mesh import CELL_EDGES, CELL_FACETS, Mesh, MeshFormatError
 
-from conftest import mesh_path
+from conftest import load_cube, load_square, mesh_path
 
 
 TRI_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
@@ -279,6 +279,59 @@ def test_boundary_owners_and_normals():
         assert np.dot(mesh.boundary_normals[k], inward) < 0.0
     assert abs(np.linalg.norm(mesh.boundary_normals, axis=1) - 1.0).max() <= 1e-14
     assert abs(mesh.boundary_measures.sum() - 6.0) <= 1e-13  # cube surface area
+
+
+def reference_boundary_geometry(mesh):
+    """Outward unit normals and measures of the boundary facets from their
+    corners, one construction per dimension: +-1 in 1D, the rotated
+    tangent in 2D and the cross product in 3D, each normal turned away
+    from the owner's corner opposite the facet."""
+    d, lf = mesh.dim, mesh.boundary_local_facets
+    owner = mesh.cell_coords[mesh.boundary_cells]
+    corners = np.take_along_axis(owner, np.array(CELL_FACETS[d])[lf][:, :, None], axis=1)
+    if d == 1:
+        normals, measures = np.ones((len(lf), 1)), np.ones(len(lf))
+    elif d == 2:
+        t = corners[:, 1] - corners[:, 0]
+        normals, measures = np.column_stack([t[:, 1], -t[:, 0]]), np.linalg.norm(t, axis=1)
+    else:
+        normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        measures = np.linalg.norm(normals, axis=1) / 2.0
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    inward = np.einsum("bi,bi->b", normals, owner[np.arange(len(lf)), lf] - corners[:, 0])
+    normals[inward > 0.0] *= -1.0
+    return normals, measures
+
+
+GEOMETRY_MESHES = {
+    "square_36": lambda: load_square("square_36"),
+    "square_150": lambda: load_square("square_150"),
+    "square_1500": lambda: load_square("square_1500"),
+    "cube_44": lambda: load_cube("cube_44"),
+    "cube_200": lambda: load_cube("cube_200"),
+    "cube_400": lambda: load_cube("cube_400"),
+    "square:4": lambda: wf.generate_square_mesh(4),
+    "cube:2": lambda: wf.generate_cube_mesh(2),
+    "interval:5": lambda: wf.generate_interval_mesh(5, 1.0),
+    "periodic:5": lambda: wf.generate_interval_mesh(5, 1.0, periodic=True),
+}
+
+
+@pytest.mark.parametrize("name", GEOMETRY_MESHES)
+def test_barycentric_gradients_give_boundary_geometry(name):
+    mesh = GEOMETRY_MESHES[name]()
+    d, G, X = mesh.dim, mesh.barycentric_gradients, mesh.cell_coords
+    assert G.shape == (mesh.n_cells, d + 1, d)
+    # lambda_j(x_k) = delta_jk, with lambda_j(x_0) = delta_j0 and the
+    # gradient carrying it along the edge from x_0 to x_k
+    lam = np.eye(d + 1)[:, :1] + G @ np.transpose(X - X[:, :1], (0, 2, 1))
+    scale = (np.abs(G).max(axis=(1, 2)) * np.abs(X - X[:, :1]).max(axis=(1, 2)))[:, None, None]
+    assert (np.abs(lam - np.eye(d + 1)) <= 1e-12 * scale).all()
+    assert (np.abs(G.sum(axis=1)) <= 1e-12 * np.abs(G).max(axis=(1, 2))[:, None]).all()
+
+    normals, measures = reference_boundary_geometry(mesh)
+    assert np.abs(mesh.boundary_normals - normals).max(initial=0.0) <= 1e-14
+    assert (np.abs(mesh.boundary_measures - measures) <= 1e-14 * measures).all()
 
 
 def test_roundtrip_square(tmp_path):

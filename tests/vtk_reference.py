@@ -34,7 +34,7 @@ def _write_vectors(fh, name, comps):
         fh.write(f"{v[0]:.16g} {v[1]:.16g} {v[2]:.16g}\n")
 
 
-def reference_write_vtk(path, mesh, dofs, h=None, u=None, title="wavefem fields"):
+def reference_write_vtk(path, mesh, dofs, h=None, u=None):
     """``wavefem.vtk_io.write_vtk``, one row at a time."""
     d = mesh.dim
     points = h_dof_coords(mesh, dofs)
@@ -42,7 +42,7 @@ def reference_write_vtk(path, mesh, dofs, h=None, u=None, title="wavefem fields"
     n_corner = d + 1
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
+        fh.write("wavefem fields\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         _write_points(fh, points)
