@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
         outputs.append(path)
 
     callback = snapshot if config.snapshot_stride else None
-    result = dynamics.simulate(mesh, bc, config, ops=ops, snapshot_callback=callback)
+    result = dynamics.simulate(mesh, ops, config, snapshot_callback=callback)
 
     energy_path = os.path.join(out_dir, "energy.csv")
     with open(energy_path, "w", newline="") as fh:

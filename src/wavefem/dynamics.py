@@ -34,9 +34,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import AssembledOperators, assemble
-from .elements import DofMap, build_dof_maps, h_dof_coords
-from .mesh import BcSpec, Mesh
+from .assembly import AssembledOperators
+from .elements import DofMap, h_dof_coords
+from .mesh import Mesh
 from .spectral import cell_lambda_bound, max_eigenvalue
 
 __all__ = [
@@ -193,10 +193,10 @@ class SimulationResult:
         return (self.energies - e0) / scale
 
 
-def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
-             ops: Optional[AssembledOperators] = None,
+def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
              snapshot_callback: Optional[Callable] = None) -> SimulationResult:
-    """Run the wave system with Verlet stepping and energy recording.
+    """Run the wave system with Verlet stepping and energy recording on
+    the operators ``ops``, assembled on ``mesh`` with their boundary data.
 
     The run starts from the interpolated initial data, with the fixed
     scalar DOFs (1D Dirichlet vertices) set to their boundary values.
@@ -214,9 +214,6 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
     the series and final state recorded before it, with ``aborted`` set
     and ``abort_step`` naming the step.
     """
-    dofs = ops.dofs if ops is not None else build_dof_maps(mesh)
-    if ops is None:
-        ops = assemble(mesh, dofs, bc)
     dt_check, stable_dt, cell_bound_dt = "forced", None, None
     if not config.allow_unstable_dt:
         c = config.wave_speed
@@ -229,7 +226,7 @@ def simulate(mesh: Mesh, bc: BcSpec, config: SimulationConfig,
                     f"dt={config.dt} exceeds the stability estimate "
                     f"{stable_dt:.6g}; reduce dt or force the run")
 
-    state = interpolate_state(mesh, dofs, config.ic_h)
+    state = interpolate_state(mesh, ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
     times = [0.0]
     energies = [energy(state, ops)]

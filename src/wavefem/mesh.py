@@ -5,6 +5,10 @@ kept in a separate array so that periodic interval meshes, whose wrap-around
 cell has no single consistent set of global coordinates, can be assembled
 like any other cell.
 
+``generate_square_mesh`` and ``generate_cube_mesh`` build the Kuhn
+decomposition of the unit square and cube: n^d subcubes, each cut into
+d! simplices, one per permutation of the axes.
+
 File I/O covers the Triangle (.node/.ele/.edge/.poly) and TetGen
 (.node/.ele/.face) ASCII formats, both reading and writing. One reader,
 ``read_mesh``, serves both: the .node header gives the dimension, and
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 from typing import Callable
 
@@ -76,7 +81,9 @@ class Mesh:
         rejected.
     boundary_facets : (B, dim) array, optional
         Vertex indices of boundary facets. Derived (all facets incident to
-        exactly one cell, marker 1) when omitted.
+        exactly one cell, marker 1) when omitted. Derived and given facets
+        go through one lookup: each must be a face of exactly one cell,
+        and a facet listed more than once is rejected.
     boundary_markers : (B,) array, optional
         Integer marker per boundary facet; defaults to 1.
     cell_coords : (C, dim+1, dim) array, optional
@@ -124,25 +131,19 @@ class Mesh:
         if not np.isfinite(cell_coords).all():
             raise ValueError("vertex coordinates must be finite")
 
-        # Canonical orientation: swap the last two corners of inverted cells.
+        # Canonical orientation: one corner permutation per cell, swapping
+        # the last two corners of each inverted cell.
         measures = np.linalg.det(cell_coords[:, 1:] - cell_coords[:, :1]) / factorial(dim)
         scale = max(np.ptp(self.vertices, axis=0).max(), 1.0)
         degenerate = np.abs(measures) <= 1e-13 * scale ** dim
         if degenerate.any():
             raise ValueError(
                 f"degenerate (zero-measure) cells: {np.nonzero(degenerate)[0].tolist()}")
-        flip = measures < 0
-        if flip.any():
-            cells = cells.copy()
-            cells[flip, -2], cells[flip, -1] = (
-                cells[flip, -1].copy(), cells[flip, -2].copy())
-            cell_coords = cell_coords.copy()
-            cell_coords[flip, -2], cell_coords[flip, -1] = (
-                cell_coords[flip, -1].copy(), cell_coords[flip, -2].copy())
-            measures = np.abs(measures)
-        self.cells = cells
-        self.cell_coords = cell_coords
-        self.cell_measures = measures
+        order = np.tile(np.arange(dim + 1), (len(cells), 1))
+        order[measures < 0, -2:] = (dim, dim - 1)
+        self.cells = cells = np.take_along_axis(cells, order, axis=1)
+        self.cell_coords = cell_coords = np.take_along_axis(cell_coords, order[:, :, None], axis=1)
+        self.cell_measures = np.abs(measures)
         jac_inv = np.linalg.inv(np.transpose(cell_coords[:, 1:] - cell_coords[:, :1], (0, 2, 1)))
         self.barycentric_gradients = np.concatenate(
             [-jac_inv.sum(axis=1, keepdims=True), jac_inv], axis=1)
@@ -157,39 +158,33 @@ class Mesh:
 
         # Facet incidence: one sorted row per (cell, local facet); a facet
         # seen once lies on the boundary, and its single occurrence names
-        # the owning cell and local facet.
+        # the owning cell and local facet. Derived and given boundary
+        # facets go through the same lookup.
         n_facets = dim + 1
         facet_rows = np.sort(cells[:, np.array(CELL_FACETS[dim])], axis=2).reshape(-1, dim)
         facets, first, counts = np.unique(facet_rows, axis=0, return_index=True,
                                           return_counts=True)
         if boundary_facets is None:
-            on_boundary = counts == 1
-            boundary_facets = facets[on_boundary]
+            boundary_facets = facets[counts == 1]
+        boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64).reshape(-1, dim)
+        if boundary_markers is None:
             boundary_markers = np.ones(len(boundary_facets), dtype=np.int64)
-            owner_rows = first[on_boundary]
         else:
-            boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64)
-            boundary_facets = boundary_facets.reshape(-1, dim)
-            if boundary_markers is None:
-                boundary_markers = np.ones(len(boundary_facets), dtype=np.int64)
-            else:
-                boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
-            if len(boundary_markers) != len(boundary_facets):
-                raise ValueError("one marker per boundary facet required")
-            keys = _row_keys(facets)
-            wanted = _row_keys(np.sort(boundary_facets, axis=1))
-            pos = np.searchsorted(keys, wanted)
-            found = pos < len(keys)
-            found[found] = keys[pos[found]] == wanted[found]
-            if not found.all():
-                f = tuple(boundary_facets[np.argmin(found)].tolist())
-                raise ValueError(f"boundary facet {f} is not a cell face")
-            shared = counts[pos] != 1
-            if shared.any():
-                k = np.argmax(shared)
-                f = tuple(boundary_facets[k].tolist())
-                raise ValueError(f"boundary facet {f} is shared by {counts[pos[k]]} cells")
-            owner_rows = first[pos]
+            boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
+        if len(boundary_markers) != len(boundary_facets):
+            raise ValueError("one marker per boundary facet required")
+        keys = _row_keys(facets)
+        wanted = _row_keys(np.sort(boundary_facets, axis=1))
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        for bad, what in ((keys[pos] != wanted, "is not a cell face"),
+                          (counts[pos] != 1, "is shared by {} cells"),
+                          (np.bincount(pos, minlength=len(keys))[pos] > 1,
+                           "is listed more than once")):
+            if bad.any():
+                k = np.argmax(bad)
+                raise ValueError(f"boundary facet {tuple(boundary_facets[k].tolist())} "
+                                 + what.format(counts[pos[k]]))
+        owner_rows = first[pos]
         self.boundary_facets = boundary_facets
         self.boundary_markers = boundary_markers
         self.boundary_cells = owner_rows // n_facets
@@ -313,42 +308,33 @@ def generate_interval_mesh(n_elements: int, length: float,
                 cell_coords=coords)
 
 
-def generate_square_mesh(n: int) -> Mesh:
-    """Unit square split into n x n quads, each cut into two triangles."""
+def _kuhn_mesh(n: int, d: int) -> Mesh:
+    """Kuhn decomposition of the unit d-cube into n^d subcubes of d!
+    simplices, one per permutation of the axes: each walks from its
+    subcube's lowest corner to the highest, one axis step at a time
+    (Kuhn 1960, IBM J. Res. Dev. 4:518)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     s = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(s, s, indexing="ij")
-    verts = np.column_stack([xx.ravel(), yy.ravel()])
-    # lower-left vertex of each quad, quads ordered by (i, j)
-    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
-    cells = np.stack([np.column_stack([v00, v10, v11]),
-                      np.column_stack([v00, v11, v01])], axis=1)
-    return Mesh(2, verts, cells.reshape(-1, 3))
+    verts = np.column_stack([x.ravel() for x in np.meshgrid(*[s] * d, indexing="ij")])
+    stride = (n + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    walks = np.zeros((factorial(d), d + 1), dtype=np.int64)
+    walks[:, 1:] = np.cumsum(stride[list(permutations(range(d)))], axis=1)
+    base = np.ravel_multi_index(np.indices((n,) * d).reshape(d, -1), (n + 1,) * d)
+    return Mesh(d, verts, (base[:, None, None] + walks).reshape(-1, d + 1))
 
 
-# Kuhn decomposition of the unit cube: one tetrahedron per permutation,
-# walking corner-to-corner one axis at a time.
-_CUBE_TET_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+def generate_square_mesh(n: int) -> Mesh:
+    """Unit square split into n x n quads, each cut into two triangles
+    along its (0, 0)-(1, 1) diagonal: the Kuhn decomposition, d! = 2
+    simplices per subcube (``_kuhn_mesh``)."""
+    return _kuhn_mesh(n, 2)
 
 
 def generate_cube_mesh(n: int) -> Mesh:
-    """Unit cube split into n^3 subcubes of six tetrahedra each."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = np.linspace(0.0, 1.0, n + 1)
-    xx, yy, zz = np.meshgrid(s, s, s, indexing="ij")
-    verts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    # vertex-index step along each axis; each tetrahedron walks from the
-    # subcube's lowest corner one axis step at a time
-    stride = np.array([(n + 1) ** 2, n + 1, 1])
-    walks = np.zeros((len(_CUBE_TET_PERMS), 4), dtype=np.int64)
-    walks[:, 1:] = np.cumsum(stride[np.array(_CUBE_TET_PERMS)], axis=1)
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    base = (i * stride[0] + j * stride[1] + k).ravel()
-    cells = base[:, None, None] + walks
-    return Mesh(3, verts, cells.reshape(-1, 4))
+    """Unit cube split into n^3 subcubes of six tetrahedra each: the Kuhn
+    decomposition, d! = 6 simplices per subcube (``_kuhn_mesh``)."""
+    return _kuhn_mesh(n, 3)
 
 
 # -- Triangle / TetGen file I/O --------------------------------------------
@@ -514,9 +500,11 @@ def read_mesh(node_path, ele_path, facet_path=None) -> Mesh:
     with their markers, a marker 0 read as 1 as Triangle does for
     boundary segments; its inline node rows are skipped (vertices come
     from the .node file) and what follows the segments (holes, regional
-    attributes) is ignored. Without a facet file, or when it names no
-    boundary facet, the facets are derived as those of exactly one cell,
-    with marker 1.
+    attributes) is ignored. Every facet the file keeps must be a face of
+    exactly one cell and be listed once; a facet named twice, even with
+    two markers, is a ``MeshFormatError``. Without a facet file, or when
+    it names no boundary facet, the facets are derived as those of
+    exactly one cell, with marker 1.
     """
     coords, base = _read_nodes(node_path)
     d = coords.shape[1]

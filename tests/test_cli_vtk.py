@@ -75,6 +75,19 @@ def test_dof_report_empty_mesh(capsys, tmp_path, node_text, message):
     assert err.startswith("error:") and message in err
 
 
+def test_edge_file_facet_listed_twice(capsys, tmp_path):
+    # the left edge "3 1" twice, with markers 1 and 3: this ran and exited
+    # 0 with lambda_max 129.447 instead of 120 and 3 null modes instead of 5
+    (tmp_path / "s.node").write_text("4 2 0 0\n1 0 0\n2 1 0\n3 0 1\n4 1 1\n")
+    (tmp_path / "s.ele").write_text("2 3 0\n1 1 2 3\n2 2 4 3\n")
+    (tmp_path / "s.edge").write_text(
+        "5 1\n1 1 2 1\n2 2 4 1\n3 4 3 1\n4 3 1 1\n5 3 1 3\n")
+    paths = [str(tmp_path / f"s.{ext}") for ext in ("node", "ele", "edge")]
+    assert run(["spectrum", "--mesh", *paths, "--bc", "dirichlet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "listed more than once" in err
+
+
 def test_spectrum_json(capsys, tmp_path):
     out = str(tmp_path / "eigs.json")
     code = run(["spectrum", "--mesh", mesh_path("square_150.node"),

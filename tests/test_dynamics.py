@@ -7,6 +7,7 @@ from wavefem import dynamics
 from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
+from wavefem.elements import h_dof_coords
 from wavefem.spectral import cell_lambda_bound, laplacian_pencil, max_eigenvalue
 
 from conftest import assemble_all, gaussian_bump
@@ -143,7 +144,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     bc = wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0])
     ops = wf.assemble(mesh, dofs, bc)
     config = SimulationConfig(dt=1e-3, n_steps=50, ic_h=gaussian_bump([0.3]))
-    h = simulate(mesh, bc, config, ops=ops).final_state.h
+    h = simulate(mesh, ops, config).final_state.h
     assert sorted(h[ops.h_fixed]) == [1.0, 2.0]
 
     # with g = 0 the energy error is second order in dt; h0 is not zero at
@@ -155,7 +156,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     def max_error(dt):
         config = SimulationConfig(dt=dt, n_steps=int(round(0.5 / dt)),
                                   ic_h=gaussian_bump([0.3]))
-        return np.abs(simulate(mesh, bc, config, ops=ops).energy_errors).max()
+        return np.abs(simulate(mesh, ops, config).energy_errors).max()
 
     e1 = max_error(0.2 * est)
     e2 = max_error(0.1 * est)
@@ -163,12 +164,28 @@ def test_interval_dirichlet_run_fixed_dofs():
     assert 3.0 <= e1 / e2 <= 5.3  # ~4 for a second-order method
 
 
+def test_standing_wave_space_time_order():
+    # Neumann standing wave cos(pi x) cos(pi y) from rest, dt = 0.04 / N to
+    # t = 0.5: the nodal max error against cos(sqrt(2) pi t) times the mode
+    # falls from 1.0e-4 at N = 16 to 1.1e-5 at N = 32 (rate 3.2)
+    def mode(x):
+        return np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
+
+    def max_error(n):
+        mesh = wf.generate_square_mesh(n)
+        dofs, ops = assemble_all(mesh, "neumann")
+        config = SimulationConfig(dt=0.04 / n, n_steps=int(round(12.5 * n)), ic_h=mode)
+        state = simulate(mesh, ops, config).final_state
+        exact = np.cos(np.sqrt(2.0) * np.pi * state.time) * mode(h_dof_coords(mesh, dofs))
+        return np.abs(state.h - exact).max()
+
+    assert np.log2(max_error(16) / max_error(32)) >= 2.8
+
+
 def test_interpolate_state_nodal(square_36):
     dofs = wf.build_dof_maps(square_36)
     state = interpolate_state(square_36, dofs, lambda x: x[..., 0] + 2.0 * x[..., 1],
                               u0=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1))
-    from wavefem.elements import h_dof_coords
-
     coords = h_dof_coords(square_36, dofs)
     assert np.allclose(state.h, coords[:, 0] + 2.0 * coords[:, 1])
     c = 5
@@ -179,20 +196,20 @@ def test_interpolate_state_nodal(square_36):
 
 
 def test_simulate_energy_rows(square_36):
-    bc = wf.BcSpec.all_neumann(square_36)
+    _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=1e-3, n_steps=300, energy_stride=100,
                               ic_h=gaussian_bump([0.5, 0.5]))
-    result = simulate(square_36, bc, config)
+    result = simulate(square_36, ops, config)
     assert len(result.times) == 4  # steps 0, 100, 200, 300
     assert not result.aborted
     assert np.abs(result.energy_errors).max() <= 1e-3
 
 
 def test_simulate_rejects_unstable_dt(square_36):
-    bc = wf.BcSpec.all_neumann(square_36)
+    _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=1.0, n_steps=10, ic_h=gaussian_bump([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="stability"):
-        simulate(square_36, bc, config)
+        simulate(square_36, ops, config)
 
 
 def test_dt_check_paths(square_36, monkeypatch):
@@ -208,7 +225,7 @@ def test_dt_check_paths(square_36, monkeypatch):
 
     def run(dt):
         config = SimulationConfig(dt=dt, n_steps=2, ic_h=gaussian_bump([0.5, 0.5]))
-        return simulate(square_36, bc, config, ops=ops)
+        return simulate(square_36, ops, config)
 
     def no_eigensolve(ops):
         raise RuntimeError("eigensolve called")
@@ -228,8 +245,8 @@ def test_dt_check_paths(square_36, monkeypatch):
         assert result.cell_bound_dt < between
     with pytest.raises(ConfigurationError, match="stability estimate"):
         run(np.nextafter(exact, 1.0))
-    forced = simulate(square_36, bc, SimulationConfig(dt=0.9 * certified, n_steps=2,
-                                                      allow_unstable_dt=True), ops=ops)
+    forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, n_steps=2,
+                                                       allow_unstable_dt=True))
     assert (forced.dt_check, forced.stable_dt, forced.cell_bound_dt) == ("forced", None, None)
 
 
@@ -243,7 +260,7 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = simulate(square_36, bc, SimulationConfig(dt=dt, n_steps=1), ops=ops)
+    result = simulate(square_36, ops, SimulationConfig(dt=dt, n_steps=1))
     assert result.dt_check == "exact"
     assert calls == [(square_36.n_cells, 6, 6)]
 
@@ -256,17 +273,17 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     bc = wf.BcSpec.all_neumann(mesh)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
-    result = simulate(mesh, bc, SimulationConfig(dt=exact, n_steps=1), ops=ops)
+    result = simulate(mesh, ops, SimulationConfig(dt=exact, n_steps=1))
     assert result.cell_bound_dt <= exact
     assert result.cell_bound_dt >= (1.0 - 1e-9) * exact
 
 
 def test_simulate_abort_keeps_partial_series(square_36):
-    bc = wf.BcSpec.all_neumann(square_36)
+    _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=0.5, n_steps=2000, energy_stride=1,
                               ic_h=gaussian_bump([0.5, 0.5]),
                               allow_unstable_dt=True)
-    result = simulate(square_36, bc, config)
+    result = simulate(square_36, ops, config)
     assert result.aborted
     assert result.abort_step is not None
     assert len(result.times) >= 1
@@ -278,11 +295,11 @@ def test_simulate_abort_keeps_partial_series(square_36):
 
 
 def test_snapshot_callback(square_36):
-    bc = wf.BcSpec.all_neumann(square_36)
+    _, ops = assemble_all(square_36, "neumann")
     seen = []
     config = SimulationConfig(dt=1e-3, n_steps=10, energy_stride=5,
                               snapshot_stride=5, ic_h=gaussian_bump([0.5, 0.5]))
-    simulate(square_36, bc, config,
+    simulate(square_36, ops, config,
              snapshot_callback=lambda step, state: seen.append(step))
     assert seen == [0, 5, 10]
     # a stride below 1 would snapshot never (0) or on multiples of |stride|

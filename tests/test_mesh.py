@@ -203,6 +203,19 @@ def test_square_mesh_counts():
     assert mesh.n_edges == 5
     mesh2 = wf.generate_square_mesh(2)
     assert abs(mesh2.cell_measures.sum() - 1.0) <= 1e-14
+    # reference: vertices in (i, j) order and two explicit triangles per
+    # quad, both positively oriented, quads in (i, j) order
+    for n in range(1, 5):
+        mesh = wf.generate_square_mesh(n)
+        s = np.linspace(0.0, 1.0, n + 1)
+        cells = []
+        for i in range(n):
+            for j in range(n):
+                v00 = i * (n + 1) + j
+                v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+                cells += [[v00, v10, v11], [v00, v11, v01]]
+        assert np.array_equal(mesh.vertices, [(x, y) for x in s for y in s])
+        assert mesh.cells.tolist() == cells
 
 
 def test_cube_mesh_counts():
@@ -210,6 +223,29 @@ def test_cube_mesh_counts():
     assert mesh.n_vertices == 8
     assert mesh.n_cells == 6
     assert abs(mesh.cell_measures.sum() - 1.0) <= 1e-12
+    # reference: six tetrahedra per subcube from an explicit permutation
+    # table, each walking from the lowest corner one axis at a time; the
+    # odd permutations give inverted cells, whose last two corners the
+    # mesh swaps
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    odd = (False, True, True, False, False, True)
+    for n in range(1, 4):
+        mesh = wf.generate_cube_mesh(n)
+        s = np.linspace(0.0, 1.0, n + 1)
+        stride = ((n + 1) ** 2, n + 1, 1)
+        cells = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for perm, flip in zip(perms, odd):
+                        walk = [i * stride[0] + j * stride[1] + k]
+                        for axis in perm:
+                            walk.append(walk[-1] + stride[axis])
+                        if flip:
+                            walk[2], walk[3] = walk[3], walk[2]
+                        cells.append(walk)
+        assert np.array_equal(mesh.vertices, [(x, y, z) for x in s for y in s for z in s])
+        assert mesh.cells.tolist() == cells
 
 
 def test_edge_extraction_shared_edge():
@@ -251,6 +287,17 @@ def test_cells_reoriented_positive():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     mesh = Mesh(2, verts, [(0, 2, 1)])  # negatively oriented input
     assert mesh.cell_measures[0] > 0
+    assert mesh.cells.tolist() == [[0, 1, 2]]
+    assert mesh.cell_coords.tolist() == [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
+    # only the inverted tetrahedron has its last two corners swapped, in
+    # the cells and in the given corner coordinates alike
+    verts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                      (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    cells = np.array([(0, 1, 2, 3), (0, 1, 2, 4)])
+    mesh = Mesh(3, verts, cells, cell_coords=verts[cells])
+    assert mesh.cells.tolist() == [[0, 1, 2, 3], [0, 1, 4, 2]]
+    assert np.array_equal(mesh.cell_coords, verts[mesh.cells])
+    assert np.allclose(mesh.cell_measures, 1.0 / 6.0)
 
 
 def test_boundary_facet_must_be_on_one_cell():
@@ -258,6 +305,19 @@ def test_boundary_facet_must_be_on_one_cell():
     cells = [(0, 1, 2), (1, 3, 2)]
     with pytest.raises(ValueError, match="shared by 2"):
         Mesh(2, verts, cells, boundary_facets=[(1, 2)])
+
+
+def test_boundary_facet_listed_twice():
+    # a repeated facet would count twice in every boundary integral: with
+    # f = 1 the Neumann load summed to 4.5 on the unit square's perimeter 4
+    mesh = wf.generate_square_mesh(2)
+    facets = np.vstack([mesh.boundary_facets, mesh.boundary_facets[:1]])
+    with pytest.raises(ValueError, match="listed more than once"):
+        Mesh(2, mesh.vertices, mesh.cells, facets, np.ones(len(facets)))
+    # also when the two listings order the vertices differently
+    facets[-1] = facets[0, ::-1]
+    with pytest.raises(ValueError, match="listed more than once"):
+        Mesh(2, mesh.vertices, mesh.cells, facets, np.ones(len(facets)))
 
 
 def test_boundary_facet_must_be_a_cell_face():

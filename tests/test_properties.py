@@ -166,8 +166,9 @@ def test_malformed_files_raise_mesh_format_error(kind, data):
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(sorted(VALID)), data=st.data())
 def test_facet_files_must_name_boundary_faces(kind, data):
-    # facets that are not cell faces, or are shared by two cells, are
-    # rejected; a file naming only boundary faces is accepted
+    # facets that are not cell faces, are shared by two cells or are
+    # listed twice are rejected; a file naming only boundary faces, each
+    # once, is accepted
     mesh, valid = VALID[kind]
     d = mesh.dim
     vertex = st.integers(1, mesh.n_vertices)
@@ -178,12 +179,17 @@ def test_facet_files_must_name_boundary_faces(kind, data):
     texts[facet_ext] = f"{len(facets)} 1\n" + "".join(
         f"{k} " + " ".join(map(str, f)) + " 1\n" for k, f in enumerate(facets, start=1))
     boundary = {tuple(sorted(f)) for f in (mesh.boundary_facets + 1).tolist()}
-    if all(tuple(sorted(f)) in boundary for f in facets):
+    named = [tuple(sorted(f)) for f in facets]
+    on_boundary = all(f in boundary for f in named)
+    if on_boundary and len(set(named)) == len(named):
         assert len(_read(kind, texts).boundary_facets) == len(facets)
     else:
         try:
             _read(kind, texts)
         except MeshFormatError as exc:
-            assert "not a cell face" in str(exc) or "shared by 2 cells" in str(exc)
+            if on_boundary:
+                assert "listed more than once" in str(exc)
+            else:
+                assert "not a cell face" in str(exc) or "shared by 2 cells" in str(exc)
         else:
-            raise AssertionError("facet file naming a non-boundary face was accepted")
+            raise AssertionError("facet file naming a non-boundary or repeated face was accepted")

@@ -2,12 +2,14 @@
 
 They write one row per ``write`` call, the plain way, and pin the bytes
 of ``wavefem.vtk_io``: every block of the package writers is formatted in
-one string operation and must reproduce these files exactly.
+one string operation and must reproduce these files exactly. The points
+are computed here too, from the vertices and each cell's corners, so a
+wrong P2 node in the package fails the pins.
 """
 
 import numpy as np
 
-from wavefem.elements import h_dof_coords
+from wavefem.mesh import CELL_EDGES
 
 # quadratic VTK cell types and the mapping from the canonical local edge
 # order (lexicographic corner pairs) to VTK's midpoint ordering
@@ -34,10 +36,24 @@ def _write_vectors(fh, name, comps):
         fh.write(f"{v[0]:.16g} {v[1]:.16g} {v[2]:.16g}\n")
 
 
+def _points(mesh, dofs):
+    """The vertices, then every cell's edge midpoints (x_a + x_b) / 2 at
+    the cell's own midpoint DOFs, so the periodic wrap cell uses its own
+    corners."""
+    d = mesh.dim
+    points = np.empty((dofs.m_h, d))
+    points[:mesh.n_vertices] = mesh.vertices
+    for c in range(mesh.n_cells):
+        x = mesh.cell_coords[c]
+        for k, (a, b) in enumerate(CELL_EDGES[d]):
+            points[dofs.h_cell_dofs[c, d + 1 + k]] = 0.5 * (x[a] + x[b])
+    return points
+
+
 def reference_write_vtk(path, mesh, dofs, h=None, u=None):
     """``wavefem.vtk_io.write_vtk``, one row at a time."""
     d = mesh.dim
-    points = h_dof_coords(mesh, dofs)
+    points = _points(mesh, dofs)
     perm = _EDGE_PERM[d]
     n_corner = d + 1
     with open(path, "w") as fh:
