@@ -43,18 +43,30 @@ the discrete Laplacian A = sum_K scatter(A_K) of ``spectral``. Because
 grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
 so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
 Dirichlet facet blocks change A only on the DOFs of their owner cells.
+
+One routine, ``_factor``, factors every sparse matrix: the free block of
+the scalar mass and the shifted pencils A - sigma M of ``spectral``. A
+has the mass's sparsity pattern, so one ordering of the free scalar DOFs
+serves all of them. On 3D meshes ``assemble`` builds a geometric nested
+dissection (``_dissection_order``, George 1973) and keeps it as
+``AssembledOperators.h_order``; SuperLU's minimum-degree ordering (MMD)
+fills badly on 3D P2 patterns (L+U on ``cube:8`` 1.86M entries against
+1.59M, on ``cube:12`` 12.3M against 8.10M, factor time 4.5 s against
+0.82 s there). In 1D and 2D MMD wins (``square:48``: 0.62M against
+0.90M), so the order is None and MMD orders the factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import DofMap, p2_basis, quadrature
+from .elements import DofMap, h_dof_coords, p2_basis, quadrature
 from .mesh import CELL_FACETS, BcSpec, Mesh
 
 __all__ = [
@@ -63,6 +75,7 @@ __all__ = [
 ]
 
 QUAD_DEGREE = 4  # highest assembled integrand: quadratic x quadratic
+DISSECTION_LEAF = 32  # parts up to this many DOFs are not split further
 
 
 @dataclass
@@ -89,6 +102,8 @@ class AssembledOperators:
     u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
     h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
                                 # cell_dets[K] times these
+    h_order: Optional[np.ndarray]  # fill-reducing order of the free scalar
+                                # DOFs for ``_factor``; None in 1D and 2D
     # Caches filled on first use; ``dataclasses.replace`` does not copy them.
     _h_factor: object = field(default=None, init=False, repr=False, compare=False)
     _kick: object = field(default=None, init=False, repr=False, compare=False)
@@ -124,9 +139,10 @@ class AssembledOperators:
         return self._kick
 
     def h_mass_solver(self):
-        """Cached solve with the free block of the scalar mass (``_factor``)."""
+        """Cached solve with the free block of the scalar mass, factored by
+        ``_factor`` in the order ``h_order``."""
         if self._h_factor is None:
-            self._h_factor = _factor(self.free_block(self.h_mass))
+            self._h_factor = _factor(self.free_block(self.h_mass), self.h_order)
         return self._h_factor
 
 
@@ -162,13 +178,65 @@ def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
     return mat
 
 
-def _factor(mat):
-    """Solve function of a sparse symmetric definite matrix: the scalar mass,
-    or a shifted pencil A - sigma M of ``spectral``. Elimination needs no
-    pivoting on it, so SuperLU takes a symmetric ordering (MMD on A + A^T)
-    and the diagonal pivots."""
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).solve
+def _dissection_order(mat, coords: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection order of the rows of the symmetric
+    sparsity pattern ``mat``, whose DOFs sit at ``coords`` (George 1973).
+
+    A part is split at the median of its widest coordinate. Its separator
+    is the left DOFs coupled to the right ones, so the two halves left
+    without it share no entry. Both halves are ordered the same way, each
+    is numbered before the separator, and parts of at most
+    ``DISSECTION_LEAF`` DOFs keep their order. With the median value on
+    the left, a grid plane of DOFs lands on the left and is the separator.
+    """
+    csr = mat.tocsr()
+    ptr, cols, degree = csr.indptr, csr.indices, np.diff(csr.indptr)
+    right = np.zeros(mat.shape[0], dtype=bool)
+
+    def parts(idx):
+        if len(idx) <= DISSECTION_LEAF:
+            return [idx]
+        x = coords[idx]
+        key = x[:, np.ptp(x, axis=0).argmax()]
+        on_left = key <= np.median(key)
+        if on_left.all():  # over half the part on its far face: no split
+            return [idx]
+        left, right_idx = idx[on_left], idx[~on_left]
+        # gather the left rows' column entries; every row holds its diagonal
+        count = degree[left]
+        first = np.cumsum(count) - count
+        entries = np.arange(count.sum()) + np.repeat(ptr[left] - first, count)
+        right[right_idx] = True
+        sep = np.logical_or.reduceat(right[cols[entries]], first)
+        right[right_idx] = False
+        return parts(left[~sep]) + parts(right_idx) + [left[sep]]
+
+    return np.concatenate(parts(np.arange(mat.shape[0])))
+
+
+def _factor(mat, order):
+    """Solve function of a sparse symmetric definite matrix: the free block
+    of the scalar mass, or a shifted pencil A - sigma M of ``spectral``.
+
+    Elimination needs no pivoting on it, so SuperLU takes the diagonal
+    pivots and a symmetric ordering. With ``order`` (3D, the nested
+    dissection of the module docstring) it factors ``mat[order][:, order]``
+    in that natural order and the solve scatters the result back; without
+    it SuperLU orders by minimum degree on A + A^T (MMD), which fills less
+    in 1D and 2D. The function keeps the factor as ``lu`` (a SuperLU
+    object, of the reordered matrix when ``order`` is given).
+    """
+    if order is not None:
+        mat = mat[order][:, order]
+    lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    inverse = None if order is None else np.argsort(order)
+
+    def solve(b):
+        return lu.solve(b) if order is None else lu.solve(b[order])[inverse]
+
+    solve.lu = lu
+    return solve
 
 
 def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
@@ -260,8 +328,13 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
+    h_order = None
+    if d == 3:  # every DOF is free in 3D
+        h_order = _dissection_order(h_mass, h_dof_coords(mesh, dofs))
+
     return AssembledOperators(
         dim=d, dofs=dofs, h_mass=h_mass, grad=grad,
         dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs,
         h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values,
-        grad_cells=grad_cells, cell_dets=det, u_mass_ref=mu_ref, h_mass_ref=mh_ref)
+        grad_cells=grad_cells, cell_dets=det, u_mass_ref=mu_ref, h_mass_ref=mh_ref,
+        h_order=h_order)

@@ -4,7 +4,10 @@ Verbs: dof-report, spectrum, dispersion, simulate, mesh-convert. Every
 command that writes outputs also writes a JSON run manifest next to them
 so a run can be reproduced. The ``simulate`` manifest also records
 ``dt_check``: the path the dt check took (``cell_bound``, ``exact`` or
-``forced``), the limit it used and the cell-bound limit. Exit codes: 0
+``forced``), the limit it used and the cell-bound limit; and
+``mass_solve``: the ordering of the scalar-mass factor
+(``nested_dissection`` in 3D, ``mmd`` in 1D and 2D) and ``factor_nnz``,
+SuperLU's count of the L and U entries it stores. Exit codes: 0
 success, 1 input, usage or output-path error, 2 numerical failure, 3
 invariant violation.
 """
@@ -286,7 +289,9 @@ def cmd_simulate(args) -> int:
                      "force_dt": args.force_dt},
                     outputs, started,
                     dt_check={"path": result.dt_check, "limit": result.stable_dt,
-                              "cell_bound_limit": result.cell_bound_dt})
+                              "cell_bound_limit": result.cell_bound_dt},
+                    mass_solve={"ordering": "mmd" if ops.h_order is None else "nested_dissection",
+                                "factor_nnz": ops.h_mass_solver().lu.nnz})
 
     if result.aborted:
         print(f"UNSTABLE: aborted at step {result.abort_step}; "

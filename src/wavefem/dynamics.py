@@ -12,7 +12,12 @@ its error is then no stability signal.
 Each half-kick is one sparse product with the cached kick operator
 B_i = u_mass^{-1} grad_i, exact since cell K's block of u_mass is
 det_K * u_mass_ref; the scalar mass matrix is factorized once
-(``assembly._factor``) and reused across steps.
+(``assembly._factor``) and reused across steps. On 3D meshes the factor
+is taken in a nested-dissection order of the scalar DOFs (``cube:8``:
+1.59M L+U entries against MMD's 1.86M, and on ``cube:12`` 8.10M against
+12.3M); in 1D and 2D SuperLU's MMD ordering fills less (``square:48``:
+0.62M against 0.90M) and is kept. Both solve to rounding (within
+1.1e-15 relative of each other on ``cube:8`` and ``cube:12``).
 
 The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
 checks a requested dt in two stages. The element-by-element bound

@@ -8,7 +8,9 @@ piecewise quadratic, with DOFs at vertices and edge midpoints;
 ``p2_basis`` tabulates it. Since grad P2 lies in P1_DG^d, the pair's
 discrete gradient is exact. Quadrature rules are collapsed-coordinate
 Gauss-Jacobi products (Stroud 1971), exact for all polynomial integrands
-up to the requested total degree.
+up to the requested total degree; each Gauss-Jacobi rule comes from the
+eigenvalues of its Jacobi matrix (Golub and Welsch 1969), so the module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import CELL_EDGES, Mesh
 
@@ -52,6 +53,20 @@ class QuadratureRule:
     weights: np.ndarray  # sum to the reference-simplex measure 1/dim!
 
 
+def _gauss_jacobi(n: int, alpha: int):
+    """n-point Gauss rule on [-1, 1] for the weight (1 - x)^alpha (Golub and
+    Welsch 1969). The nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Jacobi polynomials P_k^(alpha, 0); the weights are the
+    squared first components of its eigenvectors times the weight's
+    integral 2^(alpha + 1) / (alpha + 1)."""
+    k = np.arange(1, n)
+    s = 2.0 * k + alpha
+    diag = np.append(-alpha / (alpha + 2.0), -alpha ** 2 / (s * (s + 2.0)))
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (alpha + 1) / (alpha + 1) * v[0] ** 2
+
+
 def quadrature(dim: int, degree: int) -> QuadratureRule:
     """Collapsed-coordinate Gauss rule on the reference simplex.
 
@@ -68,7 +83,7 @@ def quadrature(dim: int, degree: int) -> QuadratureRule:
     if dim == 0:
         return QuadratureRule(np.ones((1, 1)), np.ones(1))
     base = quadrature(dim - 1, degree)
-    x, w = roots_jacobi((degree + 2) // 2, dim - 1, 0.0)
+    x, w = _gauss_jacobi((degree + 2) // 2, dim - 1)
     u, wu = (x + 1.0) / 2.0, w * 0.5 ** dim
     scaled = ((1.0 - u)[:, None, None] * base.points).reshape(-1, dim)
     points = np.insert(scaled, 1, np.repeat(u, len(base.weights)), axis=1)

@@ -61,12 +61,14 @@ a shift sigma: the lowest at a small sigma < 0, where A - sigma M is
 positive definite despite the Neumann null space, and lambda_max at
 sigma = (1 + 1e-3) times the cell bound, where A - sigma M is negative
 definite (Ericsson and Ruhe, Math. Comp. 35, 1980). Both are definite
-like the scalar mass, so the routine that factors the mass,
-``assembly._factor``, is ARPACK's ``OPinv`` too. lambda_max is the
-Rayleigh quotient of the Ritz vector, not the Ritz value sigma + 1/nu:
-on slivers sigma is far above lambda_max (232 times on ``cube_200``),
-the Ritz value loses that factor in accuracy (to 1.4e-13 on
-``cube_400``), and the quotient's error is the square of the vector's.
+like the scalar mass and have its sparsity pattern, so the routine that
+factors the mass, ``assembly._factor``, is ARPACK's ``OPinv`` too, in
+the mass's order (nested dissection in 3D, MMD in 1D and 2D; see the
+``assembly`` module docstring). lambda_max is the Rayleigh quotient of
+the Ritz vector, not the Ritz value sigma + 1/nu: on slivers sigma is
+far above lambda_max (232 times on ``cube_200``), the Ritz value loses
+that factor in accuracy (to 1.4e-13 on ``cube_400``), and the
+quotient's error is the square of the vector's.
 """
 
 from __future__ import annotations
@@ -156,29 +158,31 @@ def _dense(A, M, **kw):
                            "assembly is inconsistent") from exc
 
 
-def _eigsh(A, M, k, sigma, **kw):
+def _eigsh(A, M, k, sigma, order, **kw):
     """Shift-invert ARPACK for the ``k`` eigenvalues nearest ``sigma``, with
-    ``_factor(A - sigma M)`` as ``OPinv``. The fixed start vector makes every
-    call give the same eigenvalues; it is not constant, since under Neumann
-    data that is the null eigenvector, on which Lanczos breaks down."""
+    ``_factor(A - sigma M, order)`` as ``OPinv``, where ``order`` is the
+    mass's (``ops.h_order``). The fixed start vector makes every call give
+    the same eigenvalues; it is not constant, since under Neumann data
+    that is the null eigenvector, on which Lanczos breaks down."""
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    op_inv = spla.LinearOperator(A.shape, matvec=_factor(A - sigma * M), dtype=float)
+    op_inv = spla.LinearOperator(A.shape, matvec=_factor(A - sigma * M, order), dtype=float)
     return spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw)
 
 
-def _lambda_max(A, M, bound: float) -> float:
+def _lambda_max(A, M, bound: float, order) -> float:
     """Largest eigenvalue of the pencil: dense up to ``DENSE_CUTOFF`` DOFs,
     else the Rayleigh quotient of the Ritz vector at the shift
-    (1 + 1e-3) ``bound`` above it (module docstring). A bound that is not
-    finite and positive, or ARPACK non-convergence, is a ``RuntimeError``;
-    a dense fallback at that size would need two dense n x n arrays."""
+    (1 + 1e-3) ``bound`` above it (module docstring), factored in the
+    mass's ``order``. A bound that is not finite and positive, or ARPACK
+    non-convergence, is a ``RuntimeError``; a dense fallback at that size
+    would need two dense n x n arrays."""
     n = A.shape[0]
     if n <= DENSE_CUTOFF:
         return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
     if not 0.0 < bound < np.inf:
         raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
     try:
-        v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), maxiter=5000)[1][:, 0]
+        v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), order, maxiter=5000)[1][:, 0]
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
     return float(v @ (A @ v) / (v @ (M @ v)))
@@ -201,10 +205,10 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
 
     scale = A.diagonal().mean() / max(M.diagonal().mean(), np.finfo(float).tiny)
     sigma = -1e-3 * max(scale, 1.0)
-    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma)
-    order = np.argsort(vals)
-    return Spectrum(vals[order], _lambda_max(A, M, cell_lambda_bound(ops)), m_h,
-                    complete=False, eigenvectors=vecs[:, order] if compute_vectors else None)
+    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
+    rank = np.argsort(vals)
+    return Spectrum(vals[rank], _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order), m_h,
+                    complete=False, eigenvectors=vecs[:, rank] if compute_vectors else None)
 
 
 def null_space_dimension(spectrum: Spectrum) -> int:
@@ -227,7 +231,7 @@ def max_eigenvalue(ops: AssembledOperators) -> float:
     the shift-invert Ritz vector at a shift just above
     ``cell_lambda_bound`` (``_lambda_max``)."""
     A, M = laplacian_pencil(ops)
-    return _lambda_max(A, M, cell_lambda_bound(ops))
+    return _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order)
 
 
 def cell_lambda_bound(ops: AssembledOperators) -> float:

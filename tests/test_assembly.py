@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import wavefem as wf
-from wavefem.assembly import QUAD_DEGREE, assemble
+from wavefem.assembly import QUAD_DEGREE, _factor, assemble
 from wavefem.elements import p2_basis, quadrature
 
 from conftest import assemble_all
@@ -241,6 +241,49 @@ def test_velocity_mass_reference_form(name, request):
              for r in (x, x2))
     changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
     assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
+
+
+def mmd_splu(mat):
+    """The factor every matrix had before the 3D ordering: SuperLU's MMD."""
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+@pytest.mark.parametrize("name", ["cube:8", "cube_200"])
+def test_dissection_order_solves_like_mmd(name, request):
+    # the 3D order permutes the free scalar DOFs, and the mass and the
+    # lambda_max pencil A - sigma M, factored in it, solve as MMD's factors do
+    mesh = wf.generate_cube_mesh(8) if name == "cube:8" else request.getfixturevalue(name)
+    _, ops = assemble_all(mesh, "dirichlet")
+    n = len(ops.h_free)
+    assert np.array_equal(np.sort(ops.h_order), np.arange(n))
+    A, M = wf.laplacian_pencil(ops)
+    pencil = A - 1.001 * wf.cell_lambda_bound(ops) * M
+    b = np.random.default_rng(0).standard_normal(n)
+    for mat, solve in [(M, ops.h_mass_solver()), (pencil, _factor(pencil, ops.h_order))]:
+        ref = mmd_splu(mat).solve(b)
+        assert np.abs(solve(b) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_dissection_fills_less_than_mmd_on_cube8():
+    # entry counts, not timings: L + U is 1.59M against MMD's 1.86M, and
+    # SuperLU's stored count (supernodes in full) 1.59M against 2.19M
+    _, ops = assemble_all(wf.generate_cube_mesh(8), "dirichlet")
+    lu, ref = ops.h_mass_solver().lu, mmd_splu(ops.h_mass)
+    assert lu.L.nnz + lu.U.nnz < 0.9 * (ref.L.nnz + ref.U.nnz) < 0.9 * 1.87e6
+    assert lu.nnz < 0.75 * ref.nnz
+
+
+def test_only_3d_operators_carry_an_order(square_36):
+    # in 1D and 2D MMD fills less, so the mass is factored without an order
+    interval = wf.generate_interval_mesh(8, 1.0)
+    for mesh, bc in [(interval, wf.BcSpec(dirichlet_markers={1, 2})),
+                     (square_36, wf.BcSpec.all_dirichlet(square_36))]:
+        ops = assemble(mesh, wf.build_dof_maps(mesh), bc)
+        assert ops.h_order is None
+        b = np.random.default_rng(0).standard_normal(len(ops.h_free))
+        M = ops.free_block(ops.h_mass)
+        assert np.array_equal(ops.h_mass_solver()(b), mmd_splu(M).solve(b))
 
 
 def test_replace_drops_cached_solvers(square_36):

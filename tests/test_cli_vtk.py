@@ -197,8 +197,11 @@ def test_simulate_manifest_dt_check(tmp_path):
                     "--out-dir", out_dir, *flags])
         assert code == 0
         with open(os.path.join(out_dir, "manifest.json")) as fh:
-            check = json.load(fh)["dt_check"]
+            manifest = json.load(fh)
+        check = manifest["dt_check"]
         assert check["path"] == path
+        assert manifest["mass_solve"] == {"ordering": "mmd",
+                                          "factor_nnz": ops.h_mass_solver().lu.nnz}
         if path == "forced":
             assert check["limit"] is None and check["cell_bound_limit"] is None
         elif path == "exact":
@@ -207,6 +210,19 @@ def test_simulate_manifest_dt_check(tmp_path):
         else:
             assert check["limit"] == check["cell_bound_limit"]
             assert dt < check["limit"] <= certified
+
+
+def test_simulate_manifest_mass_solve_3d(tmp_path):
+    # a 3D run factors the mass in the nested-dissection order and records
+    # the factor's stored entry count
+    mesh = wf.generate_cube_mesh(3)
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_dirichlet(mesh))
+    cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.02\nbc = dirichlet\n")
+    out_dir = str(tmp_path / "out")
+    assert run(["simulate", "--generate", "cube:3", "--config", cfg, "--out-dir", out_dir]) == 0
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        solve = json.load(fh)["mass_solve"]
+    assert solve == {"ordering": "nested_dissection", "factor_nnz": ops.h_mass_solver().lu.nnz}
 
 
 @pytest.mark.parametrize("key,value", [("dt", "0"), ("dt", "nan"), ("t_end", "inf"),

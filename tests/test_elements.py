@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from math import factorial
 
 import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.elements import build_dof_maps, h_dof_coords, p2_basis, quadrature
+from wavefem.elements import (_gauss_jacobi, build_dof_maps, h_dof_coords, p2_basis,
+                              quadrature)
 from wavefem.mesh import CELL_EDGES
 
 
@@ -76,6 +80,25 @@ def test_quadrature_x2y2():
     xy = rule.points[:, 1:]
     val = float(rule.weights @ (xy[:, 0] ** 2 * xy[:, 1] ** 2))
     assert abs(val - 1.0 / 180.0) <= 1e-16
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_gauss_jacobi_matches_scipy(alpha):
+    # the eigenvalue rule reproduces scipy's Gauss-Jacobi nodes and weights
+    from scipy.special import roots_jacobi
+    for n in range(1, 5):
+        x, w = _gauss_jacobi(n, alpha)
+        x_ref, w_ref = roots_jacobi(n, alpha, 0.0)
+        assert np.abs(x - x_ref).max() <= 1e-14 and np.abs(w - w_ref).max() <= 1e-14
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special costs the CLI's start-up time and memory, and nothing needs it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, wavefem.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_quadrature_unsupported():

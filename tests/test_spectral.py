@@ -224,6 +224,22 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch)
     assert max_eigenvalue(ops) == lam
 
 
+def test_shift_invert_factors_in_the_mass_order(cube_200, monkeypatch):
+    # A - sigma M has the mass's pattern, so both ends of the iterative
+    # spectrum factor it in the mass's nested-dissection order
+    _, ops = assemble_all(cube_200, "dirichlet")
+    orders, spectral_factor = [], spectral._factor
+
+    def factor(mat, order):
+        orders.append(order)
+        return spectral_factor(mat, order)
+
+    monkeypatch.setattr(spectral, "_factor", factor)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    laplacian_spectrum(ops)
+    assert len(orders) == 2 and all(o is ops.h_order for o in orders)
+
+
 def test_cell_bound_periodic_interval():
     mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
