@@ -8,7 +8,8 @@ from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
 from wavefem.elements import h_dof_coords
-from wavefem.spectral import cell_lambda_bound, laplacian_pencil, max_eigenvalue
+from wavefem.spectral import (NULL_TOLERANCE, cell_lambda_bound, laplacian_pencil,
+                              max_eigenvalue)
 
 from conftest import assemble_all, gaussian_bump
 
@@ -71,6 +72,63 @@ def test_plane_wave_frequency_matches_leapfrog_relation():
     measured_cos = (series[2] + series[0]) / (2.0 * series[1])
     predicted = 2.0 * np.arcsin(omega * dt / 2.0) / dt
     assert abs(np.arccos(measured_cos) / dt - predicted) <= 1e-9 * predicted
+
+
+def chebyshev_coefficient(n, lam, dt):
+    """T_n(1 - dt^2 lam / 2) for lam > 0 in closed form from
+    s = dt sqrt(lam) / 2: 1 - 2 s^2 is cos(2 asin s) for s <= 1 and
+    -cosh(2 acosh s) past it. No 1 - dt^2 lam / 2 is formed, so a low
+    mode keeps its digits."""
+    s = 0.5 * dt * np.sqrt(lam)
+    if s <= 1.0:
+        return np.cos(2 * n * np.arcsin(s))
+    return (-1) ** n * np.cosh(2 * n * np.arccosh(s))
+
+
+def _modal_mesh(request, name):
+    kind, _, n = name.partition(":")
+    if not n:
+        return request.getfixturevalue(name)
+    if kind == "periodic":
+        return wf.generate_interval_mesh(int(n), 1.0, periodic=True)
+    return getattr(wf, f"generate_{kind}_mesh")(int(n), *([1.0] if kind == "interval" else []))
+
+
+@pytest.mark.parametrize("name,bc_kind,fraction,n_steps,modes", [
+    ("square:16", "dirichlet", 0.95, 400, "lmt"),
+    ("cube:4", "neumann", 0.95, 400, "lmt"),
+    ("square_150", "dirichlet", 0.95, 400, "lmt"),
+    ("interval:12", "dirichlet", 0.95, 400, "lmt"),
+    ("periodic:12", "neumann", 0.95, 400, "lmt"),
+    ("cube_200", "dirichlet", 0.999, 60, "lmt"),
+    ("square:8", "neumann", 1.01, 60, "t"),
+    ("cube_200", "dirichlet", 1.01, 60, "t"),
+])
+def test_verlet_modal_recursion(request, name, bc_kind, fraction, n_steps, modes):
+    # oracle: from u = 0 and h = v with A v = lam M v, Verlet is the
+    # two-term recursion h_n = T_n(1 - dt^2 lam / 2) v, exact but for
+    # rounding on any mesh; past the limit the top mode grows as cosh
+    mesh = _modal_mesh(request, name)
+    dofs, ops = assemble_all(mesh, bc_kind)
+    A, M = laplacian_pencil(ops)
+    lam, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
+    dt = fraction * 2.0 / np.sqrt(lam[-1])
+    # the lowest mode past the null space: a null eigenvalue is rounding
+    # noise of order 1e-16 lam_max, which T_n amplifies by n^2 dt^2
+    lowest = np.searchsorted(lam, NULL_TOLERANCE * lam[-1])
+    index = {"l": lowest, "m": len(lam) // 2, "t": len(lam) - 1}
+    for k in (index[m] for m in modes):
+        v = vecs[:, k]
+        h = np.zeros(dofs.m_h)
+        h[ops.h_free] = v
+        state = FieldState(u=[np.zeros(dofs.m_u)] * mesh.dim, h=h)
+        for _ in range(n_steps):
+            state = verlet_step(state, ops, dt)
+        expected = chebyshev_coefficient(n_steps, lam[k], dt)
+        measured = v @ (M @ state.h[ops.h_free])
+        assert abs(measured - expected) <= 1e-10 * max(1.0, abs(expected)), (k, measured, expected)
+    if fraction > 1.0:
+        assert abs(expected) > 1e7
 
 
 def test_stable_dt_single_element():
