@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
-from .elements import build_dof_maps
-from .mesh import BcSpec, generate_interval_mesh
-from .spectral import NULL_TOLERANCE, _dense, laplacian_pencil
-
 __all__ = [
     "DispersionSample",
     "GapSummary",
-    "ConsistencyReport",
     "AnalysisError",
     "DegenerateModeError",
     "symbol_matrix",
@@ -41,7 +35,6 @@ __all__ = [
     "mode_discontinuity",
     "dispersion_sweep",
     "sweep_to_csv",
-    "semidiscrete_consistency_check",
 ]
 
 
@@ -170,50 +163,3 @@ def sweep_to_csv(samples, path):
         for s in samples:
             writer.writerow([repr(float(v)) for v in (s.phi, s.w_lower, s.w_upper,
                                                       s.disc_lower, s.disc_upper)])
-
-
-@dataclass
-class ConsistencyReport:
-    n_elements: int
-    dx: float
-    max_error: float
-    mismatches: list  # (phi, branch frequency, nearest assembled frequency)
-
-
-def semidiscrete_consistency_check(n_elements: int, tol: float = 1e-8) -> ConsistencyReport:
-    """Cross-check the generic assembler against the closed-form branches.
-
-    Assembles the periodic 1D system, solves the generalized eigenproblem
-    of the resulting discrete Laplacian, and verifies that for every
-    resolvable wavenumber both branch frequencies appear among the
-    assembled eigenfrequencies (in w = omega dx units).
-    """
-    if n_elements < 3:
-        raise ValueError("n_elements must be >= 3")
-    mesh = generate_interval_mesh(n_elements, 1.0, periodic=True)
-    dx = 1.0 / n_elements
-    dofs = build_dof_maps(mesh)
-    ops = assembly.assemble(mesh, dofs, BcSpec())
-    A, M = laplacian_pencil(ops)
-    lam = _dense(A, M, eigvals_only=True)
-    # The constant mode's eigenvalue is zero up to rounding of either sign;
-    # its square root would read as a frequency error of ~1e-7.
-    lam[lam < NULL_TOLERANCE * max(1.0, lam[-1])] = 0.0
-    w_num = np.sqrt(lam) * dx
-
-    mismatches = []
-    max_err = 0.0
-    for m in range(n_elements // 2 + 1):
-        phi = 2.0 * np.pi * m / n_elements
-        if m == 0:
-            # constant mode plus the top of the upper branch
-            targets = (0.0, 2.0 * np.sqrt(15.0))
-        else:
-            targets = dispersion_closed_form(phi)
-        for target in targets:
-            err = float(np.min(np.abs(w_num - target)))
-            max_err = max(max_err, err)
-            if err > tol * max(1.0, target):
-                nearest = float(w_num[np.argmin(np.abs(w_num - target))])
-                mismatches.append((phi, target, nearest))
-    return ConsistencyReport(n_elements, dx, max_err, mismatches)

@@ -10,13 +10,14 @@ boundary data do work on the fields and change the energy at any dt;
 its error is then no stability signal.
 
 Each half-kick is one sparse product with the cached kick operator
-B_i = u_mass^{-1} grad_i, exact since cell K's block of u_mass is
-det_K * u_mass_ref; the scalar mass matrix is factorized once
-(``assembly._factor``) and reused across steps. On 3D meshes the factor
-is taken in a nested-dissection order of the scalar DOFs (``cube:8``:
-1.59M L+U entries against MMD's 1.86M, and on ``cube:12`` 8.10M against
-12.3M); in 1D and 2D SuperLU's MMD ordering fills less (``square:48``:
-0.62M against 0.90M) and is kept. Both solve to rounding (within
+B = u_mass^{-1} grad, exact since cell K's block of u_mass is
+det_K * u_mass_ref. The velocity is one array (d, m_u), and its DOF j of
+component i is row i m_u + j of B. The scalar mass matrix is factorized
+once (``assembly._factor``) and reused across steps. On 3D meshes the
+factor is taken in a nested-dissection order of the scalar DOFs
+(``cube:8``: 1.59M L+U entries against MMD's 1.86M, and on ``cube:12``
+8.10M against 12.3M); in 1D and 2D SuperLU's MMD ordering fills less
+(``square:48``: 0.62M against 0.90M) and is kept. Both solve to rounding (within
 1.1e-15 relative of each other on ``cube:8`` and ``cube:12``).
 
 The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
@@ -70,16 +71,13 @@ class ConfigurationError(ValueError):
 class FieldState:
     """Coefficient vectors of the velocity components and the scalar."""
 
-    u: list                 # d arrays of length m_u
+    u: np.ndarray           # (d, m_u), component i in row i
     h: np.ndarray           # length m_h
     time: float = 0.0
 
     def __post_init__(self):
-        self.u = [np.asarray(c, dtype=float) for c in self.u]
+        self.u = np.asarray(self.u, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
-        lengths = {c.shape for c in self.u}
-        if len(lengths) > 1:
-            raise ValueError("velocity components have mismatched lengths")
 
 
 def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
@@ -94,12 +92,11 @@ def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
     """
     coords = h_dof_coords(mesh, dofs)
     h = np.broadcast_to(np.asarray(h0(coords), dtype=float), (dofs.m_h,)).copy()
-    u = [np.zeros(dofs.m_u) for _ in range(mesh.dim)]
+    u = np.zeros((mesh.dim, dofs.m_u))
     if u0 is not None:
         corners = mesh.cell_coords.reshape(-1, mesh.dim)
         values = np.broadcast_to(np.asarray(u0(corners), dtype=float), corners.shape)
-        for i in range(mesh.dim):
-            u[i][dofs.u_cell_dofs.ravel()] = values[:, i]
+        u[:, dofs.u_cell_dofs.ravel()] = values.T
     return FieldState(u=u, h=h, time=0.0)
 
 
@@ -109,12 +106,12 @@ def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
     moves the free scalar DOFs only."""
     c = wave_speed
     h_solve = ops.h_mass_solver()
-    kick = ops.kick_operator()
+    B, s = ops.kick_operator()
     half = 0.5 * dt * c
-    u_half = [u - half * (B @ state.h + s) for u, (B, s) in zip(state.u, kick)]
+    u_half = state.u - half * ((B @ state.h).reshape(s.shape) + s)
     h_new = state.h.copy()
     h_new[ops.h_free] += dt * c * h_solve(ops.divergence(u_half)[ops.h_free])
-    u_new = [u - half * (B @ h_new + s) for u, (B, s) in zip(u_half, kick)]
+    u_new = u_half - half * ((B @ h_new).reshape(s.shape) + s)
     return FieldState(u=u_new, h=h_new, time=state.time + dt)
 
 
@@ -125,11 +122,9 @@ def energy(state: FieldState, ops: AssembledOperators) -> float:
     # A blown-up state overflows here; ``simulate`` reports the non-finite
     # energy, so numpy's warning would only duplicate it.
     with np.errstate(over="ignore", invalid="ignore"):
-        e = 0.5 * float(state.h @ (ops.h_mass @ state.h))
-        for u in state.u:
-            U = u.reshape(len(ops.cell_dets), -1)
-            e += 0.5 * float(ops.cell_dets @ np.einsum("ca,ca->c", U @ ops.u_mass_ref, U))
-    return e
+        U = state.u.reshape(ops.dim, len(ops.cell_dets), -1)
+        return 0.5 * float(state.h @ (ops.h_mass @ state.h)
+                           + ops.cell_dets @ np.einsum("ica,ica->c", U @ ops.u_mass_ref, U))
 
 
 def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> float:
@@ -244,8 +239,7 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
         new = verlet_step(state, ops, config.dt, config.wave_speed)
         record = step % config.energy_stride == 0
         e = energy(new, ops) if record else 0.0
-        if not (np.isfinite(e) and np.isfinite(new.h).all()
-                and all(np.isfinite(u).all() for u in new.u)):
+        if not (np.isfinite(e) and np.isfinite(new.h).all() and np.isfinite(new.u).all()):
             aborted = True
             abort_step = step
             break

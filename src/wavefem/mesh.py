@@ -134,8 +134,7 @@ class Mesh:
         # Canonical orientation: one corner permutation per cell, swapping
         # the last two corners of each inverted cell.
         measures = np.linalg.det(cell_coords[:, 1:] - cell_coords[:, :1]) / factorial(dim)
-        scale = max(np.ptp(self.vertices, axis=0).max(), 1.0)
-        degenerate = np.abs(measures) <= 1e-13 * scale ** dim
+        degenerate = np.abs(measures) <= 1e-13 * np.ptp(self.vertices, axis=0).max() ** dim
         if degenerate.any():
             raise ValueError(
                 f"degenerate (zero-measure) cells: {np.nonzero(degenerate)[0].tolist()}")

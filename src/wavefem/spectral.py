@@ -21,7 +21,9 @@ pencil's, which is smaller than ``ops.dofs.m_h`` when DOFs are fixed.
 The velocity mass is block-diagonal, with block M_u,K = det_K
 ``ops.u_mass_ref`` on cell K, and each weak Dirichlet facet term belongs
 to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
-Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``).
+Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``), where
+G_Ki = ``ops.grad_cells[K, i]`` acts on row i of the velocity array
+(d, m_u), rows i m_u to (i + 1) m_u - 1 of the kick operator B.
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
@@ -99,15 +101,15 @@ __all__ = [
 
 DENSE_CUTOFF = 3000      # pencil size up to which the dense solver is used
 LOWEST_COUNT = 20        # eigenvalues resolved from the low end iteratively
-NULL_TOLERANCE = 1e-8    # relative to max(1, lambda_max)
+NULL_TOLERANCE = 1e-8    # relative to lambda_max
 
 
 def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
     """Per-cell blocks A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki, shape (C, n2, n2),
     on ``ops.dofs.h_cell_dofs``, with M_u,K^{-1} = inv(u_mass_ref) / det_K;
     weak Dirichlet facet terms are included."""
-    u_inv, G = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None], ops.grad_cells
-    return sum(G[..., i].swapaxes(1, 2) @ (u_inv @ G[..., i]) for i in range(ops.dim))
+    u_inv = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None, None]
+    return np.einsum("ciab,ciae->cbe", ops.grad_cells, u_inv @ ops.grad_cells, optimize=True)
 
 
 def laplacian_pencil(ops: AssembledOperators):
@@ -146,7 +148,7 @@ class Spectrum:
     @property
     def null_threshold(self) -> float:
         """Eigenvalues below this count as null modes."""
-        return NULL_TOLERANCE * max(1.0, self.lambda_max)
+        return NULL_TOLERANCE * self.lambda_max
 
 
 def _dense(A, M, **kw):
@@ -204,7 +206,7 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
         return Spectrum(vals, float(vals[-1]), m_h, complete=True, eigenvectors=vecs)
 
     scale = A.diagonal().mean() / max(M.diagonal().mean(), np.finfo(float).tiny)
-    sigma = -1e-3 * max(scale, 1.0)
+    sigma = -1e-3 * scale
     vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
     rank = np.argsort(vals)
     return Spectrum(vals[rank], _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order), m_h,

@@ -31,8 +31,8 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None):
     """Write quadratic cells with the scalar as point data.
 
     Point order matches the scalar DOF numbering (vertices, then edge or
-    cell midpoints), so ``h`` is written verbatim. ``u`` (a list of
-    component coefficient vectors) is written as cell-averaged vectors.
+    cell midpoints), so ``h`` is written verbatim. ``u``, the velocity
+    array of shape (d, m_u), is written as cell-averaged vectors.
     """
     d = mesh.dim
     from .elements import h_dof_coords

@@ -146,9 +146,9 @@ def test_h_mass_symmetric(cube_44):
 def assert_no_stored_zeros(ops):
     """The cell blocks of the gradient hold exact zeros (even on these
     unstructured meshes); neither ``grad_i`` nor the kick operator
-    ``B_i`` may store them."""
-    for g, (B, _) in zip(ops.grad, ops.kick_operator()):
-        assert (g.data != 0.0).all() and (B.data != 0.0).all()
+    ``B`` may store them."""
+    B, _ = ops.kick_operator()
+    assert all((g.data != 0.0).all() for g in ops.grad) and (B.data != 0.0).all()
 
 
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
@@ -228,16 +228,18 @@ def test_velocity_mass_reference_form(name, request):
     assert abs(wf.energy(state, ops) - expected) <= 1e-14 * abs(expected)
 
     solve = spla.factorized(M_u.tocsc())
-    for i, (B, s) in enumerate(ops.kick_operator()):
+    B, s = ops.kick_operator()
+    kick = (B @ state.h).reshape(s.shape) + s
+    for i in range(mesh.dim):
         ref = solve(ops.grad[i] @ state.h + ops.dirichlet_rhs[i])
-        assert np.abs(B @ state.h + s - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(kick[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # M_u^{-1} is cell-local: changing one cell's entries of the
     # right-hand side changes exactly that cell's entries of s_i
     x = rng.standard_normal(dofs.m_u)
     x2 = x.copy()
     x2[dofs.u_cell_dofs[3]] += 1.0
-    y, y2 = (replace(ops, dirichlet_rhs=(r,) * mesh.dim).kick_operator()[0][1]
+    y, y2 = (replace(ops, dirichlet_rhs=np.array([r] * mesh.dim)).kick_operator()[1][0]
              for r in (x, x2))
     changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
     assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
@@ -303,18 +305,22 @@ def test_replace_drops_cached_solvers(square_36):
 def test_semidiscrete_rhs_zero_state(square_36):
     # with zero boundary data both right-hand sides vanish at the zero state
     dofs, ops = assemble_all(square_36)
-    du = [B @ np.zeros(dofs.m_h) + s for B, s in ops.kick_operator()]
-    dh = ops.divergence([np.zeros(dofs.m_u)] * 2)
-    assert all(np.abs(v).max() == 0.0 for v in du)
+    B, s = ops.kick_operator()
+    du = (B @ np.zeros(dofs.m_h)).reshape(s.shape) + s
+    dh = ops.divergence(np.zeros((2, dofs.m_u)))
+    assert np.abs(du).max() == 0.0
     assert np.abs(dh).max() == 0.0
 
 
 def test_constant_scalar_exerts_no_force(square_150):
     dofs, ops = assemble_all(square_150, "neumann")
     # B_i = u_mass^{-1} grad_i scales entries by 1/|K|, so the bound is
-    # relative to the operator's largest entry
-    for B, s in ops.kick_operator():
-        assert np.abs(B @ (3.7 * np.ones(dofs.m_h)) + s).max() <= 1e-13 * abs(B).max()
+    # relative to the largest entry of component i's rows of B
+    B, s = ops.kick_operator()
+    force = (B @ (3.7 * np.ones(dofs.m_h))).reshape(s.shape) + s
+    m_u = dofs.m_u
+    for i in range(ops.dim):
+        assert np.abs(force[i]).max() <= 1e-13 * abs(B[i * m_u:(i + 1) * m_u]).max()
 
 
 def test_periodic_stencil_rows():
@@ -373,6 +379,6 @@ def test_neumann_data_vector():
     ops = assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh, f=lambda x: 1.0))
     assert abs(ops.neumann_rhs.sum() - 4.0) <= 1e-13
     # with no Dirichlet facets the Dirichlet vectors are float zeros
-    for vec in ops.dirichlet_rhs:
-        assert vec.dtype == np.float64 and vec.shape == (dofs.m_u,) and not vec.any()
+    rhs = ops.dirichlet_rhs
+    assert rhs.dtype == np.float64 and rhs.shape == (2, dofs.m_u) and not rhs.any()
 

@@ -1,10 +1,15 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from wavefem.assembly import assemble
 from wavefem.dispersion import (AnalysisError, dispersion_closed_form,
                                 dispersion_sweep, mode_discontinuity,
-                                semidiscrete_consistency_check, sweep_to_csv,
-                                symbol_matrix)
+                                sweep_to_csv, symbol_matrix)
+from wavefem.elements import build_dof_maps
+from wavefem.mesh import BcSpec, generate_interval_mesh
+from wavefem.spectral import NULL_TOLERANCE, _dense, laplacian_pencil
 
 W_LOWER_PI = 2.0 * np.sqrt(2.5)
 W_UPPER_PI = 2.0 * np.sqrt(3.0)
@@ -141,6 +146,53 @@ def test_csv_export(tmp_path):
     last = [float(t) for t in rows[-1].split(",")]
     assert abs(last[0] - np.pi) <= 1e-15
     assert abs(last[1] - W_LOWER_PI) <= 1e-12
+
+
+@dataclass
+class ConsistencyReport:
+    n_elements: int
+    dx: float
+    max_error: float
+    mismatches: list  # (phi, branch frequency, nearest assembled frequency)
+
+
+def semidiscrete_consistency_check(n_elements: int, tol: float = 1e-8) -> ConsistencyReport:
+    """Cross-check the generic assembler against the closed-form branches.
+
+    Assembles the periodic 1D system, solves the generalized eigenproblem
+    of the resulting discrete Laplacian, and verifies that for every
+    resolvable wavenumber both branch frequencies appear among the
+    assembled eigenfrequencies (in w = omega dx units).
+    """
+    if n_elements < 3:
+        raise ValueError("n_elements must be >= 3")
+    mesh = generate_interval_mesh(n_elements, 1.0, periodic=True)
+    dx = 1.0 / n_elements
+    dofs = build_dof_maps(mesh)
+    ops = assemble(mesh, dofs, BcSpec())
+    A, M = laplacian_pencil(ops)
+    lam = _dense(A, M, eigvals_only=True)
+    # The constant mode's eigenvalue is zero up to rounding of either sign;
+    # its square root would read as a frequency error of ~1e-7.
+    lam[lam < NULL_TOLERANCE * max(1.0, lam[-1])] = 0.0
+    w_num = np.sqrt(lam) * dx
+
+    mismatches = []
+    max_err = 0.0
+    for m in range(n_elements // 2 + 1):
+        phi = 2.0 * np.pi * m / n_elements
+        if m == 0:
+            # constant mode plus the top of the upper branch
+            targets = (0.0, 2.0 * np.sqrt(15.0))
+        else:
+            targets = dispersion_closed_form(phi)
+        for target in targets:
+            err = float(np.min(np.abs(w_num - target)))
+            max_err = max(max_err, err)
+            if err > tol * max(1.0, target):
+                nearest = float(w_num[np.argmin(np.abs(w_num - target))])
+                mismatches.append((phi, target, nearest))
+    return ConsistencyReport(n_elements, dx, max_err, mismatches)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 16, 17, 32])

@@ -20,6 +20,18 @@ def random_state(dofs, dim, seed=0):
                       h=rng.standard_normal(dofs.m_h))
 
 
+def test_field_state_velocity_layout():
+    # the velocity is one (d, m_u) float array; d equal rows stack to it,
+    # and ragged ones are rejected
+    rows = [[0, 1, 2, 3], [1, 1, 1, 1]]
+    listed = FieldState(u=rows, h=np.zeros(3))
+    stacked = FieldState(u=np.array(rows, dtype=float), h=np.zeros(3))
+    assert listed.u.shape == (2, 4) and listed.u.dtype == np.float64
+    assert np.array_equal(listed.u, stacked.u) and np.array_equal(listed.h, stacked.h)
+    with pytest.raises(ValueError):
+        FieldState(u=[np.zeros(4), np.zeros(3)], h=np.zeros(3))
+
+
 def test_zero_state_stays_zero(square_36):
     dofs, ops = assemble_all(square_36, "neumann")
     state = FieldState(u=[np.zeros(dofs.m_u)] * 2, h=np.zeros(dofs.m_h))
@@ -85,13 +97,13 @@ def chebyshev_coefficient(n, lam, dt):
     return (-1) ** n * np.cosh(2 * n * np.arccosh(s))
 
 
-def _modal_mesh(request, name):
-    kind, _, n = name.partition(":")
-    if not n:
-        return request.getfixturevalue(name)
-    if kind == "periodic":
-        return wf.generate_interval_mesh(int(n), 1.0, periodic=True)
-    return getattr(wf, f"generate_{kind}_mesh")(int(n), *([1.0] if kind == "interval" else []))
+MODAL_MESHES = {
+    "square:8": lambda: wf.generate_square_mesh(8),
+    "square:16": lambda: wf.generate_square_mesh(16),
+    "cube:4": lambda: wf.generate_cube_mesh(4),
+    "interval:12": lambda: wf.generate_interval_mesh(12, 1.0),
+    "periodic:12": lambda: wf.generate_interval_mesh(12, 1.0, periodic=True),
+}
 
 
 @pytest.mark.parametrize("name,bc_kind,fraction,n_steps,modes", [
@@ -108,7 +120,7 @@ def test_verlet_modal_recursion(request, name, bc_kind, fraction, n_steps, modes
     # oracle: from u = 0 and h = v with A v = lam M v, Verlet is the
     # two-term recursion h_n = T_n(1 - dt^2 lam / 2) v, exact but for
     # rounding on any mesh; past the limit the top mode grows as cosh
-    mesh = _modal_mesh(request, name)
+    mesh = MODAL_MESHES[name]() if name in MODAL_MESHES else request.getfixturevalue(name)
     dofs, ops = assemble_all(mesh, bc_kind)
     A, M = laplacian_pencil(ops)
     lam, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
@@ -121,7 +133,7 @@ def test_verlet_modal_recursion(request, name, bc_kind, fraction, n_steps, modes
         v = vecs[:, k]
         h = np.zeros(dofs.m_h)
         h[ops.h_free] = v
-        state = FieldState(u=[np.zeros(dofs.m_u)] * mesh.dim, h=h)
+        state = FieldState(u=np.zeros((mesh.dim, dofs.m_u)), h=h)
         for _ in range(n_steps):
             state = verlet_step(state, ops, dt)
         expected = chebyshev_coefficient(n_steps, lam[k], dt)

@@ -277,6 +277,17 @@ def test_degenerate_cell_rejected():
         Mesh(2, verts, [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_degeneracy_threshold_scales_with_mesh(scale):
+    # a fine mesh of a small domain is accepted, and a collinear cell is
+    # rejected at every size
+    verts = scale * np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="degenerate"):
+        Mesh(2, verts, [(0, 1, 3), (0, 1, 2)])
+    square = wf.generate_square_mesh(100)
+    assert Mesh(2, scale * square.vertices, square.cells).n_cells == square.n_cells
+
+
 def test_non_finite_coordinates_rejected():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, np.inf)]
     with pytest.raises(ValueError, match="finite"):

@@ -122,6 +122,26 @@ def test_iterative_matches_dense(square_36, monkeypatch):
     assert again.lambda_max == iterative.lambda_max
 
 
+@pytest.mark.parametrize("cutoff", [spectral.DENSE_CUTOFF, 1])
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+def test_spectrum_invariant_to_mesh_scale(kind, cutoff, monkeypatch):
+    # scaling the mesh by s scales every eigenvalue by 1 / s^2 and keeps
+    # the null count (1 Neumann, 4 weak Dirichlet) on both paths
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+    base = wf.generate_square_mesh(8)
+    spectra = {s: laplacian_spectrum(assemble_all(wf.Mesh(2, s * base.vertices, base.cells),
+                                                  kind)[1])
+               for s in (1e-5, 1.0, 1e5)}
+    ref = spectra[1.0]
+    nulls = null_space_dimension(ref)
+    assert nulls == (1 if kind == "neumann" else 4)
+    for s, spec in spectra.items():
+        assert null_space_dimension(spec) == nulls
+        lam = spec.eigenvalues[nulls:] * s ** 2
+        assert np.abs(lam / ref.eigenvalues[nulls:] - 1.0).max() <= 1e-9
+        assert abs(spec.lambda_max * s ** 2 / ref.lambda_max - 1.0) <= 1e-9
+
+
 def test_max_eigenvalue_paths(square_36, monkeypatch):
     _, ops = assemble_all(square_36, "dirichlet")
     dense = max_eigenvalue(ops)
