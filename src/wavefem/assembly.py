@@ -176,7 +176,8 @@ def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
     rows = np.broadcast_to(row_dofs[:, :, None], full).ravel()
     cols = np.broadcast_to(col_dofs[:, None, :], full).ravel()
     mat = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()
+    mat.eliminate_zeros()  # may keep views of the unpruned arrays: copy
+    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
 
 
@@ -226,7 +227,9 @@ def _factor(mat, order):
     in that natural order and the solve scatters the result back; without
     it SuperLU orders by minimum degree on A + A^T (MMD), which fills less
     in 1D and 2D. The function keeps the factor as ``lu`` (a SuperLU
-    object, of the reordered matrix when ``order`` is given).
+    object, of the reordered matrix when ``order`` is given) and describes
+    it as ``summary``: the ordering (``"nested_dissection"`` or ``"mmd"``)
+    and ``factor_nnz``, SuperLU's count of the L and U entries it stores.
     """
     if order is not None:
         mat = mat[order][:, order]
@@ -238,6 +241,8 @@ def _factor(mat, order):
         return lu.solve(b) if order is None else lu.solve(b[order])[inverse]
 
     solve.lu = lu
+    solve.summary = {"ordering": "mmd" if order is None else "nested_dissection",
+                     "factor_nnz": lu.nnz}
     return solve
 
 

@@ -1,21 +1,21 @@
 """Command-line interface.
 
-Verbs: dof-report, spectrum, dispersion, simulate, mesh-convert. Every
-command that writes outputs also writes a JSON run manifest next to them
-so a run can be reproduced. The ``simulate`` manifest also records
-``dt_check``: the path the dt check took (``cell_bound``, ``exact`` or
-``forced``), the limit it used and the cell-bound limit; and
-``mass_solve``: the ordering of the scalar-mass factor
-(``nested_dissection`` in 3D, ``mmd`` in 1D and 2D) and ``factor_nnz``,
-SuperLU's count of the L and U entries it stores. Exit codes: 0
-success, 1 input, usage or output-path error, 2 numerical failure, 3
-invariant violation.
+Verbs: dof-report, spectrum, dispersion, simulate, mesh-convert. A
+command that writes outputs returns (exit code, manifest) to ``main``,
+which writes the JSON run manifest next to them so a run can be
+reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
+(the files written), ``tool_version`` and ``duration_seconds``.
+``simulate`` adds ``dt_check`` (``dynamics.SimulationResult.dt_check``:
+the dt check's path, limit and cell-bound limit) and ``mass_solve`` (the
+ordering and stored L+U entry count of the scalar-mass factor,
+``assembly._factor``), and keeps its manifest when a run aborts. Exit
+codes: 0 success, 1 input, usage or output-path error, 2 numerical
+failure, 3 invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import assembly, dispersion, dynamics, spectral, vtk_io
 from .elements import build_dof_maps
-from .mesh import (BcSpec, Mesh, MeshFormatError, generate_cube_mesh,
+from .mesh import (BcSpec, Mesh, MeshFormatError, _format_rows, generate_cube_mesh,
                    generate_interval_mesh, generate_square_mesh, read_mesh,
                    write_mesh)
 
@@ -79,25 +79,9 @@ def _check_output_dir(path, prefix=False):
         raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
-def _write_manifest(path, command, parameters, outputs, started, **fields):
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "outputs": [str(o) for o in outputs],
-        "tool_version": __version__,
-        "duration_seconds": round(time.monotonic() - started, 6),
-        **fields,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
 # -- commands ---------------------------------------------------------------
 
-def cmd_dof_report(args) -> int:
-    started = time.monotonic()
-    _check_output_dir(args.out)
+def cmd_dof_report(args):
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     rows = [
@@ -111,23 +95,17 @@ def cmd_dof_report(args) -> int:
     ]
     for name, value in rows:
         print(f"{name}: {value}")
-    outputs = []
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in rows])
-            writer.writerow([value for _, value in rows])
-        outputs.append(args.out)
-        _write_manifest(args.out + ".manifest.json", "dof-report",
-                        {"mesh": source}, outputs, started)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, None
+    with open(args.out, "w", newline="") as fh:
+        fh.write("".join(",".join(map(str, line)) + "\r\n" for line in zip(*rows)))
+    return EXIT_OK, {"path": args.out + ".manifest.json",
+                     "parameters": {"mesh": source}, "outputs": [args.out]}
 
 
-def cmd_spectrum(args) -> int:
-    started = time.monotonic()
+def cmd_spectrum(args):
     if args.count < 0:
         raise dynamics.ConfigurationError(f"--count must be >= 0, got {args.count}")
-    _check_output_dir(args.out)
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     bc = _bc_for(mesh, args.bc)
@@ -143,37 +121,31 @@ def cmd_spectrum(args) -> int:
           + ", ".join(f"{v:.6g}" for v in leading))
     print(f"lambda_max: {spec.lambda_max:.6g}")
     print(f"null space dimension: {nnull}")
-    outputs = []
-    if args.out:
-        if args.format == "json":
-            spectral.spectrum_to_json(spec, args.out, metadata={
-                "mesh": source, "bc": args.bc,
-                "u_dofs_per_component": dofs.m_u, "h_dofs": dofs.m_h})
-        else:
-            spectral.spectrum_to_csv(spec, args.out)
-        outputs.append(args.out)
-        _write_manifest(args.out + ".manifest.json", "spectrum",
-                        {"mesh": source, "bc": args.bc, "count": args.count,
-                         "format": args.format},
-                        outputs, started)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, None
+    if args.format == "json":
+        spectral.spectrum_to_json(spec, args.out, metadata={
+            "mesh": source, "bc": args.bc,
+            "u_dofs_per_component": dofs.m_u, "h_dofs": dofs.m_h})
+    else:
+        spectral.spectrum_to_csv(spec, args.out)
+    return EXIT_OK, {"path": args.out + ".manifest.json",
+                     "parameters": {"mesh": source, "bc": args.bc, "count": args.count,
+                                    "format": args.format},
+                     "outputs": [args.out]}
 
 
-def cmd_dispersion(args) -> int:
-    started = time.monotonic()
-    _check_output_dir(args.out)
+def cmd_dispersion(args):
     samples, summary = dispersion.dispersion_sweep(args.samples)
     print(f"samples: {len(samples)}")
     print(f"max lower-branch frequency: {summary.max_w_lower:.6f}")
     print(f"min upper-branch frequency: {summary.min_w_upper:.6f}")
     print(f"spectral gap: {summary.gap:.6f}")
-    outputs = []
-    if args.out:
-        dispersion.sweep_to_csv(samples, args.out)
-        outputs.append(args.out)
-        _write_manifest(args.out + ".manifest.json", "dispersion",
-                        {"samples": args.samples}, outputs, started)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, None
+    dispersion.sweep_to_csv(samples, args.out)
+    return EXIT_OK, {"path": args.out + ".manifest.json",
+                     "parameters": {"samples": args.samples}, "outputs": [args.out]}
 
 
 def _parse_config(path) -> dict:
@@ -233,8 +205,7 @@ def _initial_condition(cfg: dict, dim: int):
     raise dynamics.ConfigurationError(f"unknown ic preset {preset!r}")
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args):
     mesh, source = _load_mesh(args)
     cfg = _parse_config(args.config)
     if args.dt is not None:
@@ -277,43 +248,36 @@ def cmd_simulate(args) -> int:
     result = dynamics.simulate(mesh, ops, config, snapshot_callback=callback)
 
     energy_path = os.path.join(out_dir, "energy.csv")
+    series = np.column_stack([result.times, result.energies, result.energy_errors])
     with open(energy_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "energy", "energy_error"])
-        for t, e, err in zip(result.times, result.energies, result.energy_errors):
-            writer.writerow([repr(float(t)), repr(float(e)), repr(float(err))])
+        fh.write("time,energy,energy_error\r\n" + _format_rows("%r,%r,%r\r\n", series))
     outputs.append(energy_path)
-    _write_manifest(os.path.join(out_dir, "manifest.json"), "simulate",
-                    {"mesh": source, "config": str(args.config),
-                     "dt": dt, "n_steps": n_steps, "stride": stride,
-                     "force_dt": args.force_dt},
-                    outputs, started,
-                    dt_check={"path": result.dt_check, "limit": result.stable_dt,
-                              "cell_bound_limit": result.cell_bound_dt},
-                    mass_solve={"ordering": "mmd" if ops.h_order is None else "nested_dissection",
-                                "factor_nnz": ops.h_mass_solver().lu.nnz})
 
-    if result.aborted:
+    if result.abort_step is None:
+        code = EXIT_OK
+        print(f"completed {n_steps} steps to t={result.final_state.time:.6g}")
+        print(f"max |energy error|: {np.abs(result.energy_errors).max():.3e}")
+    else:
+        code = EXIT_NUMERICAL
         print(f"UNSTABLE: aborted at step {result.abort_step}; "
               f"partial series written to {energy_path}")
-        return EXIT_NUMERICAL
-    print(f"completed {n_steps} steps to t={result.times[-1]:.6g}")
-    print(f"max |energy error|: {np.abs(result.energy_errors).max():.3e}")
-    return EXIT_OK
+    return code, {"path": os.path.join(out_dir, "manifest.json"),
+                  "parameters": {"mesh": source, "config": str(args.config),
+                                 "dt": dt, "n_steps": n_steps, "stride": stride,
+                                 "force_dt": args.force_dt},
+                  "outputs": outputs, "dt_check": result.dt_check,
+                  "mass_solve": ops.h_mass_solver().summary}
 
 
-def cmd_mesh_convert(args) -> int:
-    started = time.monotonic()
-    prefix = args.out_prefix
-    _check_output_dir(prefix, prefix=True)
+def cmd_mesh_convert(args):
     mesh, source = _load_mesh(args)
+    prefix = args.out_prefix
     paths = [prefix + ext for ext in (".node", ".ele", ".edge" if mesh.dim == 2 else ".face")]
     write_mesh(mesh, *paths)
     for p in paths:
         print(f"wrote {p}")
-    _write_manifest(prefix + ".manifest.json", "mesh-convert",
-                    {"mesh": source}, paths, started)
-    return EXIT_OK
+    return EXIT_OK, {"path": prefix + ".manifest.json",
+                     "parameters": {"mesh": source}, "outputs": paths}
 
 
 # -- parser -----------------------------------------------------------------
@@ -385,8 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        _check_output_dir(getattr(args, "out", None))
+        _check_output_dir(getattr(args, "out_prefix", None), prefix=True)
+        code, manifest = args.func(args)
+        if manifest is not None:
+            with open(manifest.pop("path"), "w") as fh:
+                json.dump({"command": args.command, "parameters": manifest.pop("parameters"),
+                           "outputs": manifest.pop("outputs"), "tool_version": __version__,
+                           "duration_seconds": round(time.monotonic() - started, 6),
+                           **manifest}, fh, indent=2)
+                fh.write("\n")
+        return code
     except (MeshFormatError, dynamics.ConfigurationError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,10 +20,11 @@ grid points.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
+
+from .mesh import _format_rows
 
 __all__ = [
     "DispersionSample",
@@ -157,9 +158,7 @@ def dispersion_sweep(n_samples: int):
 
 
 def sweep_to_csv(samples, path):
+    table = np.array([astuple(s) for s in samples])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "w_lower", "w_upper", "disc_lower", "disc_upper"])
-        for s in samples:
-            writer.writerow([repr(float(v)) for v in (s.phi, s.w_lower, s.w_upper,
-                                                      s.disc_lower, s.disc_upper)])
+        fh.write("phi,w_lower,w_upper,disc_lower,disc_upper\r\n"
+                 + _format_rows("%r,%r,%r,%r,%r\r\n", table))

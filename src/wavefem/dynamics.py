@@ -13,12 +13,11 @@ Each half-kick is one sparse product with the cached kick operator
 B = u_mass^{-1} grad, exact since cell K's block of u_mass is
 det_K * u_mass_ref. The velocity is one array (d, m_u), and its DOF j of
 component i is row i m_u + j of B. The scalar mass matrix is factorized
-once (``assembly._factor``) and reused across steps. On 3D meshes the
-factor is taken in a nested-dissection order of the scalar DOFs
-(``cube:8``: 1.59M L+U entries against MMD's 1.86M, and on ``cube:12``
-8.10M against 12.3M); in 1D and 2D SuperLU's MMD ordering fills less
-(``square:48``: 0.62M against 0.90M) and is kept. Both solve to rounding (within
-1.1e-15 relative of each other on ``cube:8`` and ``cube:12``).
+once (``assembly._factor``) and reused across steps: in a
+nested-dissection order on 3D meshes, by SuperLU's MMD in 1D and 2D
+(fill counts in the ``assembly`` module docstring). Both solve to
+rounding (within 1.1e-15 relative of each other on ``cube:8`` and
+``cube:12``).
 
 The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
 checks a requested dt in two stages. The element-by-element bound
@@ -167,22 +166,20 @@ class SimulationConfig:
 class SimulationResult:
     """Recorded energy series and final state of a run.
 
-    ``dt_check`` names the path the dt check took: ``"cell_bound"`` (dt
-    certified by the element-by-element bound), ``"exact"`` (dt above the
-    certified limit, accepted by ``stable_dt_estimate``) or ``"forced"``
-    (no check). ``stable_dt`` is the limit that check used: the certified
-    limit, the exact one, or None. ``cell_bound_dt`` is the certified
-    limit whenever the check ran.
+    ``abort_step`` names the step that left the run non-finite, or is
+    None when the run finished. ``dt_check`` describes the dt check:
+    ``path`` is ``"cell_bound"`` (dt certified by the element-by-element
+    bound), ``"exact"`` (dt above the certified limit, accepted by
+    ``stable_dt_estimate``) or ``"forced"`` (no check); ``limit`` is the
+    limit that check used (the certified limit, the exact one, or None);
+    ``cell_bound_limit`` is the certified limit whenever the check ran.
     """
 
     times: np.ndarray
     energies: np.ndarray
     final_state: FieldState
-    stable_dt: Optional[float]
-    aborted: bool = False
+    dt_check: dict
     abort_step: Optional[int] = None
-    dt_check: str = "forced"
-    cell_bound_dt: Optional[float] = None
 
     @property
     def energy_errors(self) -> np.ndarray:
@@ -211,20 +208,21 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     exact limit. The check accepts and rejects exactly the dt values that
     ``stable_dt_estimate`` alone would. A step that leaves a field or the
     energy non-finite counts as unstable: the run stops there and returns
-    the series and final state recorded before it, with ``aborted`` set
-    and ``abort_step`` naming the step.
+    the series and final state recorded before it, with ``abort_step``
+    naming the step.
     """
-    dt_check, stable_dt, cell_bound_dt = "forced", None, None
+    dt_check = {"path": "forced", "limit": None, "cell_bound_limit": None}
     if not config.allow_unstable_dt:
         c = config.wave_speed
-        cell_bound_dt = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
-        dt_check, stable_dt = "cell_bound", cell_bound_dt
-        if not config.dt <= cell_bound_dt:  # a NaN bound certifies nothing
-            dt_check, stable_dt = "exact", stable_dt_estimate(ops, c)
-            if config.dt > stable_dt:
+        bound = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
+        dt_check = {"path": "cell_bound", "limit": bound, "cell_bound_limit": bound}
+        if not config.dt <= bound:  # a NaN bound certifies nothing
+            exact = stable_dt_estimate(ops, c)
+            dt_check.update(path="exact", limit=exact)
+            if config.dt > exact:
                 raise ConfigurationError(
                     f"dt={config.dt} exceeds the stability estimate "
-                    f"{stable_dt:.6g}; reduce dt or force the run")
+                    f"{exact:.6g}; reduce dt or force the run")
 
     state = interpolate_state(mesh, ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
@@ -233,14 +231,12 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     if snapshot_callback is not None:
         snapshot_callback(0, state)
 
-    aborted = False
     abort_step = None
     for step in range(1, config.n_steps + 1):
         new = verlet_step(state, ops, config.dt, config.wave_speed)
         record = step % config.energy_stride == 0
         e = energy(new, ops) if record else 0.0
         if not (np.isfinite(e) and np.isfinite(new.h).all() and np.isfinite(new.u).all()):
-            aborted = True
             abort_step = step
             break
         state = new
@@ -251,8 +247,5 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
                 and step % config.snapshot_stride == 0):
             snapshot_callback(step, state)
 
-    return SimulationResult(
-        times=np.array(times), energies=np.array(energies),
-        final_state=state, stable_dt=stable_dt,
-        aborted=aborted, abort_step=abort_step,
-        dt_check=dt_check, cell_bound_dt=cell_bound_dt)
+    return SimulationResult(times=np.array(times), energies=np.array(energies),
+                            final_state=state, dt_check=dt_check, abort_step=abort_step)

@@ -75,7 +75,6 @@ quotient's error is the square of the vector's.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -85,6 +84,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledOperators, _factor, _scatter
+from .mesh import _format_rows
 
 __all__ = [
     "Spectrum",
@@ -310,11 +310,10 @@ def spurious_mode_report(spectra: list) -> SpuriousModeReport:
 
 
 def spectrum_to_csv(spectrum: Spectrum, path):
+    lam = spectrum.eigenvalues
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spectrum.eigenvalues):
-            writer.writerow([i, repr(float(lam))])
+        fh.write("index,eigenvalue\r\n"
+                 + _format_rows("%d,%r\r\n", np.column_stack([np.arange(len(lam)), lam])))
 
 
 def spectrum_to_json(spectrum: Spectrum, path, metadata=None):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import wavefem as wf
+from wavefem import assembly, spectral
 from wavefem.assembly import QUAD_DEGREE, _factor, assemble
 from wavefem.elements import p2_basis, quadrature
 
@@ -274,6 +275,29 @@ def test_dissection_fills_less_than_mmd_on_cube8():
     lu, ref = ops.h_mass_solver().lu, mmd_splu(ops.h_mass)
     assert lu.L.nnz + lu.U.nnz < 0.9 * (ref.L.nnz + ref.U.nnz) < 0.9 * 1.87e6
     assert lu.nnz < 0.75 * ref.nnz
+
+
+@pytest.mark.parametrize("spec", ["cube:3", "square:8"])
+def test_scattered_matrices_own_their_entries(monkeypatch, spec):
+    # eliminate_zeros may leave data and indices as views of the unpruned
+    # arrays; each scattered matrix must hold exactly its nnz entries
+    scatter, made = assembly._scatter, []
+
+    def recording(*args):
+        made.append(scatter(*args))
+        return made[-1]
+
+    monkeypatch.setattr(assembly, "_scatter", recording)
+    monkeypatch.setattr(spectral, "_scatter", recording)
+    kind, n = spec.split(":")
+    mesh = (wf.generate_cube_mesh if kind == "cube" else wf.generate_square_mesh)(int(n))
+    _, ops = assemble_all(mesh, "dirichlet")
+    ops.kick_operator()
+    spectral.laplacian_pencil(ops)
+    assert len(made) == 2 + 2 * mesh.dim  # mass, d gradients, d kick blocks, A
+    for mat in made:
+        for entries in (mat.data, mat.indices):
+            assert entries.base is None and len(entries) == mat.nnz
 
 
 def test_only_3d_operators_carry_an_order(square_36):

@@ -175,7 +175,61 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
                 "--out-dir", out_dir, "--force-dt"])
     assert code == 2
     assert "UNSTABLE" in capsys.readouterr().out
-    assert os.path.exists(os.path.join(out_dir, "energy.csv"))
+    energy_path = os.path.join(out_dir, "energy.csv")
+    assert os.path.exists(energy_path)
+    # an aborted run keeps its manifest
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["dt_check"]["path"] == "forced"
+    assert manifest["outputs"] == [energy_path]
+
+
+def test_simulate_reports_final_time(tmp_path, capsys):
+    # the energy stride does not divide the step count: the last sample is
+    # at step 90, t = 0.18, and the final state at step 100, t = 0.2
+    cfg = write_config(tmp_path, "dt = 0.002\nt_end = 0.2\nstride = 30\n")
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(tmp_path / "out")]) == 0
+    assert "completed 100 steps to t=0.2\n" in capsys.readouterr().out
+
+
+MANIFEST_KEYS = ["command", "parameters", "outputs", "tool_version", "duration_seconds"]
+
+
+@pytest.mark.parametrize("argv,manifest,parameters", [
+    (["dof-report", "--generate", "square:2", "--out", "{d}/dofs.csv"],
+     "{d}/dofs.csv.manifest.json", {"mesh": "square:2"}),
+    (["spectrum", "--generate", "square:2", "--bc", "neumann", "--out", "{d}/eigs.json",
+      "--format", "json"],
+     "{d}/eigs.json.manifest.json",
+     {"mesh": "square:2", "bc": "neumann", "count": 8, "format": "json"}),
+    (["dispersion", "--samples", "4", "--out", "{d}/sweep.csv"],
+     "{d}/sweep.csv.manifest.json", {"samples": 4}),
+    (["simulate", "--generate", "square:2", "--config", "{d}/run.cfg", "--out-dir", "{d}/sim"],
+     "{d}/sim/manifest.json",
+     {"mesh": "square:2", "config": "{d}/run.cfg", "dt": 0.01, "n_steps": 2, "stride": 1,
+      "force_dt": False}),
+    (["mesh-convert", "--generate", "square:2", "--out-prefix", "{d}/mesh"],
+     "{d}/mesh.manifest.json", {"mesh": "square:2"})],
+    ids=["dof-report", "spectrum", "dispersion", "simulate", "mesh-convert"])
+def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
+    # one manifest layout for every verb; its outputs are every file the
+    # run wrote besides the manifest itself
+    d = str(tmp_path)
+    cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.02\nsnapshot_stride = 1\n")
+    assert run([a.format(d=d) for a in argv]) == 0
+    with open(manifest.format(d=d)) as fh:
+        record = json.load(fh)
+    extra = ["dt_check", "mass_solve"] if argv[0] == "simulate" else []
+    assert list(record) == MANIFEST_KEYS + extra
+    assert record["command"] == argv[0]
+    assert record["tool_version"] == wf.__version__
+    assert record["duration_seconds"] >= 0.0
+    assert record["parameters"] == {k: v.format(d=d) if isinstance(v, str) else v
+                                    for k, v in parameters.items()}
+    written = {os.path.join(root, name) for root, _, names in os.walk(d) for name in names}
+    assert set(record["outputs"]) == written - {manifest.format(d=d), cfg}
+    assert len(record["outputs"]) == len(set(record["outputs"]))
 
 
 def test_simulate_manifest_dt_check(tmp_path):

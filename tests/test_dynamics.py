@@ -271,7 +271,7 @@ def test_simulate_energy_rows(square_36):
                               ic_h=gaussian_bump([0.5, 0.5]))
     result = simulate(square_36, ops, config)
     assert len(result.times) == 4  # steps 0, 100, 200, 300
-    assert not result.aborted
+    assert result.abort_step is None
     assert np.abs(result.energy_errors).max() <= 1e-3
 
 
@@ -303,21 +303,23 @@ def test_dt_check_paths(square_36, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "max_eigenvalue", no_eigensolve)
         result = run(0.9 * certified)
-        assert result.dt_check == "cell_bound"
-        assert result.stable_dt == result.cell_bound_dt
-        assert 0.9 * certified < result.cell_bound_dt <= certified
+        check = result.dt_check
+        assert check["path"] == "cell_bound"
+        assert check["limit"] == check["cell_bound_limit"]
+        assert 0.9 * certified < check["cell_bound_limit"] <= certified
         with pytest.raises(RuntimeError, match="eigensolve called"):
             run(between)
     for dt in (between, exact):
         result = run(dt)
-        assert result.dt_check == "exact"
-        assert result.stable_dt == exact
-        assert result.cell_bound_dt < between
+        check = result.dt_check
+        assert check["path"] == "exact"
+        assert check["limit"] == exact
+        assert check["cell_bound_limit"] < between
     with pytest.raises(ConfigurationError, match="stability estimate"):
         run(np.nextafter(exact, 1.0))
     forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, n_steps=2,
                                                        allow_unstable_dt=True))
-    assert (forced.dt_check, forced.stable_dt, forced.cell_bound_dt) == ("forced", None, None)
+    assert forced.dt_check == {"path": "forced", "limit": None, "cell_bound_limit": None}
 
 
 def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
@@ -331,7 +333,7 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     result = simulate(square_36, ops, SimulationConfig(dt=dt, n_steps=1))
-    assert result.dt_check == "exact"
+    assert result.dt_check["path"] == "exact"
     assert calls == [(square_36.n_cells, 6, 6)]
 
 
@@ -344,8 +346,8 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
     result = simulate(mesh, ops, SimulationConfig(dt=exact, n_steps=1))
-    assert result.cell_bound_dt <= exact
-    assert result.cell_bound_dt >= (1.0 - 1e-9) * exact
+    limit = result.dt_check["cell_bound_limit"]
+    assert (1.0 - 1e-9) * exact <= limit <= exact
 
 
 def test_simulate_abort_keeps_partial_series(square_36):
@@ -354,7 +356,6 @@ def test_simulate_abort_keeps_partial_series(square_36):
                               ic_h=gaussian_bump([0.5, 0.5]),
                               allow_unstable_dt=True)
     result = simulate(square_36, ops, config)
-    assert result.aborted
     assert result.abort_step is not None
     assert len(result.times) >= 1
     assert np.all(np.isfinite(result.energies))
