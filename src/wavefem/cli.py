@@ -166,6 +166,8 @@ def _parse_config(path) -> dict:
             if key not in known:
                 raise dynamics.ConfigurationError(
                     f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise dynamics.ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 values[key] = known[key](value.strip())
             except ValueError as exc:
@@ -224,6 +226,8 @@ def cmd_simulate(args):
         raise dynamics.ConfigurationError("t_end / dt overflows")
     n_steps = max(1, int(round(cfg["t_end"] / dt)))
     stride = cfg.get("stride", 1)
+    if stride < 1:
+        raise dynamics.ConfigurationError("stride must be >= 1")
     bc = _bc_for(mesh, cfg.get("bc", "neumann"))
     config = dynamics.SimulationConfig(
         dt=dt, n_steps=n_steps, energy_stride=stride,

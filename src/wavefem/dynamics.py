@@ -25,11 +25,11 @@ checks a requested dt in two stages. The element-by-element bound
 eigenproblem and certifies every dt up to its limit. Only a larger dt
 pays for the exact lambda_max (``stable_dt_estimate``), which then
 accepts or rejects it. The bound is loose on sliver cells, so it never
-rejects a dt by itself. Above ``spectral.DENSE_CUTOFF`` DOFs the exact
-lambda_max is shift-invert Lanczos at the cell bound: A - sigma M is then
-negative definite and factors like the mass, and the Ritz vector's
-Rayleigh quotient keeps the digits that the Ritz value loses when sigma
-is far above lambda_max (``spectral`` module docstring).
+rejects a dt by itself. At every mesh size the exact lambda_max is
+shift-invert Lanczos at the cell bound: A - sigma M is then negative
+definite and factors like the mass, and the Ritz vector's Rayleigh
+quotient keeps the digits that the Ritz value loses when sigma is far
+above lambda_max (``spectral`` module docstring).
 """
 
 from __future__ import annotations
@@ -132,12 +132,14 @@ def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> floa
     The fastest oscillation of the semi-discrete system has frequency
     c*sqrt(lambda_max); the leapfrog kernel is stable while that
     oscillation is resolved with dt * frequency <= 2. The limit is exact:
-    lambda_max is ``spectral.max_eigenvalue``, a dense solve up to
-    ``spectral.DENSE_CUTOFF`` scalar DOFs and shift-invert at the cell
-    bound above it (module docstring). ``simulate`` calls it only for a
-    dt the cell bound cannot certify.
-    """
-    return 2.0 / (wave_speed * np.sqrt(max_eigenvalue(ops)))
+    lambda_max is ``spectral.max_eigenvalue``, shift-invert at the cell
+    bound (module docstring); one that is not finite and positive gives no
+    limit and is a ``RuntimeError``. ``simulate`` calls it only for a dt
+    the cell bound cannot certify."""
+    lam = max_eigenvalue(ops)
+    if not 0.0 < lam < np.inf:
+        raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
+    return 2.0 / (wave_speed * np.sqrt(lam))
 
 
 @dataclass
@@ -205,8 +207,9 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     Unless ``config.allow_unstable_dt`` is set, the requested dt is
     checked first (module docstring; the bound is inflated by
     ``BOUND_MARGIN``) and ``ConfigurationError`` rejects it above the
-    exact limit. The check accepts and rejects exactly the dt values that
-    ``stable_dt_estimate`` alone would. A step that leaves a field or the
+    exact limit; a ``RuntimeError`` of ``stable_dt_estimate`` stops the
+    run before step 1. The check accepts and rejects exactly the dt values
+    that ``stable_dt_estimate`` alone would. A step that leaves a field or the
     energy non-finite counts as unstable: the run stops there and returns
     the series and final state recorded before it, with ``abort_step``
     naming the step.
@@ -219,7 +222,7 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
         if not config.dt <= bound:  # a NaN bound certifies nothing
             exact = stable_dt_estimate(ops, c)
             dt_check.update(path="exact", limit=exact)
-            if config.dt > exact:
+            if not config.dt <= exact:
                 raise ConfigurationError(
                     f"dt={config.dt} exceeds the stability estimate "
                     f"{exact:.6g}; reduce dt or force the run")

@@ -57,20 +57,21 @@ against 3.97 to 3.99 under Neumann data.
 
 ``cell_lambda_bound`` bounds lambda_max from above, cell by cell, with
 no global eigensolve; ``dynamics.simulate`` uses it to certify time
-steps. Above ``DENSE_CUTOFF`` free DOFs both ends of the spectrum come
-from shift-invert Lanczos (ARPACK), which finds the eigenvalues nearest
-a shift sigma: the lowest at a small sigma < 0, where A - sigma M is
-positive definite despite the Neumann null space, and lambda_max at
-sigma = (1 + 1e-3) times the cell bound, where A - sigma M is negative
-definite (Ericsson and Ruhe, Math. Comp. 35, 1980). Both are definite
-like the scalar mass and have its sparsity pattern, so the routine that
-factors the mass, ``assembly._factor``, is ARPACK's ``OPinv`` too, in
-the mass's order (nested dissection in 3D, MMD in 1D and 2D; see the
+steps. At every pencil size lambda_max comes from shift-invert Lanczos
+(ARPACK), which finds the eigenvalues nearest a shift sigma, at sigma =
+(1 + 1e-3) times the cell bound, where A - sigma M is negative definite
+(Ericsson and Ruhe, Math. Comp. 35, 1980). Up to ``DENSE_CUTOFF`` free
+DOFs the spectrum is dense and complete; above it its low end comes from
+the same solver at a small sigma < 0, where A - sigma M is positive
+definite despite the Neumann null space. Both shifts leave a matrix
+definite like the scalar mass, with its sparsity pattern, so the routine
+that factors the mass, ``assembly._factor``, is ARPACK's ``OPinv`` too,
+in the mass's order (nested dissection in 3D, MMD in 1D and 2D; see the
 ``assembly`` module docstring). lambda_max is the Rayleigh quotient of
 the Ritz vector, not the Ritz value sigma + 1/nu: on slivers sigma is
 far above lambda_max (232 times on ``cube_200``), the Ritz value loses
-that factor in accuracy (to 1.4e-13 on ``cube_400``), and the
-quotient's error is the square of the vector's.
+that factor in accuracy (to 1.4e-13 on ``cube_400``), and the quotient's
+error is the square of the vector's.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ __all__ = [
     "spectrum_to_json",
 ]
 
-DENSE_CUTOFF = 3000      # pencil size up to which the dense solver is used
+DENSE_CUTOFF = 3000      # pencil size up to which the spectrum is dense and complete
 LOWEST_COUNT = 20        # eigenvalues resolved from the low end iteratively
 NULL_TOLERANCE = 1e-8    # relative to lambda_max
 
@@ -121,12 +122,16 @@ def laplacian_pencil(ops: AssembledOperators):
     of cells that own a Dirichlet facet. The result is symmetrized to
     remove the floating-point asymmetry of the cell products and of the
     summation of duplicate entries. Both matrices are the free-by-free
-    blocks, of size ``len(ops.h_free)``.
-    """
+    blocks, of size ``len(ops.h_free)``. A mass diagonal entry that is not
+    positive (inconsistent assembly) is a ``RuntimeError`` here, before any
+    solve forms a shift."""
+    M = ops.free_block(ops.h_mass)
+    if not (M.diagonal() > 0.0).all():
+        raise RuntimeError("scalar mass matrix is not positive definite; assembly is inconsistent")
     hd, m_h = ops.dofs.h_cell_dofs, ops.dofs.m_h
     A = _scatter(hd, hd, _cell_laplacian(ops), (m_h, m_h))
     A = (A + A.T) * 0.5
-    return ops.free_block(A.tocsr()), ops.free_block(ops.h_mass)
+    return ops.free_block(A.tocsr()), M
 
 
 @dataclass
@@ -151,15 +156,6 @@ class Spectrum:
         return NULL_TOLERANCE * self.lambda_max
 
 
-def _dense(A, M, **kw):
-    """The dense solve: ``scipy.linalg.eigh`` on the pencil as arrays."""
-    try:
-        return scipy.linalg.eigh(A.toarray(), M.toarray(), **kw)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError("scalar mass matrix is not positive definite; "
-                           "assembly is inconsistent") from exc
-
-
 def _eigsh(A, M, k, sigma, order, **kw):
     """Shift-invert ARPACK for the ``k`` eigenvalues nearest ``sigma``, with
     ``_factor(A - sigma M, order)`` as ``OPinv``, where ``order`` is the
@@ -172,21 +168,20 @@ def _eigsh(A, M, k, sigma, order, **kw):
 
 
 def _lambda_max(A, M, bound: float, order) -> float:
-    """Largest eigenvalue of the pencil: dense up to ``DENSE_CUTOFF`` DOFs,
-    else the Rayleigh quotient of the Ritz vector at the shift
-    (1 + 1e-3) ``bound`` above it (module docstring), factored in the
-    mass's ``order``. A bound that is not finite and positive, or ARPACK
-    non-convergence, is a ``RuntimeError``; a dense fallback at that size
-    would need two dense n x n arrays."""
-    n = A.shape[0]
-    if n <= DENSE_CUTOFF:
-        return float(_dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
+    """Largest eigenvalue of the pencil at any size: the Rayleigh quotient
+    of the Ritz vector at the shift (1 + 1e-3) ``bound`` above it (module
+    docstring), factored in the mass's ``order``. ARPACK needs more DOFs
+    than eigenvalues, so a one-DOF pencil is its own Ritz vector. A bound
+    that is not finite and positive, or ARPACK non-convergence, is a
+    ``RuntimeError``: there is no other solve to fall back on."""
     if not 0.0 < bound < np.inf:
         raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
-    try:
-        v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), order, maxiter=5000)[1][:, 0]
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
+    v = np.ones(1)
+    if A.shape[0] > 1:
+        try:
+            v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), order, maxiter=5000)[1][:, 0]
+        except spla.ArpackNoConvergence as exc:
+            raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
     return float(v @ (A @ v) / (v @ (M @ v)))
 
 
@@ -201,12 +196,11 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
     A, M = laplacian_pencil(ops)
     m_h = A.shape[0]
     if m_h <= DENSE_CUTOFF:
-        solved = _dense(A, M, eigvals_only=not compute_vectors)
+        solved = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=not compute_vectors)
         vals, vecs = solved if compute_vectors else (solved, None)
         return Spectrum(vals, float(vals[-1]), m_h, complete=True, eigenvectors=vecs)
 
-    scale = A.diagonal().mean() / max(M.diagonal().mean(), np.finfo(float).tiny)
-    sigma = -1e-3 * scale
+    sigma = -1e-3 * (A.diagonal().mean() / M.diagonal().mean())
     vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
     rank = np.argsort(vals)
     return Spectrum(vals[rank], _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order), m_h,
@@ -228,10 +222,9 @@ def null_space_dimension(spectrum: Spectrum) -> int:
 
 
 def max_eigenvalue(ops: AssembledOperators) -> float:
-    """Largest eigenvalue of the discrete Laplacian: dense up to
-    ``DENSE_CUTOFF`` free scalar DOFs, above it the Rayleigh quotient of
-    the shift-invert Ritz vector at a shift just above
-    ``cell_lambda_bound`` (``_lambda_max``)."""
+    """Largest eigenvalue of the discrete Laplacian, at every size the
+    Rayleigh quotient of the shift-invert Ritz vector at a shift just
+    above ``cell_lambda_bound`` (``_lambda_max``)."""
     A, M = laplacian_pencil(ops)
     return _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem import assembly, cli, dispersion
+from wavefem import assembly, cli, dispersion, dynamics
 from wavefem.cli import main
 from wavefem.vtk_io import write_vtk
 
@@ -301,8 +301,9 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
     ("width = nan", "width must be finite and positive"),
     ("center = nan 0.5", "center must be finite"),
     ("snapshot_stride = 0", "snapshot_stride must be >= 1"),
-    ("snapshot_stride = -5", "snapshot_stride must be >= 1")],
-    ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg"])
+    ("snapshot_stride = -5", "snapshot_stride must be >= 1"),
+    ("stride = 0", "stride must be >= 1")],
+    ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg", "stride-0"])
 def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     # bad input, not a numerical failure: exit 1 before the output
     # directory is created
@@ -319,6 +320,28 @@ def test_simulate_rejects_step_count_overflow(tmp_path, capsys):
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
                 "--out-dir", str(tmp_path / "out")]) == 1
     assert "t_end / dt overflows" in capsys.readouterr().err
+
+
+def test_simulate_rejects_duplicate_config_key(tmp_path, capsys):
+    # the first value is not silently replaced; --dt is the override
+    cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.04\ndt = 0.02\n")
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: duplicate key 'dt'\n"
+    assert not out_dir.exists()
+
+
+def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
+    # a NaN limit would accept every dt; the run stops before step 1 as a
+    # numerical failure, and no manifest records the NaN
+    monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: np.nan)
+    cfg = write_config(tmp_path, "dt = 1.0\nt_end = 3.0\nbc = dirichlet\n")
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:8", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 2
+    assert "lambda_max nan gives no stability limit" in capsys.readouterr().err
+    assert os.listdir(out_dir) == []
 
 
 def test_simulate_bad_config_key(tmp_path):

@@ -337,6 +337,18 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     assert calls == [(square_36.n_cells, 6, 6)]
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
+    # a dt above the certified limit needs the exact one; a lambda_max that
+    # gives none stops the run before step 1 (a NaN limit would accept any dt)
+    _, ops = assemble_all(square_36, "dirichlet")
+    monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: lam)
+    with pytest.raises(RuntimeError, match="gives no stability limit"):
+        simulate(square_36, ops, SimulationConfig(dt=1.0, n_steps=3))
+    with pytest.raises(RuntimeError, match="gives no stability limit"):
+        stable_dt_estimate(ops)
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_cell_bound_limit_at_most_exact_1d(periodic):
     # with Neumann ends the cell bound equals lambda_max up to rounding;

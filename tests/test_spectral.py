@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import wavefem as wf
@@ -108,10 +110,13 @@ def test_eigen_residuals(square_36):
 
 
 def test_iterative_matches_dense(square_36, monkeypatch):
+    # the cutoff selects the spectrum's solver, never lambda_max's
     _, ops = assemble_all(square_36, "dirichlet")
     dense = laplacian_spectrum(ops)
+    lam = max_eigenvalue(ops)
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
     iterative = laplacian_spectrum(ops)
+    assert max_eigenvalue(ops) == lam == iterative.lambda_max
     assert not iterative.complete
     k = len(iterative.eigenvalues)
     assert np.abs(iterative.eigenvalues - dense.eigenvalues[:k]).max() \
@@ -142,15 +147,6 @@ def test_spectrum_invariant_to_mesh_scale(kind, cutoff, monkeypatch):
         assert abs(spec.lambda_max * s ** 2 / ref.lambda_max - 1.0) <= 1e-9
 
 
-def test_max_eigenvalue_paths(square_36, monkeypatch):
-    _, ops = assemble_all(square_36, "dirichlet")
-    dense = max_eigenvalue(ops)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
-    iterative = max_eigenvalue(ops)
-    assert abs(dense - iterative) <= 1e-6 * dense
-    assert max_eigenvalue(ops) == iterative
-
-
 def test_lambda_max_no_convergence_raises(square_36, monkeypatch):
     _, ops = assemble_all(square_36, "dirichlet")
 
@@ -158,7 +154,6 @@ def test_lambda_max_no_convergence_raises(square_36, monkeypatch):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(spectral, "_eigsh", no_convergence)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
     with pytest.raises(RuntimeError, match="failed to converge"):
         max_eigenvalue(ops)
 
@@ -168,14 +163,16 @@ def test_lambda_max_without_finite_bound_raises(square_36, monkeypatch, bound):
     # the shift-invert solve has no other shift to fall back on
     _, ops = assemble_all(square_36, "dirichlet")
     monkeypatch.setattr(spectral, "cell_lambda_bound", lambda ops: bound)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
     with pytest.raises(RuntimeError, match="gives no shift"):
         max_eigenvalue(ops)
 
 
-def test_indefinite_mass_raises(square_36):
+@pytest.mark.parametrize("cutoff", [spectral.DENSE_CUTOFF, 1])
+def test_indefinite_mass_raises(square_36, monkeypatch, cutoff):
     """Both public solves report a mass matrix that is not positive
-    definite as an inconsistent assembly."""
+    definite as an inconsistent assembly, on the dense and the iterative
+    spectrum alike."""
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
     _, ops = assemble_all(square_36, "dirichlet")
     bad = dataclasses.replace(ops, h_mass=-ops.h_mass)
     for solve in (laplacian_spectrum, max_eigenvalue):
@@ -193,52 +190,62 @@ def with_mixed_markers(mesh):
                    np.where(x < 0.5, 2, 1))
 
 
-BOUND_MESHES = {
+GENERATED = {
     "square:8": lambda: wf.generate_square_mesh(8),
+    "square:12": lambda: wf.generate_square_mesh(12),
     "cube:3": lambda: wf.generate_cube_mesh(3),
     "interval": lambda: wf.generate_interval_mesh(16, 1.0),
+    "interval:1": lambda: wf.generate_interval_mesh(1, 1.0),
+    "interval:2": lambda: wf.generate_interval_mesh(2, 1.0),
+    "interval:2:periodic": lambda: wf.generate_interval_mesh(2, 1.0, periodic=True),
 }
 FIXTURES = ["square_36", "square_150", "square_1500", "cube_44", "cube_200", "cube_400"]
+KINDS = ["dirichlet", "neumann", "mixed"]
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "mixed"])
-@pytest.mark.parametrize("name", [*BOUND_MESHES, *FIXTURES])
-def test_cell_bound_above_max_eigenvalue(name, kind, request):
-    # lambda_max(A, M) <= max_K lambda_max(A_K, M_K); the 1D Dirichlet ends
-    # are fixed DOFs, and in 1D Neumann the two are equal up to rounding.
-    # On structured meshes the bound is tight; slivers make it loose.
-    mesh = BOUND_MESHES[name]() if name in BOUND_MESHES else request.getfixturevalue(name)
+def operators(name, kind, request):
+    """Operators on a ``GENERATED`` mesh or a fixture under Dirichlet,
+    Neumann or mixed (``with_mixed_markers``) data."""
+    mesh = GENERATED[name]() if name in GENERATED else request.getfixturevalue(name)
     if kind == "mixed":
         mesh = with_mixed_markers(mesh)
         bc = wf.BcSpec(dirichlet_markers={1}, neumann_markers={2})
     else:
         bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
               else wf.BcSpec.all_neumann(mesh))
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    return wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["square:8", "cube:3", "interval", *FIXTURES])
+def test_cell_bound_above_max_eigenvalue(name, kind, request):
+    # lambda_max(A, M) <= max_K lambda_max(A_K, M_K); the 1D Dirichlet ends
+    # are fixed DOFs, and in 1D Neumann the two are equal up to rounding.
+    # On structured meshes the bound is tight; slivers make it loose.
+    ops = operators(name, kind, request)
     ratio = cell_lambda_bound(ops) / max_eigenvalue(ops)
     assert ratio >= 1.0 - 1e-10
     if name in ("square:8", "cube:3"):
         assert ratio <= 1.25
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "mixed"])
-@pytest.mark.parametrize("name", FIXTURES)
-def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch):
+SMALL_PENCILS = ["interval:1", "interval:2", "square:12", "cube:3"]
+
+
+@pytest.mark.parametrize("name,kind", [
+    *itertools.product(SMALL_PENCILS + FIXTURES, KINDS), ("interval:2:periodic", "neumann")])
+def test_lambda_max_shift_invert_matches_dense(name, kind, request):
     # the shift lies just above the cell bound, which is 232 and 112 times
     # lambda_max on cube_200 and cube_400; there the Ritz value misses
-    # 1e-13, and the Rayleigh quotient of the Ritz vector meets it
-    mesh = request.getfixturevalue(name)
-    if kind == "mixed":
-        mesh = with_mixed_markers(mesh)
-        bc = wf.BcSpec(dirichlet_markers={1}, neumann_markers={2})
-    else:
-        bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
-              else wf.BcSpec.all_neumann(mesh))
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    # 1e-13, and the Rayleigh quotient of the Ritz vector meets it. In 1D
+    # the small pencils have 1 to 5 free DOFs: 1 on interval:1 under
+    # Dirichlet data, which ARPACK cannot take. The periodic interval has
+    # no boundary, so it has one case.
+    ops = operators(name, kind, request)
     A, M = laplacian_pencil(ops)
     n = A.shape[0]
-    dense = spectral._dense(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                              subset_by_index=(n - 1, n - 1))[0]
     lam = max_eigenvalue(ops)
     assert abs(lam - dense) <= 1e-13 * dense
     assert max_eigenvalue(ops) == lam
