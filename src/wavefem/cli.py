@@ -5,9 +5,10 @@ command that writes outputs returns (exit code, manifest) to ``main``,
 which writes the JSON run manifest next to them so a run can be
 reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
 (the files written), ``tool_version`` and ``duration_seconds``.
-``simulate`` adds ``dt_check`` (``dynamics.SimulationResult.dt_check``:
-the dt check's path, limit and cell-bound limit) and ``mass_solve`` (the
-ordering and stored L+U entry count of the scalar-mass factor,
+``spectrum`` adds ``lambda_max`` (``spectral.LambdaMax``). ``simulate``
+adds ``dt_check`` (``dynamics.SimulationResult.dt_check``: the dt check's
+path, limits and lambda_max solves) and ``mass_solve`` (the ordering and
+stored L+U entry count of the scalar-mass factor,
 ``assembly._factor``), and keeps its manifest when a run aborts. Exit
 codes: 0 success, 1 input, usage or output-path error, 2 numerical
 failure, 3 invariant violation.
@@ -119,7 +120,8 @@ def cmd_spectrum(args):
     print(f"h dofs: {dofs.m_h}, u dofs per component: {dofs.m_u}")
     print("leading eigenvalues: "
           + ", ".join(f"{v:.6g}" for v in leading))
-    print(f"lambda_max: {spec.lambda_max:.6g}")
+    top = spec.lambda_max_solve
+    print(f"lambda_max: {spec.lambda_max:.6g} (error bar {top.error:.2g}, {top.solves} solves)")
     print(f"null space dimension: {nnull}")
     if not args.out:
         return EXIT_OK, None
@@ -132,7 +134,7 @@ def cmd_spectrum(args):
     return EXIT_OK, {"path": args.out + ".manifest.json",
                      "parameters": {"mesh": source, "bc": args.bc, "count": args.count,
                                     "format": args.format},
-                     "outputs": [args.out]}
+                     "outputs": [args.out], "lambda_max": top._asdict()}
 
 
 def cmd_dispersion(args):

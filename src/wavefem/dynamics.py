@@ -13,23 +13,20 @@ Each half-kick is one sparse product with the cached kick operator
 B = u_mass^{-1} grad, exact since cell K's block of u_mass is
 det_K * u_mass_ref. The velocity is one array (d, m_u), and its DOF j of
 component i is row i m_u + j of B. The scalar mass matrix is factorized
-once (``assembly._factor``) and reused across steps: in a
-nested-dissection order on 3D meshes, by SuperLU's MMD in 1D and 2D
-(fill counts in the ``assembly`` module docstring). Both solve to
-rounding (within 1.1e-15 relative of each other on ``cube:8`` and
-``cube:12``).
+once, in the order of the ``assembly`` module docstring
+(``assembly._factor``), and reused across steps.
 
 The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
-checks a requested dt in two stages. The element-by-element bound
+checks a requested dt in stages. The element-by-element bound
 ``spectral.cell_lambda_bound`` >= lambda_max costs one batched small
-eigenproblem and certifies every dt up to its limit. Only a larger dt
-pays for the exact lambda_max (``stable_dt_estimate``), which then
-accepts or rejects it. The bound is loose on sliver cells, so it never
-rejects a dt by itself. At every mesh size the exact lambda_max is
-shift-invert Lanczos at the cell bound: A - sigma M is then negative
-definite and factors like the mass, and the Ritz vector's Rayleigh
-quotient keeps the digits that the Ritz value loses when sigma is far
-above lambda_max (``spectral`` module docstring).
+eigenproblem and certifies every dt up to its limit; it is loose on
+sliver cells, so it never rejects a dt by itself. A larger dt pays for
+``spectral.max_eigenvalue``, shift-invert Lanczos at tol 1e-8 with rho <=
+lambda_max <= rho + eta (``spectral`` module docstring). A dt above
+2 / (c sqrt(rho)) is rejected, one at or below 2 / (c sqrt(rho + eta))
+accepted; only one in between, a window of relative width about
+eta / (2 rho) (1e-9 on ``square:48``), pays for a second solve at tol 0,
+whose rho decides it.
 """
 
 from __future__ import annotations
@@ -126,20 +123,22 @@ def energy(state: FieldState, ops: AssembledOperators) -> float:
                            + ops.cell_dets @ np.einsum("ica,ica->c", U @ ops.u_mass_ref, U))
 
 
+def _dt_limit(lam: float, wave_speed: float) -> float:
+    """2 / (c sqrt(lam)), or a ``RuntimeError`` for a lam that gives none."""
+    if not 0.0 < lam < np.inf:
+        raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
+    return 2.0 / (wave_speed * np.sqrt(lam))
+
+
 def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> float:
     """Linear stability limit of the scheme, 2 / (c sqrt(lambda_max)).
 
     The fastest oscillation of the semi-discrete system has frequency
     c*sqrt(lambda_max); the leapfrog kernel is stable while that
-    oscillation is resolved with dt * frequency <= 2. The limit is exact:
-    lambda_max is ``spectral.max_eigenvalue``, shift-invert at the cell
-    bound (module docstring); one that is not finite and positive gives no
-    limit and is a ``RuntimeError``. ``simulate`` calls it only for a dt
-    the cell bound cannot certify."""
-    lam = max_eigenvalue(ops)
-    if not 0.0 < lam < np.inf:
-        raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
-    return 2.0 / (wave_speed * np.sqrt(lam))
+    oscillation is resolved with dt * frequency <= 2. lambda_max is the
+    rho of ``spectral.max_eigenvalue`` at tol 1e-8 (module docstring), so
+    the estimate is at or above the limit, within eta / (2 rho) of it."""
+    return _dt_limit(max_eigenvalue(ops).value, wave_speed)
 
 
 @dataclass
@@ -171,10 +170,11 @@ class SimulationResult:
     ``abort_step`` names the step that left the run non-finite, or is
     None when the run finished. ``dt_check`` describes the dt check:
     ``path`` is ``"cell_bound"`` (dt certified by the element-by-element
-    bound), ``"exact"`` (dt above the certified limit, accepted by
-    ``stable_dt_estimate``) or ``"forced"`` (no check); ``limit`` is the
-    limit that check used (the certified limit, the exact one, or None);
+    bound), ``"exact"`` (dt checked against lambda_max) or ``"forced"``
+    (no check); ``limit`` is the limit that check used (the certified one,
+    2 / (c sqrt(rho)) of the last lambda_max solve, or None);
     ``cell_bound_limit`` is the certified limit whenever the check ran.
+    ``lambda_max`` lists the exact path's solves (``spectral.LambdaMax``).
     """
 
     times: np.ndarray
@@ -207,12 +207,12 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     Unless ``config.allow_unstable_dt`` is set, the requested dt is
     checked first (module docstring; the bound is inflated by
     ``BOUND_MARGIN``) and ``ConfigurationError`` rejects it above the
-    exact limit; a ``RuntimeError`` of ``stable_dt_estimate`` stops the
-    run before step 1. The check accepts and rejects exactly the dt values
-    that ``stable_dt_estimate`` alone would. A step that leaves a field or the
-    energy non-finite counts as unstable: the run stops there and returns
-    the series and final state recorded before it, with ``abort_step``
-    naming the step.
+    limit, so above ``stable_dt_estimate`` too; a lambda_max that gives no
+    limit is a ``RuntimeError`` before step 1. A step that leaves a field
+    or the energy non-finite counts as unstable: the run stops there and
+    returns the series and final state recorded before it, with
+    ``abort_step`` naming the step. The last step's energy is always
+    evaluated and recorded, so no ``energy_stride`` hides a blow-up.
     """
     dt_check = {"path": "forced", "limit": None, "cell_bound_limit": None}
     if not config.allow_unstable_dt:
@@ -220,8 +220,12 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
         bound = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
         dt_check = {"path": "cell_bound", "limit": bound, "cell_bound_limit": bound}
         if not config.dt <= bound:  # a NaN bound certifies nothing
-            exact = stable_dt_estimate(ops, c)
-            dt_check.update(path="exact", limit=exact)
+            solves = [max_eigenvalue(ops)]
+            rho, eta = solves[0].value, solves[0].error
+            if config.dt <= _dt_limit(rho, c) and not config.dt <= _dt_limit(rho + eta, c):
+                solves.append(max_eigenvalue(ops, tol=0.0))  # dt in the window
+            exact = _dt_limit(solves[-1].value, c)
+            dt_check.update(path="exact", limit=exact, lambda_max=[s._asdict() for s in solves])
             if not config.dt <= exact:
                 raise ConfigurationError(
                     f"dt={config.dt} exceeds the stability estimate "
@@ -237,7 +241,7 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     abort_step = None
     for step in range(1, config.n_steps + 1):
         new = verlet_step(state, ops, config.dt, config.wave_speed)
-        record = step % config.energy_stride == 0
+        record = step % config.energy_stride == 0 or step == config.n_steps
         e = energy(new, ops) if record else 0.0
         if not (np.isfinite(e) and np.isfinite(new.h).all() and np.isfinite(new.u).all()):
             abort_step = step

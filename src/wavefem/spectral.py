@@ -12,18 +12,15 @@ small eigenvalues that sink further under mesh refinement.
 
 The pencil is posed on the free scalar DOFs (``ops.h_free``). In 2D and
 3D that is every DOF and Dirichlet data enter weakly. In 1D the
-Dirichlet vertices are fixed DOFs and drop out. With the weak form, 1D
-would always keep a null vector: N cells give 2N velocity DOFs and
-2N+1 scalar DOFs, so the gradient has more columns than rows (see the
-``assembly`` module). The problem size of every routine here is the
-pencil's, which is smaller than ``ops.dofs.m_h`` when DOFs are fixed.
+Dirichlet vertices are fixed DOFs and drop out (``assembly`` module
+docstring). The problem size of every routine here is the pencil's,
+which is smaller than ``ops.dofs.m_h`` when DOFs are fixed.
 
 The velocity mass is block-diagonal, with block M_u,K = det_K
 ``ops.u_mass_ref`` on cell K, and each weak Dirichlet facet term belongs
 to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
 Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``), where
-G_Ki = ``ops.grad_cells[K, i]`` acts on row i of the velocity array
-(d, m_u), rows i m_u to (i + 1) m_u - 1 of the kick operator B.
+G_Ki = ``ops.grad_cells[K, i]`` acts on row i of the velocity array.
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
@@ -66,19 +63,24 @@ the same solver at a small sigma < 0, where A - sigma M is positive
 definite despite the Neumann null space. Both shifts leave a matrix
 definite like the scalar mass, with its sparsity pattern, so the routine
 that factors the mass, ``assembly._factor``, is ARPACK's ``OPinv`` too,
-in the mass's order (nested dissection in 3D, MMD in 1D and 2D; see the
-``assembly`` module docstring). lambda_max is the Rayleigh quotient of
-the Ritz vector, not the Ritz value sigma + 1/nu: on slivers sigma is
-far above lambda_max (232 times on ``cube_200``), the Ritz value loses
-that factor in accuracy (to 1.4e-13 on ``cube_400``), and the quotient's
-error is the square of the vector's.
+in the mass's order (``assembly`` module docstring). lambda_max is the
+Rayleigh quotient rho of the Ritz vector v, not the Ritz value sigma +
+1/nu: on slivers sigma is far above lambda_max (232 times on
+``cube_200``), the Ritz value loses that factor in accuracy (to 1.4e-13
+on ``cube_400``), and the quotient's error is the square of the
+vector's. Lanczos stops at ``LAMBDA_MAX_TOL``. Then rho <= lambda_max <=
+rho + eta, eta = ||A v - rho M v||_2 / sqrt(mu v^T M v), as Lanczos
+converges to the eigenvalue nearest the shift (Parlett, The Symmetric
+Eigenvalue Problem, Sec. 11). mu = min_K det_K lambda_min(M_ref) <=
+lambda_min(M) by the assembly argument of ``cell_lambda_bound`` (Wathen,
+IMA J. Numer. Anal. 7, 1987), so eta needs no mass factor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -89,6 +91,7 @@ from .mesh import _format_rows
 
 __all__ = [
     "Spectrum",
+    "LambdaMax",
     "SpuriousModeReport",
     "laplacian_pencil",
     "laplacian_spectrum",
@@ -103,6 +106,20 @@ __all__ = [
 DENSE_CUTOFF = 3000      # pencil size up to which the spectrum is dense and complete
 LOWEST_COUNT = 20        # eigenvalues resolved from the low end iteratively
 NULL_TOLERANCE = 1e-8    # relative to lambda_max
+# ARPACK's tolerance for lambda_max: at 0, most solves on structured meshes
+# split a near-double top pair (square:96: gap 6e-12) whose span already
+# holds a Rayleigh quotient that close; 1e-8 leaves eta near 1e-9 rho.
+LAMBDA_MAX_TOL = 1e-8
+
+
+class LambdaMax(NamedTuple):
+    """One lambda_max solve: rho (``value``), eta (``error``; module
+    docstring), the count of ``solves`` with the factor, and ARPACK's ``tol``."""
+
+    value: float
+    error: float
+    solves: int
+    tol: float
 
 
 def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
@@ -116,15 +133,12 @@ def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
 def laplacian_pencil(ops: AssembledOperators):
     """Explicit sparse matrices (A, h_mass) of the generalized eigenproblem.
 
-    A = sum_K scatter(A_K) is scattered from the cell Laplacians (module
-    docstring); it equals the P2 stiffness matrix under Neumann data and
-    in 1D, and differs from it under weak Dirichlet data only on the DOFs
-    of cells that own a Dirichlet facet. The result is symmetrized to
-    remove the floating-point asymmetry of the cell products and of the
-    summation of duplicate entries. Both matrices are the free-by-free
-    blocks, of size ``len(ops.h_free)``. A mass diagonal entry that is not
-    positive (inconsistent assembly) is a ``RuntimeError`` here, before any
-    solve forms a shift."""
+    A = sum_K scatter(A_K) (module docstring), symmetrized to remove the
+    floating-point asymmetry of the cell products and of the summation of
+    duplicate entries. Both matrices are the free-by-free blocks, of size
+    ``len(ops.h_free)``. A mass diagonal entry that is not positive
+    (inconsistent assembly) is a ``RuntimeError`` here, before any solve
+    forms a shift."""
     M = ops.free_block(ops.h_mass)
     if not (M.diagonal() > 0.0).all():
         raise RuntimeError("scalar mass matrix is not positive definite; assembly is inconsistent")
@@ -138,10 +152,10 @@ def laplacian_pencil(ops: AssembledOperators):
 class Spectrum:
     """Eigenvalues of the discrete Laplacian, sorted ascending.
 
-    ``eigenvalues`` holds either the full spectrum (dense path) or the
-    lowest resolved part (iterative path); ``lambda_max`` is always the
-    largest eigenvalue. ``m_h`` is the pencil's size, the number of free
-    scalar DOFs, and ``eigenvectors`` live on those DOFs.
+    ``eigenvalues`` holds the full spectrum (dense path) or its low end
+    (iterative path); ``lambda_max`` is the largest eigenvalue, on the
+    iterative path that of ``lambda_max_solve``. ``m_h`` is the pencil's
+    size (free scalar DOFs), on which ``eigenvectors`` live.
     """
 
     eigenvalues: np.ndarray
@@ -149,6 +163,7 @@ class Spectrum:
     m_h: int
     complete: bool
     eigenvectors: Optional[np.ndarray] = None
+    lambda_max_solve: Optional[LambdaMax] = None
 
     @property
     def null_threshold(self) -> float:
@@ -161,28 +176,36 @@ def _eigsh(A, M, k, sigma, order, **kw):
     ``_factor(A - sigma M, order)`` as ``OPinv``, where ``order`` is the
     mass's (``ops.h_order``). The fixed start vector makes every call give
     the same eigenvalues; it is not constant, since under Neumann data
-    that is the null eigenvector, on which Lanczos breaks down."""
+    that is the null eigenvector, on which Lanczos breaks down. The count
+    of solves with the factor follows the eigenpairs."""
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    op_inv = spla.LinearOperator(A.shape, matvec=_factor(A - sigma * M, order), dtype=float)
-    return spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw)
+    solve, solves = _factor(A - sigma * M, order), []
+    op_inv = spla.LinearOperator(A.shape, lambda x: solves.append(1) or solve(x), dtype=float)
+    return (*spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw), len(solves))
 
 
-def _lambda_max(A, M, bound: float, order) -> float:
-    """Largest eigenvalue of the pencil at any size: the Rayleigh quotient
-    of the Ritz vector at the shift (1 + 1e-3) ``bound`` above it (module
-    docstring), factored in the mass's ``order``. ARPACK needs more DOFs
-    than eigenvalues, so a one-DOF pencil is its own Ritz vector. A bound
-    that is not finite and positive, or ARPACK non-convergence, is a
-    ``RuntimeError``: there is no other solve to fall back on."""
+def _lambda_max(A, M, ops: AssembledOperators, tol: float) -> LambdaMax:
+    """Largest eigenvalue of the pencil at any size, with its error bar:
+    the Rayleigh quotient of the Ritz vector at the shift (1 + 1e-3)
+    ``cell_lambda_bound(ops)`` (module docstring). ARPACK needs more DOFs
+    than eigenvalues; a one-DOF pencil is its own eigenvector, with no
+    error. A bound that is not finite and positive, or ARPACK
+    non-convergence, is a ``RuntimeError``: there is no other solve."""
+    bound = cell_lambda_bound(ops)
     if not 0.0 < bound < np.inf:
         raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
-    v = np.ones(1)
-    if A.shape[0] > 1:
-        try:
-            v = _eigsh(A, M, 1, bound * (1.0 + 1e-3), order, maxiter=5000)[1][:, 0]
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
-    return float(v @ (A @ v) / (v @ (M @ v)))
+    if A.shape[0] == 1:
+        return LambdaMax(float(A.diagonal()[0] / M.diagonal()[0]), 0.0, 0, tol)
+    try:
+        _, vecs, solves = _eigsh(A, M, 1, 1.001 * bound, ops.h_order, tol=tol, maxiter=5000)
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
+    v = vecs[:, 0]
+    Av, Mv = A @ v, M @ v
+    rho = float(v @ Av / (v @ Mv))
+    mu = ops.cell_dets.min() * np.linalg.eigvalsh(ops.h_mass_ref)[0]
+    return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * (v @ Mv))),
+                     solves, tol)
 
 
 def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
@@ -190,21 +213,22 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
 
     Up to ``DENSE_CUTOFF`` free scalar DOFs the full spectrum is computed
     densely. Above it, shift-invert Lanczos resolves the lowest
-    ``LOWEST_COUNT`` eigenvalues at a small negative shift, and
-    ``_lambda_max`` the largest at a shift above ``cell_lambda_bound``.
+    ``LOWEST_COUNT`` eigenvalues at a small negative shift. On both paths
+    ``_lambda_max`` solves for the largest and its error bar.
     """
     A, M = laplacian_pencil(ops)
     m_h = A.shape[0]
+    top = _lambda_max(A, M, ops, LAMBDA_MAX_TOL)
     if m_h <= DENSE_CUTOFF:
         solved = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=not compute_vectors)
         vals, vecs = solved if compute_vectors else (solved, None)
-        return Spectrum(vals, float(vals[-1]), m_h, complete=True, eigenvectors=vecs)
+        return Spectrum(vals, float(vals[-1]), m_h, True, vecs, top)
 
     sigma = -1e-3 * (A.diagonal().mean() / M.diagonal().mean())
-    vals, vecs = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
+    vals, vecs, _ = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
     rank = np.argsort(vals)
-    return Spectrum(vals[rank], _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order), m_h,
-                    complete=False, eigenvectors=vecs[:, rank] if compute_vectors else None)
+    return Spectrum(vals[rank], top.value, m_h, False,
+                    vecs[:, rank] if compute_vectors else None, top)
 
 
 def null_space_dimension(spectrum: Spectrum) -> int:
@@ -212,21 +236,20 @@ def null_space_dimension(spectrum: Spectrum) -> int:
 
     Exactly 1 for a stable Neumann problem (the constant mode), exactly 0
     for a stable Dirichlet problem. In 1D the strongly imposed Dirichlet
-    vertices give 0 for every mesh. In 2D and 3D Dirichlet data are weak,
-    and a cell with d Dirichlet facets and p private scalar DOFs carries
-    p - 1 null modes, supported on those DOFs (module docstring): 4 on
-    ``square:N``, 3 on the coarse ``cube_44`` and ``cube_200``, 1 on
-    ``square_36`` and none on ``cube:2``, ``cube:3`` or ``cube_400``.
+    vertices give 0 for every mesh. Weak Dirichlet data in 2D and 3D leave
+    the null modes of the module docstring: 4 on ``square:N``, 3 on the
+    coarse ``cube_44`` and ``cube_200``, 1 on ``square_36`` and none on
+    ``cube:2``, ``cube:3`` or ``cube_400``.
     """
     return int(np.sum(spectrum.eigenvalues < spectrum.null_threshold))
 
 
-def max_eigenvalue(ops: AssembledOperators) -> float:
-    """Largest eigenvalue of the discrete Laplacian, at every size the
-    Rayleigh quotient of the shift-invert Ritz vector at a shift just
-    above ``cell_lambda_bound`` (``_lambda_max``)."""
+def max_eigenvalue(ops: AssembledOperators, tol: float = LAMBDA_MAX_TOL) -> LambdaMax:
+    """Largest eigenvalue of the discrete Laplacian and its error bar
+    (``_lambda_max``). Only the dt check of ``dynamics.simulate`` asks for
+    ``tol`` 0, machine precision, and only for a dt that eta leaves open."""
     A, M = laplacian_pencil(ops)
-    return _lambda_max(A, M, cell_lambda_bound(ops), ops.h_order)
+    return _lambda_max(A, M, ops, tol)
 
 
 def cell_lambda_bound(ops: AssembledOperators) -> float:
@@ -315,6 +338,7 @@ def spectrum_to_json(spectrum: Spectrum, path, metadata=None):
     payload = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "lambda_max": spectrum.lambda_max,
+        "lambda_max_solve": spectrum.lambda_max_solve and spectrum.lambda_max_solve._asdict(),
         "null_space_dimension": null_space_dimension(spectrum),
         "null_tolerance": NULL_TOLERANCE,
         "n_h_dofs": spectrum.m_h,

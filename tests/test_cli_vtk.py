@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem import assembly, cli, dispersion, dynamics
+from wavefem import assembly, cli, dispersion, dynamics, spectral
 from wavefem.cli import main
 from wavefem.vtk_io import write_vtk
 
@@ -184,9 +184,19 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
     assert manifest["outputs"] == [energy_path]
 
 
+def test_simulate_blowup_hidden_by_stride_exit_code(tmp_path, capsys):
+    # no energy sample falls on steps 1 to 100, but the last step's energy
+    # is always evaluated: it overflows, so the run is a numerical failure
+    cfg = write_config(tmp_path, "dt = 0.5\nt_end = 50\nstride = 1000\nbc = neumann\n")
+    code = run(["simulate", "--generate", "square:4", "--config", cfg,
+                "--out-dir", str(tmp_path / "out"), "--force-dt"])
+    assert code == 2
+    assert "UNSTABLE: aborted at step 100" in capsys.readouterr().out
+
+
 def test_simulate_reports_final_time(tmp_path, capsys):
-    # the energy stride does not divide the step count: the last sample is
-    # at step 90, t = 0.18, and the final state at step 100, t = 0.2
+    # the energy stride does not divide the step count: energy samples
+    # fall at steps 30, 60, 90 and the last step, 100, at t = 0.2
     cfg = write_config(tmp_path, "dt = 0.002\nt_end = 0.2\nstride = 30\n")
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
                 "--out-dir", str(tmp_path / "out")]) == 0
@@ -220,7 +230,7 @@ def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
     assert run([a.format(d=d) for a in argv]) == 0
     with open(manifest.format(d=d)) as fh:
         record = json.load(fh)
-    extra = ["dt_check", "mass_solve"] if argv[0] == "simulate" else []
+    extra = {"spectrum": ["lambda_max"], "simulate": ["dt_check", "mass_solve"]}.get(argv[0], [])
     assert list(record) == MANIFEST_KEYS + extra
     assert record["command"] == argv[0]
     assert record["tool_version"] == wf.__version__
@@ -335,7 +345,8 @@ def test_simulate_rejects_duplicate_config_key(tmp_path, capsys):
 def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
     # a NaN limit would accept every dt; the run stops before step 1 as a
     # numerical failure, and no manifest records the NaN
-    monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: np.nan)
+    monkeypatch.setattr(dynamics, "max_eigenvalue",
+                        lambda ops, tol=1e-8: spectral.LambdaMax(np.nan, 0.0, 0, tol))
     cfg = write_config(tmp_path, "dt = 1.0\nt_end = 3.0\nbc = dirichlet\n")
     out_dir = tmp_path / "out"
     assert run(["simulate", "--generate", "square:8", "--config", cfg,

@@ -8,8 +8,8 @@ from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
 from wavefem.elements import h_dof_coords
-from wavefem.spectral import (NULL_TOLERANCE, cell_lambda_bound, laplacian_pencil,
-                              max_eigenvalue)
+from wavefem.spectral import (LAMBDA_MAX_TOL, NULL_TOLERANCE, LambdaMax, cell_lambda_bound,
+                              laplacian_pencil, max_eigenvalue)
 
 from conftest import assemble_all, gaussian_bump
 
@@ -147,7 +147,7 @@ def test_stable_dt_single_element():
     mesh = wf.generate_interval_mesh(1, 1.0)
     dofs, ops = assemble_all(mesh, "dirichlet")
     est = stable_dt_estimate(ops)
-    assert abs(est - 2.0 / np.sqrt(max_eigenvalue(ops))) <= 1e-15
+    assert abs(est - 2.0 / np.sqrt(max_eigenvalue(ops).value)) <= 1e-15
 
 
 def test_stable_dt_decreases_under_refinement():
@@ -297,7 +297,7 @@ def test_dt_check_paths(square_36, monkeypatch):
         config = SimulationConfig(dt=dt, n_steps=2, ic_h=gaussian_bump([0.5, 0.5]))
         return simulate(square_36, ops, config)
 
-    def no_eigensolve(ops):
+    def no_eigensolve(ops, **kw):
         raise RuntimeError("eigensolve called")
 
     with monkeypatch.context() as patch:
@@ -322,9 +322,45 @@ def test_dt_check_paths(square_36, monkeypatch):
     assert forced.dt_check == {"path": "forced", "limit": None, "cell_bound_limit": None}
 
 
+def test_dt_check_window(monkeypatch):
+    # only a dt in the window (2 / sqrt(rho + eta), 2 / sqrt(rho)] of the
+    # tol 1e-8 solve pays for a second solve at tol 0, whose rho decides
+    # it; on square:8 with Dirichlet data the window is 3e-10 wide
+    mesh = wf.generate_square_mesh(8)
+    _, ops = assemble_all(mesh, "dirichlet")
+    lam = max_eigenvalue(ops)
+    low, high = 2.0 / np.sqrt(lam.value + lam.error), 2.0 / np.sqrt(lam.value)
+    exact = 2.0 / np.sqrt(max_eigenvalue(ops, tol=0.0).value)
+    inside = 0.5 * (low + high)
+    assert low < inside < exact <= high
+    tols, solve = [], dynamics.max_eigenvalue
+
+    def recording(ops, **kw):
+        tols.append(kw.get("tol", LAMBDA_MAX_TOL))
+        return solve(ops, **kw)
+
+    monkeypatch.setattr(dynamics, "max_eigenvalue", recording)
+
+    def run(dt):
+        tols.clear()
+        return simulate(mesh, ops, SimulationConfig(dt=dt, n_steps=1)).dt_check
+
+    check = run(inside)
+    assert tols == [LAMBDA_MAX_TOL, 0.0]
+    assert [solve["tol"] for solve in check["lambda_max"]] == tols
+    assert check["path"] == "exact" and check["limit"] == exact
+    check = run(low)
+    assert tols == [LAMBDA_MAX_TOL]
+    assert check["lambda_max"] == [lam._asdict()] and check["limit"] == high
+    with pytest.raises(ConfigurationError, match="stability estimate"):
+        run(np.nextafter(high, 1.0))
+    assert tols == [LAMBDA_MAX_TOL]
+
+
 def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     # the dt check and the shift of the exact lambda_max share one
-    # evaluation of the per-cell eigenproblems
+    # evaluation of the per-cell eigenproblems; the error bar of lambda_max
+    # adds one of the reference mass, for its floor
     bc = wf.BcSpec.all_neumann(square_36)
     probe = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
     dt = 0.5 * (2.0 / np.sqrt(cell_lambda_bound(probe)) + stable_dt_estimate(probe))
@@ -334,7 +370,7 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     result = simulate(square_36, ops, SimulationConfig(dt=dt, n_steps=1))
     assert result.dt_check["path"] == "exact"
-    assert calls == [(square_36.n_cells, 6, 6)]
+    assert calls == [(square_36.n_cells, 6, 6), (6, 6)]
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
@@ -342,7 +378,8 @@ def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
     # a dt above the certified limit needs the exact one; a lambda_max that
     # gives none stops the run before step 1 (a NaN limit would accept any dt)
     _, ops = assemble_all(square_36, "dirichlet")
-    monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: lam)
+    monkeypatch.setattr(dynamics, "max_eigenvalue",
+                        lambda ops, tol=LAMBDA_MAX_TOL: LambdaMax(lam, 0.0, 0, tol))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
         simulate(square_36, ops, SimulationConfig(dt=1.0, n_steps=3))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
@@ -375,6 +412,19 @@ def test_simulate_abort_keeps_partial_series(square_36):
     final = result.final_state
     assert np.isclose(final.time, (result.abort_step - 1) * config.dt)
     assert all(np.isfinite(v).all() for v in [final.h, *final.u])
+
+
+def test_simulate_blowup_between_energy_samples():
+    # the energy stride exceeds the step count, and |h| reaches 7e268 by
+    # step 100: the energy of the last step overflows and aborts the run
+    mesh = wf.generate_square_mesh(4)
+    _, ops = assemble_all(mesh, "neumann")
+    config = SimulationConfig(dt=0.5, n_steps=100, energy_stride=1000,
+                              ic_h=gaussian_bump([0.5, 0.5]), allow_unstable_dt=True)
+    result = simulate(mesh, ops, config)
+    assert result.abort_step == 100
+    assert result.times.tolist() == [0.0] and np.isfinite(result.energies).all()
+    assert np.isclose(result.final_state.time, 99 * config.dt)
 
 
 def test_snapshot_callback(square_36):

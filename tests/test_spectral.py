@@ -116,7 +116,8 @@ def test_iterative_matches_dense(square_36, monkeypatch):
     lam = max_eigenvalue(ops)
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
     iterative = laplacian_spectrum(ops)
-    assert max_eigenvalue(ops) == lam == iterative.lambda_max
+    assert max_eigenvalue(ops) == lam == iterative.lambda_max_solve == dense.lambda_max_solve
+    assert lam.value == iterative.lambda_max
     assert not iterative.complete
     k = len(iterative.eigenvalues)
     assert np.abs(iterative.eigenvalues - dense.eigenvalues[:k]).max() \
@@ -193,6 +194,7 @@ def with_mixed_markers(mesh):
 GENERATED = {
     "square:8": lambda: wf.generate_square_mesh(8),
     "square:12": lambda: wf.generate_square_mesh(12),
+    "square:24": lambda: wf.generate_square_mesh(24),
     "cube:3": lambda: wf.generate_cube_mesh(3),
     "interval": lambda: wf.generate_interval_mesh(16, 1.0),
     "interval:1": lambda: wf.generate_interval_mesh(1, 1.0),
@@ -204,7 +206,7 @@ KINDS = ["dirichlet", "neumann", "mixed"]
 
 
 def operators(name, kind, request):
-    """Operators on a ``GENERATED`` mesh or a fixture under Dirichlet,
+    """A ``GENERATED`` mesh or a fixture and its operators under Dirichlet,
     Neumann or mixed (``with_mixed_markers``) data."""
     mesh = GENERATED[name]() if name in GENERATED else request.getfixturevalue(name)
     if kind == "mixed":
@@ -213,7 +215,7 @@ def operators(name, kind, request):
     else:
         bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
               else wf.BcSpec.all_neumann(mesh))
-    return wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    return mesh, wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -222,14 +224,14 @@ def test_cell_bound_above_max_eigenvalue(name, kind, request):
     # lambda_max(A, M) <= max_K lambda_max(A_K, M_K); the 1D Dirichlet ends
     # are fixed DOFs, and in 1D Neumann the two are equal up to rounding.
     # On structured meshes the bound is tight; slivers make it loose.
-    ops = operators(name, kind, request)
-    ratio = cell_lambda_bound(ops) / max_eigenvalue(ops)
+    _, ops = operators(name, kind, request)
+    ratio = cell_lambda_bound(ops) / max_eigenvalue(ops).value
     assert ratio >= 1.0 - 1e-10
     if name in ("square:8", "cube:3"):
         assert ratio <= 1.25
 
 
-SMALL_PENCILS = ["interval:1", "interval:2", "square:12", "cube:3"]
+SMALL_PENCILS = ["interval:1", "interval:2", "square:12", "square:24", "cube:3"]
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -239,16 +241,34 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request):
     # lambda_max on cube_200 and cube_400; there the Ritz value misses
     # 1e-13, and the Rayleigh quotient of the Ritz vector meets it. In 1D
     # the small pencils have 1 to 5 free DOFs: 1 on interval:1 under
-    # Dirichlet data, which ARPACK cannot take. The periodic interval has
-    # no boundary, so it has one case.
-    ops = operators(name, kind, request)
+    # Dirichlet data, which ARPACK cannot take, so it has no error bar.
+    # The periodic interval has no boundary, so it has one case.
+    mesh, ops = operators(name, kind, request)
     A, M = laplacian_pencil(ops)
     n = A.shape[0]
     dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
                               subset_by_index=(n - 1, n - 1))[0]
     lam = max_eigenvalue(ops)
-    assert abs(lam - dense) <= 1e-13 * dense
+    assert abs(lam.value - dense) <= 1e-13 * dense
+    # rho is a Rayleigh quotient, at most lambda_max, and eta bounds its
+    # error; both up to the dense solver's rounding, which on the 1 x 1
+    # pencil puts a / (sqrt(m))^2 an ulp from the correctly rounded a / m
+    assert lam.value <= dense * (1.0 + 1e-15)
+    assert abs(lam.value - dense) <= lam.error + 1e-15 * dense
+    assert (lam.error == 0.0) if n == 1 else (0.0 < lam.error <= 1e-8 * lam.value)
     assert max_eigenvalue(ops) == lam
+    # so the dt check never accepts a dt above the dense limit
+    dt = (1.0 + 1e-13) * 2.0 / np.sqrt(dense)
+    with pytest.raises(wf.ConfigurationError, match="stability estimate"):
+        wf.simulate(mesh, ops, wf.SimulationConfig(dt=dt, n_steps=1))
+
+
+def test_lambda_max_solve_count():
+    # the start vector is fixed, so the count of shift-invert solves is
+    # deterministic: 101 on square:48 at tol 1e-8, against 251 at tol 0
+    _, ops = assemble_all(wf.generate_square_mesh(48), "dirichlet")
+    lam = max_eigenvalue(ops)
+    assert lam.tol == spectral.LAMBDA_MAX_TOL and lam.solves <= 120
 
 
 def test_shift_invert_factors_in_the_mass_order(cube_200, monkeypatch):
@@ -270,7 +290,7 @@ def test_shift_invert_factors_in_the_mass_order(cube_200, monkeypatch):
 def test_cell_bound_periodic_interval():
     mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
-    lam = max_eigenvalue(ops)
+    lam = max_eigenvalue(ops).value
     assert abs(cell_lambda_bound(ops) - lam) <= 1e-10 * lam
 
 
@@ -377,7 +397,7 @@ def test_max_eigenvalue_grows_under_refinement():
     for n in (2, 4, 8):
         mesh = wf.generate_square_mesh(n)
         _, ops = assemble_all(mesh, "dirichlet")
-        vals.append(max_eigenvalue(ops))
+        vals.append(max_eigenvalue(ops).value)
     assert vals[0] < vals[1] < vals[2]
 
 
