@@ -12,11 +12,15 @@ stored L+U entry count of the scalar-mass factor,
 ``assembly._factor``), and keeps its manifest when a run aborts. Exit
 codes: 0 success, 1 input, usage or output-path error, 2 numerical
 failure, 3 invariant violation.
+
+A ``simulate`` config file's keys besides ``bc`` and the ``ic`` preset are
+tabled, with their defaults and checks, in ``dynamics.SimulationConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -160,18 +164,16 @@ def _parse_config(path) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise dynamics.ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise dynamics.ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             if key not in known:
                 raise dynamics.ConfigurationError(
                     f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise dynamics.ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = known[key](value.strip())
+                values[key] = known[key](value)
             except ValueError as exc:
                 raise dynamics.ConfigurationError(
                     f"{path}:{lineno}: bad value for {key!r}") from exc
@@ -181,8 +183,7 @@ def _parse_config(path) -> dict:
 def _initial_condition(cfg: dict, dim: int):
     preset = cfg.get("ic", "gaussian")
     if preset == "gaussian":
-        center = np.array([float(t) for t in cfg.get("center", "").split()]
-                          or [0.5] * dim)
+        center = np.array([float(t) for t in cfg.get("center", "").split()] or [0.5] * dim)
         width = cfg.get("width", 0.1)
         if len(center) != dim:
             raise dynamics.ConfigurationError("center must have one value per dimension")
@@ -190,53 +191,28 @@ def _initial_condition(cfg: dict, dim: int):
             raise dynamics.ConfigurationError(f"width must be finite and positive, got {width!r}")
         if not np.isfinite(center).all():
             raise dynamics.ConfigurationError("center must be finite")
-
-        def h0(x):
-            r2 = np.sum((x - center) ** 2, axis=-1)
-            return np.exp(-r2 / (2.0 * width ** 2))
-
-        return h0
+        return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2))
     if preset == "standing_wave":
-        modes = np.array([int(t) for t in cfg.get("modes", "").split()]
-                         or [1] * dim)
+        modes = np.array([int(t) for t in cfg.get("modes", "").split()] or [1] * dim)
         if len(modes) != dim:
             raise dynamics.ConfigurationError("modes must have one value per dimension")
-
-        def h0(x):
-            return np.prod(np.cos(np.pi * modes * x), axis=-1)
-
-        return h0
+        return lambda x: np.prod(np.cos(np.pi * modes * x), axis=-1)
     raise dynamics.ConfigurationError(f"unknown ic preset {preset!r}")
 
 
 def cmd_simulate(args):
     mesh, source = _load_mesh(args)
     cfg = _parse_config(args.config)
-    if args.dt is not None:
-        cfg["dt"] = args.dt
-    if args.t_end is not None:
-        cfg["t_end"] = args.t_end
-    cfg.setdefault("c", 1.0)
-    for key in ("dt", "t_end", "c"):
+    for key in ("dt", "t_end"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
         if key not in cfg:
             raise dynamics.ConfigurationError(f"config is missing {key!r}")
-        if not 0.0 < cfg[key] < np.inf:
-            raise dynamics.ConfigurationError(
-                f"{key} must be finite and positive, got {cfg[key]!r}")
-    dt = cfg["dt"]
-    if not cfg["t_end"] / dt < np.inf:
-        raise dynamics.ConfigurationError("t_end / dt overflows")
-    n_steps = max(1, int(round(cfg["t_end"] / dt)))
-    stride = cfg.get("stride", 1)
-    if stride < 1:
-        raise dynamics.ConfigurationError("stride must be >= 1")
     bc = _bc_for(mesh, cfg.get("bc", "neumann"))
-    config = dynamics.SimulationConfig(
-        dt=dt, n_steps=n_steps, energy_stride=stride,
-        snapshot_stride=cfg.get("snapshot_stride"),
-        ic_h=_initial_condition(cfg, mesh.dim),
-        wave_speed=cfg["c"],
-        allow_unstable_dt=args.force_dt)
+    settings = {f.name: cfg[f.name] for f in dataclasses.fields(dynamics.SimulationConfig)
+                if f.name in cfg}
+    config = dynamics.SimulationConfig(**settings, ic_h=_initial_condition(cfg, mesh.dim),
+                                       allow_unstable_dt=args.force_dt)
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -250,8 +226,7 @@ def cmd_simulate(args):
         vtk_io.write_vtk(path, mesh, dofs, h=state.h, u=state.u)
         outputs.append(path)
 
-    callback = snapshot if config.snapshot_stride else None
-    result = dynamics.simulate(mesh, ops, config, snapshot_callback=callback)
+    result = dynamics.simulate(mesh, ops, config, snapshot_callback=snapshot)
 
     energy_path = os.path.join(out_dir, "energy.csv")
     series = np.column_stack([result.times, result.energies, result.energy_errors])
@@ -261,15 +236,15 @@ def cmd_simulate(args):
 
     if result.abort_step is None:
         code = EXIT_OK
-        print(f"completed {n_steps} steps to t={result.final_state.time:.6g}")
+        print(f"completed {config.n_steps} steps to t={result.final_state.time:.6g}")
         print(f"max |energy error|: {np.abs(result.energy_errors).max():.3e}")
     else:
         code = EXIT_NUMERICAL
         print(f"UNSTABLE: aborted at step {result.abort_step}; "
               f"partial series written to {energy_path}")
     return code, {"path": os.path.join(out_dir, "manifest.json"),
-                  "parameters": {"mesh": source, "config": str(args.config),
-                                 "dt": dt, "n_steps": n_steps, "stride": stride,
+                  "parameters": {"mesh": source, "config": str(args.config), "dt": config.dt,
+                                 "n_steps": config.n_steps, "stride": config.stride,
                                  "force_dt": args.force_dt},
                   "outputs": outputs, "dt_check": result.dt_check,
                   "mass_solve": ops.h_mass_solver().summary}
@@ -336,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="time-domain wave run")
     _add_mesh_args(p)
-    p.add_argument("--config", required=True, help="key = value run settings")
+    p.add_argument("--config", required=True, help="key = value run settings: those of "
+                   "wavefem.dynamics.SimulationConfig, bc and the ic preset")
     p.add_argument("--out-dir", default="wavefem_out")
     p.add_argument("--dt", type=float, help="override config dt")
     p.add_argument("--t-end", type=float, help="override config t_end")
@@ -368,16 +344,16 @@ def main(argv=None) -> int:
                            **manifest}, fh, indent=2)
                 fh.write("\n")
         return code
-    except (MeshFormatError, dynamics.ConfigurationError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (dispersion.AnalysisError, dispersion.DegenerateModeError) as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    # LinAlgError subclasses ValueError, so it is caught before the input errors
     except (np.linalg.LinAlgError, RuntimeError) as exc:
-        if isinstance(exc, (dispersion.AnalysisError, dispersion.DegenerateModeError)):
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

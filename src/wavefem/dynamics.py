@@ -27,6 +27,12 @@ lambda_max <= rho + eta (``spectral`` module docstring). A dt above
 accepted; only one in between, a window of relative width about
 eta / (2 rho) (1e-9 on ``square:48``), pays for a second solve at tol 0,
 whose rho decides it.
+
+``simulate`` evaluates the energy after every step, and the first
+non-finite one ends the run whatever ``stride`` records: ``h_mass`` and
+``u_mass_ref`` are SPD with positive diagonals, so a non-finite entry in
+either field makes the energy non-finite. Snapshots fall on the multiples
+of ``snapshot_stride``, step 0 included.
 """
 
 from __future__ import annotations
@@ -97,10 +103,9 @@ def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
 
 
 def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
-                wave_speed: float = 1.0) -> FieldState:
-    """One Stormer-Verlet step: half-kick, drift, half-kick. The drift
-    moves the free scalar DOFs only."""
-    c = wave_speed
+                c: float = 1.0) -> FieldState:
+    """One Stormer-Verlet step at wave speed ``c``: half-kick, drift,
+    half-kick. The drift moves the free scalar DOFs only."""
     h_solve = ops.h_mass_solver()
     B, s = ops.kick_operator()
     half = 0.5 * dt * c
@@ -123,14 +128,14 @@ def energy(state: FieldState, ops: AssembledOperators) -> float:
                            + ops.cell_dets @ np.einsum("ica,ica->c", U @ ops.u_mass_ref, U))
 
 
-def _dt_limit(lam: float, wave_speed: float) -> float:
+def _dt_limit(lam: float, c: float) -> float:
     """2 / (c sqrt(lam)), or a ``RuntimeError`` for a lam that gives none."""
     if not 0.0 < lam < np.inf:
         raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
-    return 2.0 / (wave_speed * np.sqrt(lam))
+    return 2.0 / (c * np.sqrt(lam))
 
 
-def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> float:
+def stable_dt_estimate(ops: AssembledOperators, c: float = 1.0) -> float:
     """Linear stability limit of the scheme, 2 / (c sqrt(lambda_max)).
 
     The fastest oscillation of the semi-discrete system has frequency
@@ -138,36 +143,58 @@ def stable_dt_estimate(ops: AssembledOperators, wave_speed: float = 1.0) -> floa
     oscillation is resolved with dt * frequency <= 2. lambda_max is the
     rho of ``spectral.max_eigenvalue`` at tol 1e-8 (module docstring), so
     the estimate is at or above the limit, within eta / (2 rho) of it."""
-    return _dt_limit(max_eigenvalue(ops).value, wave_speed)
+    return _dt_limit(max_eigenvalue(ops).value, c)
 
 
 @dataclass
 class SimulationConfig:
+    """Settings of one ``simulate`` run under the keys of the CLI's config
+    file, checked here and nowhere else (``ConfigurationError``):
+
+    ===================== ======== ================================================
+    key                   default  check; meaning
+    ===================== ======== ================================================
+    ``dt``                required finite, > 0; the time step
+    ``t_end``             required finite, > 0, t_end / dt finite; the run takes
+                                   n_steps = max(1, round(t_end / dt))
+    ``stride``            1        >= 1; energy rows at multiples and the last step
+    ``snapshot_stride``   None     >= 1 or None; snapshots at its multiples
+    ``c``                 1.0      finite, > 0; the wave speed
+    ``ic_h``              0        callable initial scalar (CLI: the ``ic`` preset)
+    ``allow_unstable_dt`` False    skip the dt check (CLI: ``--force-dt``)
+    ===================== ======== ================================================
+    """
+
     dt: float
-    n_steps: int
-    energy_stride: int = 1
-    snapshot_stride: Optional[int] = None  # steps between snapshot callbacks
+    t_end: float
+    stride: int = 1
+    snapshot_stride: Optional[int] = None
+    c: float = 1.0
     ic_h: Callable = lambda x: 0.0
-    wave_speed: float = 1.0
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
-        for name in ("dt", "wave_speed"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be finite and positive")
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
-        if self.energy_stride < 1:
-            raise ConfigurationError("energy_stride must be >= 1")
+        for name in ("dt", "t_end", "c"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+        if not self.t_end / self.dt < np.inf:
+            raise ConfigurationError("t_end / dt overflows")
+        if self.stride < 1:
+            raise ConfigurationError("stride must be >= 1")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_end / self.dt)))
 
 
 @dataclass
 class SimulationResult:
     """Recorded energy series and final state of a run.
 
-    ``abort_step`` names the step that left the run non-finite, or is
+    ``abort_step`` names the step whose energy was non-finite, or is
     None when the run finished. ``dt_check`` describes the dt check:
     ``path`` is ``"cell_bound"`` (dt certified by the element-by-element
     bound), ``"exact"`` (dt checked against lambda_max) or ``"forced"``
@@ -193,30 +220,26 @@ class SimulationResult:
 
 
 def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
-             snapshot_callback: Optional[Callable] = None) -> SimulationResult:
+             snapshot_callback: Callable = lambda step, state: None) -> SimulationResult:
     """Run the wave system with Verlet stepping and energy recording on
-    the operators ``ops``, assembled on ``mesh`` with their boundary data.
+    the operators ``ops``, assembled on ``mesh`` with their boundary data,
+    from the interpolated initial data with the fixed scalar DOFs (1D
+    Dirichlet vertices) at their boundary values.
 
-    The run starts from the interpolated initial data, with the fixed
-    scalar DOFs (1D Dirichlet vertices) set to their boundary values.
-    Energy is sampled at step 0 and every ``energy_stride`` steps; it is
-    conserved, and its drift measures stability, only when the boundary
-    data g and f are zero. ``snapshot_callback(step, state)`` runs at
-    step 0 and every ``config.snapshot_stride`` steps.
-
-    Unless ``config.allow_unstable_dt`` is set, the requested dt is
-    checked first (module docstring; the bound is inflated by
-    ``BOUND_MARGIN``) and ``ConfigurationError`` rejects it above the
-    limit, so above ``stable_dt_estimate`` too; a lambda_max that gives no
-    limit is a ``RuntimeError`` before step 1. A step that leaves a field
-    or the energy non-finite counts as unstable: the run stops there and
-    returns the series and final state recorded before it, with
-    ``abort_step`` naming the step. The last step's energy is always
-    evaluated and recorded, so no ``energy_stride`` hides a blow-up.
+    Unless ``config.allow_unstable_dt`` is set, the dt check of the module
+    docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
+    above its limit is a ``ConfigurationError``, a lambda_max that gives no
+    limit a ``RuntimeError``. The first step whose energy is non-finite
+    aborts the run whatever the stride, since the SPD masses carry every
+    non-finite field entry into the energy; the result keeps the rows and
+    state from before that step and names it ``abort_step``. Rows are kept
+    at step 0, the multiples of ``config.stride`` and the last step;
+    ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
+    ``config.snapshot_stride``, never when that is None.
     """
     dt_check = {"path": "forced", "limit": None, "cell_bound_limit": None}
     if not config.allow_unstable_dt:
-        c = config.wave_speed
+        c = config.c
         bound = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
         dt_check = {"path": "cell_bound", "limit": bound, "cell_bound_limit": bound}
         if not config.dt <= bound:  # a NaN bound certifies nothing
@@ -231,28 +254,27 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
                     f"dt={config.dt} exceeds the stability estimate "
                     f"{exact:.6g}; reduce dt or force the run")
 
+    times, energies = [], []
+
+    def record(step, state, e):
+        if step % config.stride == 0 or step == config.n_steps:
+            times.append(state.time)
+            energies.append(e)
+        if config.snapshot_stride and step % config.snapshot_stride == 0:
+            snapshot_callback(step, state)
+
     state = interpolate_state(mesh, ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
-    times = [0.0]
-    energies = [energy(state, ops)]
-    if snapshot_callback is not None:
-        snapshot_callback(0, state)
-
+    record(0, state, energy(state, ops))
     abort_step = None
     for step in range(1, config.n_steps + 1):
-        new = verlet_step(state, ops, config.dt, config.wave_speed)
-        record = step % config.energy_stride == 0 or step == config.n_steps
-        e = energy(new, ops) if record else 0.0
-        if not (np.isfinite(e) and np.isfinite(new.h).all() and np.isfinite(new.u).all()):
+        new = verlet_step(state, ops, config.dt, config.c)
+        e = energy(new, ops)
+        if not np.isfinite(e):
             abort_step = step
             break
         state = new
-        if record:
-            times.append(state.time)
-            energies.append(e)
-        if (snapshot_callback is not None and config.snapshot_stride
-                and step % config.snapshot_stride == 0):
-            snapshot_callback(step, state)
+        record(step, state, e)
 
     return SimulationResult(times=np.array(times), energies=np.array(energies),
                             final_state=state, dt_check=dt_check, abort_step=abort_step)

@@ -185,13 +185,17 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
 
 
 def test_simulate_blowup_hidden_by_stride_exit_code(tmp_path, capsys):
-    # no energy sample falls on steps 1 to 100, but the last step's energy
-    # is always evaluated: it overflows, so the run is a numerical failure
-    cfg = write_config(tmp_path, "dt = 0.5\nt_end = 50\nstride = 1000\nbc = neumann\n")
-    code = run(["simulate", "--generate", "square:4", "--config", cfg,
-                "--out-dir", str(tmp_path / "out"), "--force-dt"])
-    assert code == 2
-    assert "UNSTABLE: aborted at step 100" in capsys.readouterr().out
+    # no energy row falls on steps 1 to 100, but every step's energy is
+    # evaluated: the run is a numerical failure at the same step as with
+    # stride 1
+    lines = []
+    for stride in (1, 1000):
+        cfg = write_config(tmp_path, f"dt = 0.5\nt_end = 50\nstride = {stride}\nbc = neumann\n")
+        code = run(["simulate", "--generate", "square:4", "--config", cfg,
+                    "--out-dir", str(tmp_path / f"out{stride}"), "--force-dt"])
+        assert code == 2
+        lines.append(capsys.readouterr().out.split(";")[0])
+    assert lines[0].startswith("UNSTABLE: aborted at step ") and lines[0] == lines[1]
 
 
 def test_simulate_reports_final_time(tmp_path, capsys):
@@ -353,6 +357,22 @@ def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
                 "--out-dir", str(out_dir)]) == 2
     assert "lambda_max nan gives no stability limit" in capsys.readouterr().err
     assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (np.linalg.LinAlgError, 2, "numerical failure: "),
+    (dispersion.AnalysisError, 3, "invariant violation: "),
+    (dispersion.DegenerateModeError, 3, "invariant violation: ")],
+    ids=["linalg", "analysis", "degenerate-mode"])
+def test_numerical_error_exit_codes(capsys, monkeypatch, error, code, prefix):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure,
+    # not an input error
+    def fail(ops):
+        raise error("injected")
+
+    monkeypatch.setattr(spectral, "laplacian_spectrum", fail)
+    assert run(["spectrum", "--generate", "square:2", "--bc", "neumann"]) == code
+    assert capsys.readouterr().err == prefix + "injected\n"
 
 
 def test_simulate_bad_config_key(tmp_path):

@@ -161,7 +161,7 @@ def test_stable_dt_decreases_under_refinement():
 
 def test_wave_speed_scales_stable_dt(square_36):
     _, ops = assemble_all(square_36)
-    assert abs(stable_dt_estimate(ops, wave_speed=2.0)
+    assert abs(stable_dt_estimate(ops, c=2.0)
                - 0.5 * stable_dt_estimate(ops)) <= 1e-15
 
 
@@ -213,7 +213,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     dofs = wf.build_dof_maps(mesh)
     bc = wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0])
     ops = wf.assemble(mesh, dofs, bc)
-    config = SimulationConfig(dt=1e-3, n_steps=50, ic_h=gaussian_bump([0.3]))
+    config = SimulationConfig(dt=1e-3, t_end=0.05, ic_h=gaussian_bump([0.3]))
     h = simulate(mesh, ops, config).final_state.h
     assert sorted(h[ops.h_fixed]) == [1.0, 2.0]
 
@@ -224,8 +224,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     est = stable_dt_estimate(ops)
 
     def max_error(dt):
-        config = SimulationConfig(dt=dt, n_steps=int(round(0.5 / dt)),
-                                  ic_h=gaussian_bump([0.3]))
+        config = SimulationConfig(dt=dt, t_end=0.5, ic_h=gaussian_bump([0.3]))
         return np.abs(simulate(mesh, ops, config).energy_errors).max()
 
     e1 = max_error(0.2 * est)
@@ -244,7 +243,7 @@ def test_standing_wave_space_time_order():
     def max_error(n):
         mesh = wf.generate_square_mesh(n)
         dofs, ops = assemble_all(mesh, "neumann")
-        config = SimulationConfig(dt=0.04 / n, n_steps=int(round(12.5 * n)), ic_h=mode)
+        config = SimulationConfig(dt=0.04 / n, t_end=0.5, ic_h=mode)
         state = simulate(mesh, ops, config).final_state
         exact = np.cos(np.sqrt(2.0) * np.pi * state.time) * mode(h_dof_coords(mesh, dofs))
         return np.abs(state.h - exact).max()
@@ -267,7 +266,7 @@ def test_interpolate_state_nodal(square_36):
 
 def test_simulate_energy_rows(square_36):
     _, ops = assemble_all(square_36, "neumann")
-    config = SimulationConfig(dt=1e-3, n_steps=300, energy_stride=100,
+    config = SimulationConfig(dt=1e-3, t_end=0.3, stride=100,
                               ic_h=gaussian_bump([0.5, 0.5]))
     result = simulate(square_36, ops, config)
     assert len(result.times) == 4  # steps 0, 100, 200, 300
@@ -277,7 +276,7 @@ def test_simulate_energy_rows(square_36):
 
 def test_simulate_rejects_unstable_dt(square_36):
     _, ops = assemble_all(square_36, "neumann")
-    config = SimulationConfig(dt=1.0, n_steps=10, ic_h=gaussian_bump([0.5, 0.5]))
+    config = SimulationConfig(dt=1.0, t_end=10.0, ic_h=gaussian_bump([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="stability"):
         simulate(square_36, ops, config)
 
@@ -294,7 +293,7 @@ def test_dt_check_paths(square_36, monkeypatch):
     between = 0.5 * (certified + exact)
 
     def run(dt):
-        config = SimulationConfig(dt=dt, n_steps=2, ic_h=gaussian_bump([0.5, 0.5]))
+        config = SimulationConfig(dt=dt, t_end=2 * dt, ic_h=gaussian_bump([0.5, 0.5]))
         return simulate(square_36, ops, config)
 
     def no_eigensolve(ops, **kw):
@@ -317,7 +316,7 @@ def test_dt_check_paths(square_36, monkeypatch):
         assert check["cell_bound_limit"] < between
     with pytest.raises(ConfigurationError, match="stability estimate"):
         run(np.nextafter(exact, 1.0))
-    forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, n_steps=2,
+    forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
                                                        allow_unstable_dt=True))
     assert forced.dt_check == {"path": "forced", "limit": None, "cell_bound_limit": None}
 
@@ -343,7 +342,7 @@ def test_dt_check_window(monkeypatch):
 
     def run(dt):
         tols.clear()
-        return simulate(mesh, ops, SimulationConfig(dt=dt, n_steps=1)).dt_check
+        return simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt)).dt_check
 
     check = run(inside)
     assert tols == [LAMBDA_MAX_TOL, 0.0]
@@ -368,7 +367,7 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = simulate(square_36, ops, SimulationConfig(dt=dt, n_steps=1))
+    result = simulate(square_36, ops, SimulationConfig(dt=dt, t_end=dt))
     assert result.dt_check["path"] == "exact"
     assert calls == [(square_36.n_cells, 6, 6), (6, 6)]
 
@@ -381,7 +380,7 @@ def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
     monkeypatch.setattr(dynamics, "max_eigenvalue",
                         lambda ops, tol=LAMBDA_MAX_TOL: LambdaMax(lam, 0.0, 0, tol))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
-        simulate(square_36, ops, SimulationConfig(dt=1.0, n_steps=3))
+        simulate(square_36, ops, SimulationConfig(dt=1.0, t_end=3.0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
         stable_dt_estimate(ops)
 
@@ -394,14 +393,14 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     bc = wf.BcSpec.all_neumann(mesh)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
-    result = simulate(mesh, ops, SimulationConfig(dt=exact, n_steps=1))
+    result = simulate(mesh, ops, SimulationConfig(dt=exact, t_end=exact))
     limit = result.dt_check["cell_bound_limit"]
     assert (1.0 - 1e-9) * exact <= limit <= exact
 
 
 def test_simulate_abort_keeps_partial_series(square_36):
     _, ops = assemble_all(square_36, "neumann")
-    config = SimulationConfig(dt=0.5, n_steps=2000, energy_stride=1,
+    config = SimulationConfig(dt=0.5, t_end=1000.0, stride=1,
                               ic_h=gaussian_bump([0.5, 0.5]),
                               allow_unstable_dt=True)
     result = simulate(square_36, ops, config)
@@ -415,37 +414,67 @@ def test_simulate_abort_keeps_partial_series(square_36):
 
 
 def test_simulate_blowup_between_energy_samples():
-    # the energy stride exceeds the step count, and |h| reaches 7e268 by
-    # step 100: the energy of the last step overflows and aborts the run
+    # square:4 with Neumann data at dt 0.5 blows up, and the stride-1 run
+    # aborts at the first non-finite energy; every stride aborts there with
+    # the same final state, and records the stride-1 rows at its multiples
+    # and at the last finite step (at the parent, strides 7 and 1000 aborted
+    # at steps 63 and 100)
     mesh = wf.generate_square_mesh(4)
     _, ops = assemble_all(mesh, "neumann")
-    config = SimulationConfig(dt=0.5, n_steps=100, energy_stride=1000,
-                              ic_h=gaussian_bump([0.5, 0.5]), allow_unstable_dt=True)
-    result = simulate(mesh, ops, config)
-    assert result.abort_step == 100
-    assert result.times.tolist() == [0.0] and np.isfinite(result.energies).all()
-    assert np.isclose(result.final_state.time, 99 * config.dt)
+
+    def run(stride):
+        config = SimulationConfig(dt=0.5, t_end=50.0, stride=stride,
+                                  ic_h=gaussian_bump([0.5, 0.5]), allow_unstable_dt=True)
+        return simulate(mesh, ops, config)
+
+    every = run(1)
+    abort = every.abort_step
+    assert abort is not None and abort < 100
+    assert np.isclose(every.final_state.time, (abort - 1) * 0.5)
+    assert len(every.times) == abort and np.isfinite(every.energies).all()
+    for stride in (1, 7, 1000):
+        result = run(stride)
+        assert result.abort_step == abort, stride
+        for a, b in [(result.final_state.h, every.final_state.h),
+                     (result.final_state.u, every.final_state.u),
+                     (result.final_state.time, every.final_state.time)]:
+            assert np.array_equal(a, b), stride
+        # rows at step 0 and the multiples of the stride; the last step,
+        # 100, is never reached
+        rows = np.arange(0, abort, stride)
+        assert np.array_equal(result.times, every.times[rows]), stride
+        assert np.array_equal(result.energies, every.energies[rows]), stride
 
 
 def test_snapshot_callback(square_36):
     _, ops = assemble_all(square_36, "neumann")
     seen = []
-    config = SimulationConfig(dt=1e-3, n_steps=10, energy_stride=5,
-                              snapshot_stride=5, ic_h=gaussian_bump([0.5, 0.5]))
+    config = SimulationConfig(dt=1e-3, t_end=0.01, stride=5, snapshot_stride=5,
+                              ic_h=gaussian_bump([0.5, 0.5]))
     simulate(square_36, ops, config,
              snapshot_callback=lambda step, state: seen.append(step))
     assert seen == [0, 5, 10]
+    # without a snapshot stride the callback never runs, step 0 included
+    seen.clear()
+    simulate(square_36, ops, SimulationConfig(dt=1e-3, t_end=0.01),
+             snapshot_callback=lambda step, state: seen.append(step))
+    assert seen == []
     # a stride below 1 would snapshot never (0) or on multiples of |stride|
     for stride in (0, -5):
         with pytest.raises(ConfigurationError, match="snapshot_stride must be >= 1"):
-            SimulationConfig(dt=1e-3, n_steps=10, snapshot_stride=stride)
+            SimulationConfig(dt=1e-3, t_end=0.01, snapshot_stride=stride)
 
 
 @pytest.mark.parametrize("field,value", [
     ("dt", 0.0), ("dt", -1e-3), ("dt", np.nan), ("dt", np.inf),
-    ("wave_speed", 0.0), ("wave_speed", -1.0), ("wave_speed", np.nan),
-    ("wave_speed", np.inf)])
+    ("t_end", 0.0), ("t_end", -1.0), ("t_end", np.nan), ("t_end", np.inf),
+    ("c", 0.0), ("c", -1.0), ("c", np.nan), ("c", np.inf)])
 def test_config_rejects_bad_numbers(field, value):
-    kw = {"dt": 1e-3, "n_steps": 1, field: value}
-    with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive"):
+    kw = {"dt": 1e-3, "t_end": 1e-3, field: value}
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite and positive, got"):
         SimulationConfig(**kw)
+
+
+def test_config_rejects_step_count_overflow():
+    with pytest.raises(ConfigurationError, match="t_end / dt overflows"):
+        SimulationConfig(dt=1e-300, t_end=1e300)

@@ -232,6 +232,7 @@ def test_cell_bound_above_max_eigenvalue(name, kind, request):
 
 
 SMALL_PENCILS = ["interval:1", "interval:2", "square:12", "square:24", "cube:3"]
+DENSE_ROUNDING_EPS = 5  # relative rounding of the dense eigh, in units of eps
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -252,15 +253,18 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request):
     assert abs(lam.value - dense) <= 1e-13 * dense
     # rho is a Rayleigh quotient, at most lambda_max, and eta bounds its
     # error; both up to the dense solver's rounding, which on the 1 x 1
-    # pencil puts a / (sqrt(m))^2 an ulp from the correctly rounded a / m
-    assert lam.value <= dense * (1.0 + 1e-15)
+    # pencil puts a / (sqrt(m))^2 an ulp from the correctly rounded a / m.
+    # The worst case is cube_400 with Neumann data, where rho lies 1.08e-15
+    # (4.9 eps) above the dense value: the allowance is the dense solver's
+    # rounding, 5 eps, and 1 + 5 eps is the double that 1 + 1e-15 rounds to.
+    assert lam.value <= dense * (1.0 + DENSE_ROUNDING_EPS * np.finfo(float).eps)
     assert abs(lam.value - dense) <= lam.error + 1e-15 * dense
     assert (lam.error == 0.0) if n == 1 else (0.0 < lam.error <= 1e-8 * lam.value)
     assert max_eigenvalue(ops) == lam
     # so the dt check never accepts a dt above the dense limit
     dt = (1.0 + 1e-13) * 2.0 / np.sqrt(dense)
     with pytest.raises(wf.ConfigurationError, match="stability estimate"):
-        wf.simulate(mesh, ops, wf.SimulationConfig(dt=dt, n_steps=1))
+        wf.simulate(mesh, ops, wf.SimulationConfig(dt=dt, t_end=dt))
 
 
 def test_lambda_max_solve_count():
