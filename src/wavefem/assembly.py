@@ -218,10 +218,10 @@ def _dissection_order(mat, coords: np.ndarray) -> np.ndarray:
 
 
 def _factor(mat, order):
-    """Solve function of a sparse symmetric definite matrix: the free block
-    of the scalar mass, or a shifted pencil A - sigma M of ``spectral``.
+    """Solve function of a sparse symmetric matrix: the scalar mass's free
+    block, a shifted pencil A - sigma M or the dt check's indefinite sigma M - A.
 
-    Elimination needs no pivoting on it, so SuperLU takes the diagonal
+    A definite one needs no pivoting, so SuperLU takes the diagonal
     pivots and a symmetric ordering. With ``order`` (3D, the nested
     dissection of the module docstring) it factors ``mat[order][:, order]``
     in that natural order and the solve scatters the result back; without

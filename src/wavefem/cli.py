@@ -7,7 +7,7 @@ reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
 (the files written), ``tool_version`` and ``duration_seconds``.
 ``spectrum`` adds ``lambda_max`` (``spectral.LambdaMax``). ``simulate``
 adds ``dt_check`` (``dynamics.SimulationResult.dt_check``: the dt check's
-path, limits and lambda_max solves) and ``mass_solve`` (the ordering and
+path, certified limit and pivot count) and ``mass_solve`` (the ordering and
 stored L+U entry count of the scalar-mass factor,
 ``assembly._factor``), and keeps its manifest when a run aborts. Exit
 codes: 0 success, 1 input, usage or output-path error, 2 numerical
@@ -155,9 +155,9 @@ def cmd_dispersion(args):
 
 
 def _parse_config(path) -> dict:
-    known = {"dt": float, "t_end": float, "stride": int, "bc": str,
-             "ic": str, "center": str, "width": float, "modes": str,
-             "c": float, "snapshot_stride": int}
+    known = {"dt": float, "t_end": float, "stride": int, "bc": str, "ic": str,
+             "center": lambda v: list(map(float, v.split())), "width": float,
+             "modes": lambda v: list(map(int, v.split())), "c": float, "snapshot_stride": int}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -183,7 +183,7 @@ def _parse_config(path) -> dict:
 def _initial_condition(cfg: dict, dim: int):
     preset = cfg.get("ic", "gaussian")
     if preset == "gaussian":
-        center = np.array([float(t) for t in cfg.get("center", "").split()] or [0.5] * dim)
+        center = np.array(cfg.get("center") or [0.5] * dim, dtype=float)
         width = cfg.get("width", 0.1)
         if len(center) != dim:
             raise dynamics.ConfigurationError("center must have one value per dimension")
@@ -193,7 +193,7 @@ def _initial_condition(cfg: dict, dim: int):
             raise dynamics.ConfigurationError("center must be finite")
         return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2))
     if preset == "standing_wave":
-        modes = np.array([int(t) for t in cfg.get("modes", "").split()] or [1] * dim)
+        modes = np.array(cfg.get("modes") or [1] * dim)
         if len(modes) != dim:
             raise dynamics.ConfigurationError("modes must have one value per dimension")
         return lambda x: np.prod(np.cos(np.pi * modes * x), axis=-1)

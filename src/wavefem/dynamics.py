@@ -16,17 +16,15 @@ component i is row i m_u + j of B. The scalar mass matrix is factorized
 once, in the order of the ``assembly`` module docstring
 (``assembly._factor``), and reused across steps.
 
-The scheme is stable while dt <= 2 / (c sqrt(lambda_max)). ``simulate``
+The scheme is stable while dt < 2 / (c sqrt(lambda_max)). ``simulate``
 checks a requested dt in stages. The element-by-element bound
 ``spectral.cell_lambda_bound`` >= lambda_max costs one batched small
 eigenproblem and certifies every dt up to its limit; it is loose on
-sliver cells, so it never rejects a dt by itself. A larger dt pays for
-``spectral.max_eigenvalue``, shift-invert Lanczos at tol 1e-8 with rho <=
-lambda_max <= rho + eta (``spectral`` module docstring). A dt above
-2 / (c sqrt(rho)) is rejected, one at or below 2 / (c sqrt(rho + eta))
-accepted; only one in between, a window of relative width about
-eta / (2 rho) (1e-9 on ``square:48``), pays for a second solve at tol 0,
-whose rho decides it.
+sliver cells, so it never rejects a dt by itself. A larger dt is stable
+iff sigma M - A is positive definite, sigma = 4 / (c dt)^2, and the pivot
+signs of one factorization of it decide that (``spectral.pivot_inertia``).
+Only a rejected dt pays for an eigensolve, to name the limit in the error
+(``stable_dt_estimate``).
 
 ``simulate`` evaluates the energy after every step, and the first
 non-finite one ends the run whatever ``stride`` records: ``h_mass`` and
@@ -45,7 +43,7 @@ import numpy as np
 from .assembly import AssembledOperators
 from .elements import DofMap, h_dof_coords
 from .mesh import Mesh
-from .spectral import cell_lambda_bound, max_eigenvalue
+from .spectral import cell_lambda_bound, max_eigenvalue, pivot_inertia
 
 __all__ = [
     "FieldState",
@@ -128,22 +126,19 @@ def energy(state: FieldState, ops: AssembledOperators) -> float:
                            + ops.cell_dets @ np.einsum("ica,ica->c", U @ ops.u_mass_ref, U))
 
 
-def _dt_limit(lam: float, c: float) -> float:
-    """2 / (c sqrt(lam)), or a ``RuntimeError`` for a lam that gives none."""
-    if not 0.0 < lam < np.inf:
-        raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
-    return 2.0 / (c * np.sqrt(lam))
-
-
 def stable_dt_estimate(ops: AssembledOperators, c: float = 1.0) -> float:
     """Linear stability limit of the scheme, 2 / (c sqrt(lambda_max)).
 
     The fastest oscillation of the semi-discrete system has frequency
     c*sqrt(lambda_max); the leapfrog kernel is stable while that
     oscillation is resolved with dt * frequency <= 2. lambda_max is the
-    rho of ``spectral.max_eigenvalue`` at tol 1e-8 (module docstring), so
-    the estimate is at or above the limit, within eta / (2 rho) of it."""
-    return _dt_limit(max_eigenvalue(ops).value, c)
+    rho of ``spectral.max_eigenvalue`` (module docstring), so the estimate
+    is at or above the limit, within eta / (2 rho) of it; a rho that is
+    not finite and positive is a ``RuntimeError``."""
+    lam = max_eigenvalue(ops).value
+    if not 0.0 < lam < np.inf:
+        raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
+    return 2.0 / (c * np.sqrt(lam))
 
 
 @dataclass
@@ -197,11 +192,11 @@ class SimulationResult:
     ``abort_step`` names the step whose energy was non-finite, or is
     None when the run finished. ``dt_check`` describes the dt check:
     ``path`` is ``"cell_bound"`` (dt certified by the element-by-element
-    bound), ``"exact"`` (dt checked against lambda_max) or ``"forced"``
-    (no check); ``limit`` is the limit that check used (the certified one,
-    2 / (c sqrt(rho)) of the last lambda_max solve, or None);
-    ``cell_bound_limit`` is the certified limit whenever the check ran.
-    ``lambda_max`` lists the exact path's solves (``spectral.LambdaMax``).
+    bound), ``"inertia"`` (dt accepted by the pivot signs of sigma M - A)
+    or ``"forced"`` (no check); ``cell_bound_limit`` is the certified limit
+    whenever the check ran, else None. The inertia path adds ``sigma`` =
+    4 / (c dt)^2, ``nonpositive_pivots`` (0 on every accepted run) and
+    ``factor_nnz`` (``spectral.pivot_inertia``).
     """
 
     times: np.ndarray
@@ -237,22 +232,20 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
     ``config.snapshot_stride``, never when that is None.
     """
-    dt_check = {"path": "forced", "limit": None, "cell_bound_limit": None}
+    dt_check = {"path": "forced", "cell_bound_limit": None}
     if not config.allow_unstable_dt:
         c = config.c
         bound = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
-        dt_check = {"path": "cell_bound", "limit": bound, "cell_bound_limit": bound}
+        dt_check = {"path": "cell_bound", "cell_bound_limit": bound}
         if not config.dt <= bound:  # a NaN bound certifies nothing
-            solves = [max_eigenvalue(ops)]
-            rho, eta = solves[0].value, solves[0].error
-            if config.dt <= _dt_limit(rho, c) and not config.dt <= _dt_limit(rho + eta, c):
-                solves.append(max_eigenvalue(ops, tol=0.0))  # dt in the window
-            exact = _dt_limit(solves[-1].value, c)
-            dt_check.update(path="exact", limit=exact, lambda_max=[s._asdict() for s in solves])
-            if not config.dt <= exact:
+            sigma = 4.0 / (c * config.dt) ** 2
+            count, nnz = pivot_inertia(ops, sigma)
+            dt_check.update(path="inertia", sigma=sigma, nonpositive_pivots=count, factor_nnz=nnz)
+            if count:
                 raise ConfigurationError(
-                    f"dt={config.dt} exceeds the stability estimate "
-                    f"{exact:.6g}; reduce dt or force the run")
+                    f"dt={config.dt} is not below the stability limit, which the stability "
+                    f"estimate {stable_dt_estimate(ops, c):.6g} bounds from above; "
+                    "reduce dt or force the run")
 
     times, energies = [], []
 

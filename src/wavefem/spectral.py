@@ -63,7 +63,9 @@ the same solver at a small sigma < 0, where A - sigma M is positive
 definite despite the Neumann null space. Both shifts leave a matrix
 definite like the scalar mass, with its sparsity pattern, so the routine
 that factors the mass, ``assembly._factor``, is ARPACK's ``OPinv`` too,
-in the mass's order (``assembly`` module docstring). lambda_max is the
+in the mass's order (``assembly`` module docstring); the dt check factors
+sigma M - A, which can be indefinite, only for its pivot signs
+(``pivot_inertia``). lambda_max is the
 Rayleigh quotient rho of the Ritz vector v, not the Ritz value sigma +
 1/nu: on slivers sigma is far above lambda_max (232 times on
 ``cube_200``), the Ritz value loses that factor in accuracy (to 1.4e-13
@@ -97,6 +99,7 @@ __all__ = [
     "laplacian_spectrum",
     "null_space_dimension",
     "max_eigenvalue",
+    "pivot_inertia",
     "cell_lambda_bound",
     "spurious_mode_report",
     "spectrum_to_csv",
@@ -114,12 +117,11 @@ LAMBDA_MAX_TOL = 1e-8
 
 class LambdaMax(NamedTuple):
     """One lambda_max solve: rho (``value``), eta (``error``; module
-    docstring), the count of ``solves`` with the factor, and ARPACK's ``tol``."""
+    docstring) and the count of ``solves`` with the factor."""
 
     value: float
     error: float
     solves: int
-    tol: float
 
 
 def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
@@ -184,7 +186,7 @@ def _eigsh(A, M, k, sigma, order, **kw):
     return (*spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw), len(solves))
 
 
-def _lambda_max(A, M, ops: AssembledOperators, tol: float) -> LambdaMax:
+def _lambda_max(A, M, ops: AssembledOperators) -> LambdaMax:
     """Largest eigenvalue of the pencil at any size, with its error bar:
     the Rayleigh quotient of the Ritz vector at the shift (1 + 1e-3)
     ``cell_lambda_bound(ops)`` (module docstring). ARPACK needs more DOFs
@@ -195,17 +197,17 @@ def _lambda_max(A, M, ops: AssembledOperators, tol: float) -> LambdaMax:
     if not 0.0 < bound < np.inf:
         raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
     if A.shape[0] == 1:
-        return LambdaMax(float(A.diagonal()[0] / M.diagonal()[0]), 0.0, 0, tol)
+        return LambdaMax(float(A.diagonal()[0] / M.diagonal()[0]), 0.0, 0)
     try:
-        _, vecs, solves = _eigsh(A, M, 1, 1.001 * bound, ops.h_order, tol=tol, maxiter=5000)
+        _, vecs, solves = _eigsh(A, M, 1, 1.001 * bound, ops.h_order, tol=LAMBDA_MAX_TOL,
+                                 maxiter=5000)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
     v = vecs[:, 0]
     Av, Mv = A @ v, M @ v
     rho = float(v @ Av / (v @ Mv))
     mu = ops.cell_dets.min() * np.linalg.eigvalsh(ops.h_mass_ref)[0]
-    return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * (v @ Mv))),
-                     solves, tol)
+    return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * (v @ Mv))), solves)
 
 
 def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
@@ -218,7 +220,7 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
     """
     A, M = laplacian_pencil(ops)
     m_h = A.shape[0]
-    top = _lambda_max(A, M, ops, LAMBDA_MAX_TOL)
+    top = _lambda_max(A, M, ops)
     if m_h <= DENSE_CUTOFF:
         solved = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=not compute_vectors)
         vals, vecs = solved if compute_vectors else (solved, None)
@@ -244,12 +246,28 @@ def null_space_dimension(spectrum: Spectrum) -> int:
     return int(np.sum(spectrum.eigenvalues < spectrum.null_threshold))
 
 
-def max_eigenvalue(ops: AssembledOperators, tol: float = LAMBDA_MAX_TOL) -> LambdaMax:
+def max_eigenvalue(ops: AssembledOperators) -> LambdaMax:
     """Largest eigenvalue of the discrete Laplacian and its error bar
-    (``_lambda_max``). Only the dt check of ``dynamics.simulate`` asks for
-    ``tol`` 0, machine precision, and only for a dt that eta leaves open."""
+    (``_lambda_max``)."""
     A, M = laplacian_pencil(ops)
-    return _lambda_max(A, M, ops, tol)
+    return _lambda_max(A, M, ops)
+
+
+def pivot_inertia(ops: AssembledOperators, sigma: float) -> tuple[int, int]:
+    """Count of the pivots of ``_factor(sigma M - A)`` that are not positive
+    (NaN included), and its stored L+U entries. Its U is D L^T, so by
+    Sylvester's law of inertia the count is that of the eigenvalues at or
+    above sigma; 0 proves sigma M - A definite, since the computed factor is
+    exact for a nearby definite matrix (backward stability of Cholesky).
+    SuperLU leaves the diagonal (``perm_r != perm_c``), or refuses the
+    matrix (0 entries), only at an exactly zero pivot: a count of 1 or more."""
+    A, M = laplacian_pencil(ops)
+    try:
+        lu = _factor(sigma * M - A, ops.h_order).lu
+    except RuntimeError:  # "Factor is exactly singular"
+        return 1, 0
+    count = int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))
+    return max(count, int(not np.array_equal(lu.perm_r, lu.perm_c))), lu.nnz
 
 
 def cell_lambda_bound(ops: AssembledOperators) -> float:

@@ -246,8 +246,9 @@ def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
     assert len(record["outputs"]) == len(set(record["outputs"]))
 
 
-def test_simulate_manifest_dt_check(tmp_path):
-    # the manifest names the path of the dt check and the limits it used
+def test_simulate_manifest_dt_check(tmp_path, capsys):
+    # the manifest names the path of the dt check, the certified limit and,
+    # on the inertia path, sigma and the factor that decided it
     mesh = wf.read_mesh(*(mesh_path(f"square_36.{ext}")
                                    for ext in ("node", "ele", "edge")))
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
@@ -255,29 +256,35 @@ def test_simulate_manifest_dt_check(tmp_path):
     certified = 2.0 / np.sqrt(wf.cell_lambda_bound(ops))
     cfg = write_config(tmp_path, "bc = neumann\n")
     cases = [(0.5 * certified, [], "cell_bound"),
-             (0.5 * (certified + exact), [], "exact"),
-             (0.5 * certified, ["--force-dt"], "forced")]
+             (0.5 * (certified + exact), [], "inertia"),
+             (0.5 * certified, ["--force-dt"], "forced"),
+             ((1.0 + 1e-6) * exact, [], None)]
     for k, (dt, flags, path) in enumerate(cases):
         out_dir = str(tmp_path / f"out{k}")
         code = run(["simulate", "--mesh", mesh_path("square_36.node"),
                     mesh_path("square_36.ele"), mesh_path("square_36.edge"),
                     "--config", cfg, "--dt", repr(float(dt)), "--t-end", repr(float(2 * dt)),
                     "--out-dir", out_dir, *flags])
+        if path is None:
+            assert code == 1 and "stability estimate" in capsys.readouterr().err
+            assert os.listdir(out_dir) == []
+            continue
         assert code == 0
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
         check = manifest["dt_check"]
-        assert check["path"] == path
-        assert manifest["mass_solve"] == {"ordering": "mmd",
-                                          "factor_nnz": ops.h_mass_solver().lu.nnz}
+        nnz = ops.h_mass_solver().lu.nnz
+        assert manifest["mass_solve"] == {"ordering": "mmd", "factor_nnz": nnz}
         if path == "forced":
-            assert check["limit"] is None and check["cell_bound_limit"] is None
-        elif path == "exact":
-            assert check["limit"] == exact
+            assert check == {"path": "forced", "cell_bound_limit": None}
+        elif path == "inertia":
+            assert check == {"path": "inertia", "cell_bound_limit": check["cell_bound_limit"],
+                             "sigma": 4.0 / dt ** 2, "nonpositive_pivots": 0,
+                             "factor_nnz": nnz}
             assert check["cell_bound_limit"] < dt
         else:
-            assert check["limit"] == check["cell_bound_limit"]
-            assert dt < check["limit"] <= certified
+            assert check == {"path": "cell_bound", "cell_bound_limit": check["cell_bound_limit"]}
+            assert dt < check["cell_bound_limit"] <= certified
 
 
 def test_simulate_manifest_mass_solve_3d(tmp_path):
@@ -329,6 +336,20 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("lines,key", [("center = 0.5 x", "center"),
+                                       ("modes = 1.5 2\nic = standing_wave", "modes")],
+                         ids=["center", "modes"])
+def test_simulate_rejects_non_numeric_vector(tmp_path, capsys, lines, key):
+    # a token that is not a number names its key and line, as every other
+    # config error does, and exits 1 before the output directory is created
+    cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\n{lines}\n")
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: bad value for {key!r}\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_step_count_overflow(tmp_path, capsys):
     cfg = write_config(tmp_path, "dt = 1e-300\nt_end = 1e300\n")
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
@@ -347,10 +368,10 @@ def test_simulate_rejects_duplicate_config_key(tmp_path, capsys):
 
 
 def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
-    # a NaN limit would accept every dt; the run stops before step 1 as a
-    # numerical failure, and no manifest records the NaN
+    # a rejected dt names the limit; a NaN one stops the run before step 1
+    # as a numerical failure, and no manifest records the NaN
     monkeypatch.setattr(dynamics, "max_eigenvalue",
-                        lambda ops, tol=1e-8: spectral.LambdaMax(np.nan, 0.0, 0, tol))
+                        lambda ops: spectral.LambdaMax(np.nan, 0.0, 0))
     cfg = write_config(tmp_path, "dt = 1.0\nt_end = 3.0\nbc = dirichlet\n")
     out_dir = tmp_path / "out"
     assert run(["simulate", "--generate", "square:8", "--config", cfg,

@@ -8,8 +8,8 @@ from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
 from wavefem.elements import h_dof_coords
-from wavefem.spectral import (LAMBDA_MAX_TOL, NULL_TOLERANCE, LambdaMax, cell_lambda_bound,
-                              laplacian_pencil, max_eigenvalue)
+from wavefem.spectral import (NULL_TOLERANCE, LambdaMax, cell_lambda_bound, laplacian_pencil,
+                              max_eigenvalue)
 
 from conftest import assemble_all, gaussian_bump
 
@@ -282,9 +282,9 @@ def test_simulate_rejects_unstable_dt(square_36):
 
 
 def test_dt_check_paths(square_36, monkeypatch):
-    # a dt below the cell-bound limit runs without an eigensolve; one
-    # between that and the exact limit is accepted by the exact check;
-    # one above the exact limit is rejected
+    # a dt below the cell-bound limit runs without an eigensolve, and so
+    # does one between that and the exact limit, accepted by the pivot
+    # signs of sigma M - A; one above the exact limit is rejected
     bc = wf.BcSpec.all_neumann(square_36)
     ops = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
     exact = stable_dt_estimate(ops)
@@ -301,65 +301,25 @@ def test_dt_check_paths(square_36, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "max_eigenvalue", no_eigensolve)
-        result = run(0.9 * certified)
-        check = result.dt_check
-        assert check["path"] == "cell_bound"
-        assert check["limit"] == check["cell_bound_limit"]
+        check = run(0.9 * certified).dt_check
+        assert check == {"path": "cell_bound", "cell_bound_limit": check["cell_bound_limit"]}
         assert 0.9 * certified < check["cell_bound_limit"] <= certified
-        with pytest.raises(RuntimeError, match="eigensolve called"):
-            run(between)
-    for dt in (between, exact):
-        result = run(dt)
-        check = result.dt_check
-        assert check["path"] == "exact"
-        assert check["limit"] == exact
-        assert check["cell_bound_limit"] < between
+        for dt in (between, (1.0 - 1e-6) * exact):
+            check = run(dt).dt_check
+            assert check == {"path": "inertia", "cell_bound_limit": check["cell_bound_limit"],
+                             "sigma": 4.0 / dt ** 2, "nonpositive_pivots": 0,
+                             "factor_nnz": ops.h_mass_solver().lu.nnz}
+            assert check["cell_bound_limit"] < between
     with pytest.raises(ConfigurationError, match="stability estimate"):
-        run(np.nextafter(exact, 1.0))
+        run((1.0 + 1e-6) * exact)
     forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
                                                        allow_unstable_dt=True))
-    assert forced.dt_check == {"path": "forced", "limit": None, "cell_bound_limit": None}
-
-
-def test_dt_check_window(monkeypatch):
-    # only a dt in the window (2 / sqrt(rho + eta), 2 / sqrt(rho)] of the
-    # tol 1e-8 solve pays for a second solve at tol 0, whose rho decides
-    # it; on square:8 with Dirichlet data the window is 3e-10 wide
-    mesh = wf.generate_square_mesh(8)
-    _, ops = assemble_all(mesh, "dirichlet")
-    lam = max_eigenvalue(ops)
-    low, high = 2.0 / np.sqrt(lam.value + lam.error), 2.0 / np.sqrt(lam.value)
-    exact = 2.0 / np.sqrt(max_eigenvalue(ops, tol=0.0).value)
-    inside = 0.5 * (low + high)
-    assert low < inside < exact <= high
-    tols, solve = [], dynamics.max_eigenvalue
-
-    def recording(ops, **kw):
-        tols.append(kw.get("tol", LAMBDA_MAX_TOL))
-        return solve(ops, **kw)
-
-    monkeypatch.setattr(dynamics, "max_eigenvalue", recording)
-
-    def run(dt):
-        tols.clear()
-        return simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt)).dt_check
-
-    check = run(inside)
-    assert tols == [LAMBDA_MAX_TOL, 0.0]
-    assert [solve["tol"] for solve in check["lambda_max"]] == tols
-    assert check["path"] == "exact" and check["limit"] == exact
-    check = run(low)
-    assert tols == [LAMBDA_MAX_TOL]
-    assert check["lambda_max"] == [lam._asdict()] and check["limit"] == high
-    with pytest.raises(ConfigurationError, match="stability estimate"):
-        run(np.nextafter(high, 1.0))
-    assert tols == [LAMBDA_MAX_TOL]
+    assert forced.dt_check == {"path": "forced", "cell_bound_limit": None}
 
 
 def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
-    # the dt check and the shift of the exact lambda_max share one
-    # evaluation of the per-cell eigenproblems; the error bar of lambda_max
-    # adds one of the reference mass, for its floor
+    # a dt past the cell bound evaluates the per-cell eigenproblems once,
+    # and the inertia test that accepts it solves no eigenproblem
     bc = wf.BcSpec.all_neumann(square_36)
     probe = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
     dt = 0.5 * (2.0 / np.sqrt(cell_lambda_bound(probe)) + stable_dt_estimate(probe))
@@ -368,17 +328,16 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     result = simulate(square_36, ops, SimulationConfig(dt=dt, t_end=dt))
-    assert result.dt_check["path"] == "exact"
-    assert calls == [(square_36.n_cells, 6, 6), (6, 6)]
+    assert result.dt_check["path"] == "inertia"
+    assert calls == [(square_36.n_cells, 6, 6)]
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
 def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
-    # a dt above the certified limit needs the exact one; a lambda_max that
-    # gives none stops the run before step 1 (a NaN limit would accept any dt)
+    # a rejected dt names the limit; a lambda_max that gives none stops the
+    # run before step 1
     _, ops = assemble_all(square_36, "dirichlet")
-    monkeypatch.setattr(dynamics, "max_eigenvalue",
-                        lambda ops, tol=LAMBDA_MAX_TOL: LambdaMax(lam, 0.0, 0, tol))
+    monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: LambdaMax(lam, 0.0, 0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
         simulate(square_36, ops, SimulationConfig(dt=1.0, t_end=3.0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
@@ -388,12 +347,15 @@ def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_cell_bound_limit_at_most_exact_1d(periodic):
     # with Neumann ends the cell bound equals lambda_max up to rounding;
-    # its margin keeps the certified limit at or below the exact one
+    # its margin keeps the certified limit at or below the exact one. At
+    # dt = exact itself sigma sits on lambda_max to rounding, where the
+    # inertia test may reject it
     mesh = wf.generate_interval_mesh(16, 1.0, periodic=periodic)
     bc = wf.BcSpec.all_neumann(mesh)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
-    result = simulate(mesh, ops, SimulationConfig(dt=exact, t_end=exact))
+    dt = (1.0 - 1e-6) * exact
+    result = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt))
     limit = result.dt_check["cell_bound_limit"]
     assert (1.0 - 1e-9) * exact <= limit <= exact
 

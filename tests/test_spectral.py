@@ -1,14 +1,16 @@
 import dataclasses
 import itertools
 import json
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 import wavefem as wf
-from wavefem import spectral
+from wavefem import dynamics, spectral
 from wavefem.elements import p2_basis, quadrature
 from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                               laplacian_spectrum, max_eigenvalue,
@@ -200,6 +202,7 @@ GENERATED = {
     "interval:1": lambda: wf.generate_interval_mesh(1, 1.0),
     "interval:2": lambda: wf.generate_interval_mesh(2, 1.0),
     "interval:2:periodic": lambda: wf.generate_interval_mesh(2, 1.0, periodic=True),
+    "interval:16:periodic": lambda: wf.generate_interval_mesh(16, 1.0, periodic=True),
 }
 FIXTURES = ["square_36", "square_150", "square_1500", "cube_44", "cube_200", "cube_400"]
 KINDS = ["dirichlet", "neumann", "mixed"]
@@ -236,14 +239,16 @@ DENSE_ROUNDING_EPS = 5  # relative rounding of the dense eigh, in units of eps
 
 
 @pytest.mark.parametrize("name,kind", [
-    *itertools.product(SMALL_PENCILS + FIXTURES, KINDS), ("interval:2:periodic", "neumann")])
-def test_lambda_max_shift_invert_matches_dense(name, kind, request):
+    *itertools.product(SMALL_PENCILS + FIXTURES, KINDS), ("interval:2:periodic", "neumann"),
+    *itertools.product(["square:8"], KINDS), ("interval", "dirichlet"),
+    ("interval:16:periodic", "neumann")])
+def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch):
     # the shift lies just above the cell bound, which is 232 and 112 times
     # lambda_max on cube_200 and cube_400; there the Ritz value misses
     # 1e-13, and the Rayleigh quotient of the Ritz vector meets it. In 1D
     # the small pencils have 1 to 5 free DOFs: 1 on interval:1 under
     # Dirichlet data, which ARPACK cannot take, so it has no error bar.
-    # The periodic interval has no boundary, so it has one case.
+    # A periodic interval has no boundary, so it has one case.
     mesh, ops = operators(name, kind, request)
     A, M = laplacian_pencil(ops)
     n = A.shape[0]
@@ -261,18 +266,52 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request):
     assert abs(lam.value - dense) <= lam.error + 1e-15 * dense
     assert (lam.error == 0.0) if n == 1 else (0.0 < lam.error <= 1e-8 * lam.value)
     assert max_eigenvalue(ops) == lam
-    # so the dt check never accepts a dt above the dense limit
-    dt = (1.0 + 1e-13) * 2.0 / np.sqrt(dense)
-    with pytest.raises(wf.ConfigurationError, match="stability estimate"):
-        wf.simulate(mesh, ops, wf.SimulationConfig(dt=dt, t_end=dt))
+
+    # the dt check decides at the dense limit to 1e-6, never accepts a dt
+    # above it, and accepts with no eigensolve, on the cell bound's path or
+    # the inertia test's
+    def run(dt):
+        return wf.simulate(mesh, ops, wf.SimulationConfig(dt=dt, t_end=dt)).dt_check
+
+    def no_eigensolve(ops):
+        raise AssertionError("eigensolve called")
+
+    limit = 2.0 / np.sqrt(dense)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "max_eigenvalue", no_eigensolve)
+        check = run((1.0 - 1e-6) * limit)
+    assert check["path"] in ("cell_bound", "inertia")
+    for above in (1e-6, 1e-13):
+        with pytest.raises(wf.ConfigurationError, match="stability estimate"):
+            run((1.0 + above) * limit)
+    if n == 1:
+        # at the limit itself sigma M - A is exactly 0, which SuperLU refuses
+        # to factor as singular: a rejected dt, not a numerical failure
+        dt = wf.stable_dt_estimate(ops)
+        assert (4.0 / dt ** 2 * M - A).count_nonzero() == 0
+        with pytest.raises(wf.ConfigurationError, match="stability estimate"):
+            run(dt)
+
+
+@pytest.mark.parametrize("a,sigma,count", [
+    ([[1.0, -1.0], [-1.0, 1.0]], 1.0, 1), ([[1.0]], 1.0, 1), ([[1.0, -1.0], [-1.0, 1.0]], 2.1, 0)],
+    ids=["off-diagonal-pivot", "singular", "definite"])
+def test_pivot_inertia_zero_pivot(monkeypatch, a, sigma, count):
+    # with M = I, sigma M - A is [[0, 1], [1, 0]], which SuperLU factors
+    # with an off-diagonal pivot and a positive U diagonal, and [[0]], which
+    # it refuses as exactly singular; both are indefinite or singular
+    A = scipy.sparse.csr_matrix(a)
+    monkeypatch.setattr(spectral, "laplacian_pencil",
+                        lambda ops: (A, scipy.sparse.identity(len(a), format="csr")))
+    found, nnz = spectral.pivot_inertia(types.SimpleNamespace(h_order=None), sigma)
+    assert found == count and (nnz > 0) == (len(a) > 1)
 
 
 def test_lambda_max_solve_count():
     # the start vector is fixed, so the count of shift-invert solves is
     # deterministic: 101 on square:48 at tol 1e-8, against 251 at tol 0
     _, ops = assemble_all(wf.generate_square_mesh(48), "dirichlet")
-    lam = max_eigenvalue(ops)
-    assert lam.tol == spectral.LAMBDA_MAX_TOL and lam.solves <= 120
+    assert max_eigenvalue(ops).solves <= 120
 
 
 def test_shift_invert_factors_in_the_mass_order(cube_200, monkeypatch):
