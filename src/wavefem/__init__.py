@@ -13,8 +13,8 @@ from .assembly import AssembledOperators, assemble
 from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                        laplacian_spectrum, max_eigenvalue,
                        null_space_dimension, spurious_mode_report)
-from .dispersion import (DispersionSample, dispersion_closed_form,
-                         dispersion_sweep, mode_discontinuity, symbol_matrix)
+from .dispersion import (DispersionSample, dispersion_branches,
+                         dispersion_closed_form, dispersion_sweep)
 from .dynamics import (ConfigurationError, FieldState, SimulationConfig,
                        energy, interpolate_state, simulate,
                        stable_dt_estimate, verlet_step)

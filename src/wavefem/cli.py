@@ -344,7 +344,7 @@ def main(argv=None) -> int:
                            **manifest}, fh, indent=2)
                 fh.write("\n")
         return code
-    except (dispersion.AnalysisError, dispersion.DegenerateModeError) as exc:
+    except dispersion.AnalysisError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     # LinAlgError subclasses ValueError, so it is caught before the input errors

@@ -1,21 +1,42 @@
 """Normal-mode analysis of the semi-discrete 1D wave system.
 
-On a uniform periodic grid the semi-discrete equations admit plane-wave
-solutions with nondimensional wavenumber ``phi`` (k dx) and frequency
-``w`` (omega dx). Inserting the plane-wave ansatz into the four stencil
-equations (two velocity equations of a cell; the scalar equations at a
-grid point and at a midpoint) yields a 4x4 complex symbol matrix in the
-amplitudes (u+, u-, h_vertex, h_mid); its determinant vanishes on the
-dispersion curves.
+On a uniform periodic grid of spacing dx the semi-discrete equations admit
+Bloch waves: the fields of cell j + 1 are those of cell j times e^{i phi},
+with the nondimensional wavenumber ``phi`` (k dx), and they vary in time
+as e^{-i omega t}; ``w`` is omega dx. The analysis reduces the assembled
+operators of one cell to these waves.
 
-The determinant factors into two branches,
+On a uniform periodic mesh every cell has the same blocks, so cell 0 of
+``generate_interval_mesh(2, 2.0, periodic=True)`` serves; its dx is 1, so
+w is omega itself. Its blocks are the 2x3 gradient G_K
+(``grad_cells[0, 0]``), the velocity mass M_u = det_K ``u_mass_ref`` and
+the scalar mass M_K = det_K ``h_mass_ref``. The cell's scalar DOFs are its
+left vertex, its right vertex and its midpoint. The right vertex is the
+next cell's left vertex, so a wave with amplitudes h = (h_vertex, h_mid)
+puts P(phi) h = (h_vertex, e^{i phi} h_vertex, h_mid) on the cell. With
+G(phi) = G_K P the scalar equation becomes the 2x2 Hermitian pencil
+
+    A(phi) h = w^2 M(phi) h,   A = G(phi)^H M_u^{-1} G(phi),  M = P^H M_K P.
+
+One batched Cholesky factor L of M and one batched ``eigh`` of
+L^{-1} A L^{-H} give both modes at every phi, lower branch first, and
+h = L^{-H} y is M-normalised. w^2 is taken as the Rayleigh quotient
+h^H A h rather than the eigenvalue: the eigenvalue carries an absolute
+error of about eps times the upper branch's w^2, which at small phi is a
+large relative error in the lower branch's w.
+
+The velocity equation gives the cell's velocity values
+u = M_u^{-1} G(phi) h / (i w). Scaled so that (u, h) has unit Euclidean
+norm, the mode's velocity jump at a grid point is |u_0 - u_1 e^{-i phi}|:
+u_0 is the right limit there, and u_1 e^{-i phi} is the left limit, the
+previous cell's right value.
+
+The pencil's determinant factors into two branches,
 
     w = 2 * sqrt((26 + 4 cos(phi) +/- sqrt(474 + 448 cos(phi)
                   - 22 cos(2 phi))) / (6 - 2 cos(phi))),
 
-separated by a spectral gap. The null vector at a root gives the mode
-shape; |u+ - u-| of the unit-norm mode measures the velocity jump at the
-grid points.
+separated by a spectral gap (``dispersion_closed_form``).
 """
 
 from __future__ import annotations
@@ -24,16 +45,16 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .mesh import _format_rows
+from .assembly import assemble
+from .elements import build_dof_maps
+from .mesh import BcSpec, _format_rows, generate_interval_mesh
 
 __all__ = [
     "DispersionSample",
     "GapSummary",
     "AnalysisError",
-    "DegenerateModeError",
-    "symbol_matrix",
     "dispersion_closed_form",
-    "mode_discontinuity",
+    "dispersion_branches",
     "dispersion_sweep",
     "sweep_to_csv",
 ]
@@ -43,71 +64,55 @@ class AnalysisError(RuntimeError):
     """A dispersion-sweep invariant failed (implementation bug indicator)."""
 
 
-class DegenerateModeError(RuntimeError):
-    """The symbol matrix has a null space of dimension != 1 at a root."""
-
-
-def symbol_matrix(phi: float, w: float) -> np.ndarray:
-    """4x4 plane-wave symbol of the semi-discrete system.
-
-    Rows: the two velocity equations of a cell, the scalar equation at a
-    grid point, the scalar equation at a midpoint (scaled by 6, 6, 30, 30).
-    Columns: amplitudes (u+, u-, h_vertex, h_mid).
-    """
-    e = np.exp(1j * phi)
-    eh = np.exp(0.5j * phi)
-    c = np.cos(phi)
-    ch = np.cos(phi / 2.0)
-    return np.array([
-        [-2j * w, -1j * w * e, -5.0 + e, 4.0 * eh],
-        [-1j * w, -2j * w * e, -1.0 + 5.0 * e, -4.0 * eh],
-        [25.0 - 5.0 / e, -25.0 + 5.0 * e, -1j * w * (8.0 - 2.0 * c), -4j * w * ch],
-        [-20.0, 20.0 * e, -2j * w * (1.0 + e), -16j * w * eh],
-    ])
-
-
 def dispersion_closed_form(phi: float) -> tuple[float, float]:
     """Positive frequencies (w_lower, w_upper) of the two branches at ``phi``.
 
     The lower branch takes the inner minus sign, the upper the plus sign.
-    Both radicands are nonnegative on (0, 2 pi); this is asserted
-    defensively.
+    The inner radicand is 496 + 448 c - 44 c^2 >= 4 for c = cos(phi); the
+    lower branch's radicand is clamped at 0 against rounding near phi = 0.
     """
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     c = np.cos(phi)
-    inner = 474.0 + 448.0 * c - 22.0 * np.cos(2.0 * phi)
-    assert inner >= 0.0, f"negative inner radicand at phi={phi}"
-    root = np.sqrt(inner)
+    root = np.sqrt(474.0 + 448.0 * c - 22.0 * np.cos(2.0 * phi))
     denom = 6.0 - 2.0 * c
     lower_sq = (26.0 + 4.0 * c - root) / denom
     upper_sq = (26.0 + 4.0 * c + root) / denom
-    assert lower_sq >= -1e-12 and upper_sq >= 0.0, f"negative branch at phi={phi}"
     return float(2.0 * np.sqrt(max(lower_sq, 0.0))), float(2.0 * np.sqrt(upper_sq))
 
 
-def _null_mode(phi: float, w: float) -> np.ndarray:
-    """Unit-norm null vector of the symbol matrix at a dispersion root.
+def dispersion_branches(phis) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies ``w`` and velocity jumps ``disc`` of both modes at each
+    wavenumber in ``phis`` (module docstring), each of shape (N, 2), lower
+    branch first.
 
-    Extracted as the singular direction of the smallest singular value,
-    which stays well-conditioned near degenerate wavenumbers.
+    Every wavenumber must lie in (0, pi]; at 0 the lower mode is the
+    constant, with w = 0 and no velocity.
     """
-    m = symbol_matrix(phi, w)
-    _, s, vh = np.linalg.svd(m)
-    if s[2] < 1e-6 * max(s[0], 1.0):
-        raise DegenerateModeError(
-            f"symbol matrix null space has dimension > 1 at phi={phi}")
-    if s[3] > 1e-6 * max(s[0], 1.0):
-        raise DegenerateModeError(f"w={w} is not a dispersion root at phi={phi}")
-    return vh[3].conj()
-
-
-def mode_discontinuity(phi: float, branch: str) -> float:
-    """Velocity jump |u+ - u-| of the unit-norm mode on a branch at ``phi``."""
-    if branch not in ("lower", "upper"):
-        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
-    lower, upper = dispersion_closed_form(phi)
-    w = lower if branch == "lower" else upper
-    v = _null_mode(phi, w)
-    return float(np.abs(v[0] - v[1]))
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    if not np.all((phis > 0.0) & (phis <= np.pi)):
+        raise ValueError("every wavenumber must lie in (0, pi]")
+    mesh = generate_interval_mesh(2, 2.0, periodic=True)
+    ops = assemble(mesh, build_dof_maps(mesh), BcSpec())
+    det = ops.cell_dets[0]
+    u_mass_inv = np.linalg.inv(det * ops.u_mass_ref)
+    shift = np.exp(1j * phis)
+    P = np.zeros((len(phis), 3, 2), dtype=complex)
+    P[:, 0, 0], P[:, 1, 0], P[:, 2, 1] = 1.0, shift, 1.0
+    grad = ops.grad_cells[0, 0] @ P
+    A = grad.conj().transpose(0, 2, 1) @ u_mass_inv @ grad
+    M = P.conj().transpose(0, 2, 1) @ (det * ops.h_mass_ref) @ P
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    L_inv_H = L_inv.conj().transpose(0, 2, 1)
+    _, y = np.linalg.eigh(L_inv @ A @ L_inv_H)
+    h = L_inv_H @ y  # columns: the lower and the upper mode
+    gh = grad @ h
+    v = u_mass_inv @ gh
+    w = np.sqrt(np.einsum("nib,nib->nb", gh.conj(), v).real)
+    u = v / (1j * w[:, None, :])
+    norm = np.sqrt(np.sum(np.abs(u) ** 2 + np.abs(h) ** 2, axis=1))
+    disc = np.abs(u[:, 0] - u[:, 1] * shift.conj()[:, None]) / norm
+    return w, disc
 
 
 @dataclass(frozen=True)
@@ -140,21 +145,14 @@ def dispersion_sweep(n_samples: int):
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     phis = np.pi * np.arange(1, n_samples + 1) / n_samples
-    samples = []
-    for phi in phis:
-        lower, upper = dispersion_closed_form(phi)
-        samples.append(DispersionSample(
-            phi=float(phi), w_lower=lower, w_upper=upper,
-            disc_lower=mode_discontinuity(phi, "lower"),
-            disc_upper=mode_discontinuity(phi, "upper")))
-    lowers = np.array([s.w_lower for s in samples])
-    uppers = np.array([s.w_upper for s in samples])
-    if n_samples > 2 and not np.all(np.diff(lowers) > 0.0):
+    w, disc = dispersion_branches(phis)
+    if n_samples > 2 and not np.all(np.diff(w[:, 0]) > 0.0):
         raise AnalysisError("lower dispersion branch is not monotone on (0, pi]")
-    summary = GapSummary(float(lowers.max()), float(uppers.min()))
+    summary = GapSummary(float(w[:, 0].max()), float(w[:, 1].min()))
     if summary.gap <= 0.0:
         raise AnalysisError("spectral gap is not positive")
-    return samples, summary
+    rows = np.column_stack([phis, w, disc]).tolist()
+    return [DispersionSample(*row) for row in rows], summary
 
 
 def sweep_to_csv(samples, path):

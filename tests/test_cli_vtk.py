@@ -382,9 +382,8 @@ def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("error,code,prefix", [
     (np.linalg.LinAlgError, 2, "numerical failure: "),
-    (dispersion.AnalysisError, 3, "invariant violation: "),
-    (dispersion.DegenerateModeError, 3, "invariant violation: ")],
-    ids=["linalg", "analysis", "degenerate-mode"])
+    (dispersion.AnalysisError, 3, "invariant violation: ")],
+    ids=["linalg", "analysis"])
 def test_numerical_error_exit_codes(capsys, monkeypatch, error, code, prefix):
     # LinAlgError subclasses ValueError, yet it is a numerical failure,
     # not an input error

@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 from wavefem.assembly import assemble
-from wavefem.dispersion import (AnalysisError, dispersion_closed_form,
-                                dispersion_sweep, mode_discontinuity,
-                                sweep_to_csv, symbol_matrix)
+from wavefem.dispersion import (dispersion_branches, dispersion_closed_form,
+                                dispersion_sweep, sweep_to_csv)
 from wavefem.elements import build_dof_maps
 from wavefem.mesh import BcSpec, generate_interval_mesh
 from wavefem.spectral import NULL_TOLERANCE, laplacian_pencil
+
+from dispersion_reference import null_mode, symbol_matrix
 
 W_LOWER_PI = 2.0 * np.sqrt(2.5)
 W_UPPER_PI = 2.0 * np.sqrt(3.0)
@@ -75,31 +76,51 @@ def test_roots_come_in_pairs():
             assert abs(np.linalg.det(m)) <= 1e-9 * scale ** 4
 
 
+def test_closed_form_rejects_non_finite():
+    for phi in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            dispersion_closed_form(phi)
+
+
 def test_discontinuity_ordering():
-    for phi in np.pi * np.arange(1, 41) / 40.0:
-        assert mode_discontinuity(phi, "lower") < mode_discontinuity(phi, "upper")
+    _, disc = dispersion_branches(np.pi * np.arange(1, 41) / 40.0)
+    assert np.all(disc[:, 0] < disc[:, 1])
 
 
 def test_discontinuity_limits():
     # the slow branch becomes continuous at long wavelengths
-    assert mode_discontinuity(1e-3, "lower") <= 1e-2
-    assert mode_discontinuity(1e-3, "lower") < mode_discontinuity(0.5, "lower") * 1e-1 + 1e-2
+    _, disc = dispersion_branches([1e-3, 0.5])
+    assert disc[0, 0] <= 1e-2
+    assert disc[0, 0] < disc[1, 0] * 1e-1 + 1e-2
 
 
 def test_fastest_mode_out_of_phase():
     # at phi = pi the fast mode has u+ = -u-, so the jump is 2|u+|
-    from wavefem.dispersion import _null_mode
-
-    v = _null_mode(np.pi, W_UPPER_PI)
+    v = null_mode(np.pi, W_UPPER_PI)
     assert abs(v[0] + v[1]) <= 1e-6
-    disc = mode_discontinuity(np.pi, "upper")
+    disc = dispersion_branches([np.pi])[1][0, 1]
     assert abs(disc - 2.0 * abs(v[0])) <= 1e-12
     assert abs(disc - 2.0 / np.sqrt(5.0)) <= 1e-12
 
 
-def test_mode_discontinuity_bad_branch():
-    with pytest.raises(ValueError):
-        mode_discontinuity(1.0, "middle")
+def test_branches_reject_wavenumbers_outside_half_period():
+    for phi in (0.0, -0.5, np.pi + 1e-9, np.nan):
+        with pytest.raises(ValueError):
+            dispersion_branches([0.5, phi])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 100, 200, 1000])
+def test_sweep_matches_symbol_reference(n):
+    # both branches against the closed form, both jumps against the null
+    # vector of the hand-derived symbol
+    samples, _ = dispersion_sweep(n)
+    got = np.array([[s.w_lower, s.w_upper, s.disc_lower, s.disc_upper] for s in samples])
+    ref = []
+    for s in samples:
+        w = dispersion_closed_form(s.phi)
+        modes = [null_mode(s.phi, branch) for branch in w]
+        ref.append([*w, *(abs(v[0] - v[1]) for v in modes)])
+    assert np.abs(got - np.array(ref)).max() <= 1e-12
 
 
 def test_sweep_gap_and_monotonicity():
