@@ -39,11 +39,11 @@ modes in a cell with d Dirichlet facets, such as a corner cell of
 ``square:N`` (see ``spectral.null_space_dimension``).
 
 Every global matrix is a scatter of per-cell dense blocks (``_scatter``):
-the scalar mass, each gradient, each block u_mass^{-1} grad_i of the kick
-operator B (velocity DOF j of component i is row i m_u + j of B) and the
-discrete Laplacian A = sum_K scatter(A_K) of ``spectral``. Because
-grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
-so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
+the scalar mass, each gradient and the discrete Laplacian A = sum_K
+scatter(A_K) of ``spectral``. The kick applies u_mass^{-1} cell by cell
+after the gradients, so no matrix u_mass^{-1} grad is built. Because grad
+P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h, so
+under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
 Dirichlet facet blocks change A only on the DOFs of their owner cells.
 
 One routine, ``_factor``, factors every sparse matrix: the free block of
@@ -108,8 +108,12 @@ class AssembledOperators:
                                 # DOFs for ``_factor``; None in 1D and 2D
     # Caches filled on first use; ``dataclasses.replace`` does not copy them.
     _h_factor: object = field(default=None, init=False, repr=False, compare=False)
-    _kick: object = field(default=None, init=False, repr=False, compare=False)
     _lambda_bound: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived anew by ``dataclasses.replace``; the transposes are CSC views
+        self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
+        self._grad_T = tuple(g.T for g in self.grad)
 
     def free_block(self, mat):
         """Free-by-free block of a scalar-space matrix; ``mat`` itself
@@ -121,24 +125,18 @@ class AssembledOperators:
     def divergence(self, u):
         """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of
         the scalar equation."""
-        return sum((g.T @ u_i for g, u_i in zip(self.grad, u)), -self.neumann_rhs)
+        return sum((g @ u_i for g, u_i in zip(self._grad_T, u)), -self.neumann_rhs)
 
-    def kick_operator(self):
-        """Cached ``(B, s)``: ``B = u_mass^{-1} grad`` stacks the d
-        components in (d m_u, m_h) and ``s = u_mass^{-1} dirichlet_rhs`` is
-        (d, m_u), so ``du/dt = -((B h).reshape(s.shape) + s)``. Cell K's
-        block of ``u_mass^{-1}`` is ``inv(u_mass_ref) / cell_dets[K]``, and
-        K's velocity DOFs are row K of ``r.reshape(C, n1)``."""
-        if self._kick is None:
-            inv, d, det = np.linalg.inv(self.u_mass_ref), self.dofs, self.cell_dets
-            # one scatter per component: one scatter of all d n1 rows per
-            # cell peaks at 16.7 MB of numpy arrays on cube:8, against 8.5
-            B = sp.vstack([_scatter(d.u_cell_dofs, d.h_cell_dofs,
-                                    inv @ self.grad_cells[:, i] / det[:, None, None], (d.m_u, d.m_h))
-                           for i in range(self.dim)], format="csr")
-            s = (self.dirichlet_rhs.reshape(self.dim, *d.u_cell_dofs.shape) @ inv) / det[:, None]
-            self._kick = B, s.reshape(self.dim, d.m_u)
-        return self._kick
+    def kick(self, h):
+        """``u_mass^{-1} (grad h + dirichlet_rhs)`` as a (d, m_u) array, so
+        ``du/dt = -kick(h)``. Cell K's block of ``u_mass^{-1}`` is
+        ``inv(u_mass_ref) / cell_dets[K]`` and K's velocity DOFs are row K
+        of ``r.reshape(C, n1)``: one gemm applies every block."""
+        d, C = self.dim, len(self.cell_dets)
+        r = (np.stack([g @ h for g in self.grad]) + self.dirichlet_rhs).reshape(d * C, -1)
+        r = (r @ self._u_mass_inv).reshape(d, C, -1)  # the inverse is symmetric
+        r /= self.cell_dets[:, None]
+        return r.reshape(d, -1)
 
     def h_mass_solver(self):
         """Cached solve with the free block of the scalar mass, factored by
@@ -168,14 +166,15 @@ def _scatter(row_dofs: np.ndarray, col_dofs: np.ndarray, blocks: np.ndarray,
              shape) -> sp.csr_matrix:
     """Global sparse matrix that sums each cell's dense block ``blocks[K]``
     (shape (C, r, c)) into rows ``row_dofs[K]`` and columns ``col_dofs[K]``.
-
-    Exact zeros are not stored: a gradient block has many on structured
-    meshes (a quarter of each ``grad_i`` on ``cube:8``), and every product
-    with the matrix would multiply them."""
-    full = blocks.shape
-    rows = np.broadcast_to(row_dofs[:, :, None], full).ravel()
-    cols = np.broadcast_to(col_dofs[:, None, :], full).ravel()
+    Indices are built as int32 when they fit, the type SciPy casts them to,
+    so no cast copies them. Exact zeros are not stored: a gradient block
+    has many on structured meshes (a quarter of each ``grad_i`` on
+    ``cube:8``), and every product with the matrix would multiply them."""
+    full, index = blocks.shape, np.int32 if max(shape) < 2 ** 31 else np.int64
+    rows = np.broadcast_to(row_dofs[:, :, None].astype(index), full).ravel()
+    cols = np.broadcast_to(col_dofs[:, None, :].astype(index), full).ravel()
     mat = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+    del rows, cols  # freed before the copies below
     mat.eliminate_zeros()  # may keep views of the unpruned arrays: copy
     mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
@@ -231,9 +230,8 @@ def _factor(mat, order):
     it as ``summary``: the ordering (``"nested_dissection"`` or ``"mmd"``)
     and ``factor_nnz``, SuperLU's count of the L and U entries it stores.
     """
-    if order is not None:
-        mat = mat[order][:, order]
-    lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+    mat = (mat if order is None else mat[order][:, order]).tocsc()  # frees the CSR copy
+    lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     inverse = None if order is None else np.argsort(order)
 
@@ -286,9 +284,7 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     grad_ref = np.einsum("q,qa,qbk->abk", rule.weights, v1, g2)
     grad_cells = det[:, None, None, None] * np.einsum("abk,cki->ciab", grad_ref, Jinv)
 
-    m_u, m_h = dofs.m_u, dofs.m_h
-    hd = dofs.h_cell_dofs
-    ud = dofs.u_cell_dofs
+    m_u, m_h, hd, ud = dofs.m_u, dofs.m_h, dofs.h_cell_dofs, dofs.u_cell_dofs
 
     h_mass = _scatter(hd, hd, det[:, None, None] * mh_ref, (m_h, m_h))
 

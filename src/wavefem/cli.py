@@ -4,14 +4,14 @@ Verbs: dof-report, spectrum, dispersion, simulate, mesh-convert. A
 command that writes outputs returns (exit code, manifest) to ``main``,
 which writes the JSON run manifest next to them so a run can be
 reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
-(the files written), ``tool_version`` and ``duration_seconds``.
-``spectrum`` adds ``lambda_max`` (``spectral.LambdaMax``). ``simulate``
-adds ``dt_check`` (``dynamics.SimulationResult.dt_check``: the dt check's
-path, certified limit and pivot count) and ``mass_solve`` (the ordering and
-stored L+U entry count of the scalar-mass factor,
-``assembly._factor``), and keeps its manifest when a run aborts. Exit
-codes: 0 success, 1 input, usage or output-path error, 2 numerical
-failure, 3 invariant violation.
+(the files written), ``tool_version``, ``duration_seconds`` and
+``peak_rss_mb`` (the peak resident set size in MiB). ``spectrum`` adds
+``lambda_max`` (``spectral.LambdaMax``). ``simulate`` adds ``dt_check``
+(``dynamics.SimulationResult.dt_check``: the dt check's path, certified
+limit and pivot count) and ``mass_solve`` (the ordering and stored L+U
+entry count of the scalar-mass factor, ``assembly._factor``), and keeps
+its manifest when a run aborts. Exit codes: 0 success, 1 input, usage or
+output-path error, 2 numerical failure, 3 invariant violation.
 
 A ``simulate`` config file's keys besides ``bc`` and the ``ic`` preset are
 tabled, with their defaults and checks, in ``dynamics.SimulationConfig``.
@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 
@@ -337,11 +338,13 @@ def main(argv=None) -> int:
         _check_output_dir(getattr(args, "out_prefix", None), prefix=True)
         code, manifest = args.func(args)
         if manifest is not None:
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+            rss /= 1024.0 ** (2 if sys.platform == "darwin" else 1)
             with open(manifest.pop("path"), "w") as fh:
                 json.dump({"command": args.command, "parameters": manifest.pop("parameters"),
                            "outputs": manifest.pop("outputs"), "tool_version": __version__,
                            "duration_seconds": round(time.monotonic() - started, 6),
-                           **manifest}, fh, indent=2)
+                           "peak_rss_mb": round(rss, 3), **manifest}, fh, indent=2)
                 fh.write("\n")
         return code
     except dispersion.AnalysisError as exc:

@@ -68,17 +68,18 @@ def dispersion_closed_form(phi: float) -> tuple[float, float]:
     """Positive frequencies (w_lower, w_upper) of the two branches at ``phi``.
 
     The lower branch takes the inner minus sign, the upper the plus sign.
-    The inner radicand is 496 + 448 c - 44 c^2 >= 4 for c = cos(phi); the
-    lower branch's radicand is clamped at 0 against rounding near phi = 0.
+    With c = cos(phi) and a = 26 + 4 c, a^2 - root^2 = 60 (1 - c)(3 - c), so
+    the lower radicand (a - root) / denom is taken without cancellation as
+    120 sin^2(phi/2) (3 - c) / (denom (a + root)).
     """
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
     c = np.cos(phi)
+    a = 26.0 + 4.0 * c
     root = np.sqrt(474.0 + 448.0 * c - 22.0 * np.cos(2.0 * phi))
     denom = 6.0 - 2.0 * c
-    lower_sq = (26.0 + 4.0 * c - root) / denom
-    upper_sq = (26.0 + 4.0 * c + root) / denom
-    return float(2.0 * np.sqrt(max(lower_sq, 0.0))), float(2.0 * np.sqrt(upper_sq))
+    lower_sq = 120.0 * np.sin(0.5 * phi) ** 2 * (3.0 - c) / (denom * (a + root))
+    return float(2.0 * np.sqrt(lower_sq)), float(2.0 * np.sqrt((a + root) / denom))
 
 
 def dispersion_branches(phis) -> tuple[np.ndarray, np.ndarray]:

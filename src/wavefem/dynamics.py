@@ -9,12 +9,11 @@ drifting, so any energy growth signals a stability violation. Nonzero
 boundary data do work on the fields and change the energy at any dt;
 its error is then no stability signal.
 
-Each half-kick is one sparse product with the cached kick operator
-B = u_mass^{-1} grad, exact since cell K's block of u_mass is
-det_K * u_mass_ref. The velocity is one array (d, m_u), and its DOF j of
-component i is row i m_u + j of B. The scalar mass matrix is factorized
-once, in the order of the ``assembly`` module docstring
-(``assembly._factor``), and reused across steps.
+A half-kick applies ``AssembledOperators.kick`` to the velocity array
+(d, m_u). A step's second kick, of its new scalar, travels with the state
+it returns and serves the next step's first, so a step costs one kick.
+The scalar mass matrix is factorized once, in the order of the
+``assembly`` module docstring (``assembly._factor``), and reused.
 
 The scheme is stable while dt < 2 / (c sqrt(lambda_max)). ``simulate``
 checks a requested dt in stages. The element-by-element bound
@@ -78,6 +77,7 @@ class FieldState:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
+        self._kick = (None, None, None)  # (ops, h, ops.kick(h)) of ``verlet_step``
 
 
 def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
@@ -102,16 +102,22 @@ def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
 
 def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
                 c: float = 1.0) -> FieldState:
-    """One Stormer-Verlet step at wave speed ``c``: half-kick, drift,
-    half-kick. The drift moves the free scalar DOFs only."""
-    h_solve = ops.h_mass_solver()
-    B, s = ops.kick_operator()
+    """One Stormer-Verlet step at wave speed ``c``: half-kick, drift of the
+    free scalar DOFs, half-kick. The new state is read-only and carries the
+    kick of its ``h``, reused by a step on the same ``ops`` and that ``h``."""
     half = 0.5 * dt * c
-    u_half = state.u - half * ((B @ state.h).reshape(s.shape) + s)
+    kicked, h, kick = state._kick
+    if kicked is not ops or h is not state.h or h.flags.writeable:
+        kick = ops.kick(state.h)
+    u_half = state.u - half * kick
+    free = ops.h_free if len(ops.h_fixed) else slice(None)
     h_new = state.h.copy()
-    h_new[ops.h_free] += dt * c * h_solve(ops.divergence(u_half)[ops.h_free])
-    u_new = u_half - half * ((B @ h_new).reshape(s.shape) + s)
-    return FieldState(u=u_new, h=h_new, time=state.time + dt)
+    h_new[free] += dt * c * ops.h_mass_solver()(ops.divergence(u_half)[free])
+    kick = ops.kick(h_new)
+    new = FieldState(u=u_half - half * kick, h=h_new, time=state.time + dt)
+    new.u.flags.writeable = h_new.flags.writeable = False
+    new._kick = (ops, h_new, kick)
+    return new
 
 
 def energy(state: FieldState, ops: AssembledOperators) -> float:
@@ -225,9 +231,8 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
     above its limit is a ``ConfigurationError``, a lambda_max that gives no
     limit a ``RuntimeError``. The first step whose energy is non-finite
-    aborts the run whatever the stride, since the SPD masses carry every
-    non-finite field entry into the energy; the result keeps the rows and
-    state from before that step and names it ``abort_step``. Rows are kept
+    aborts the run (module docstring); the result keeps the rows and state
+    from before that step and names it ``abort_step``. Rows are kept
     at step 0, the multiples of ``config.stride`` and the last step;
     ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
     ``config.snapshot_stride``, never when that is None.

@@ -58,12 +58,17 @@ CELL_FACETS = {
 }
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One structured scalar per integer row, ordered like the rows
-    lexicographically, so row tables can be searched with searchsorted."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    fields = [(f"f{i}", np.int64) for i in range(rows.shape[1])]
-    return rows.view(np.dtype(fields)).reshape(len(rows))
+def _unique_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0)`` of an integer table with its index,
+    inverse and counts, by one stable ``np.lexsort`` (first occurrences)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    return ordered[starts], order[starts], inverse, np.diff(np.append(starts, len(rows)))
 
 
 class Mesh:
@@ -151,18 +156,15 @@ class Mesh:
         # unique gives each cell's global edge indices.
         local_edges = np.array(CELL_EDGES[dim])
         edge_rows = np.sort(cells[:, local_edges], axis=2).reshape(-1, 2)
-        edges, edge_index = np.unique(edge_rows, axis=0, return_inverse=True)
-        self.edges = edges
+        self.edges, _, edge_index, _ = _unique_rows(edge_rows)
         self.cell_edges = edge_index.reshape(len(cells), len(local_edges))
 
         # Facet incidence: one sorted row per (cell, local facet); a facet
         # seen once lies on the boundary, and its single occurrence names
         # the owning cell and local facet. Derived and given boundary
         # facets go through the same lookup.
-        n_facets = dim + 1
         facet_rows = np.sort(cells[:, np.array(CELL_FACETS[dim])], axis=2).reshape(-1, dim)
-        facets, first, counts = np.unique(facet_rows, axis=0, return_index=True,
-                                          return_counts=True)
+        facets, first, _, counts = _unique_rows(facet_rows)
         if boundary_facets is None:
             boundary_facets = facets[counts == 1]
         boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64).reshape(-1, dim)
@@ -172,23 +174,25 @@ class Mesh:
             boundary_markers = np.ascontiguousarray(boundary_markers, dtype=np.int64)
         if len(boundary_markers) != len(boundary_facets):
             raise ValueError("one marker per boundary facet required")
-        keys = _row_keys(facets)
-        wanted = _row_keys(np.sort(boundary_facets, axis=1))
-        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        for bad, what in ((keys[pos] != wanted, "is not a cell face"),
+        # a cell face, listed first, heads the group of each wanted copy
+        _, head, group, _ = _unique_rows(np.vstack([facets, np.sort(boundary_facets, axis=1)]))
+        pos = head[group[len(facets):]]
+        missing, pos = pos >= len(facets), np.minimum(pos, len(facets) - 1)
+        for bad, what in ((missing, "is not a cell face"),
                           (counts[pos] != 1, "is shared by {} cells"),
-                          (np.bincount(pos, minlength=len(keys))[pos] > 1,
+                          (np.bincount(pos, minlength=len(facets))[pos] > 1,
                            "is listed more than once")):
             if bad.any():
                 k = np.argmax(bad)
                 raise ValueError(f"boundary facet {tuple(boundary_facets[k].tolist())} "
                                  + what.format(counts[pos[k]]))
-        owner_rows = first[pos]
-        self.boundary_facets = boundary_facets
-        self.boundary_markers = boundary_markers
-        self.boundary_cells = owner_rows // n_facets
-        self.boundary_local_facets = owner_rows % n_facets
-        self.boundary_normals, self.boundary_measures = self._boundary_geometry()
+        self.boundary_facets, self.boundary_markers = boundary_facets, boundary_markers
+        self.boundary_cells, self.boundary_local_facets = np.divmod(first[pos], dim + 1)
+        # outward unit normals and measures (class docstring)
+        grads = self.barycentric_gradients[self.boundary_cells, self.boundary_local_facets]
+        norms = np.linalg.norm(grads, axis=1)
+        self.boundary_normals = -grads / norms[:, None]
+        self.boundary_measures = dim * self.cell_measures[self.boundary_cells] * norms
 
         for arr in (self.vertices, self.cells, self.cell_coords, self.cell_measures,
                     self.barycentric_gradients, self.edges, self.cell_edges,
@@ -214,15 +218,6 @@ class Mesh:
         return (f"Mesh(dim={self.dim}, vertices={self.n_vertices}, "
                 f"cells={self.n_cells}, edges={self.n_edges}, "
                 f"boundary_facets={len(self.boundary_facets)})")
-
-    # -- boundary geometry -------------------------------------------------
-
-    def _boundary_geometry(self):
-        """Outward unit normals and measures of all boundary facets, from
-        the owners' barycentric gradients (class docstring)."""
-        grads = self.barycentric_gradients[self.boundary_cells, self.boundary_local_facets]
-        norms = np.linalg.norm(grads, axis=1)
-        return -grads / norms[:, None], self.dim * self.cell_measures[self.boundary_cells] * norms
 
 
 # -- boundary conditions ---------------------------------------------------

@@ -128,7 +128,7 @@ def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
     """Per-cell blocks A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki, shape (C, n2, n2),
     on ``ops.dofs.h_cell_dofs``, with M_u,K^{-1} = inv(u_mass_ref) / det_K;
     weak Dirichlet facet terms are included."""
-    u_inv = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None, None]
+    u_inv = ops._u_mass_inv / ops.cell_dets[:, None, None, None]
     return np.einsum("ciab,ciae->cbe", ops.grad_cells, u_inv @ ops.grad_cells, optimize=True)
 
 

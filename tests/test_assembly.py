@@ -146,10 +146,11 @@ def test_h_mass_symmetric(cube_44):
 
 def assert_no_stored_zeros(ops):
     """The cell blocks of the gradient hold exact zeros (even on these
-    unstructured meshes); neither ``grad_i`` nor the kick operator
-    ``B`` may store them."""
-    B, _ = ops.kick_operator()
-    assert all((g.data != 0.0).all() for g in ops.grad) and (B.data != 0.0).all()
+    unstructured meshes); ``grad_i`` may not store them, and the
+    transposes that the divergence applies share its arrays."""
+    assert all((g.data != 0.0).all() for g in ops.grad)
+    assert all(np.shares_memory(t.data, g.data) and np.shares_memory(t.indices, g.indices)
+               for t, g in zip(ops._grad_T, ops.grad))
 
 
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
@@ -229,18 +230,18 @@ def test_velocity_mass_reference_form(name, request):
     assert abs(wf.energy(state, ops) - expected) <= 1e-14 * abs(expected)
 
     solve = spla.factorized(M_u.tocsc())
-    B, s = ops.kick_operator()
-    kick = (B @ state.h).reshape(s.shape) + s
+    kick = ops.kick(state.h)
     for i in range(mesh.dim):
         ref = solve(ops.grad[i] @ state.h + ops.dirichlet_rhs[i])
         assert np.abs(kick[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # M_u^{-1} is cell-local: changing one cell's entries of the
-    # right-hand side changes exactly that cell's entries of s_i
+    # right-hand side changes exactly that cell's entries of the kick
     x = rng.standard_normal(dofs.m_u)
     x2 = x.copy()
     x2[dofs.u_cell_dofs[3]] += 1.0
-    y, y2 = (replace(ops, dirichlet_rhs=np.array([r] * mesh.dim)).kick_operator()[1][0]
+    zero = np.zeros(dofs.m_h)
+    y, y2 = (replace(ops, dirichlet_rhs=np.array([r] * mesh.dim)).kick(zero)[0]
              for r in (x, x2))
     changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
     assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
@@ -292,9 +293,9 @@ def test_scattered_matrices_own_their_entries(monkeypatch, spec):
     kind, n = spec.split(":")
     mesh = (wf.generate_cube_mesh if kind == "cube" else wf.generate_square_mesh)(int(n))
     _, ops = assemble_all(mesh, "dirichlet")
-    ops.kick_operator()
+    ops.kick(np.ones(ops.dofs.m_h))
     spectral.laplacian_pencil(ops)
-    assert len(made) == 2 + 2 * mesh.dim  # mass, d gradients, d kick blocks, A
+    assert len(made) == 2 + mesh.dim  # mass, d gradients, A; the kick scatters none
     for mat in made:
         for entries in (mat.data, mat.indices):
             assert entries.base is None and len(entries) == mat.nnz
@@ -314,23 +315,24 @@ def test_only_3d_operators_carry_an_order(square_36):
 
 def test_replace_drops_cached_solvers(square_36):
     # a copy with a new scalar mass must factor that mass, not reuse the
-    # original's factor; the same holds for the kick and the cell bound
+    # original's factor; the same holds for the cell bound, and the kick
+    # of a copy with a new velocity mass inverts that mass
     _, ops = assemble_all(square_36)
     ops.h_mass_solver()
-    ops.kick_operator()
-    wf.cell_lambda_bound(ops)
-    scaled = replace(ops, h_mass=2.0 * ops.h_mass)
     b = np.random.default_rng(0).standard_normal(ops.dofs.m_h)
+    kick = ops.kick(b)
+    wf.cell_lambda_bound(ops)
+    scaled = replace(ops, h_mass=2.0 * ops.h_mass, u_mass_ref=2.0 * ops.u_mass_ref)
     x = scaled.h_mass_solver()(b)
     assert np.abs(scaled.h_mass @ x - b).max() <= 1e-12 * np.abs(b).max()
-    assert (scaled._kick, scaled._lambda_bound) == (None, None)
+    assert scaled._lambda_bound is None
+    assert np.abs(2.0 * scaled.kick(b) - kick).max() <= 1e-14 * np.abs(kick).max()
 
 
 def test_semidiscrete_rhs_zero_state(square_36):
     # with zero boundary data both right-hand sides vanish at the zero state
     dofs, ops = assemble_all(square_36)
-    B, s = ops.kick_operator()
-    du = (B @ np.zeros(dofs.m_h)).reshape(s.shape) + s
+    du = ops.kick(np.zeros(dofs.m_h))
     dh = ops.divergence(np.zeros((2, dofs.m_u)))
     assert np.abs(du).max() == 0.0
     assert np.abs(dh).max() == 0.0
@@ -338,13 +340,13 @@ def test_semidiscrete_rhs_zero_state(square_36):
 
 def test_constant_scalar_exerts_no_force(square_150):
     dofs, ops = assemble_all(square_150, "neumann")
-    # B_i = u_mass^{-1} grad_i scales entries by 1/|K|, so the bound is
-    # relative to the largest entry of component i's rows of B
-    B, s = ops.kick_operator()
-    force = (B @ (3.7 * np.ones(dofs.m_h))).reshape(s.shape) + s
-    m_u = dofs.m_u
+    # u_mass^{-1} grad_i scales entries by 1/|K|, so the bound is relative
+    # to the largest entry of its cell blocks
+    force = ops.kick(3.7 * np.ones(dofs.m_h))
+    inv = np.linalg.inv(ops.u_mass_ref)
     for i in range(ops.dim):
-        assert np.abs(force[i]).max() <= 1e-13 * abs(B[i * m_u:(i + 1) * m_u]).max()
+        blocks = inv @ ops.grad_cells[:, i] / ops.cell_dets[:, None, None]
+        assert np.abs(force[i]).max() <= 1e-13 * np.abs(blocks).max()
 
 
 def test_periodic_stencil_rows():

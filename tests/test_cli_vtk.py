@@ -182,6 +182,7 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
         manifest = json.load(fh)
     assert manifest["dt_check"]["path"] == "forced"
     assert manifest["outputs"] == [energy_path]
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_simulate_blowup_hidden_by_stride_exit_code(tmp_path, capsys):
@@ -207,7 +208,8 @@ def test_simulate_reports_final_time(tmp_path, capsys):
     assert "completed 100 steps to t=0.2\n" in capsys.readouterr().out
 
 
-MANIFEST_KEYS = ["command", "parameters", "outputs", "tool_version", "duration_seconds"]
+MANIFEST_KEYS = ["command", "parameters", "outputs", "tool_version", "duration_seconds",
+                 "peak_rss_mb"]
 
 
 @pytest.mark.parametrize("argv,manifest,parameters", [
@@ -239,6 +241,7 @@ def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
     assert record["command"] == argv[0]
     assert record["tool_version"] == wf.__version__
     assert record["duration_seconds"] >= 0.0
+    assert record["peak_rss_mb"] > 0.0
     assert record["parameters"] == {k: v.format(d=d) if isinstance(v, str) else v
                                     for k, v in parameters.items()}
     written = {os.path.join(root, name) for root, _, names in os.walk(d) for name in names}

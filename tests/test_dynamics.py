@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import wavefem as wf
 from wavefem import dynamics
@@ -52,6 +56,106 @@ def test_reversibility(square_36, bc_kind):
     assert np.abs(back.h - state.h).max() <= 1e-11 * scale
     for i in range(2):
         assert np.abs(back.u[i] - state.u[i]).max() <= 1e-11 * scale
+
+
+def stepped_state(dofs, ops, seed=2):
+    return verlet_step(random_state(dofs, 2, seed=seed), ops, 1e-3)
+
+
+def fresh(state):
+    """The state's fields in new writable arrays, with no carried kick."""
+    return FieldState(u=state.u.copy(), h=state.h.copy(), time=state.time)
+
+
+def test_carried_kick_only_for_its_ops_and_scalar(square_36):
+    # a stepped state is read-only and carries the kick of its scalar; a
+    # step on another ops or from a changed scalar kicks anew, and so
+    # matches the step from the same fields without a carried kick
+    dofs, ops = assemble_all(square_36, "dirichlet")
+    other = replace(ops, dirichlet_rhs=ops.dirichlet_rhs + 1.0)
+    state = stepped_state(dofs, ops)
+    with pytest.raises(ValueError):
+        state.h[0] = 1.0
+    with pytest.raises(ValueError):
+        state.u[0, 0] = 1.0
+
+    def reassigned(state):
+        state.h = state.h + 0.1
+        return state
+
+    def written(state):
+        state.h.setflags(write=True)
+        state.h[:5] += 0.1
+        return state
+
+    for target, change in [(ops, lambda s: s), (other, lambda s: s),
+                           (ops, reassigned), (ops, written)]:
+        state = change(stepped_state(dofs, ops))
+        got, expect = verlet_step(state, target, 1e-3), verlet_step(fresh(state), target, 1e-3)
+        assert np.array_equal(got.h, expect.h) and np.array_equal(got.u, expect.u)
+
+
+def test_simulate_kicks_once_per_step(square_36, monkeypatch):
+    # the second half-kick of a step serves the first of the next, so a run
+    # of N steps computes N + 1 kicks
+    _, ops = assemble_all(square_36, "dirichlet")
+    kick, calls = type(ops).kick, []
+
+    def counted(self, h):
+        calls.append(h)
+        return kick(self, h)
+
+    monkeypatch.setattr(type(ops), "kick", counted)
+    config = SimulationConfig(dt=1e-3, t_end=0.017, ic_h=gaussian_bump([0.5, 0.5]))
+    simulate(square_36, ops, config)
+    assert len(calls) == config.n_steps + 1 == 18
+
+
+def two_kick_reference(mesh, ops, config):
+    """Final (u, h) of Verlet with two kicks per step, each a solve with the
+    global block-diagonal velocity mass, and the scalar mass solved by
+    SciPy's default sparse factor."""
+    u_solve = spla.factorized(sp.block_diag(
+        list(ops.cell_dets[:, None, None] * ops.u_mass_ref), format="csc"))
+    h_solve = spla.factorized(ops.free_block(ops.h_mass).tocsc())
+
+    def kick(h):
+        return np.array([u_solve(g @ h + r) for g, r in zip(ops.grad, ops.dirichlet_rhs)])
+
+    state = interpolate_state(mesh, ops.dofs, config.ic_h)
+    u, h = state.u, state.h
+    h[ops.h_fixed] = ops.h_fixed_values
+    half = 0.5 * config.dt * config.c
+    for _ in range(config.n_steps):
+        u = u - half * kick(h)
+        div = sum(g.T @ u_i for g, u_i in zip(ops.grad, u)) - ops.neumann_rhs
+        h = h.copy()
+        h[ops.h_free] += config.dt * config.c * h_solve(div[ops.h_free])
+        u = u - half * kick(h)
+    return u, h
+
+
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", ["square_36", "cube_44", "cube:4", "interval:8"])
+def test_simulate_matches_two_kick_reference(request, name, bc_kind):
+    # nonzero boundary data on both kinds: g enters the kick, f the drift
+    if name == "cube:4":
+        mesh = wf.generate_cube_mesh(4)
+    elif name == "interval:8":
+        mesh = wf.generate_interval_mesh(8, 1.0)
+    else:
+        mesh = request.getfixturevalue(name)
+    data = lambda x: 0.5 + x[..., 0] - 0.3 * x[..., -1] ** 2  # noqa: E731
+    bc = (wf.BcSpec.all_dirichlet(mesh, g=data) if bc_kind == "dirichlet"
+          else wf.BcSpec.all_neumann(mesh, f=data))
+    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    dt = 0.5 * 2.0 / np.sqrt(cell_lambda_bound(ops))
+    config = SimulationConfig(dt=dt, t_end=20 * dt, c=1.3,
+                              ic_h=gaussian_bump([0.4] * mesh.dim, width=0.2))
+    final = simulate(mesh, ops, config).final_state
+    u, h = two_kick_reference(mesh, ops, config)
+    assert np.abs(final.h - h).max() <= 1e-13 * np.abs(h).max()
+    assert np.abs(final.u - u).max() <= 1e-13 * np.abs(u).max()
 
 
 def test_energy_basics(square_36):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem.mesh import CELL_EDGES, CELL_FACETS, Mesh, MeshFormatError
+from wavefem.mesh import CELL_EDGES, CELL_FACETS, Mesh, MeshFormatError, _unique_rows
 
 from conftest import load_cube, load_square, mesh_path
 
@@ -269,6 +269,18 @@ def test_edge_extraction_order_independent():
         for k, (a, b) in enumerate(CELL_EDGES[2]):
             edge = shuffled.edges[shuffled.cell_edges[c, k]]
             assert edge.tolist() == sorted(cell[[a, b]].tolist())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (40, 1), (200, 2), (300, 3)])
+def test_unique_rows_match_numpy(shape):
+    # the lexsort table against np.unique over rows: same rows in the same
+    # order, first occurrences, inverse and counts
+    rows = np.random.default_rng(shape[0]).integers(-3, 6, size=shape)
+    table, *got = _unique_rows(rows)
+    expect, *index = np.unique(rows, axis=0, return_index=True, return_inverse=True,
+                               return_counts=True)
+    assert np.array_equal(table, expect)
+    assert all(np.array_equal(a, b.ravel()) for a, b in zip(got, index))
 
 
 def test_degenerate_cell_rejected():

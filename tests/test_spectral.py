@@ -65,8 +65,6 @@ def test_interval_null_space_trivial(n, kind):
 def test_square_neumann_spectrum(square_150):
     _, ops = assemble_all(square_150, "neumann")
     spec = laplacian_spectrum(ops)
-    # the pencil comes from the cell Laplacians, not the kick operator
-    assert ops._kick is None
     assert null_space_dimension(spec) == 1
     targets = [PI2, PI2, 2 * PI2]
     for lam, t in zip(spec.eigenvalues[1:4], targets):
