@@ -109,11 +109,10 @@ def two_hole_square(seed):
 
 def dirichlet_kernel_size(mesh):
     import wavefem as wf
-    from wavefem.spectral import laplacian_spectrum, null_space_dimension
 
     dofs = wf.build_dof_maps(mesh)
     ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh))
-    return null_space_dimension(laplacian_spectrum(ops))
+    return wf.laplacian_spectrum(ops).null_count
 
 
 def first_good(factory, seeds=range(100), kernel_free=None):

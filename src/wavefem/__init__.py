@@ -11,10 +11,9 @@ from .elements import (DofMap, QuadratureRule, build_dof_maps, p2_basis,
                        quadrature)
 from .assembly import AssembledOperators, assemble
 from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
-                       laplacian_spectrum, max_eigenvalue,
-                       null_space_dimension, spurious_mode_report)
-from .dispersion import (DispersionSample, dispersion_branches,
-                         dispersion_closed_form, dispersion_sweep)
+                       laplacian_spectrum, max_eigenvalue, spurious_mode_report)
+from .dispersion import (dispersion_branches, dispersion_closed_form,
+                         dispersion_sweep)
 from .dynamics import (ConfigurationError, FieldState, SimulationConfig,
                        energy, interpolate_state, simulate,
                        stable_dt_estimate, verlet_step)

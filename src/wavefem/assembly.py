@@ -36,7 +36,7 @@ gradient gets no facet block for them, and the scalar equation is solved
 on the free DOFs only (``AssembledOperators.h_free``). In 2D and 3D
 every scalar DOF is free. There, the weak form can still leave null
 modes in a cell with d Dirichlet facets, such as a corner cell of
-``square:N`` (see ``spectral.null_space_dimension``).
+``square:N`` (see ``spectral.Spectrum.null_count``).
 
 Every global matrix is a scatter of per-cell dense blocks (``_scatter``):
 the scalar mass, each gradient and the discrete Laplacian A = sum_K

@@ -75,6 +75,13 @@ def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
     raise dynamics.ConfigurationError(f"unknown bc {kind!r}")
 
 
+def _write_csv(path, header, line, table):
+    """The header row, then each row of ``table`` by the %-format ``line``
+    (``mesh._format_rows``), with CRLF line endings."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header}\r\n" + _format_rows(f"{line}\r\n", table))
+
+
 def _check_output_dir(path, prefix=False):
     """Reject, before the command spends any work, an output path whose
     directory does not exist or, unless it is a file-name prefix, that is
@@ -103,8 +110,8 @@ def cmd_dof_report(args):
         print(f"{name}: {value}")
     if not args.out:
         return EXIT_OK, None
-    with open(args.out, "w", newline="") as fh:
-        fh.write("".join(",".join(map(str, line)) + "\r\n" for line in zip(*rows)))
+    names, values = zip(*rows)
+    _write_csv(args.out, ",".join(names), "%d," * 6 + "%r", np.array([values]))
     return EXIT_OK, {"path": args.out + ".manifest.json",
                      "parameters": {"mesh": source}, "outputs": [args.out]}
 
@@ -117,7 +124,6 @@ def cmd_spectrum(args):
     bc = _bc_for(mesh, args.bc)
     ops = assembly.assemble(mesh, dofs, bc)
     spec = spectral.laplacian_spectrum(ops)
-    nnull = spectral.null_space_dimension(spec)
     count = min(args.count, len(spec.eigenvalues))
     leading = spec.eigenvalues[:count]
     # every scalar DOF, fixed ones included; the JSON n_h_dofs counts the
@@ -127,7 +133,7 @@ def cmd_spectrum(args):
           + ", ".join(f"{v:.6g}" for v in leading))
     top = spec.lambda_max_solve
     print(f"lambda_max: {spec.lambda_max:.6g} (error bar {top.error:.2g}, {top.solves} solves)")
-    print(f"null space dimension: {nnull}")
+    print(f"null space dimension: {spec.null_count}")
     if not args.out:
         return EXIT_OK, None
     if args.format == "json":
@@ -135,7 +141,9 @@ def cmd_spectrum(args):
             "mesh": source, "bc": args.bc,
             "u_dofs_per_component": dofs.m_u, "h_dofs": dofs.m_h})
     else:
-        spectral.spectrum_to_csv(spec, args.out)
+        lam = spec.eigenvalues
+        _write_csv(args.out, "index,eigenvalue", "%d,%r",
+                   np.column_stack([np.arange(len(lam)), lam]))
     return EXIT_OK, {"path": args.out + ".manifest.json",
                      "parameters": {"mesh": source, "bc": args.bc, "count": args.count,
                                     "format": args.format},
@@ -150,7 +158,8 @@ def cmd_dispersion(args):
     print(f"spectral gap: {summary.gap:.6f}")
     if not args.out:
         return EXIT_OK, None
-    dispersion.sweep_to_csv(samples, args.out)
+    _write_csv(args.out, "phi,w_lower,w_upper,disc_lower,disc_upper", "%r,%r,%r,%r,%r",
+               samples)
     return EXIT_OK, {"path": args.out + ".manifest.json",
                      "parameters": {"samples": args.samples}, "outputs": [args.out]}
 
@@ -230,9 +239,8 @@ def cmd_simulate(args):
     result = dynamics.simulate(mesh, ops, config, snapshot_callback=snapshot)
 
     energy_path = os.path.join(out_dir, "energy.csv")
-    series = np.column_stack([result.times, result.energies, result.energy_errors])
-    with open(energy_path, "w", newline="") as fh:
-        fh.write("time,energy,energy_error\r\n" + _format_rows("%r,%r,%r\r\n", series))
+    _write_csv(energy_path, "time,energy,energy_error", "%r,%r,%r",
+               np.column_stack([result.times, result.energies, result.energy_errors]))
     outputs.append(energy_path)
 
     if result.abort_step is None:

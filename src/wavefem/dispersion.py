@@ -41,22 +41,20 @@ separated by a spectral gap (``dispersion_closed_form``).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import assemble
 from .elements import build_dof_maps
-from .mesh import BcSpec, _format_rows, generate_interval_mesh
+from .mesh import BcSpec, generate_interval_mesh
 
 __all__ = [
-    "DispersionSample",
     "GapSummary",
     "AnalysisError",
     "dispersion_closed_form",
     "dispersion_branches",
     "dispersion_sweep",
-    "sweep_to_csv",
 ]
 
 
@@ -117,15 +115,6 @@ def dispersion_branches(phis) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class DispersionSample:
-    phi: float
-    w_lower: float
-    w_upper: float
-    disc_lower: float
-    disc_upper: float
-
-
-@dataclass(frozen=True)
 class GapSummary:
     max_w_lower: float
     min_w_upper: float
@@ -135,9 +124,11 @@ class GapSummary:
         return self.min_w_upper - self.max_w_lower
 
 
-def dispersion_sweep(n_samples: int):
+def dispersion_sweep(n_samples: int) -> tuple[np.ndarray, GapSummary]:
     """Sample both branches on a uniform grid of ``n_samples`` wavenumbers
-    in (0, pi] and summarize the spectral gap.
+    in (0, pi] and summarize the spectral gap. The samples are one row per
+    wavenumber, shape (n_samples, 5): phi, w_lower, w_upper, disc_lower,
+    disc_upper.
 
     Raises :class:`AnalysisError` if the lower branch is not strictly
     increasing or if the gap closes; either would mean a broken
@@ -152,12 +143,4 @@ def dispersion_sweep(n_samples: int):
     summary = GapSummary(float(w[:, 0].max()), float(w[:, 1].min()))
     if summary.gap <= 0.0:
         raise AnalysisError("spectral gap is not positive")
-    rows = np.column_stack([phis, w, disc]).tolist()
-    return [DispersionSample(*row) for row in rows], summary
-
-
-def sweep_to_csv(samples, path):
-    table = np.array([astuple(s) for s in samples])
-    with open(path, "w", newline="") as fh:
-        fh.write("phi,w_lower,w_upper,disc_lower,disc_upper\r\n"
-                 + _format_rows("%r,%r,%r,%r,%r\r\n", table))
+    return np.column_stack([phis, w, disc]), summary

@@ -89,7 +89,6 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledOperators, _factor, _scatter
-from .mesh import _format_rows
 
 __all__ = [
     "Spectrum",
@@ -97,12 +96,10 @@ __all__ = [
     "SpuriousModeReport",
     "laplacian_pencil",
     "laplacian_spectrum",
-    "null_space_dimension",
     "max_eigenvalue",
     "pivot_inertia",
     "cell_lambda_bound",
     "spurious_mode_report",
-    "spectrum_to_csv",
     "spectrum_to_json",
 ]
 
@@ -172,6 +169,26 @@ class Spectrum:
         """Eigenvalues below this count as null modes."""
         return NULL_TOLERANCE * self.lambda_max
 
+    @property
+    def null_count(self) -> int:
+        """Number of eigenvalues below ``null_threshold``.
+
+        Exactly 1 for a stable Neumann problem (the constant mode), exactly 0
+        for a stable Dirichlet problem. In 1D the strongly imposed Dirichlet
+        vertices give 0 for every mesh. Weak Dirichlet data in 2D and 3D leave
+        the null modes of the module docstring: 4 on ``square:N``, 3 on the
+        coarse ``cube_44`` and ``cube_200``, 1 on ``square_36`` and none on
+        ``cube:2``, ``cube:3`` or ``cube_400``.
+        """
+        return int(np.sum(self.eigenvalues < self.null_threshold))
+
+    @property
+    def smallest_nonzero(self) -> Optional[float]:
+        """The smallest eigenvalue at or above ``null_threshold``; None when
+        every eigenvalue is null."""
+        nonzero = self.eigenvalues[self.eigenvalues >= self.null_threshold]
+        return float(nonzero[0]) if len(nonzero) else None
+
 
 def _eigsh(A, M, k, sigma, order, **kw):
     """Shift-invert ARPACK for the ``k`` eigenvalues nearest ``sigma``, with
@@ -233,19 +250,6 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
                     vecs[:, rank] if compute_vectors else None, top)
 
 
-def null_space_dimension(spectrum: Spectrum) -> int:
-    """Number of eigenvalues below ``spectrum.null_threshold``.
-
-    Exactly 1 for a stable Neumann problem (the constant mode), exactly 0
-    for a stable Dirichlet problem. In 1D the strongly imposed Dirichlet
-    vertices give 0 for every mesh. Weak Dirichlet data in 2D and 3D leave
-    the null modes of the module docstring: 4 on ``square:N``, 3 on the
-    coarse ``cube_44`` and ``cube_200``, 1 on ``square_36`` and none on
-    ``cube:2``, ``cube:3`` or ``cube_400``.
-    """
-    return int(np.sum(spectrum.eigenvalues < spectrum.null_threshold))
-
-
 def max_eigenvalue(ops: AssembledOperators) -> LambdaMax:
     """Largest eigenvalue of the discrete Laplacian and its error bar
     (``_lambda_max``)."""
@@ -298,16 +302,8 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
 
 
 @dataclass
-class LevelSummary:
-    m_h: int
-    null_count: int
-    smallest_nonzero: Optional[float]
-    lambda_max: float
-
-
-@dataclass
 class SpuriousModeReport:
-    levels: list
+    levels: list  # the spectra, coarsest first
     flags: list
 
     @property
@@ -324,46 +320,28 @@ def spurious_mode_report(spectra: list) -> SpuriousModeReport:
     refinement, so a sinking one indicates a spurious mode whose eigenvalue
     tends to zero with the mesh size.
     """
-    levels = []
-    for s in spectra:
-        nnull = null_space_dimension(s)
-        nonzero = s.eigenvalues[s.eigenvalues >= s.null_threshold]
-        smallest = float(nonzero[0]) if len(nonzero) else None
-        levels.append(LevelSummary(s.m_h, nnull, smallest, s.lambda_max))
+    smallest = [s.smallest_nonzero for s in spectra]
     flags = []
-    for lev in range(1, len(levels)):
-        prev, cur = levels[lev - 1], levels[lev]
-        if prev.smallest_nonzero is None or cur.smallest_nonzero is None:
-            continue
-        if cur.smallest_nonzero < 0.5 * prev.smallest_nonzero:
-            flags.append(
-                f"smallest nonzero eigenvalue dropped "
-                f"{prev.smallest_nonzero:.4g} -> {cur.smallest_nonzero:.4g} "
-                f"between levels {lev - 1} and {lev}")
-    return SpuriousModeReport(levels, flags)
+    for lev, (prev, cur) in enumerate(zip(smallest, smallest[1:]), start=1):
+        if prev is not None and cur is not None and cur < 0.5 * prev:
+            flags.append(f"smallest nonzero eigenvalue dropped {prev:.4g} -> {cur:.4g} "
+                         f"between levels {lev - 1} and {lev}")
+    return SpuriousModeReport(list(spectra), flags)
 
 
-def spectrum_to_csv(spectrum: Spectrum, path):
-    lam = spectrum.eigenvalues
-    with open(path, "w", newline="") as fh:
-        fh.write("index,eigenvalue\r\n"
-                 + _format_rows("%d,%r\r\n", np.column_stack([np.arange(len(lam)), lam])))
-
-
-def spectrum_to_json(spectrum: Spectrum, path, metadata=None):
-    """Write the spectrum as JSON; ``n_h_dofs`` counts the pencil's
-    (free) scalar DOFs."""
+def spectrum_to_json(spectrum: Spectrum, path, metadata):
+    """Write the spectrum and ``metadata`` as JSON; ``n_h_dofs`` counts the
+    pencil's (free) scalar DOFs."""
     payload = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "lambda_max": spectrum.lambda_max,
         "lambda_max_solve": spectrum.lambda_max_solve and spectrum.lambda_max_solve._asdict(),
-        "null_space_dimension": null_space_dimension(spectrum),
+        "null_space_dimension": spectrum.null_count,
         "null_tolerance": NULL_TOLERANCE,
         "n_h_dofs": spectrum.m_h,
         "complete": spectrum.complete,
+        "metadata": metadata,
     }
-    if metadata:
-        payload["metadata"] = metadata
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -27,7 +27,7 @@ def _xyz(d: int) -> str:
     return " ".join(["%.16g"] * d + ["0"] * (3 - d)) + "\n"
 
 
-def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None):
+def write_vtk(path, mesh: Mesh, dofs: DofMap, h, u):
     """Write quadratic cells with the scalar as point data.
 
     Point order matches the scalar DOF numbering (vertices, then edge or
@@ -40,13 +40,7 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None):
     points = h_dof_coords(mesh, dofs)
     conn = dofs.h_cell_dofs[:, np.r_[0:d + 1, d + 1 + np.array(_EDGE_PERM[d])]]
     n_cells, k = conn.shape
-    blocks = []
-    if h is not None:
-        blocks.append((f"POINT_DATA {len(points)}\nSCALARS h double\nLOOKUP_TABLE default\n",
-                       "%.16g\n", np.asarray(h, dtype=float).reshape(-1, 1)))
-    if u is not None:
-        means = np.asarray(u, dtype=float).reshape(d, n_cells, d + 1).mean(axis=2).T
-        blocks.append((f"CELL_DATA {n_cells}\nVECTORS u_mean double\n", _xyz(d), means))
+    means = np.asarray(u, dtype=float).reshape(d, n_cells, d + 1).mean(axis=2).T
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\nwavefem fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {len(points)} double\n")
@@ -54,6 +48,7 @@ def write_vtk(path, mesh: Mesh, dofs: DofMap, h=None, u=None):
         fh.write(f"CELLS {n_cells} {n_cells * (1 + k)}\n")
         fh.write(_format_rows(f"{k}" + " %d" * k + "\n", conn))
         fh.write(f"CELL_TYPES {n_cells}\n" + f"{_QUADRATIC_TYPES[d]}\n" * n_cells)
-        for header, line, table in blocks:
-            fh.write(header)
-            fh.write(_format_rows(line, table))
+        fh.write(f"POINT_DATA {len(points)}\nSCALARS h double\nLOOKUP_TABLE default\n")
+        fh.write(_format_rows("%.16g\n", np.asarray(h, dtype=float).reshape(-1, 1)))
+        fh.write(f"CELL_DATA {n_cells}\nVECTORS u_mean double\n")
+        fh.write(_format_rows(_xyz(d), means))

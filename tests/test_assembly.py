@@ -278,6 +278,16 @@ def test_dissection_fills_less_than_mmd_on_cube8():
     assert lu.nnz < 0.75 * ref.nnz
 
 
+def test_dissection_stops_at_a_crowded_far_face():
+    # with over half of a part's DOFs at its largest coordinate, the median
+    # puts every DOF on the left; the part is a leaf, not split again forever
+    n = 4 * assembly.DISSECTION_LEAF
+    coords = np.ones((n, 1))
+    coords[:n // 3, 0] = np.linspace(0.0, 0.5, n // 3)
+    chain = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1])
+    assert np.array_equal(assembly._dissection_order(chain, coords), np.arange(n))
+
+
 @pytest.mark.parametrize("spec", ["cube:3", "square:8"])
 def test_scattered_matrices_own_their_entries(monkeypatch, spec):
     # eliminate_zeros may leave data and indices as views of the unpruned

@@ -105,15 +105,36 @@ def test_spectrum_json(capsys, tmp_path):
     assert manifest["tool_version"] == wf.__version__
 
 
-def test_spectrum_csv_interval(tmp_path):
+def read_csv(path):
+    """Header and float rows of a CSV file whose every line ends in CRLF."""
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    assert lines[-1] == "" and "\n" not in "".join(lines)
+    return lines[0], np.array([line.split(",") for line in lines[1:-1]], dtype=float)
+
+
+def test_spectrum_csv_interval(tmp_path, capsys):
     out = str(tmp_path / "eigs.csv")
     code = run(["spectrum", "--generate", "interval:64", "--bc", "dirichlet",
                 "--out", out])
     assert code == 0
-    rows = open(out).read().strip().splitlines()[1:]
-    lam = [float(r.split(",")[1]) for r in rows[:2]]
+    header, rows = read_csv(out)
+    assert header == "index,eigenvalue"
+    # one row per free scalar DOF: 2 * 64 + 1 less the two fixed ends
+    assert np.array_equal(rows[:, 0], np.arange(127))
+    lam = rows[:, 1]
     assert abs(lam[0] - np.pi ** 2) / np.pi ** 2 <= 1e-3
     assert abs(lam[1] - 4 * np.pi ** 2) / (4 * np.pi ** 2) <= 1e-3
+    # the complete dense spectrum ends at lambda_max
+    assert f"lambda_max: {lam[-1]:.6g} " in capsys.readouterr().out
+    assert (np.diff(lam) >= 0).all()
+
+
+def test_spectrum_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--generate", "square:2", "--bc", "neumann"]) == 0
+    assert "null space dimension: 1\n" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
 
 
 def test_dispersion_cli(capsys, tmp_path):
@@ -122,9 +143,12 @@ def test_dispersion_cli(capsys, tmp_path):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "spectral gap: 0.3018" in stdout
-    rows = open(out).read().strip().splitlines()
-    last = [float(t) for t in rows[-1].split(",")]
-    assert abs(last[1] - 3.16228) <= 1e-5
+    header, rows = read_csv(out)
+    assert header == "phi,w_lower,w_upper,disc_lower,disc_upper"
+    assert rows.shape == (100, 5)
+    # at phi = pi the lower branch ends at 2 sqrt(2.5)
+    assert abs(rows[-1, 0] - np.pi) <= 1e-15
+    assert abs(rows[-1, 1] - 2.0 * np.sqrt(2.5)) <= 1e-12
 
 
 def test_dispersion_two_samples(capsys):
@@ -321,13 +345,19 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("width = 0", "width must be finite and positive"),
-    ("width = nan", "width must be finite and positive"),
+    ("width = 0", "width must be finite and positive, got 0.0"),
+    ("width = nan", "width must be finite and positive, got nan"),
     ("center = nan 0.5", "center must be finite"),
     ("snapshot_stride = 0", "snapshot_stride must be >= 1"),
     ("snapshot_stride = -5", "snapshot_stride must be >= 1"),
-    ("stride = 0", "stride must be >= 1")],
-    ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg", "stride-0"])
+    ("stride = 0", "stride must be >= 1"),
+    ("center = 0.5", "center must have one value per dimension"),
+    ("ic = standing_wave\nmodes = 1 2 3", "modes must have one value per dimension"),
+    ("ic = spiral", "unknown ic preset 'spiral'"),
+    ("bc = robin", "unknown bc 'robin'"),
+    ("width 0.1", "{cfg}:3: expected 'key = value'")],
+    ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg", "stride-0",
+         "center-length", "modes-length", "ic", "bc", "no-equals"])
 def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     # bad input, not a numerical failure: exit 1 before the output
     # directory is created
@@ -335,8 +365,50 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     out_dir = tmp_path / "out"
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
                 "--out-dir", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text,key", [("t_end = 0.05\n", "dt"), ("dt = 0.01\n", "t_end")])
+def test_simulate_rejects_incomplete_config(tmp_path, capsys, text, key):
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", write_config(tmp_path, text),
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: config is missing {key!r}\n"
+    assert not out_dir.exists()
+
+
+def read_vtk_h(path):
+    """Point coordinates and the scalar ``h`` of a VTK snapshot."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    n = int(lines[4].split()[1])  # "POINTS n double"
+    start = lines.index("LOOKUP_TABLE default") + 1
+    points = np.array([line.split() for line in lines[5:5 + n]], dtype=float)
+    return points, np.array(lines[start:start + n], dtype=float)
+
+
+def test_simulate_standing_wave(tmp_path, capsys):
+    # the Neumann mode (1, 2) of the unit square, cos(pi sqrt(5) t)
+    # cos(pi x) cos(2 pi y); comments and blank lines in the config are
+    # skipped
+    cfg = write_config(tmp_path, (
+        "# standing wave\n"
+        "\n"
+        "dt = 0.01  # inside the cell bound\n"
+        "t_end = 0.5\n"
+        "bc = neumann\n"
+        "ic = standing_wave\n"
+        "modes = 1 2\n"
+        "snapshot_stride = 50\n"))
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:8", "--force-dt", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 0
+    assert "completed 50 steps to t=0.5\n" in capsys.readouterr().out
+    points, h = read_vtk_h(out_dir / "fields_0000050.vtk")
+    x, y = points[:, 0], points[:, 1]
+    exact = np.cos(np.pi * np.sqrt(5.0) * 0.5) * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
+    assert np.abs(h - exact).max() <= 1.1e-2  # 3x the error measured here, 3.65e-3
 
 
 @pytest.mark.parametrize("lines,key", [("center = 0.5 x", "center"),
@@ -505,13 +577,33 @@ def test_spectrum_rejects_negative_count(capsys):
     assert capsys.readouterr().err.startswith("error: --count must be >= 0")
 
 
-def test_bad_generate_spec(capsys):
+def test_bad_generate_spec(tmp_path, capsys):
     # an unknown generator, a misspelt flag and trailing fields are all
-    # input errors, found before any mesh is built
-    for spec in ("torus:3", "interval:4:1:periodc", "square:4:9", "cube:2:x",
-                 "interval:4:1:periodic:extra"):
-        assert run(["dof-report", "--generate", spec]) == 1, spec
-        assert "error:" in capsys.readouterr().err
+    # input errors, found before any mesh is built; so are a size that does
+    # not parse and one the generator rejects
+    usage = "use square:N, cube:N or interval:N[:LENGTH[:periodic]]"
+    cases = {"torus:3": f"unknown generator 'torus'; {usage}",
+             **{spec: f"bad --generate spec {spec!r}; {usage}"
+                for spec in ("interval:4:1:periodc", "square:4:9", "cube:2:x",
+                             "interval:4:1:periodic:extra")},
+             "square:x": "bad --generate spec 'square:x': "
+                         "invalid literal for int() with base 10: 'x'",
+             "cube:0": "bad --generate spec 'cube:0': n must be >= 1",
+             "interval:3:-1": "bad --generate spec 'interval:3:-1': length must be positive",
+             "interval:1:1:periodic": "bad --generate spec 'interval:1:1:periodic': "
+                                      "periodic interval needs at least 2 elements"}
+    for spec, message in cases.items():
+        assert run(["dof-report", "--generate", spec, "--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", spec
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_mesh_path_count(tmp_path, capsys, count):
+    paths = [mesh_path(f"square_36.{ext}") for ext in ("node", "ele", "edge", "poly")]
+    assert run(["dof-report", "--mesh", *paths[:count], "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err == "error: --mesh takes NODE ELE [EDGE|FACE|POLY] paths\n"
+    assert not list(tmp_path.iterdir())
 
 
 # -- VTK writers -------------------------------------------------------------
@@ -551,17 +643,14 @@ def awkward_values(n, seed):
     return v
 
 
-@pytest.mark.parametrize("with_u", [False, True])
-@pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("name", VTK_MESHES)
-def test_vtk_bytes_match_reference(tmp_path, name, with_h, with_u):
+def test_vtk_bytes_match_reference(tmp_path, name):
     # the block writers reproduce the row-at-a-time writers byte for byte;
     # the first cell's velocity is all -0.0, so its mean prints as -0
     mesh = VTK_MESHES[name]()
     dofs = wf.build_dof_maps(mesh)
-    h = awkward_values(dofs.m_h, 0) if with_h else None
-    u = ([awkward_values(dofs.m_u, i + 1) for i in range(mesh.dim)]
-         if with_u else None)
+    h = awkward_values(dofs.m_h, 0)
+    u = [awkward_values(dofs.m_u, i + 1) for i in range(mesh.dim)]
     got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
     write_vtk(str(got), mesh, dofs, h=h, u=u)
     reference_write_vtk(str(want), mesh, dofs, h=h, u=u)

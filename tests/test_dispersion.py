@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wavefem import cli
 from wavefem.assembly import assemble
 from wavefem.dispersion import (dispersion_branches, dispersion_closed_form,
-                                dispersion_sweep, sweep_to_csv)
+                                dispersion_sweep)
 from wavefem.elements import build_dof_maps
 from wavefem.mesh import BcSpec, generate_interval_mesh
 from wavefem.spectral import NULL_TOLERANCE, laplacian_pencil
@@ -119,25 +120,24 @@ def test_sweep_matches_symbol_reference(n):
     # both branches against the closed form, both jumps against the null
     # vector of the hand-derived symbol
     samples, _ = dispersion_sweep(n)
-    got = np.array([[s.w_lower, s.w_upper, s.disc_lower, s.disc_upper] for s in samples])
     ref = []
-    for s in samples:
-        w = dispersion_closed_form(s.phi)
-        modes = [null_mode(s.phi, branch) for branch in w]
+    for phi in samples[:, 0]:
+        w = dispersion_closed_form(phi)
+        modes = [null_mode(phi, branch) for branch in w]
         ref.append([*w, *(abs(v[0] - v[1]) for v in modes)])
-    assert np.abs(got - np.array(ref)).max() <= 1e-12
+    assert np.abs(samples[:, 1:] - np.array(ref)).max() <= 1e-12
 
 
 def test_sweep_gap_and_monotonicity():
     samples, summary = dispersion_sweep(200)
-    assert len(samples) == 200
+    assert samples.shape == (200, 5)
     assert abs(summary.max_w_lower - W_LOWER_PI) <= 1e-12
     assert abs(summary.min_w_upper - W_UPPER_PI) <= 1e-12
     assert abs(summary.gap - (W_UPPER_PI - W_LOWER_PI)) <= 1e-12
-    lowers = [s.w_lower for s in samples]
-    assert all(b > a for a, b in zip(lowers, lowers[1:]))
-    assert all(s.w_lower < s.w_upper for s in samples)
-    assert all(s.disc_lower < s.disc_upper for s in samples)
+    _, w_lower, w_upper, disc_lower, disc_upper = samples.T
+    assert (np.diff(w_lower) > 0).all()
+    assert (w_lower < w_upper).all()
+    assert (disc_lower < disc_upper).all()
 
 
 def test_sweep_two_samples():
@@ -160,13 +160,12 @@ def test_lower_branch_accuracy():
 
 def test_upper_branch_never_returns_to_zero():
     samples, _ = dispersion_sweep(100)
-    assert min(s.w_upper for s in samples) >= W_UPPER_PI - 1e-12
+    assert samples[:, 2].min() >= W_UPPER_PI - 1e-12
 
 
-def test_csv_export(tmp_path):
-    samples, _ = dispersion_sweep(10)
+def test_csv_export(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
-    sweep_to_csv(samples, str(path))
+    assert cli.main(["dispersion", "--samples", "10", "--out", str(path)]) == 0
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "phi,w_lower,w_upper,disc_lower,disc_upper"
     assert len(rows) == 11

@@ -136,6 +136,68 @@ def test_mesh_needs_a_cell():
         Mesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], np.zeros((0, 3), dtype=int))
 
 
+TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("args,kwargs,match", [
+    ((4, np.zeros((5, 4)), [[0, 1, 2, 3, 4]]), {}, r"dim must be 1, 2 or 3, got 4"),
+    ((2, np.zeros((3, 3)), [[0, 1, 2]]), {}, r"vertices must have shape \(V, 2\)"),
+    ((2, TRIANGLE, [[0, 1]]), {}, r"cells must have shape \(C, 3\)"),
+    ((2, TRIANGLE, [[0, 1, 3]]), {}, "cell vertex index out of range"),
+    ((2, TRIANGLE, [[0, 1, 2]]), {"cell_coords": np.zeros((1, 3, 3))},
+     "cell_coords shape mismatch"),
+    ((2, TRIANGLE, [[0, 1, 2]]), {"boundary_markers": [1, 2]},
+     "one marker per boundary facet required")],
+    ids=["dim", "vertices", "cells", "index", "cell-coords", "markers"])
+def test_mesh_rejects_bad_arrays(args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Mesh(*args, **kwargs)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: wf.generate_interval_mesh(0, 1.0), "n_elements must be >= 1"),
+    (lambda: wf.generate_interval_mesh(4, 0.0), "length must be positive"),
+    (lambda: wf.generate_interval_mesh(1, 1.0, periodic=True),
+     "periodic interval needs at least 2 elements"),
+    (lambda: wf.generate_square_mesh(0), "n must be >= 1")],
+    ids=["interval-0", "interval-length", "periodic-1", "square-0"])
+def test_generators_reject_bad_sizes(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_node_id_out_of_range(tmp_path):
+    _, ele = write_single_triangle(tmp_path)
+    node = tmp_path / "gap.node"
+    node.write_text("3 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n5 0.0 1.0\n")
+    with pytest.raises(MeshFormatError, match="gap.node: node index 5 out of range"):
+        wf.read_mesh(str(node), ele)
+
+
+def test_all_interior_edge_file_derives_facets(tmp_path):
+    # an .edge file whose rows all have marker 0 names no boundary facet,
+    # so the facets are derived, with marker 1
+    node, ele = write_single_triangle(tmp_path)
+    edge = tmp_path / "tri.edge"
+    edge.write_text("3 1\n1 1 2 0\n2 2 3 0\n3 3 1 0\n")
+    mesh, ref = wf.read_mesh(node, ele, str(edge)), wf.read_mesh(node, ele)
+    assert np.array_equal(mesh.boundary_facets, ref.boundary_facets)
+    assert mesh.boundary_markers.tolist() == [1, 1, 1]
+
+
+def test_write_mesh_rejects_marker_zero(tmp_path):
+    mesh = Mesh(2, TRIANGLE, [[0, 1, 2]], [[0, 1], [1, 2], [0, 2]], [1, 0, 1])
+    paths = [str(tmp_path / f"m.{ext}") for ext in ("node", "ele", "edge")]
+    with pytest.raises(ValueError, match="marker 0 is reserved for interior facets"):
+        wf.write_mesh(mesh, *paths)
+    assert not list(tmp_path.iterdir())
+
+
+def test_mesh_repr():
+    assert repr(wf.generate_square_mesh(1)) == (
+        "Mesh(dim=2, vertices=4, cells=2, edges=5, boundary_facets=4)")
+
+
 def test_negative_poly_node_count(tmp_path):
     node, ele = write_single_triangle(tmp_path)
     poly = tmp_path / "tri.poly"

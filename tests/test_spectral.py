@@ -14,7 +14,6 @@ from wavefem import dynamics, spectral
 from wavefem.elements import p2_basis, quadrature
 from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
                               laplacian_spectrum, max_eigenvalue,
-                              null_space_dimension, spectrum_to_csv,
                               spectrum_to_json, spurious_mode_report)
 
 from conftest import assemble_all, load_cube, load_square
@@ -39,7 +38,7 @@ def test_interval_dirichlet_spectrum():
         # the Neumann end still receives its boundary datum
         assert abs(ops.neumann_rhs.sum() - n_neumann) <= 1e-14
         spec = laplacian_spectrum(ops)
-        assert null_space_dimension(spec) == 0
+        assert spec.null_count == 0
         for k, lam in enumerate(spec.eigenvalues[:3], start=1):
             exact = (k - shift) ** 2 * PI2
             assert abs(lam - exact) / exact <= 1e-3
@@ -59,13 +58,13 @@ def test_interval_null_space_trivial(n, kind):
                           np.arange(dofs.m_h))
     spec = laplacian_spectrum(ops)
     assert spec.m_h == dofs.m_h - n_fixed
-    assert null_space_dimension(spec) == 0
+    assert spec.null_count == 0
 
 
 def test_square_neumann_spectrum(square_150):
     _, ops = assemble_all(square_150, "neumann")
     spec = laplacian_spectrum(ops)
-    assert null_space_dimension(spec) == 1
+    assert spec.null_count == 1
     targets = [PI2, PI2, 2 * PI2]
     for lam, t in zip(spec.eigenvalues[1:4], targets):
         assert abs(lam - t) / t <= 5e-3
@@ -74,7 +73,7 @@ def test_square_neumann_spectrum(square_150):
 def test_square_dirichlet_spectrum(square_150):
     _, ops = assemble_all(square_150, "dirichlet")
     spec = laplacian_spectrum(ops)
-    assert null_space_dimension(spec) == 0
+    assert spec.null_count == 0
     assert abs(spec.eigenvalues[0] - 2 * PI2) / (2 * PI2) <= 5e-3
 
 
@@ -139,10 +138,10 @@ def test_spectrum_invariant_to_mesh_scale(kind, cutoff, monkeypatch):
                                                   kind)[1])
                for s in (1e-5, 1.0, 1e5)}
     ref = spectra[1.0]
-    nulls = null_space_dimension(ref)
+    nulls = ref.null_count
     assert nulls == (1 if kind == "neumann" else 4)
     for s, spec in spectra.items():
-        assert null_space_dimension(spec) == nulls
+        assert spec.null_count == nulls
         lam = spec.eigenvalues[nulls:] * s ** 2
         assert np.abs(lam / ref.eigenvalues[nulls:] - 1.0).max() <= 1e-9
         assert abs(spec.lambda_max * s ** 2 / ref.lambda_max - 1.0) <= 1e-9
@@ -475,7 +474,7 @@ def eigenvalue_errors(generate, sizes, bc_kind, exact):
     errs = []
     for n in sizes:
         spec = laplacian_spectrum(assemble_all(generate(n), bc_kind)[1])
-        nulls = null_space_dimension(spec)
+        nulls = spec.null_count
         errs.append(spec.eigenvalues[nulls:nulls + len(exact)] - exact)
     return np.array(errs)
 
@@ -579,11 +578,6 @@ def test_2d_neumann_stable_under_refinement(square_150, square_1500):
 def test_exports(tmp_path, square_36):
     _, ops = assemble_all(square_36, "neumann")
     spec = laplacian_spectrum(ops)
-    csv_path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, str(csv_path))
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0] == "index,eigenvalue"
-    assert len(rows) == 1 + len(spec.eigenvalues)
     json_path = tmp_path / "spec.json"
     spectrum_to_json(spec, str(json_path), metadata={"bc": "neumann"})
     payload = json.loads(json_path.read_text())

@@ -50,7 +50,7 @@ def _points(mesh, dofs):
     return points
 
 
-def reference_write_vtk(path, mesh, dofs, h=None, u=None):
+def reference_write_vtk(path, mesh, dofs, h, u):
     """``wavefem.vtk_io.write_vtk``, one row at a time."""
     d = mesh.dim
     points = _points(mesh, dofs)
@@ -71,14 +71,12 @@ def reference_write_vtk(path, mesh, dofs, h=None, u=None):
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
         for _ in range(mesh.n_cells):
             fh.write(f"{_QUADRATIC_TYPES[d]}\n")
-        if h is not None:
-            fh.write(f"POINT_DATA {len(points)}\n")
-            fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
-            for v in np.asarray(h, dtype=float):
-                fh.write(f"{v:.16g}\n")
-        if u is not None:
-            means = [np.asarray(u_i, dtype=float).reshape(mesh.n_cells, d + 1).mean(axis=1)
-                     for u_i in u]
-            fh.write(f"CELL_DATA {mesh.n_cells}\n")
-            _write_vectors(fh, "u_mean", means)
+        fh.write(f"POINT_DATA {len(points)}\n")
+        fh.write("SCALARS h double\nLOOKUP_TABLE default\n")
+        for v in np.asarray(h, dtype=float):
+            fh.write(f"{v:.16g}\n")
+        means = [np.asarray(u_i, dtype=float).reshape(mesh.n_cells, d + 1).mean(axis=1)
+                 for u_i in u]
+        fh.write(f"CELL_DATA {mesh.n_cells}\n")
+        _write_vectors(fh, "u_mean", means)
 
