@@ -52,10 +52,10 @@ has the mass's sparsity pattern, so one ordering of the free scalar DOFs
 serves all of them. On 3D meshes ``assemble`` builds a geometric nested
 dissection (``_dissection_order``, George 1973) and keeps it as
 ``AssembledOperators.h_order``; SuperLU's minimum-degree ordering (MMD)
-fills badly on 3D P2 patterns (L+U on ``cube:8`` 1.86M entries against
-1.59M, on ``cube:12`` 12.3M against 8.10M, factor time 4.5 s against
-0.82 s there). In 1D and 2D MMD wins (``square:48``: 0.62M against
-0.90M), so the order is None and MMD orders the factor.
+fills badly on 3D P2 patterns (L+U on ``cube:8`` 2.19M entries against
+1.59M, on ``cube:12`` 19.1M against 8.10M, factor time 3.5 s against
+0.63 s there on a 2-core VM). In 1D and 2D MMD wins (``square:48``: 0.63M
+against 0.90M), so the order is None and MMD orders the factor.
 """
 
 from __future__ import annotations

@@ -192,8 +192,14 @@ def _parse_config(path) -> dict:
 
 def _initial_condition(cfg: dict, dim: int):
     preset = cfg.get("ic", "gaussian")
+    own = {"gaussian": ("center", "width"), "standing_wave": ("modes",)}
+    if preset not in own:
+        raise dynamics.ConfigurationError(f"unknown ic preset {preset!r}")
+    stray = sorted({"center", "width", "modes"}.difference(own[preset]).intersection(cfg))
+    if stray:
+        raise dynamics.ConfigurationError(f"{stray[0]} is not a setting of ic = {preset}")
     if preset == "gaussian":
-        center = np.array(cfg.get("center") or [0.5] * dim, dtype=float)
+        center = np.array(cfg.get("center", [0.5] * dim), dtype=float)
         width = cfg.get("width", 0.1)
         if len(center) != dim:
             raise dynamics.ConfigurationError("center must have one value per dimension")
@@ -202,12 +208,10 @@ def _initial_condition(cfg: dict, dim: int):
         if not np.isfinite(center).all():
             raise dynamics.ConfigurationError("center must be finite")
         return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2))
-    if preset == "standing_wave":
-        modes = np.array(cfg.get("modes") or [1] * dim)
-        if len(modes) != dim:
-            raise dynamics.ConfigurationError("modes must have one value per dimension")
-        return lambda x: np.prod(np.cos(np.pi * modes * x), axis=-1)
-    raise dynamics.ConfigurationError(f"unknown ic preset {preset!r}")
+    modes = np.array(cfg.get("modes", [1] * dim))
+    if len(modes) != dim:
+        raise dynamics.ConfigurationError("modes must have one value per dimension")
+    return lambda x: np.prod(np.cos(np.pi * modes * x), axis=-1)
 
 
 def cmd_simulate(args):

@@ -287,9 +287,9 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
     (1D strong Dirichlet) only restrict the Rayleigh quotient, so the
     bound holds there too.
 
-    The bound is tight on well-shaped cells (1.1 to 1.25 times
+    The bound is tight on well-shaped cells (1.08 to 1.25 times
     lambda_max on ``square:8``, ``square:32``, ``cube:3`` and ``cube:8``)
-    and loose on slivers (3 to over 100 times on the fixture meshes), so
+    and loose on slivers (2.95 to 232 times on the fixture meshes), so
     it certifies a dt as stable but is no estimate of the limit. It is
     cached on ``ops`` for the dt check and the shift of ``max_eigenvalue``.
     """

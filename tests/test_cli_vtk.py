@@ -355,9 +355,16 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
     ("ic = standing_wave\nmodes = 1 2 3", "modes must have one value per dimension"),
     ("ic = spiral", "unknown ic preset 'spiral'"),
     ("bc = robin", "unknown bc 'robin'"),
-    ("width 0.1", "{cfg}:3: expected 'key = value'")],
+    ("width 0.1", "{cfg}:3: expected 'key = value'"),
+    ("center =", "center must have one value per dimension"),
+    ("modes = 1 2", "modes is not a setting of ic = gaussian"),
+    ("ic = standing_wave\ncenter = 0.2 0.2", "center is not a setting of ic = standing_wave"),
+    ("ic = standing_wave\nmodes =", "modes must have one value per dimension"),
+    ("ic = standing_wave\nwidth = 0.1", "width is not a setting of ic = standing_wave")],
     ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg", "stride-0",
-         "center-length", "modes-length", "ic", "bc", "no-equals"])
+         "center-length", "modes-length", "ic", "bc", "no-equals", "center-empty",
+         "modes-under-gaussian", "center-under-standing-wave", "modes-empty",
+         "width-under-standing-wave"])
 def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     # bad input, not a numerical failure: exit 1 before the output
     # directory is created

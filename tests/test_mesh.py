@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -532,3 +535,44 @@ def test_writers_reproduce_fixture_files(tmp_path, name):
     for ext, path in zip(exts, paths):
         with open(mesh_path(f"{name}.{ext}"), "rb") as fh:
             assert path.read_bytes() == fh.read(), ext
+
+
+def cube_points_loop(n_side, seed, jitter, surface_only):
+    """The fixture script's lattice jitter as it was first written: one
+    3-value draw per kept point, in i, j, k order."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / n_side
+    pts = []
+    for i in range(n_side + 1):
+        for j in range(n_side + 1):
+            for k in range(n_side + 1):
+                p = np.array([i, j, k], dtype=float) * h
+                on_face = [i in (0, n_side), j in (0, n_side), k in (0, n_side)]
+                if surface_only and sum(on_face) == 0:
+                    continue
+                delta = rng.uniform(-jitter * h, jitter * h, 3)
+                for axis in np.nonzero(on_face)[0]:
+                    delta[axis] = 0.0
+                pts.append(np.clip(p + delta, 0.0, 1.0))
+    return np.array(pts)
+
+
+@pytest.fixture(scope="module")
+def fixture_script():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixture_meshes",
+        os.path.join(os.path.dirname(__file__), "..", "scripts", "make_fixture_meshes.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 4])
+@pytest.mark.parametrize("surface_only", [False, True])
+@pytest.mark.parametrize("jitter", [0.2, 0.3])
+def test_fixture_cube_points_match_lattice_loop(fixture_script, n_side, surface_only, jitter):
+    # the array version draws the same stream into the same points in the
+    # same order; no qhull runs, so this holds whatever scipy triangulates
+    for seed in range(10):
+        got = fixture_script.cube_points(n_side, seed, jitter, surface_only=surface_only)
+        assert np.array_equal(got, cube_points_loop(n_side, seed, jitter, surface_only)), seed
