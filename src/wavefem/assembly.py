@@ -106,9 +106,8 @@ class AssembledOperators:
                                 # cell_dets[K] times these
     h_order: Optional[np.ndarray]  # fill-reducing order of the free scalar
                                 # DOFs for ``_factor``; None in 1D and 2D
-    # Caches filled on first use; ``dataclasses.replace`` does not copy them.
+    # Cache filled on first use; ``dataclasses.replace`` does not copy it.
     _h_factor: object = field(default=None, init=False, repr=False, compare=False)
-    _lambda_bound: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # derived anew by ``dataclasses.replace``; the transposes are CSC views

@@ -80,24 +80,14 @@ class FieldState:
         self._kick = (None, None, None)  # (ops, h, ops.kick(h)) of ``verlet_step``
 
 
-def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable,
-                      u0: Optional[Callable] = None) -> FieldState:
-    """Nodal interpolation of initial data onto the two spaces.
-
-    Both callables are called once with an ``(n, dim)`` array of points.
-    ``h0`` is sampled at the scalar nodes (vertices and midpoints) and its
-    result is broadcast to ``(n,)``; ``u0``, when given, is sampled at
-    every cell's corners (the velocity nodes of each cell's own copy) and
-    its result is broadcast to ``(n, dim)``.
-    """
+def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable) -> FieldState:
+    """Nodal interpolation of the initial scalar ``h0``, with the velocity
+    at rest. ``h0`` is called once with the ``(m_h, dim)`` array of the
+    scalar nodes (vertices and midpoints), and its result is broadcast to
+    ``(m_h,)``."""
     coords = h_dof_coords(mesh, dofs)
     h = np.broadcast_to(np.asarray(h0(coords), dtype=float), (dofs.m_h,)).copy()
-    u = np.zeros((mesh.dim, dofs.m_u))
-    if u0 is not None:
-        corners = mesh.cell_coords.reshape(-1, mesh.dim)
-        values = np.broadcast_to(np.asarray(u0(corners), dtype=float), corners.shape)
-        u[:, dofs.u_cell_dofs.ravel()] = values.T
-    return FieldState(u=u, h=h, time=0.0)
+    return FieldState(u=np.zeros((mesh.dim, dofs.m_u)), h=h, time=0.0)
 
 
 def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,

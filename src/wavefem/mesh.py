@@ -518,11 +518,11 @@ def _format_rows(line: str, table: np.ndarray) -> str:
     return (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def write_mesh(mesh: Mesh, node_path, ele_path, facet_path=None):
+def write_mesh(mesh: Mesh, node_path, ele_path, facet_path):
     """Write a mesh with 1-based indices, the dual of ``read_mesh``: a 2D
     mesh as Triangle .node/.ele/.edge files, a 3D mesh as TetGen
-    .node/.ele/.face files (the row layouts coincide). The facet file,
-    if given, lists the boundary facets with their markers."""
+    .node/.ele/.face files (the row layouts coincide). The facet file
+    lists the boundary facets with their markers."""
     d = mesh.dim
     if d == 1:
         raise ValueError("no on-disk format for 1D meshes")
@@ -534,9 +534,8 @@ def write_mesh(mesh: Mesh, node_path, ele_path, facet_path=None):
              (ele_path, f"{mesh.n_cells} {d + 1} 0\n", ints, mesh.cells + 1),
              (facet_path, f"{len(facets)} 1\n", ints, facets)]
     for path, header, line, table in files:
-        if path is not None:
-            # 1-based row numbers lead each row; in the float node table
-            # they print as integers, since "%d" % 1.0 == "1"
-            numbered = np.column_stack([np.arange(1, len(table) + 1), table])
-            with open(path, "w") as fh:
-                fh.write(header + _format_rows(line, numbered))
+        # 1-based row numbers lead each row; in the float node table they
+        # print as integers, since "%d" % 1.0 == "1"
+        numbered = np.column_stack([np.arange(1, len(table) + 1), table])
+        with open(path, "w") as fh:
+            fh.write(header + _format_rows(line, numbered))

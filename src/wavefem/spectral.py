@@ -93,7 +93,6 @@ from .assembly import AssembledOperators, _factor, _scatter
 __all__ = [
     "Spectrum",
     "LambdaMax",
-    "SpuriousModeReport",
     "laplacian_pencil",
     "laplacian_spectrum",
     "max_eigenvalue",
@@ -152,17 +151,26 @@ class Spectrum:
     """Eigenvalues of the discrete Laplacian, sorted ascending.
 
     ``eigenvalues`` holds the full spectrum (dense path) or its low end
-    (iterative path); ``lambda_max`` is the largest eigenvalue, on the
-    iterative path that of ``lambda_max_solve``. ``m_h`` is the pencil's
-    size (free scalar DOFs), on which ``eigenvectors`` live.
+    (iterative path). ``m_h`` is the pencil's size (free scalar DOFs), on
+    which ``eigenvectors`` live; ``lambda_max_solve`` is the Lanczos
+    solve for the largest eigenvalue (``_lambda_max``).
     """
 
     eigenvalues: np.ndarray
-    lambda_max: float
     m_h: int
-    complete: bool
+    lambda_max_solve: LambdaMax
     eigenvectors: Optional[np.ndarray] = None
-    lambda_max_solve: Optional[LambdaMax] = None
+
+    @property
+    def complete(self) -> bool:
+        """Whether ``eigenvalues`` lists every eigenvalue of the pencil."""
+        return len(self.eigenvalues) == self.m_h
+
+    @property
+    def lambda_max(self) -> float:
+        """The largest eigenvalue: the last one of a complete spectrum,
+        else the Rayleigh quotient of ``lambda_max_solve``."""
+        return float(self.eigenvalues[-1]) if self.complete else self.lambda_max_solve.value
 
     @property
     def null_threshold(self) -> float:
@@ -241,13 +249,12 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
     if m_h <= DENSE_CUTOFF:
         solved = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=not compute_vectors)
         vals, vecs = solved if compute_vectors else (solved, None)
-        return Spectrum(vals, float(vals[-1]), m_h, True, vecs, top)
+        return Spectrum(vals, m_h, top, vecs)
 
     sigma = -1e-3 * (A.diagonal().mean() / M.diagonal().mean())
     vals, vecs, _ = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
     rank = np.argsort(vals)
-    return Spectrum(vals[rank], top.value, m_h, False,
-                    vecs[:, rank] if compute_vectors else None, top)
+    return Spectrum(vals[rank], m_h, top, vecs[:, rank] if compute_vectors else None)
 
 
 def max_eigenvalue(ops: AssembledOperators) -> LambdaMax:
@@ -290,30 +297,16 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
     The bound is tight on well-shaped cells (1.08 to 1.25 times
     lambda_max on ``square:8``, ``square:32``, ``cube:3`` and ``cube:8``)
     and loose on slivers (2.95 to 232 times on the fixture meshes), so
-    it certifies a dt as stable but is no estimate of the limit. It is
-    cached on ``ops`` for the dt check and the shift of ``max_eigenvalue``.
+    it certifies a dt as stable but is no estimate of the limit.
     """
-    if ops._lambda_bound is None:
-        A = _cell_laplacian(ops)
-        L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
-        lam = np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets
-        ops._lambda_bound = float(lam.max())
-    return ops._lambda_bound
+    A = _cell_laplacian(ops)
+    L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
+    return float((np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets).max())
 
 
-@dataclass
-class SpuriousModeReport:
-    levels: list  # the spectra, coarsest first
-    flags: list
-
-    @property
-    def has_flags(self) -> bool:
-        return bool(self.flags)
-
-
-def spurious_mode_report(spectra: list) -> SpuriousModeReport:
-    """Track null-space size and the smallest nonzero eigenvalue across a
-    refinement sequence (coarsest first).
+def spurious_mode_report(spectra: list) -> list:
+    """Flag messages for the smallest nonzero eigenvalue across a
+    refinement sequence of spectra (coarsest first).
 
     A nonzero eigenvalue that drops by more than a factor of two between
     consecutive levels is flagged: a physical eigenvalue is stable under
@@ -326,7 +319,7 @@ def spurious_mode_report(spectra: list) -> SpuriousModeReport:
         if prev is not None and cur is not None and cur < 0.5 * prev:
             flags.append(f"smallest nonzero eigenvalue dropped {prev:.4g} -> {cur:.4g} "
                          f"between levels {lev - 1} and {lev}")
-    return SpuriousModeReport(list(spectra), flags)
+    return flags
 
 
 def spectrum_to_json(spectrum: Spectrum, path, metadata):
@@ -335,7 +328,7 @@ def spectrum_to_json(spectrum: Spectrum, path, metadata):
     payload = {
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "lambda_max": spectrum.lambda_max,
-        "lambda_max_solve": spectrum.lambda_max_solve and spectrum.lambda_max_solve._asdict(),
+        "lambda_max_solve": spectrum.lambda_max_solve._asdict(),
         "null_space_dimension": spectrum.null_count,
         "null_tolerance": NULL_TOLERANCE,
         "n_h_dofs": spectrum.m_h,

@@ -325,17 +325,17 @@ def test_only_3d_operators_carry_an_order(square_36):
 
 def test_replace_drops_cached_solvers(square_36):
     # a copy with a new scalar mass must factor that mass, not reuse the
-    # original's factor; the same holds for the cell bound, and the kick
-    # of a copy with a new velocity mass inverts that mass
+    # original's factor; the kick and the cell bound of a copy with a new
+    # velocity mass invert that mass
     _, ops = assemble_all(square_36)
     ops.h_mass_solver()
     b = np.random.default_rng(0).standard_normal(ops.dofs.m_h)
     kick = ops.kick(b)
-    wf.cell_lambda_bound(ops)
+    bound = wf.cell_lambda_bound(ops)
     scaled = replace(ops, h_mass=2.0 * ops.h_mass, u_mass_ref=2.0 * ops.u_mass_ref)
     x = scaled.h_mass_solver()(b)
     assert np.abs(scaled.h_mass @ x - b).max() <= 1e-12 * np.abs(b).max()
-    assert scaled._lambda_bound is None
+    assert abs(2.0 * wf.cell_lambda_bound(scaled) - bound) <= 1e-12 * bound
     assert np.abs(2.0 * scaled.kick(b) - kick).max() <= 1e-14 * np.abs(kick).max()
 
 

@@ -357,15 +357,10 @@ def test_standing_wave_space_time_order():
 
 def test_interpolate_state_nodal(square_36):
     dofs = wf.build_dof_maps(square_36)
-    state = interpolate_state(square_36, dofs, lambda x: x[..., 0] + 2.0 * x[..., 1],
-                              u0=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1))
+    state = interpolate_state(square_36, dofs, lambda x: x[..., 0] + 2.0 * x[..., 1])
     coords = h_dof_coords(square_36, dofs)
     assert np.allclose(state.h, coords[:, 0] + 2.0 * coords[:, 1])
-    c = 5
-    for j in range(3):
-        x = square_36.cell_coords[c, j]
-        assert state.u[0][dofs.u_cell_dofs[c, j]] == pytest.approx(x[1])
-        assert state.u[1][dofs.u_cell_dofs[c, j]] == pytest.approx(-x[0])
+    assert state.u.shape == (2, dofs.m_u) and not state.u.any()
 
 
 def test_simulate_energy_rows(square_36):

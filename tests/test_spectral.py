@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 import wavefem as wf
 from wavefem import dynamics, spectral
 from wavefem.elements import p2_basis, quadrature
-from wavefem.spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
+from wavefem.spectral import (LambdaMax, Spectrum, cell_lambda_bound, laplacian_pencil,
                               laplacian_spectrum, max_eigenvalue,
                               spectrum_to_json, spurious_mode_report)
 
@@ -509,12 +509,11 @@ def test_spurious_transition_3d(cube_44, cube_200, cube_400):
     for mesh in (cube_44, cube_200, cube_400):
         _, ops = assemble_all(mesh, "dirichlet")
         specs.append(laplacian_spectrum(ops))
-    report = spurious_mode_report(specs)
-    nulls = [lev.null_count for lev in report.levels]
+    nulls = [lev.null_count for lev in specs]
     assert nulls[0] > 0
     assert nulls[-1] == 0
     # smallest nonzero stays near 3 pi^2 across the sequence
-    for lev in report.levels:
+    for lev in specs:
         assert abs(lev.smallest_nonzero - 3 * PI2) / (3 * PI2) <= 0.02
 
 
@@ -549,20 +548,17 @@ def test_dirichlet_null_modes_live_in_corner_cells(name):
 
 def test_single_level_report_unflagged(square_36):
     _, ops = assemble_all(square_36, "neumann")
-    report = spurious_mode_report([laplacian_spectrum(ops)])
-    assert not report.has_flags
-    assert len(report.levels) == 1
+    assert spurious_mode_report([laplacian_spectrum(ops)]) == []
 
 
 def test_pesky_mode_flagging():
     # synthetic spectra: a mode sinking by more than half must be flagged
-    good = Spectrum(np.array([0.0, 9.9, 20.0]), 20.0, 3, True)
-    sinking = Spectrum(np.array([0.0, 3.1, 20.0]), 20.0, 3, True)
-    report = spurious_mode_report([good, sinking])
-    assert report.has_flags
-    stable = Spectrum(np.array([0.0, 9.87, 19.9]), 19.9, 3, True)
-    report = spurious_mode_report([good, stable])
-    assert not report.has_flags
+    good = Spectrum(np.array([0.0, 9.9, 20.0]), 3, LambdaMax(20.0, 0.0, 0))
+    sinking = Spectrum(np.array([0.0, 3.1, 20.0]), 3, LambdaMax(20.0, 0.0, 0))
+    assert spurious_mode_report([good, sinking]) == [
+        "smallest nonzero eigenvalue dropped 9.9 -> 3.1 between levels 0 and 1"]
+    stable = Spectrum(np.array([0.0, 9.87, 19.9]), 3, LambdaMax(19.9, 0.0, 0))
+    assert spurious_mode_report([good, stable]) == []
 
 
 def test_2d_neumann_stable_under_refinement(square_150, square_1500):
@@ -570,16 +566,31 @@ def test_2d_neumann_stable_under_refinement(square_150, square_1500):
     for mesh in (square_150, square_1500):
         _, ops = assemble_all(mesh, "neumann")
         specs.append(laplacian_spectrum(ops))
-    report = spurious_mode_report(specs)
-    assert not report.has_flags
-    assert [lev.null_count for lev in report.levels] == [1, 1]
+    assert spurious_mode_report(specs) == []
+    assert [lev.null_count for lev in specs] == [1, 1]
 
 
-def test_exports(tmp_path, square_36):
+def test_exports(tmp_path, square_36, monkeypatch):
+    # the JSON contract on both solver paths: the dense spectrum is complete
+    # and ends at lambda_max; the iterative one lists its low end, and
+    # lambda_max is the Lanczos Rayleigh quotient
     _, ops = assemble_all(square_36, "neumann")
-    spec = laplacian_spectrum(ops)
-    json_path = tmp_path / "spec.json"
-    spectrum_to_json(spec, str(json_path), metadata={"bc": "neumann"})
-    payload = json.loads(json_path.read_text())
-    assert payload["null_space_dimension"] == 1
-    assert payload["metadata"]["bc"] == "neumann"
+    for dense in (True, False):
+        if not dense:
+            monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+        json_path = tmp_path / f"spec_{dense}.json"
+        spectrum_to_json(laplacian_spectrum(ops), str(json_path), metadata={"bc": "neumann"})
+        payload = json.loads(json_path.read_text())
+        assert set(payload) == {"eigenvalues", "lambda_max", "lambda_max_solve",
+                                "null_space_dimension", "null_tolerance", "n_h_dofs",
+                                "complete", "metadata"}
+        assert payload["null_space_dimension"] == 1
+        assert payload["null_tolerance"] == spectral.NULL_TOLERANCE
+        assert payload["metadata"] == {"bc": "neumann"}
+        assert payload["complete"] is dense
+        assert payload["n_h_dofs"] == ops.dofs.m_h
+        assert (len(payload["eigenvalues"]) == ops.dofs.m_h) is dense
+        solve = payload["lambda_max_solve"]
+        assert set(solve) == {"value", "error", "solves"}
+        top = payload["eigenvalues"][-1] if dense else solve["value"]
+        assert payload["lambda_max"] == top
