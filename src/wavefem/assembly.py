@@ -38,12 +38,13 @@ every scalar DOF is free. There, the weak form can still leave null
 modes in a cell with d Dirichlet facets, such as a corner cell of
 ``square:N`` (see ``spectral.Spectrum.null_count``).
 
-Every global matrix is a scatter of per-cell dense blocks (``_scatter``):
-the scalar mass, each gradient and the discrete Laplacian A = sum_K
-scatter(A_K) of ``spectral``. The kick applies u_mass^{-1} cell by cell
-after the gradients, so no matrix u_mass^{-1} grad is built. Because grad
-P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h, so
-under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
+Every global matrix is a scatter of per-cell dense blocks (``_scatter``).
+``assemble`` computes the blocks, ``AssembledOperators.__post_init__``
+scatters the scalar mass and each gradient, and ``spectral`` the discrete
+Laplacian A = sum_K scatter(A_K). The kick applies u_mass^{-1} cell by
+cell after the gradients, so no matrix u_mass^{-1} grad is built. Because
+grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
+so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
 Dirichlet facet blocks change A only on the DOFs of their owner cells.
 
 One routine, ``_factor``, factors every sparse matrix: the free block of
@@ -84,26 +85,26 @@ DISSECTION_LEAF = 32  # parts up to this many DOFs are not split further
 class AssembledOperators:
     """Global matrices and boundary vectors of the semi-discrete system.
 
-    Scalar vectors and matrices span all ``m_h`` scalar DOFs. The fixed
-    DOFs (strong Dirichlet vertices, 1D only) hold ``h_fixed_values``;
-    the scalar equation is posed on the free DOFs ``h_free``.
+    The fields below are what assembly computes per cell or boundary
+    facet. ``__post_init__``, which ``dataclasses.replace`` reruns, derives
+    the rest: ``dim``, the scalar mass ``h_mass`` and the d-tuple ``grad``
+    of (m_u, m_h) gradients, both scattered from the cell blocks, and the
+    free scalar DOFs ``h_free``, ascending. Scalar vectors and matrices
+    span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
+    vertices, 1D only) hold ``h_fixed_values``.
     """
 
-    dim: int
     dofs: DofMap
-    h_mass: sp.csr_matrix
-    grad: tuple                 # d sparse matrices, shape (m_u, m_h)
-    dirichlet_rhs: np.ndarray   # (d, m_u)
-    neumann_rhs: np.ndarray     # length m_h
-    h_free: np.ndarray          # free scalar DOFs, ascending
-    h_fixed: np.ndarray         # fixed scalar DOFs
-    h_fixed_values: np.ndarray  # g at the fixed scalar DOFs
     grad_cells: np.ndarray      # (C, d, n1, n2) per-cell gradient blocks,
                                 # weak Dirichlet facet terms included
     cell_dets: np.ndarray       # (C,) affine-map determinants
     u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
     h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
                                 # cell_dets[K] times these
+    dirichlet_rhs: np.ndarray   # (d, m_u)
+    neumann_rhs: np.ndarray     # length m_h
+    h_fixed: np.ndarray         # fixed scalar DOFs
+    h_fixed_values: np.ndarray  # g at the fixed scalar DOFs
     h_order: Optional[np.ndarray]  # fill-reducing order of the free scalar
                                 # DOFs for ``_factor``; None in 1D and 2D
     # Cache filled on first use; ``dataclasses.replace`` does not copy it.
@@ -111,6 +112,12 @@ class AssembledOperators:
 
     def __post_init__(self):
         # derived anew by ``dataclasses.replace``; the transposes are CSC views
+        hd, ud, m_h = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs, self.dofs.m_h
+        self.dim = self.grad_cells.shape[1]
+        self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
+        self.grad = tuple(_scatter(ud, hd, self.grad_cells[:, i], (self.dofs.m_u, m_h))
+                          for i in range(self.dim))
+        self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
         self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
         self._grad_T = tuple(g.T for g in self.grad)
 
@@ -285,8 +292,6 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
 
     m_u, m_h, hd, ud = dofs.m_u, dofs.m_h, dofs.h_cell_dofs, dofs.u_cell_dofs
 
-    h_mass = _scatter(hd, hd, det[:, None, None] * mh_ref, (m_h, m_h))
-
     # Boundary facets, all at once: each facet's quadrature points are the
     # embedded rule of its local facet, so the owner-cell bases come from
     # the d+1 embedded rules: their barycentric points are the P1_DG
@@ -310,7 +315,6 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     corner = np.array(CELL_FACETS[d])[lf[strong], 0]
     h_fixed = hd[cell[strong], corner]
     h_fixed_values = sample(bc.g, strong).ravel()
-    h_free = np.setdiff1d(np.arange(m_h), h_fixed)
 
     # Weak Dirichlet facets: -n_i (v, h) joins the owner's gradient block;
     # n_i (v, g) goes to the right-hand side.
@@ -324,20 +328,13 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
 
     np.add.at(grad_cells, cD, -nD[:, :, None, None] * blocks[:, None])
 
-    grad = tuple(_scatter(ud, hd, grad_cells[:, i], (m_u, m_h)) for i in range(d))
-
     # Neumann facets: (v, f) for every scalar test function v
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
-    h_order = None
+    ops = AssembledOperators(dofs, grad_cells, det, mu_ref, mh_ref, dirichlet_rhs,
+                             neumann_rhs, h_fixed, h_fixed_values, h_order=None)
     if d == 3:  # every DOF is free in 3D
-        h_order = _dissection_order(h_mass, h_dof_coords(mesh, dofs))
-
-    return AssembledOperators(
-        dim=d, dofs=dofs, h_mass=h_mass, grad=grad,
-        dirichlet_rhs=dirichlet_rhs, neumann_rhs=neumann_rhs,
-        h_free=h_free, h_fixed=h_fixed, h_fixed_values=h_fixed_values,
-        grad_cells=grad_cells, cell_dets=det, u_mass_ref=mu_ref, h_mass_ref=mh_ref,
-        h_order=h_order)
+        ops.h_order = _dissection_order(ops.h_mass, h_dof_coords(mesh, dofs))
+    return ops

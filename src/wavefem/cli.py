@@ -8,10 +8,12 @@ reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
 ``peak_rss_mb`` (the peak resident set size in MiB). ``spectrum`` adds
 ``lambda_max`` (``spectral.LambdaMax``). ``simulate`` adds ``dt_check``
 (``dynamics.SimulationResult.dt_check``: the dt check's path, certified
-limit and pivot count) and ``mass_solve`` (the ordering and stored L+U
-entry count of the scalar-mass factor, ``assembly._factor``), and keeps
-its manifest when a run aborts. Exit codes: 0 success, 1 input, usage or
-output-path error, 2 numerical failure, 3 invariant violation.
+limit and pivot count), ``mass_solve`` (the ordering and stored L+U
+entry count of the scalar-mass factor, ``assembly._factor``) and
+``energy_error_max`` (the max |E - E0| / E0 it prints, over the energy
+rows kept), and keeps its manifest when a run aborts. Exit codes: 0
+success, 1 input, usage or output-path error, 2 numerical failure, 3
+invariant violation.
 
 A ``simulate`` config file's keys besides ``bc`` and the ``ic`` preset are
 tabled, with their defaults and checks, in ``dynamics.SimulationConfig``.
@@ -247,10 +249,11 @@ def cmd_simulate(args):
                np.column_stack([result.times, result.energies, result.energy_errors]))
     outputs.append(energy_path)
 
+    error_max = float(np.abs(result.energy_errors).max())  # over the kept rows
     if result.abort_step is None:
         code = EXIT_OK
         print(f"completed {config.n_steps} steps to t={result.final_state.time:.6g}")
-        print(f"max |energy error|: {np.abs(result.energy_errors).max():.3e}")
+        print(f"max |energy error|: {error_max:.3e}")
     else:
         code = EXIT_NUMERICAL
         print(f"UNSTABLE: aborted at step {result.abort_step}; "
@@ -260,7 +263,7 @@ def cmd_simulate(args):
                                  "n_steps": config.n_steps, "stride": config.stride,
                                  "force_dt": args.force_dt},
                   "outputs": outputs, "dt_check": result.dt_check,
-                  "mass_solve": ops.h_mass_solver().summary}
+                  "mass_solve": ops.h_mass_solver().summary, "energy_error_max": error_max}
 
 
 def cmd_mesh_convert(args):

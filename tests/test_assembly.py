@@ -332,11 +332,44 @@ def test_replace_drops_cached_solvers(square_36):
     b = np.random.default_rng(0).standard_normal(ops.dofs.m_h)
     kick = ops.kick(b)
     bound = wf.cell_lambda_bound(ops)
-    scaled = replace(ops, h_mass=2.0 * ops.h_mass, u_mass_ref=2.0 * ops.u_mass_ref)
+    scaled = replace(ops, h_mass_ref=2.0 * ops.h_mass_ref, u_mass_ref=2.0 * ops.u_mass_ref)
+    assert np.array_equal(scaled.h_mass.data, 2.0 * ops.h_mass.data)
     x = scaled.h_mass_solver()(b)
     assert np.abs(scaled.h_mass @ x - b).max() <= 1e-12 * np.abs(b).max()
-    assert abs(2.0 * wf.cell_lambda_bound(scaled) - bound) <= 1e-12 * bound
+    # A halves with the velocity mass and the scalar mass doubles
+    assert abs(4.0 * wf.cell_lambda_bound(scaled) - bound) <= 1e-12 * bound
     assert np.abs(2.0 * scaled.kick(b) - kick).max() <= 1e-14 * np.abs(kick).max()
+
+
+def test_replace_rederives_global_operators():
+    # the global matrices of a copy follow its cell blocks: doubled gradient
+    # blocks double the kick and the divergence and quadruple the Laplacian
+    mesh = wf.generate_square_mesh(8)
+    dofs = wf.build_dof_maps(mesh)
+    ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, lambda x: x[:, 0] + 2 * x[:, 1]))
+    twice = replace(ops, grad_cells=2.0 * ops.grad_cells)
+    rng = np.random.default_rng(0)
+    h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((2, dofs.m_u))
+    zero = np.zeros(dofs.m_h)
+    for new, old in [(twice.kick(h) - twice.kick(zero), ops.kick(h) - ops.kick(zero)),
+                     (twice.divergence(u) + twice.neumann_rhs,
+                      ops.divergence(u) + ops.neumann_rhs)]:
+        assert np.abs(new - 2.0 * old).max() <= 1e-12 * np.abs(old).max()
+    A, A2 = wf.laplacian_pencil(ops)[0], wf.laplacian_pencil(twice)[0]
+    assert abs(A2 - 4.0 * A).max() <= 1e-12 * abs(A).max()
+    bound = wf.cell_lambda_bound(ops)
+    assert abs(wf.cell_lambda_bound(twice) - 4.0 * bound) <= 1e-12 * bound
+
+
+def test_replace_rederives_free_dofs():
+    # a 1D copy with one of its two Dirichlet vertices fixed leaves the other free
+    mesh = wf.generate_interval_mesh(8, 1.0)
+    dofs = wf.build_dof_maps(mesh)
+    ops = assemble(mesh, dofs, wf.BcSpec(dirichlet_markers={1, 2}, g=lambda x: 1.0 + x[:, 0]))
+    assert len(ops.h_fixed) == 2 and len(ops.h_free) == dofs.m_h - 2
+    one = replace(ops, h_fixed=ops.h_fixed[:1], h_fixed_values=ops.h_fixed_values[:1])
+    assert len(one.h_free) == dofs.m_h - 1
+    assert np.array_equal(one.h_free, np.delete(np.arange(dofs.m_h), ops.h_fixed[0]))
 
 
 def test_semidiscrete_rhs_zero_state(square_36):

@@ -192,6 +192,12 @@ def test_simulate_refuses_unstable_dt(tmp_path, capsys):
     assert "stability estimate" in capsys.readouterr().err
 
 
+def max_energy_error(path):
+    """Largest |energy_error| of an ``energy.csv``."""
+    with open(path) as fh:
+        return max(abs(float(row.split(",")[2])) for row in fh.read().split()[1:])
+
+
 def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "dt = 0.5\nt_end = 50\nbc = neumann\n")
     out_dir = str(tmp_path / "out")
@@ -207,6 +213,8 @@ def test_simulate_forced_blowup_exit_code(tmp_path, capsys):
     assert manifest["dt_check"]["path"] == "forced"
     assert manifest["outputs"] == [energy_path]
     assert manifest["peak_rss_mb"] > 0.0
+    # over the rows kept before the blow-up, which are all finite
+    assert 0.0 < manifest["energy_error_max"] == max_energy_error(energy_path) < np.inf
 
 
 def test_simulate_blowup_hidden_by_stride_exit_code(tmp_path, capsys):
@@ -260,7 +268,8 @@ def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
     assert run([a.format(d=d) for a in argv]) == 0
     with open(manifest.format(d=d)) as fh:
         record = json.load(fh)
-    extra = {"spectrum": ["lambda_max"], "simulate": ["dt_check", "mass_solve"]}.get(argv[0], [])
+    extra = {"spectrum": ["lambda_max"],
+             "simulate": ["dt_check", "mass_solve", "energy_error_max"]}.get(argv[0], [])
     assert list(record) == MANIFEST_KEYS + extra
     assert record["command"] == argv[0]
     assert record["tool_version"] == wf.__version__
@@ -271,6 +280,11 @@ def test_every_manifest(tmp_path, capsys, argv, manifest, parameters):
     written = {os.path.join(root, name) for root, _, names in os.walk(d) for name in names}
     assert set(record["outputs"]) == written - {manifest.format(d=d), cfg}
     assert len(record["outputs"]) == len(set(record["outputs"]))
+    if argv[0] == "simulate":
+        # the printed max energy error, exact to the energy.csv rows
+        error_max = record["energy_error_max"]
+        assert f"max |energy error|: {error_max:.3e}\n" in capsys.readouterr().out
+        assert error_max == max_energy_error(os.path.join(d, "sim", "energy.csv"))
 
 
 def test_simulate_manifest_dt_check(tmp_path, capsys):

@@ -355,6 +355,41 @@ def test_standing_wave_space_time_order():
     assert np.log2(max_error(16) / max_error(32)) >= 2.8
 
 
+def standing_wave_error(kind, n, modes, dt):
+    """Relative M-norm error at t = 0.5 of a Neumann standing wave
+    prod_i cos(pi m_i x_i), from rest on ``kind``:n, against the nodal
+    interpolant of the exact solution cos(pi |m| t) times the mode."""
+    mesh = (wf.generate_cube_mesh if kind == "cube" else wf.generate_square_mesh)(n)
+    dofs, ops = assemble_all(mesh, "neumann")
+    k = np.pi * np.array(modes)
+
+    def mode(x):
+        return np.prod(np.cos(k * x), axis=-1)
+
+    state = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=0.5, ic_h=mode)).final_state
+    exact = np.cos(np.linalg.norm(k) * state.time) * mode(h_dof_coords(mesh, dofs))
+    error = state.h - exact
+    return np.sqrt(error @ (ops.h_mass @ error) / (exact @ (ops.h_mass @ exact)))
+
+
+@pytest.mark.parametrize("kind,sizes,modes,least", [
+    ("square", [8, 16, 32], (1, 2), 3.5),  # 2.04e-3, 1.44e-4, 1.02e-5: rates 3.83, 3.81
+    ("cube", [4, 8], (1, 1, 1), 3.3)])     # 1.24e-2, 1.04e-3: rate 3.58
+def test_standing_wave_rate_in_space(kind, sizes, modes, least):
+    # at dt = 0.4 h^2 Verlet's dt^2 error falls as h^4 too, so the error
+    # against the interpolant falls at its spatial rate, about 4
+    errors = [standing_wave_error(kind, n, modes, 0.4 / n ** 2) for n in sizes]
+    assert all(np.log2(e / f) >= least for e, f in zip(errors, errors[1:]))
+
+
+def test_standing_wave_rate_in_time():
+    # at dt = 0.1 h Verlet's dt^2 error takes over: square:32 -> 64 gives
+    # 3.23e-5 -> 7.10e-6, rate 2.19
+    rate = np.log2(standing_wave_error("square", 32, (1, 2), 0.1 / 32)
+                   / standing_wave_error("square", 64, (1, 2), 0.1 / 64))
+    assert 1.8 <= rate <= 2.6
+
+
 def test_interpolate_state_nodal(square_36):
     dofs = wf.build_dof_maps(square_36)
     state = interpolate_state(square_36, dofs, lambda x: x[..., 0] + 2.0 * x[..., 1])

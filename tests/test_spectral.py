@@ -174,7 +174,7 @@ def test_indefinite_mass_raises(square_36, monkeypatch, cutoff):
     spectrum alike."""
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
     _, ops = assemble_all(square_36, "dirichlet")
-    bad = dataclasses.replace(ops, h_mass=-ops.h_mass)
+    bad = dataclasses.replace(ops, h_mass_ref=-ops.h_mass_ref)
     for solve in (laplacian_spectrum, max_eigenvalue):
         with pytest.raises(RuntimeError, match="not positive definite"):
             solve(bad)
