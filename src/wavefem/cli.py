@@ -153,11 +153,12 @@ def cmd_spectrum(args):
 
 
 def cmd_dispersion(args):
-    samples, summary = dispersion.dispersion_sweep(args.samples)
+    samples = dispersion.dispersion_sweep(args.samples)
+    w_lower, w_upper = samples[:, 1].max(), samples[:, 2].min()
     print(f"samples: {len(samples)}")
-    print(f"max lower-branch frequency: {summary.max_w_lower:.6f}")
-    print(f"min upper-branch frequency: {summary.min_w_upper:.6f}")
-    print(f"spectral gap: {summary.gap:.6f}")
+    print(f"max lower-branch frequency: {w_lower:.6f}")
+    print(f"min upper-branch frequency: {w_upper:.6f}")
+    print(f"spectral gap: {w_upper - w_lower:.6f}")
     if not args.out:
         return EXIT_OK, None
     _write_csv(args.out, "phi,w_lower,w_upper,disc_lower,disc_upper", "%r,%r,%r,%r,%r",
@@ -167,9 +168,9 @@ def cmd_dispersion(args):
 
 
 def _parse_config(path) -> dict:
-    known = {"dt": float, "t_end": float, "stride": int, "bc": str, "ic": str,
-             "center": lambda v: list(map(float, v.split())), "width": float,
-             "modes": lambda v: list(map(int, v.split())), "c": float, "snapshot_stride": int}
+    known = {"dt": float, "t_end": float, "stride": int, "snapshot_stride": int, "c": float,
+             "bc": str, "ic": str, "center": lambda v: list(map(float, v.split())), "width": float,
+             "modes": lambda v: np.array(list(map(int, v.split())), dtype=np.int64)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -186,7 +187,7 @@ def _parse_config(path) -> dict:
                 raise dynamics.ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 values[key] = known[key](value)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise dynamics.ConfigurationError(
                     f"{path}:{lineno}: bad value for {key!r}") from exc
     return values
@@ -207,9 +208,12 @@ def _initial_condition(cfg: dict, dim: int):
             raise dynamics.ConfigurationError("center must have one value per dimension")
         if not 0.0 < width < np.inf:
             raise dynamics.ConfigurationError(f"width must be finite and positive, got {width!r}")
+        var2 = 2.0 * width * width
+        if not 0.0 < var2 < np.inf:
+            raise dynamics.ConfigurationError(f"2 width^2 is {var2!r} for width {width!r}")
         if not np.isfinite(center).all():
             raise dynamics.ConfigurationError("center must be finite")
-        return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2))
+        return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / var2)
     modes = np.array(cfg.get("modes", [1] * dim))
     if len(modes) != dim:
         raise dynamics.ConfigurationError("modes must have one value per dimension")

@@ -36,12 +36,10 @@ The pencil's determinant factors into two branches,
     w = 2 * sqrt((26 + 4 cos(phi) +/- sqrt(474 + 448 cos(phi)
                   - 22 cos(2 phi))) / (6 - 2 cos(phi))),
 
-separated by a spectral gap (``dispersion_closed_form``).
+separated by a spectral gap (``dispersion_closed_form``, ``dispersion_sweep``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from .elements import build_dof_maps
 from .mesh import BcSpec, generate_interval_mesh
 
 __all__ = [
-    "GapSummary",
     "AnalysisError",
     "dispersion_closed_form",
     "dispersion_branches",
@@ -114,21 +111,11 @@ def dispersion_branches(phis) -> tuple[np.ndarray, np.ndarray]:
     return w, disc
 
 
-@dataclass(frozen=True)
-class GapSummary:
-    max_w_lower: float
-    min_w_upper: float
-
-    @property
-    def gap(self) -> float:
-        return self.min_w_upper - self.max_w_lower
-
-
-def dispersion_sweep(n_samples: int) -> tuple[np.ndarray, GapSummary]:
+def dispersion_sweep(n_samples: int) -> np.ndarray:
     """Sample both branches on a uniform grid of ``n_samples`` wavenumbers
-    in (0, pi] and summarize the spectral gap. The samples are one row per
-    wavenumber, shape (n_samples, 5): phi, w_lower, w_upper, disc_lower,
-    disc_upper.
+    in (0, pi], one row per wavenumber, shape (n_samples, 5): phi, w_lower,
+    w_upper, disc_lower, disc_upper. The spectral gap is
+    ``samples[:, 2].min() - samples[:, 1].max()``.
 
     Raises :class:`AnalysisError` if the lower branch is not strictly
     increasing or if the gap closes; either would mean a broken
@@ -138,9 +125,8 @@ def dispersion_sweep(n_samples: int) -> tuple[np.ndarray, GapSummary]:
         raise ValueError("n_samples must be >= 2")
     phis = np.pi * np.arange(1, n_samples + 1) / n_samples
     w, disc = dispersion_branches(phis)
-    if n_samples > 2 and not np.all(np.diff(w[:, 0]) > 0.0):
+    if not np.all(np.diff(w[:, 0]) > 0.0):
         raise AnalysisError("lower dispersion branch is not monotone on (0, pi]")
-    summary = GapSummary(float(w[:, 0].max()), float(w[:, 1].min()))
-    if summary.gap <= 0.0:
+    if not w[:, 1].min() > w[:, 0].max():
         raise AnalysisError("spectral gap is not positive")
-    return np.column_stack([phis, w, disc]), summary
+    return np.column_stack([phis, w, disc])

@@ -220,10 +220,11 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     Unless ``config.allow_unstable_dt`` is set, the dt check of the module
     docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
     above its limit is a ``ConfigurationError``, a lambda_max that gives no
-    limit a ``RuntimeError``. The first step whose energy is non-finite
-    aborts the run (module docstring); the result keeps the rows and state
-    from before that step and names it ``abort_step``. Rows are kept
-    at step 0, the multiples of ``config.stride`` and the last step;
+    limit a ``RuntimeError``. A non-finite initial energy is a
+    ``ConfigurationError``. The first step whose energy is non-finite aborts
+    the run (module docstring); the result keeps the rows and state from
+    before that step and names it ``abort_step``. Rows are kept at step 0,
+    the multiples of ``config.stride`` and the last step;
     ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
     ``config.snapshot_stride``, never when that is None.
     """
@@ -233,7 +234,8 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
         bound = 2.0 / (c * np.sqrt(cell_lambda_bound(ops) * (1.0 + BOUND_MARGIN)))
         dt_check = {"path": "cell_bound", "cell_bound_limit": bound}
         if not config.dt <= bound:  # a NaN bound certifies nothing
-            sigma = 4.0 / (c * config.dt) ** 2
+            tau = c * config.dt
+            sigma = 4.0 / (tau * tau)  # 0 where tau * tau overflows: no dt passes
             count, nnz = pivot_inertia(ops, sigma)
             dt_check.update(path="inertia", sigma=sigma, nonpositive_pivots=count, factor_nnz=nnz)
             if count:
@@ -253,7 +255,9 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
 
     state = interpolate_state(mesh, ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
-    record(0, state, energy(state, ops))
+    if not np.isfinite(e := energy(state, ops)):
+        raise ConfigurationError(f"the initial energy is {e!r}; the initial data must be finite")
+    record(0, state, e)
     abort_step = None
     for step in range(1, config.n_steps + 1):
         new = verlet_step(state, ops, config.dt, config.c)

@@ -151,15 +151,15 @@ class Spectrum:
     """Eigenvalues of the discrete Laplacian, sorted ascending.
 
     ``eigenvalues`` holds the full spectrum (dense path) or its low end
-    (iterative path). ``m_h`` is the pencil's size (free scalar DOFs), on
-    which ``eigenvectors`` live; ``lambda_max_solve`` is the Lanczos
-    solve for the largest eigenvalue (``_lambda_max``).
+    (iterative path). ``m_h`` is the pencil's size (free scalar DOFs) and
+    ``lambda_max_solve`` the Lanczos solve for the largest eigenvalue
+    (``_lambda_max``). ``scipy.linalg.eigh`` on ``laplacian_pencil(ops)``
+    gives the eigenpairs.
     """
 
     eigenvalues: np.ndarray
     m_h: int
     lambda_max_solve: LambdaMax
-    eigenvectors: Optional[np.ndarray] = None
 
     @property
     def complete(self) -> bool:
@@ -235,8 +235,8 @@ def _lambda_max(A, M, ops: AssembledOperators) -> LambdaMax:
     return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * (v @ Mv))), solves)
 
 
-def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -> Spectrum:
-    """Solve the symmetric generalized eigenproblem of the discrete Laplacian.
+def laplacian_spectrum(ops: AssembledOperators) -> Spectrum:
+    """Eigenvalues of the discrete Laplacian's generalized eigenproblem.
 
     Up to ``DENSE_CUTOFF`` free scalar DOFs the full spectrum is computed
     densely. Above it, shift-invert Lanczos resolves the lowest
@@ -247,14 +247,11 @@ def laplacian_spectrum(ops: AssembledOperators, compute_vectors: bool = False) -
     m_h = A.shape[0]
     top = _lambda_max(A, M, ops)
     if m_h <= DENSE_CUTOFF:
-        solved = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=not compute_vectors)
-        vals, vecs = solved if compute_vectors else (solved, None)
-        return Spectrum(vals, m_h, top, vecs)
+        return Spectrum(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True), m_h, top)
 
     sigma = -1e-3 * (A.diagonal().mean() / M.diagonal().mean())
-    vals, vecs, _ = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)
-    rank = np.argsort(vals)
-    return Spectrum(vals[rank], m_h, top, vecs[:, rank] if compute_vectors else None)
+    vals = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)[0]
+    return Spectrum(np.sort(vals), m_h, top)
 
 
 def max_eigenvalue(ops: AssembledOperators) -> LambdaMax:

@@ -153,6 +153,10 @@ def test_dispersion_cli(capsys, tmp_path):
 
 def test_dispersion_two_samples(capsys):
     assert run(["dispersion", "--samples", "2"]) == 0
+    assert capsys.readouterr().out == ("samples: 2\n"
+                                       "max lower-branch frequency: 3.162278\n"
+                                       "min upper-branch frequency: 3.464102\n"
+                                       "spectral gap: 0.301824\n")
 
 
 def write_config(tmp_path, text):
@@ -184,8 +188,14 @@ def test_simulate_cli(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "manifest.json"))
 
 
-def test_simulate_refuses_unstable_dt(tmp_path, capsys):
-    cfg = write_config(tmp_path, "dt = 0.5\nt_end = 5\nbc = neumann\n")
+@pytest.mark.parametrize("text", [
+    "dt = 0.5\nt_end = 5\nbc = neumann\n",
+    # (c dt)^2 overflows: sigma = 4 / (c dt)^2 is 0, which no dt passes
+    "dt = 1e160\nt_end = 1e160\nbc = neumann\n",
+    "dt = 1e160\nt_end = 1e160\nbc = dirichlet\n"],
+    ids=["dt-0.5", "dt-1e160-neumann", "dt-1e160-dirichlet"])
+def test_simulate_refuses_unstable_dt(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
     code = run(["simulate", "--generate", "square:3", "--config", cfg,
                 "--out-dir", str(tmp_path / "out")])
     assert code == 1
@@ -374,11 +384,16 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, key, value):
     ("modes = 1 2", "modes is not a setting of ic = gaussian"),
     ("ic = standing_wave\ncenter = 0.2 0.2", "center is not a setting of ic = standing_wave"),
     ("ic = standing_wave\nmodes =", "modes must have one value per dimension"),
-    ("ic = standing_wave\nwidth = 0.1", "width is not a setting of ic = standing_wave")],
+    ("ic = standing_wave\nwidth = 0.1", "width is not a setting of ic = standing_wave"),
+    # finite widths whose 2 width^2 underflows to 0 or overflows
+    ("width = 1e-200", "2 width^2 is 0.0 for width 1e-200"),
+    ("width = 1e200", "2 width^2 is inf for width 1e+200"),
+    ("ic = standing_wave\nmodes = 100000000000000000000000 1",
+     "{cfg}:4: bad value for 'modes'")],
     ids=["width-0", "width-nan", "center-nan", "snapshot-0", "snapshot-neg", "stride-0",
          "center-length", "modes-length", "ic", "bc", "no-equals", "center-empty",
          "modes-under-gaussian", "center-under-standing-wave", "modes-empty",
-         "width-under-standing-wave"])
+         "width-under-standing-wave", "width-underflow", "width-overflow", "modes-overflow"])
 def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     # bad input, not a numerical failure: exit 1 before the output
     # directory is created

@@ -574,3 +574,11 @@ def test_config_rejects_bad_numbers(field, value):
 def test_config_rejects_step_count_overflow():
     with pytest.raises(ConfigurationError, match="t_end / dt overflows"):
         SimulationConfig(dt=1e-300, t_end=1e300)
+
+
+def test_simulate_rejects_non_finite_initial_data(square_36):
+    # a NaN initial field is bad input, not a blow-up at step 1
+    _, ops = assemble_all(square_36, "neumann")
+    config = SimulationConfig(dt=1e-3, t_end=1e-2, ic_h=lambda x: np.full(len(x), np.nan))
+    with pytest.raises(ConfigurationError, match="initial energy is nan"):
+        simulate(square_36, ops, config)
