@@ -50,13 +50,13 @@ Dirichlet facet blocks change A only on the DOFs of their owner cells.
 One routine, ``_factor``, factors every sparse matrix: the free block of
 the scalar mass and the shifted pencils A - sigma M of ``spectral``. A
 has the mass's sparsity pattern, so one ordering of the free scalar DOFs
-serves all of them. On 3D meshes ``assemble`` builds a geometric nested
-dissection (``_dissection_order``, George 1973) and keeps it as
-``AssembledOperators.h_order``; SuperLU's minimum-degree ordering (MMD)
-fills badly on 3D P2 patterns (L+U on ``cube:8`` 2.19M entries against
-1.59M, on ``cube:12`` 19.1M against 8.10M, factor time 3.5 s against
-0.63 s there on a 2-core VM). In 1D and 2D MMD wins (``square:48``: 0.63M
-against 0.90M), so the order is None and MMD orders the factor.
+serves all of them. On 3D meshes ``assemble`` keeps a geometric nested
+dissection (``_dissection_order``, George 1973; each cut keeps the smaller
+one-sided separator) as ``AssembledOperators.h_order``; SuperLU's
+minimum-degree ordering (MMD) fills badly on 3D P2 patterns (L+U on
+``cube:8`` 2.19M entries against 1.27M, on ``cube:12`` 19.1M against 6.81M,
+factor time 3.5 s against 0.48 s there on a 2-core VM). It is None in 1D
+and 2D, where MMD does as well (``square:48``: 0.63M against 0.65M).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 QUAD_DEGREE = 4  # highest assembled integrand: quadratic x quadratic
-DISSECTION_LEAF = 32  # parts up to this many DOFs are not split further
+DISSECTION_LEAF = 16  # parts up to this many DOFs are not split further
 
 
 @dataclass
@@ -190,16 +190,18 @@ def _dissection_order(mat, coords: np.ndarray) -> np.ndarray:
     """Geometric nested-dissection order of the rows of the symmetric
     sparsity pattern ``mat``, whose DOFs sit at ``coords`` (George 1973).
 
-    A part is split at the median of its widest coordinate. Its separator
-    is the left DOFs coupled to the right ones, so the two halves left
-    without it share no entry. Both halves are ordered the same way, each
-    is numbered before the separator, and parts of at most
-    ``DISSECTION_LEAF`` DOFs keep their order. With the median value on
-    the left, a grid plane of DOFs lands on the left and is the separator.
+    A part is split at the median of its widest coordinate, the median
+    value on the left. The smaller of its two one-sided separators (one
+    side's DOFs coupled to the other; the left one on a tie) leaves two
+    halves that share no entry. The side that held it, then the other
+    side, are ordered the same way, and it is numbered last. Parts of at
+    most ``DISSECTION_LEAF`` DOFs keep their order. No Kuhn cell crosses a
+    vertex plane, so on the Kuhn lattice that separator is one DOF plane,
+    where the left one of a midpoint-plane median is two planes thick.
     """
     csr = mat.tocsr()
     ptr, cols, degree = csr.indptr, csr.indices, np.diff(csr.indptr)
-    right = np.zeros(mat.shape[0], dtype=bool)
+    mark = np.zeros(mat.shape[0], dtype=bool)
 
     def parts(idx):
         if len(idx) <= DISSECTION_LEAF:
@@ -209,15 +211,18 @@ def _dissection_order(mat, coords: np.ndarray) -> np.ndarray:
         on_left = key <= np.median(key)
         if on_left.all():  # over half the part on its far face: no split
             return [idx]
-        left, right_idx = idx[on_left], idx[~on_left]
+        left, right = idx[on_left], idx[~on_left]
         # gather the left rows' column entries; every row holds its diagonal
         count = degree[left]
         first = np.cumsum(count) - count
         entries = np.arange(count.sum()) + np.repeat(ptr[left] - first, count)
-        right[right_idx] = True
-        sep = np.logical_or.reduceat(right[cols[entries]], first)
-        right[right_idx] = False
-        return parts(left[~sep]) + parts(right_idx) + [left[sep]]
+        mark[right] = True
+        sep = np.logical_or.reduceat(hit := mark[cols[entries]], first)
+        mark[cols[entries[hit]]] = False  # symmetric: the right DOFs coupled to the left
+        right_sep, mark[right] = ~mark[right], False
+        if right_sep.sum() < sep.sum():
+            left, right, sep = right, left, right_sep
+        return parts(left[~sep]) + parts(right) + [left[sep]]
 
     return np.concatenate(parts(np.arange(mat.shape[0])))
 

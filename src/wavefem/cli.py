@@ -213,7 +213,7 @@ def _initial_condition(cfg: dict, dim: int):
             raise dynamics.ConfigurationError(f"2 width^2 is {var2!r} for width {width!r}")
         if not np.isfinite(center).all():
             raise dynamics.ConfigurationError("center must be finite")
-        return lambda x: np.exp(-np.sum((x - center) ** 2, axis=-1) / var2)
+        return np.errstate(over="ignore")(lambda x: np.exp(-((x - center) ** 2).sum(-1) / var2))
     modes = np.array(cfg.get("modes", [1] * dim))
     if len(modes) != dim:
         raise dynamics.ConfigurationError("modes must have one value per dimension")

@@ -221,8 +221,9 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
     above its limit is a ``ConfigurationError``, a lambda_max that gives no
     limit a ``RuntimeError``. A non-finite initial energy is a
-    ``ConfigurationError``. The first step whose energy is non-finite aborts
-    the run (module docstring); the result keeps the rows and state from
+    ``ConfigurationError``, as is a zero one with zero boundary data (the
+    zero solution). The first step whose energy is non-finite aborts the
+    run (module docstring); the result keeps the rows and state from
     before that step and names it ``abort_step``. Rows are kept at step 0,
     the multiples of ``config.stride`` and the last step;
     ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
@@ -257,6 +258,8 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
     state.h[ops.h_fixed] = ops.h_fixed_values
     if not np.isfinite(e := energy(state, ops)):
         raise ConfigurationError(f"the initial energy is {e!r}; the initial data must be finite")
+    if e == 0.0 and not any(map(np.any, (ops.dirichlet_rhs, ops.neumann_rhs, ops.h_fixed_values))):
+        raise ConfigurationError("initial energy and boundary data are zero: the solution is zero")
     record(0, state, e)
     abort_step = None
     for step in range(1, config.n_steps + 1):

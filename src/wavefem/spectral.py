@@ -81,6 +81,7 @@ IMA J. Numer. Anal. 7, 1987), so eta needs no mass factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -217,7 +218,8 @@ def _lambda_max(A, M, ops: AssembledOperators) -> LambdaMax:
     ``cell_lambda_bound(ops)`` (module docstring). ARPACK needs more DOFs
     than eigenvalues; a one-DOF pencil is its own eigenvector, with no
     error. A bound that is not finite and positive, or ARPACK
-    non-convergence, is a ``RuntimeError``: there is no other solve."""
+    non-convergence, is a ``RuntimeError``: there is no other solve. Both
+    sums of rho = v^T A v / v^T M v are compensated (``math.fsum``)."""
     bound = cell_lambda_bound(ops)
     if not 0.0 < bound < np.inf:
         raise RuntimeError(f"cell bound {bound!r} on lambda_max gives no shift")
@@ -230,9 +232,9 @@ def _lambda_max(A, M, ops: AssembledOperators) -> LambdaMax:
         raise RuntimeError("largest-eigenvalue iteration failed to converge") from exc
     v = vecs[:, 0]
     Av, Mv = A @ v, M @ v
-    rho = float(v @ Av / (v @ Mv))
+    rho = math.fsum(v * Av) / (vMv := math.fsum(v * Mv))
     mu = ops.cell_dets.min() * np.linalg.eigvalsh(ops.h_mass_ref)[0]
-    return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * (v @ Mv))), solves)
+    return LambdaMax(rho, float(np.linalg.norm(Av - rho * Mv) / np.sqrt(mu * vMv)), solves)
 
 
 def laplacian_spectrum(ops: AssembledOperators) -> Spectrum:

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import wavefem as wf
 from wavefem import assembly, spectral
 from wavefem.assembly import QUAD_DEGREE, _factor, assemble
-from wavefem.elements import p2_basis, quadrature
+from wavefem.elements import h_dof_coords, p2_basis, quadrature
 
 from conftest import assemble_all
 
@@ -270,12 +270,36 @@ def test_dissection_order_solves_like_mmd(name, request):
 
 
 def test_dissection_fills_less_than_mmd_on_cube8():
-    # entry counts, not timings: L + U is 1.59M against MMD's 1.86M, and
-    # SuperLU's stored count (supernodes in full) 1.59M against 2.19M
+    # entry counts, not timings: L + U is 1.27M against MMD's 1.86M, and
+    # SuperLU's stored count (supernodes in full) 1.27M against 2.19M
     _, ops = assemble_all(wf.generate_cube_mesh(8), "dirichlet")
     lu, ref = ops.h_mass_solver().lu, mmd_splu(ops.h_mass)
     assert lu.L.nnz + lu.U.nnz < 0.9 * (ref.L.nnz + ref.U.nnz) < 0.9 * 1.87e6
     assert lu.nnz < 0.75 * ref.nnz
+
+
+@pytest.mark.parametrize("name,bound", [("cube:8", 1.28e6), ("cube_400", 1.2e5)])
+def test_dissection_fill(name, bound, request):
+    # entry counts, not timings: the stored L + U of the Dirichlet mass is
+    # 1,272,258 on cube:8 and 118,140 on cube_400
+    mesh = wf.generate_cube_mesh(8) if name == "cube:8" else request.getfixturevalue(name)
+    _, ops = assemble_all(mesh, "dirichlet")
+    assert ops.h_mass_solver().lu.nnz <= bound
+
+
+def test_dissection_keeps_the_one_layer_separator():
+    # on a P2 chain of 9 cells the median DOF is the midpoint x = 4.5/9.
+    # The left DOFs coupled to the right are it and the vertex 4/9, two
+    # layers; the right one is the vertex 5/9 alone. So the order is the
+    # right side without it, then the left side, then the vertex 5/9.
+    mesh = wf.generate_interval_mesh(9, 1.0)
+    dofs, ops = assemble_all(mesh)
+    assert dofs.m_h == 19 > assembly.DISSECTION_LEAF
+    x = h_dof_coords(mesh, dofs)[:, 0]
+    order = assembly._dissection_order(ops.h_mass, x[:, None])
+    assert np.array_equal(np.sort(order), np.arange(19))
+    assert x[order[-1]] == 5.0 / 9.0
+    assert (x[order[:8]] > 5.0 / 9.0).all() and (x[order[8:18]] <= 0.5).all()
 
 
 def test_dissection_stops_at_a_crowded_far_face():

@@ -405,6 +405,22 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys, line, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center", ["1e200 1e200", "100 100"])
+def test_simulate_rejects_a_zero_field(tmp_path, capsys, center):
+    # a Gaussian far from the mesh is 0 on it: at 1e200 its squared
+    # distance overflows, at 100 its exponential underflows. With zero
+    # boundary data the solution is zero, an input error with no numpy
+    # warning; it is found after the output directory is made, left empty.
+    cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\ncenter = {center}\n")
+    out_dir = tmp_path / "out"
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ("error: initial energy and boundary data are zero: "
+                                       "the solution is zero\n")
+    assert os.listdir(out_dir) == []
+
+
 @pytest.mark.parametrize("text,key", [("t_end = 0.05\n", "dt"), ("dt = 0.01\n", "t_end")])
 def test_simulate_rejects_incomplete_config(tmp_path, capsys, text, key):
     out_dir = tmp_path / "out"

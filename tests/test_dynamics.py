@@ -447,6 +447,7 @@ def test_dt_check_paths(square_36, monkeypatch):
     with pytest.raises(ConfigurationError, match="stability estimate"):
         run((1.0 + 1e-6) * exact)
     forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
+                                                       ic_h=gaussian_bump([0.5, 0.5]),
                                                        allow_unstable_dt=True))
     assert forced.dt_check == {"path": "forced", "cell_bound_limit": None}
 
@@ -461,7 +462,8 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = simulate(square_36, ops, SimulationConfig(dt=dt, t_end=dt))
+    result = simulate(square_36, ops, SimulationConfig(dt=dt, t_end=dt,
+                                                       ic_h=gaussian_bump([0.5, 0.5])))
     assert result.dt_check["path"] == "inertia"
     assert calls == [(square_36.n_cells, 6, 6)]
 
@@ -489,7 +491,7 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
     dt = (1.0 - 1e-6) * exact
-    result = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt))
+    result = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt, ic_h=gaussian_bump([0.5])))
     limit = result.dt_check["cell_bound_limit"]
     assert (1.0 - 1e-9) * exact <= limit <= exact
 
@@ -552,7 +554,7 @@ def test_snapshot_callback(square_36):
     assert seen == [0, 5, 10]
     # without a snapshot stride the callback never runs, step 0 included
     seen.clear()
-    simulate(square_36, ops, SimulationConfig(dt=1e-3, t_end=0.01),
+    simulate(square_36, ops, SimulationConfig(dt=1e-3, t_end=0.01, ic_h=gaussian_bump([0.5, 0.5])),
              snapshot_callback=lambda step, state: seen.append(step))
     assert seen == []
     # a stride below 1 would snapshot never (0) or on multiples of |stride|
@@ -582,3 +584,19 @@ def test_simulate_rejects_non_finite_initial_data(square_36):
     config = SimulationConfig(dt=1e-3, t_end=1e-2, ic_h=lambda x: np.full(len(x), np.nan))
     with pytest.raises(ConfigurationError, match="initial energy is nan"):
         simulate(square_36, ops, config)
+
+
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+def test_simulate_rejects_zero_data(square_36, kind):
+    # zero initial and boundary data have the zero solution: bad input, not
+    # a run. A nonzero boundary datum alone makes a run from zero.
+    config = SimulationConfig(dt=1e-3, t_end=1e-2, ic_h=lambda x: np.zeros(len(x)))
+    _, ops = assemble_all(square_36, kind)
+    with pytest.raises(ConfigurationError, match="^initial energy and boundary data are "
+                                                 "zero: the solution is zero$"):
+        simulate(square_36, ops, config)
+    one = lambda x: 1.0  # noqa: E731
+    bc = (wf.BcSpec.all_neumann(square_36, f=one) if kind == "neumann"
+          else wf.BcSpec.all_dirichlet(square_36, g=one))
+    result = simulate(square_36, wf.assemble(square_36, ops.dofs, bc), config)
+    assert result.energies[0] == 0.0 < result.energies[-1]
