@@ -9,8 +9,11 @@ Assembles, with quadrature exact for every integrand:
 * the sparse symmetric scalar mass matrix,
 * one sparse gradient matrix per spatial direction, including the
   boundary facet term that imposes Dirichlet data on the scalar weakly
-  in 2D and 3D; each facet term is folded into its owner cell's block,
-  and the per-cell blocks are kept for element-by-element bounds,
+  in 2D and 3D; on affine cells each volume block is det_K times one
+  reference tensor contracted with J_K^{-1}, so that tensor, the
+  inverse Jacobians and the facet blocks are stored, and the per-cell
+  blocks, each facet term folded into its owner cell's, are derived
+  from them for element-by-element bounds,
 * the boundary data vectors entering the two semi-discrete equations.
 
 On a cell the P1_DG basis is the barycentric coordinates, so its values
@@ -39,10 +42,11 @@ modes in a cell with d Dirichlet facets, such as a corner cell of
 ``square:N`` (see ``spectral.Spectrum.null_count``).
 
 Every global matrix is a scatter of per-cell dense blocks (``_scatter``).
-``assemble`` computes the blocks, ``AssembledOperators.__post_init__``
-scatters the scalar mass and each gradient, and ``spectral`` the discrete
-Laplacian A = sum_K scatter(A_K). The kick applies u_mass^{-1} cell by
-cell after the gradients, so no matrix u_mass^{-1} grad is built. Because
+``AssembledOperators.__post_init__`` scatters the scalar mass, each
+gradient is scattered the first time the kick or the divergence applies
+it, and ``spectral`` scatters the discrete Laplacian A = sum_K scatter(A_K)
+from the cell blocks alone. The kick applies u_mass^{-1} cell by cell
+after the gradients, so no matrix u_mass^{-1} grad is built. Because
 grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
 so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
 Dirichlet facet blocks change A only on the DOFs of their owner cells.
@@ -62,6 +66,7 @@ and 2D, where MMD does as well (``square:48``: 0.63M against 0.65M).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -85,18 +90,23 @@ DISSECTION_LEAF = 16  # parts up to this many DOFs are not split further
 class AssembledOperators:
     """Global matrices and boundary vectors of the semi-discrete system.
 
-    The fields below are what assembly computes per cell or boundary
-    facet. ``__post_init__``, which ``dataclasses.replace`` reruns, derives
-    the rest: ``dim``, the scalar mass ``h_mass`` and the d-tuple ``grad``
-    of (m_u, m_h) gradients, both scattered from the cell blocks, and the
-    free scalar DOFs ``h_free``, ascending. Scalar vectors and matrices
-    span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
-    vertices, 1D only) hold ``h_fixed_values``.
+    The fields below are what assembly computes per reference cell, cell
+    or boundary facet. ``__post_init__``, which ``dataclasses.replace``
+    reruns, scatters the scalar mass ``h_mass`` from its cell blocks and
+    lists the free scalar DOFs ``h_free``, ascending; it also sets ``dim``.
+    The per-cell gradient blocks ``grad_cells`` are derived on every read,
+    and the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them
+    on first access, so only a run that applies the kick or the divergence
+    builds it; a ``replace`` copy scatters its own. Scalar
+    vectors and matrices span all ``m_h`` scalar DOFs; the fixed ones
+    (strong Dirichlet vertices, 1D only) hold ``h_fixed_values``.
     """
 
     dofs: DofMap
-    grad_cells: np.ndarray      # (C, d, n1, n2) per-cell gradient blocks,
-                                # weak Dirichlet facet terms included
+    grad_ref: np.ndarray        # (n1, n2, d) reference gradient tensor
+    cell_jinv: np.ndarray       # (C, d, d) inverse Jacobians J_K^{-1}
+    facet_cells: np.ndarray     # (F,) owner cells of the weak Dirichlet
+    facet_grad: np.ndarray      # facets and (F, d, n1, n2) their blocks
     cell_dets: np.ndarray       # (C,) affine-map determinants
     u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
     h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
@@ -111,15 +121,31 @@ class AssembledOperators:
     _h_factor: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # derived anew by ``dataclasses.replace``; the transposes are CSC views
-        hd, ud, m_h = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs, self.dofs.m_h
-        self.dim = self.grad_cells.shape[1]
+        hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
+        self.dim = self.grad_ref.shape[2]
         self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
-        self.grad = tuple(_scatter(ud, hd, self.grad_cells[:, i], (self.dofs.m_u, m_h))
-                          for i in range(self.dim))
         self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
         self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
-        self._grad_T = tuple(g.T for g in self.grad)
+
+    @property
+    def grad_cells(self) -> np.ndarray:
+        """(C, d, n1, n2) per-cell gradient blocks: det_K times the reference
+        tensor contracted with J_K^{-1} (d(basis)/dx_i = d(basis)/dxi_k *
+        Jinv[k, i]), plus the weak Dirichlet facet blocks of K."""
+        blocks = np.einsum("abk,cki->ciab", self.grad_ref, self.cell_jinv)
+        blocks = self.cell_dets[:, None, None, None] * blocks
+        np.add.at(blocks, self.facet_cells, self.facet_grad)
+        return blocks
+
+    @cached_property
+    def grad(self) -> tuple:
+        blocks, ud, hd = self.grad_cells, self.dofs.u_cell_dofs, self.dofs.h_cell_dofs
+        shape = (self.dofs.m_u, self.dofs.m_h)
+        return tuple(_scatter(ud, hd, blocks[:, i], shape) for i in range(self.dim))
+
+    @cached_property
+    def _grad_T(self) -> tuple:
+        return tuple(g.T for g in self.grad)  # CSC views
 
     def free_block(self, mat):
         """Free-by-free block of a scalar-space matrix; ``mat`` itself
@@ -290,10 +316,9 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
     mh_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
 
-    # Volume gradient term: contract the reference tensor with each cell's
-    # inverse Jacobian (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]).
+    # Volume gradient term: each cell's inverse Jacobian contracts this
+    # reference tensor (``AssembledOperators.grad_cells``).
     grad_ref = np.einsum("q,qa,qbk->abk", rule.weights, v1, g2)
-    grad_cells = det[:, None, None, None] * np.einsum("abk,cki->ciab", grad_ref, Jinv)
 
     m_u, m_h, hd, ud = dofs.m_u, dofs.m_h, dofs.h_cell_dofs, dofs.u_cell_dofs
 
@@ -321,25 +346,24 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     h_fixed = hd[cell[strong], corner]
     h_fixed_values = sample(bc.g, strong).ravel()
 
-    # Weak Dirichlet facets: -n_i (v, h) joins the owner's gradient block;
-    # n_i (v, g) goes to the right-hand side.
+    # Weak Dirichlet facets: -n_i (v, h) is a gradient block of the owner
+    # cell; n_i (v, g) goes to the right-hand side.
     weak = dirichlet & ~strong
     cD, lfD, wD = cell[weak], lf[weak], w[weak]
     nD = mesh.boundary_normals[weak]
     blocks = np.einsum("bq,bqa,bqc->bac", wD, lam[lfD], fv2[lfD])
+    facet_grad = -nD[:, :, None, None] * blocks[:, None]
     gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), lam[lfD])
     rows = np.arange(d)[:, None, None] * m_u + ud[cD]
     dirichlet_rhs = _accumulate(rows, nD.T[:, :, None] * gvec, d * m_u).reshape(d, m_u)
-
-    np.add.at(grad_cells, cD, -nD[:, :, None, None] * blocks[:, None])
 
     # Neumann facets: (v, f) for every scalar test function v
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
-    ops = AssembledOperators(dofs, grad_cells, det, mu_ref, mh_ref, dirichlet_rhs,
-                             neumann_rhs, h_fixed, h_fixed_values, h_order=None)
+    ops = AssembledOperators(dofs, grad_ref, Jinv, cD, facet_grad, det, mu_ref, mh_ref,
+                             dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values, h_order=None)
     if d == 3:  # every DOF is free in 3D
         ops.h_order = _dissection_order(ops.h_mass, h_dof_coords(mesh, dofs))
     return ops

@@ -11,7 +11,8 @@ reproduced. Every manifest has ``command``, ``parameters``, ``outputs``
 limit and pivot count), ``mass_solve`` (the ordering and stored L+U
 entry count of the scalar-mass factor, ``assembly._factor``) and
 ``energy_error_max`` (the max |E - E0| / E0 it prints, over the energy
-rows kept), and keeps its manifest when a run aborts. Exit codes: 0
+rows kept), and keeps its manifest when a run aborts; a run rejected
+before its first step removes the output directories it made. Exit codes: 0
 success, 1 input, usage or output-path error, 2 numerical failure, 3
 invariant violation.
 
@@ -26,6 +27,7 @@ import dataclasses
 import json
 import os
 import resource
+import shutil
 import sys
 import time
 
@@ -234,11 +236,13 @@ def cmd_simulate(args):
     config = dynamics.SimulationConfig(**settings, ic_h=_initial_condition(cfg, mesh.dim),
                                        allow_unstable_dt=args.force_dt)
 
-    out_dir = args.out_dir
+    # ``made`` is the outermost directory this run creates, which a rejected
+    # run removes; an unusable path fails in ``makedirs``, before any work
+    out_dir, made = args.out_dir, os.path.abspath(args.out_dir)
+    while not os.path.exists(os.path.dirname(made)):
+        made = os.path.dirname(made)
+    made = None if os.path.exists(made) else made
     os.makedirs(out_dir, exist_ok=True)
-    dofs = build_dof_maps(mesh)
-    ops = assembly.assemble(mesh, dofs, bc)
-
     outputs = []
 
     def snapshot(step, state):
@@ -246,7 +250,14 @@ def cmd_simulate(args):
         vtk_io.write_vtk(path, mesh, dofs, h=state.h, u=state.u)
         outputs.append(path)
 
-    result = dynamics.simulate(mesh, ops, config, snapshot_callback=snapshot)
+    try:
+        dofs = build_dof_maps(mesh)
+        ops = assembly.assemble(mesh, dofs, bc)
+        result = dynamics.simulate(mesh, ops, config, snapshot_callback=snapshot)
+    except Exception:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
     energy_path = os.path.join(out_dir, "energy.csv")
     _write_csv(energy_path, "time,energy,energy_error", "%r,%r,%r",

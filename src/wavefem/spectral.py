@@ -20,7 +20,9 @@ The velocity mass is block-diagonal, with block M_u,K = det_K
 ``ops.u_mass_ref`` on cell K, and each weak Dirichlet facet term belongs
 to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
 Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``), where
-G_Ki = ``ops.grad_cells[K, i]`` acts on row i of the velocity array.
+G_Ki = ``ops.grad_cells[K, i]``, derived from the reference gradient
+tensor, J_K^{-1} and the facet blocks, acts on row i of the velocity
+array. No global gradient matrix is built.
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
@@ -125,8 +127,8 @@ def _cell_laplacian(ops: AssembledOperators) -> np.ndarray:
     """Per-cell blocks A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki, shape (C, n2, n2),
     on ``ops.dofs.h_cell_dofs``, with M_u,K^{-1} = inv(u_mass_ref) / det_K;
     weak Dirichlet facet terms are included."""
-    u_inv = ops._u_mass_inv / ops.cell_dets[:, None, None, None]
-    return np.einsum("ciab,ciae->cbe", ops.grad_cells, u_inv @ ops.grad_cells, optimize=True)
+    u_inv, G = ops._u_mass_inv / ops.cell_dets[:, None, None, None], ops.grad_cells
+    return np.einsum("ciab,ciae->cbe", G, u_inv @ G, optimize=True)
 
 
 def laplacian_pencil(ops: AssembledOperators):
@@ -205,11 +207,14 @@ def _eigsh(A, M, k, sigma, order, **kw):
     mass's (``ops.h_order``). The fixed start vector makes every call give
     the same eigenvalues; it is not constant, since under Neumann data
     that is the null eigenvector, on which Lanczos breaks down. The count
-    of solves with the factor follows the eigenpairs."""
+    of solves with the factor follows the eigenpairs: (values, vectors,
+    solves), or (values, solves) with ``return_eigenvectors=False``, where
+    ARPACK forms no Ritz vector."""
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     solve, solves = _factor(A - sigma * M, order), []
     op_inv = spla.LinearOperator(A.shape, lambda x: solves.append(1) or solve(x), dtype=float)
-    return (*spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw), len(solves))
+    found = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op_inv, v0=v0, **kw)
+    return (*found, len(solves)) if isinstance(found, tuple) else (found, len(solves))
 
 
 def _lambda_max(A, M, ops: AssembledOperators) -> LambdaMax:
@@ -252,7 +257,8 @@ def laplacian_spectrum(ops: AssembledOperators) -> Spectrum:
         return Spectrum(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True), m_h, top)
 
     sigma = -1e-3 * (A.diagonal().mean() / M.diagonal().mean())
-    vals = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order)[0]
+    vals = _eigsh(A, M, min(LOWEST_COUNT, m_h - 2), sigma, ops.h_order,
+                  return_eigenvectors=False)[0]
     return Spectrum(np.sort(vals), m_h, top)
 
 

@@ -366,15 +366,19 @@ def test_replace_drops_cached_solvers(square_36):
 
 
 def test_replace_rederives_global_operators():
-    # the global matrices of a copy follow its cell blocks: doubled gradient
-    # blocks double the kick and the divergence and quadruple the Laplacian
+    # the global matrices of a copy follow its reference tensor and facet
+    # blocks: doubling both doubles the cell blocks, the kick and the
+    # divergence and quadruples the Laplacian. The original has applied its
+    # gradients already, and the copy must not carry them over.
     mesh = wf.generate_square_mesh(8)
     dofs = wf.build_dof_maps(mesh)
     ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, lambda x: x[:, 0] + 2 * x[:, 1]))
-    twice = replace(ops, grad_cells=2.0 * ops.grad_cells)
     rng = np.random.default_rng(0)
     h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((2, dofs.m_u))
     zero = np.zeros(dofs.m_h)
+    ops.kick(h)
+    twice = replace(ops, grad_ref=2.0 * ops.grad_ref, facet_grad=2.0 * ops.facet_grad)
+    assert len(ops.facet_cells) and np.array_equal(twice.grad_cells, 2.0 * ops.grad_cells)
     for new, old in [(twice.kick(h) - twice.kick(zero), ops.kick(h) - ops.kick(zero)),
                      (twice.divergence(u) + twice.neumann_rhs,
                       ops.divergence(u) + ops.neumann_rhs)]:

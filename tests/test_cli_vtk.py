@@ -318,7 +318,7 @@ def test_simulate_manifest_dt_check(tmp_path, capsys):
                     "--out-dir", out_dir, *flags])
         if path is None:
             assert code == 1 and "stability estimate" in capsys.readouterr().err
-            assert os.listdir(out_dir) == []
+            assert not os.path.exists(out_dir)
             continue
         assert code == 0
         with open(os.path.join(out_dir, "manifest.json")) as fh:
@@ -411,14 +411,27 @@ def test_simulate_rejects_a_zero_field(tmp_path, capsys, center):
     # a Gaussian far from the mesh is 0 on it: at 1e200 its squared
     # distance overflows, at 100 its exponential underflows. With zero
     # boundary data the solution is zero, an input error with no numpy
-    # warning; it is found after the output directory is made, left empty.
+    # warning; it is found after the output directory is made, and the run
+    # removes it.
     cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\ncenter = {center}\n")
     out_dir = tmp_path / "out"
     assert run(["simulate", "--generate", "square:2", "--config", cfg,
                 "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == ("error: initial energy and boundary data are zero: "
                                        "the solution is zero\n")
-    assert os.listdir(out_dir) == []
+    assert not out_dir.exists()
+
+
+def test_rejected_simulate_keeps_an_existing_out_dir(tmp_path, capsys):
+    # a rejected run removes only the directories it made
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("")
+    cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.05\ncenter = 100 100\n")
+    assert run(["simulate", "--generate", "square:2", "--config", cfg,
+                "--out-dir", str(out_dir)]) == 1
+    assert "the solution is zero" in capsys.readouterr().err
+    assert os.listdir(out_dir) == ["keep.txt"]
 
 
 @pytest.mark.parametrize("text,key", [("t_end = 0.05\n", "dt"), ("dt = 0.01\n", "t_end")])
@@ -496,15 +509,16 @@ def test_simulate_rejects_duplicate_config_key(tmp_path, capsys):
 
 def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
     # a rejected dt names the limit; a NaN one stops the run before step 1
-    # as a numerical failure, and no manifest records the NaN
+    # as a numerical failure, and no manifest records the NaN. The run
+    # removes the directories it made, the new parent too.
     monkeypatch.setattr(dynamics, "max_eigenvalue",
                         lambda ops: spectral.LambdaMax(np.nan, 0.0, 0))
     cfg = write_config(tmp_path, "dt = 1.0\nt_end = 3.0\nbc = dirichlet\n")
-    out_dir = tmp_path / "out"
+    out_dir = tmp_path / "new" / "out"
     assert run(["simulate", "--generate", "square:8", "--config", cfg,
                 "--out-dir", str(out_dir)]) == 2
     assert "lambda_max nan gives no stability limit" in capsys.readouterr().err
-    assert os.listdir(out_dir) == []
+    assert not (tmp_path / "new").exists() and (tmp_path / "run.cfg").exists()
 
 
 @pytest.mark.parametrize("error,code,prefix", [

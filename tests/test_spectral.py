@@ -330,6 +330,31 @@ def test_shift_invert_factors_in_the_mass_order(cube_200, monkeypatch):
     assert len(orders) == 2 and all(o is ops.h_order for o in orders)
 
 
+def test_spectral_verbs_build_no_gradient_matrix(square_36, monkeypatch):
+    # the pencil, the cell bound and both ends of the iterative spectrum
+    # read the cell blocks only; the low end takes no Ritz vectors. The
+    # Verlet kick scatters the gradients once and every later step reuses them.
+    _, ops = assemble_all(square_36, "dirichlet")
+    calls, spectral_eigsh = [], spectral._eigsh
+
+    def eigsh(*args, **kw):
+        calls.append(kw.get("return_eigenvectors", True))
+        return spectral_eigsh(*args, **kw)
+
+    monkeypatch.setattr(spectral, "_eigsh", eigsh)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    laplacian_spectrum(ops)
+    laplacian_pencil(ops)
+    cell_lambda_bound(ops)
+    assert calls == [True, False]
+    assert "grad" not in vars(ops) and "_grad_T" not in vars(ops)
+    state = dynamics.interpolate_state(square_36, ops.dofs, lambda x: np.sin(x[:, 0]))
+    state = dynamics.verlet_step(state, ops, 1e-3, 1.0)
+    grad = vars(ops)["grad"]
+    dynamics.verlet_step(state, ops, 1e-3, 1.0)
+    assert vars(ops)["grad"] is grad
+
+
 def test_cell_bound_periodic_interval():
     mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
