@@ -11,7 +11,7 @@ from .elements import (DofMap, QuadratureRule, build_dof_maps, p2_basis,
                        quadrature)
 from .assembly import AssembledOperators, assemble
 from .spectral import (Spectrum, cell_lambda_bound, laplacian_pencil,
-                       laplacian_spectrum, max_eigenvalue, spurious_mode_report)
+                       laplacian_spectrum, max_eigenvalue)
 from .dispersion import (dispersion_branches, dispersion_closed_form,
                          dispersion_sweep)
 from .dynamics import (ConfigurationError, FieldState, SimulationConfig,

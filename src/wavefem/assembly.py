@@ -54,13 +54,19 @@ Dirichlet facet blocks change A only on the DOFs of their owner cells.
 One routine, ``_factor``, factors every sparse matrix: the free block of
 the scalar mass and the shifted pencils A - sigma M of ``spectral``. A
 has the mass's sparsity pattern, so one ordering of the free scalar DOFs
-serves all of them. On 3D meshes ``assemble`` keeps a geometric nested
-dissection (``_dissection_order``, George 1973; each cut keeps the smaller
-one-sided separator) as ``AssembledOperators.h_order``; SuperLU's
+serves all of them. On 3D meshes ``AssembledOperators`` derives a
+geometric nested dissection (``_dissection_order``, George 1973; each cut
+keeps the smaller one-sided separator) as its ``h_order``; SuperLU's
 minimum-degree ordering (MMD) fills badly on 3D P2 patterns (L+U on
 ``cube:8`` 2.19M entries against 1.27M, on ``cube:12`` 19.1M against 6.81M,
 factor time 3.5 s against 0.48 s there on a 2-core VM). It is None in 1D
-and 2D, where MMD does as well (``square:48``: 0.63M against 0.65M).
+and 2D, where neither order fills less throughout. Stored L+U of the free
+mass, MMD against the dissection: MMD fills less on ``square:48`` (634,186
+against 647,782), ``square_150``, ``square_1500`` and ``interval:200``,
+the dissection on ``square:32``, 64 and 96 (3,446,132 against 3,096,640
+on ``square:96``). Where the dissection fills less, computing it in
+Python costs more than it saves on one factor (281 ms against 178 ms on
+``square:96``, same VM).
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,24 +95,26 @@ DISSECTION_LEAF = 16  # parts up to this many DOFs are not split further
 class AssembledOperators:
     """Global matrices and boundary vectors of the semi-discrete system.
 
-    The fields below are what assembly computes per reference cell, cell
-    or boundary facet. ``__post_init__``, which ``dataclasses.replace``
-    reruns, scatters the scalar mass ``h_mass`` from its cell blocks and
-    lists the free scalar DOFs ``h_free``, ascending; it also sets ``dim``.
-    The per-cell gradient blocks ``grad_cells`` are derived on every read,
-    and the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them
-    on first access, so only a run that applies the kick or the divergence
-    builds it; a ``replace`` copy scatters its own. Scalar
-    vectors and matrices span all ``m_h`` scalar DOFs; the fixed ones
-    (strong Dirichlet vertices, 1D only) hold ``h_fixed_values``.
+    The fields below are the mesh the operators were assembled on and what
+    assembly computes per reference cell, cell or boundary facet.
+    ``__post_init__``, which ``dataclasses.replace`` reruns, derives the
+    rest from them: ``dim``, the determinants ``cell_dets`` of the affine
+    maps (d! |K|), the scalar mass ``h_mass`` scattered from its cell
+    blocks, the free scalar DOFs ``h_free``, ascending, and on 3D meshes the
+    order ``h_order`` of the module docstring (None in 1D and 2D). The
+    per-cell gradient blocks ``grad_cells`` are derived on every read, and
+    the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them on
+    first access, so only a run that applies the kick or the divergence
+    builds it; a ``replace`` copy scatters its own. Scalar vectors and
+    matrices span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
+    vertices, 1D only) hold ``h_fixed_values``.
     """
 
+    mesh: Mesh
     dofs: DofMap
     grad_ref: np.ndarray        # (n1, n2, d) reference gradient tensor
-    cell_jinv: np.ndarray       # (C, d, d) inverse Jacobians J_K^{-1}
     facet_cells: np.ndarray     # (F,) owner cells of the weak Dirichlet
     facet_grad: np.ndarray      # facets and (F, d, n1, n2) their blocks
-    cell_dets: np.ndarray       # (C,) affine-map determinants
     u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
     h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
                                 # cell_dets[K] times these
@@ -115,24 +122,28 @@ class AssembledOperators:
     neumann_rhs: np.ndarray     # length m_h
     h_fixed: np.ndarray         # fixed scalar DOFs
     h_fixed_values: np.ndarray  # g at the fixed scalar DOFs
-    h_order: Optional[np.ndarray]  # fill-reducing order of the free scalar
-                                # DOFs for ``_factor``; None in 1D and 2D
     # Cache filled on first use; ``dataclasses.replace`` does not copy it.
     _h_factor: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
-        self.dim = self.grad_ref.shape[2]
+        self.dim = self.mesh.dim
+        self.cell_dets = self.mesh.cell_measures * factorial(self.dim)  # det J = d! |K|
         self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
         self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
         self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
+        # every DOF is free in 3D, so the order spans the whole mass
+        self.h_order = (_dissection_order(self.h_mass, h_dof_coords(self.mesh, self.dofs))
+                        if self.dim == 3 else None)
 
     @property
     def grad_cells(self) -> np.ndarray:
         """(C, d, n1, n2) per-cell gradient blocks: det_K times the reference
-        tensor contracted with J_K^{-1} (d(basis)/dx_i = d(basis)/dxi_k *
-        Jinv[k, i]), plus the weak Dirichlet facet blocks of K."""
-        blocks = np.einsum("abk,cki->ciab", self.grad_ref, self.cell_jinv)
+        tensor contracted with J_K^{-1}, rows 1..d of the mesh's barycentric
+        gradients (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]), plus the
+        weak Dirichlet facet blocks of K."""
+        jinv = self.mesh.barycentric_gradients[:, 1:]
+        blocks = np.einsum("abk,cki->ciab", self.grad_ref, jinv)
         blocks = self.cell_dets[:, None, None, None] * blocks
         np.add.at(blocks, self.facet_cells, self.facet_grad)
         return blocks
@@ -261,8 +272,8 @@ def _factor(mat, order):
     pivots and a symmetric ordering. With ``order`` (3D, the nested
     dissection of the module docstring) it factors ``mat[order][:, order]``
     in that natural order and the solve scatters the result back; without
-    it SuperLU orders by minimum degree on A + A^T (MMD), which fills less
-    in 1D and 2D. The function keeps the factor as ``lu`` (a SuperLU
+    it SuperLU orders by minimum degree on A + A^T (MMD), as in 1D and 2D
+    (module docstring). The function keeps the factor as ``lu`` (a SuperLU
     object, of the reordered matrix when ``order`` is given) and describes
     it as ``summary``: the ordering (``"nested_dissection"`` or ``"mmd"``)
     and ``factor_nnz``, SuperLU's count of the L and U entries it stores.
@@ -289,7 +300,8 @@ def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarra
 
 
 def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
-    """Assemble all global operators for a mesh and boundary assignment.
+    """Assemble all global operators for a mesh and boundary assignment;
+    the operators keep ``mesh`` and derive its geometry from it.
 
     Every marker in ``bc`` must be present on the mesh boundary and every
     boundary marker must be assigned to one of the two sets.
@@ -307,12 +319,7 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     v1 = rule.points  # P1_DG values (module docstring)
     v2, g2 = p2_basis(rule.points)
 
-    # Inverse Jacobians and volume scale factors of the affine maps: rows
-    # 1..d of the barycentric gradients are J^{-1}, and det J = d! |K|.
-    Jinv = mesh.barycentric_gradients[:, 1:]
-    det = mesh.cell_measures * factorial(d)
-
-    # Affine cells: both mass matrices are the reference ones scaled by det.
+    # Affine cells: both mass matrices are the reference ones scaled by det_K.
     mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
     mh_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
 
@@ -362,8 +369,5 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
-    ops = AssembledOperators(dofs, grad_ref, Jinv, cD, facet_grad, det, mu_ref, mh_ref,
-                             dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values, h_order=None)
-    if d == 3:  # every DOF is free in 3D
-        ops.h_order = _dissection_order(ops.h_mass, h_dof_coords(mesh, dofs))
-    return ops
+    return AssembledOperators(mesh, dofs, grad_ref, cD, facet_grad, mu_ref, mh_ref,
+                              dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values)

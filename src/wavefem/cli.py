@@ -72,7 +72,12 @@ def _load_mesh(args) -> tuple[Mesh, str]:
 
 
 def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
+    """All facets under ``kind``; Dirichlet data on a mesh with no boundary
+    facet (a periodic interval) would leave a Neumann problem."""
     if kind == "dirichlet":
+        if not len(mesh.boundary_facets):
+            raise dynamics.ConfigurationError("bc dirichlet needs boundary facets; "
+                                              "the mesh has none")
         return BcSpec.all_dirichlet(mesh)
     if kind == "neumann":
         return BcSpec.all_neumann(mesh)
@@ -253,7 +258,7 @@ def cmd_simulate(args):
     try:
         dofs = build_dof_maps(mesh)
         ops = assembly.assemble(mesh, dofs, bc)
-        result = dynamics.simulate(mesh, ops, config, snapshot_callback=snapshot)
+        result = dynamics.simulate(ops, config, snapshot_callback=snapshot)
     except Exception:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)

@@ -9,6 +9,9 @@ drifting, so any energy growth signals a stability violation. Nonzero
 boundary data do work on the fields and change the energy at any dt;
 its error is then no stability signal.
 
+``simulate`` takes the operators alone: they carry the mesh they were
+assembled on, and the initial data are interpolated on that mesh.
+
 A half-kick applies ``AssembledOperators.kick`` to the velocity array
 (d, m_u). A step's second kick, of its new scalar, travels with the state
 it returns and serves the next step's first, so a step costs one kick.
@@ -210,12 +213,12 @@ class SimulationResult:
         return (self.energies - e0) / scale
 
 
-def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
+def simulate(ops: AssembledOperators, config: SimulationConfig,
              snapshot_callback: Callable = lambda step, state: None) -> SimulationResult:
     """Run the wave system with Verlet stepping and energy recording on
-    the operators ``ops``, assembled on ``mesh`` with their boundary data,
-    from the interpolated initial data with the fixed scalar DOFs (1D
-    Dirichlet vertices) at their boundary values.
+    the operators ``ops`` with their boundary data, from the initial data
+    interpolated on ``ops.mesh`` with the fixed scalar DOFs (1D Dirichlet
+    vertices) at their boundary values.
 
     Unless ``config.allow_unstable_dt`` is set, the dt check of the module
     docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
@@ -254,7 +257,7 @@ def simulate(mesh: Mesh, ops: AssembledOperators, config: SimulationConfig,
         if config.snapshot_stride and step % config.snapshot_stride == 0:
             snapshot_callback(step, state)
 
-    state = interpolate_state(mesh, ops.dofs, config.ic_h)
+    state = interpolate_state(ops.mesh, ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
     if not np.isfinite(e := energy(state, ops)):
         raise ConfigurationError(f"the initial energy is {e!r}; the initial data must be finite")

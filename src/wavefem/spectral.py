@@ -21,8 +21,8 @@ The velocity mass is block-diagonal, with block M_u,K = det_K
 to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
 Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``), where
 G_Ki = ``ops.grad_cells[K, i]``, derived from the reference gradient
-tensor, J_K^{-1} and the facet blocks, acts on row i of the velocity
-array. No global gradient matrix is built.
+tensor, the facet blocks and J_K^{-1} of the mesh ``ops.mesh``, acts on
+row i of the velocity array. No global gradient matrix is built.
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix
@@ -101,7 +101,6 @@ __all__ = [
     "max_eigenvalue",
     "pivot_inertia",
     "cell_lambda_bound",
-    "spurious_mode_report",
     "spectrum_to_json",
 ]
 
@@ -307,24 +306,6 @@ def cell_lambda_bound(ops: AssembledOperators) -> float:
     A = _cell_laplacian(ops)
     L_inv = np.linalg.inv(np.linalg.cholesky(ops.h_mass_ref))
     return float((np.linalg.eigvalsh(L_inv @ A @ L_inv.T)[:, -1] / ops.cell_dets).max())
-
-
-def spurious_mode_report(spectra: list) -> list:
-    """Flag messages for the smallest nonzero eigenvalue across a
-    refinement sequence of spectra (coarsest first).
-
-    A nonzero eigenvalue that drops by more than a factor of two between
-    consecutive levels is flagged: a physical eigenvalue is stable under
-    refinement, so a sinking one indicates a spurious mode whose eigenvalue
-    tends to zero with the mesh size.
-    """
-    smallest = [s.smallest_nonzero for s in spectra]
-    flags = []
-    for lev, (prev, cur) in enumerate(zip(smallest, smallest[1:]), start=1):
-        if prev is not None and cur is not None and cur < 0.5 * prev:
-            flags.append(f"smallest nonzero eigenvalue dropped {prev:.4g} -> {cur:.4g} "
-                         f"between levels {lev - 1} and {lev}")
-    return flags
 
 
 def spectrum_to_json(spectrum: Spectrum, path, metadata):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -336,7 +336,9 @@ def test_scattered_matrices_own_their_entries(monkeypatch, spec):
 
 
 def test_only_3d_operators_carry_an_order(square_36):
-    # in 1D and 2D MMD fills less, so the mass is factored without an order
+    # in 1D and 2D neither MMD nor the dissection fills less at every size,
+    # and the dissection costs more than it saves, so the mass is factored
+    # without an order
     interval = wf.generate_interval_mesh(8, 1.0)
     for mesh, bc in [(interval, wf.BcSpec(dirichlet_markers={1, 2})),
                      (square_36, wf.BcSpec.all_dirichlet(square_36))]:
@@ -387,6 +389,30 @@ def test_replace_rederives_global_operators():
     assert abs(A2 - 4.0 * A).max() <= 1e-12 * abs(A).max()
     bound = wf.cell_lambda_bound(ops)
     assert abs(wf.cell_lambda_bound(twice) - 4.0 * bound) <= 1e-12 * bound
+    # a 3D copy derives its own order of the free scalar DOFs, the original's
+    _, cube = assemble_all(wf.generate_cube_mesh(3), "dirichlet")
+    copy = replace(cube, neumann_rhs=cube.neumann_rhs.copy())
+    assert copy.h_order is not cube.h_order and np.array_equal(copy.h_order, cube.h_order)
+
+
+@pytest.mark.parametrize("name", ["cube:3", "cube_200"])
+def test_operators_derive_geometry_from_their_mesh(name, request):
+    # the operators keep their mesh instead of copies of its geometry, and
+    # derive the determinants, the cell gradient blocks and the 3D order
+    # from it as assembly did
+    init = [f.name for f in fields(wf.AssembledOperators) if f.init]
+    assert len(init) == 11 and "mesh" in init
+    assert not {"cell_jinv", "cell_dets", "h_order"} & set(init)
+    mesh = wf.generate_cube_mesh(3) if name == "cube:3" else request.getfixturevalue(name)
+    dofs, ops = assemble_all(mesh, "dirichlet")
+    det = mesh.cell_measures * 6
+    blocks = np.einsum("abk,cki->ciab", ops.grad_ref, mesh.barycentric_gradients[:, 1:])
+    blocks = det[:, None, None, None] * blocks
+    np.add.at(blocks, ops.facet_cells, ops.facet_grad)
+    order = assembly._dissection_order(ops.h_mass, h_dof_coords(mesh, dofs))
+    assert ops.mesh is mesh and len(ops.facet_cells)
+    assert np.array_equal(ops.cell_dets, det) and np.array_equal(ops.grad_cells, blocks)
+    assert np.array_equal(ops.h_order, order)
 
 
 def test_replace_rederives_free_dofs():

@@ -636,6 +636,30 @@ def test_help_and_version_exit_0(capsys, flag):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "simulate"])
+def test_dirichlet_needs_a_boundary(tmp_path, capsys, monkeypatch, verb):
+    # a periodic interval has no boundary facet, so Dirichlet data there
+    # would leave the Neumann problem: an input error before assembly or any
+    # output. Neumann data still run.
+    out = tmp_path / "out"
+
+    def argv(bc):
+        if verb == "spectrum":
+            return ["spectrum", "--generate", "interval:2:1:periodic", "--bc", bc,
+                    "--format", "json", "--out", str(out)]
+        cfg = write_config(tmp_path, f"dt = 0.01\nt_end = 0.05\nbc = {bc}\n")
+        return ["simulate", "--generate", "interval:2:1:periodic", "--config", cfg,
+                "--out-dir", str(out)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assembly, "assemble", lambda *args: pytest.fail("assembled"))
+        assert run(argv("dirichlet")) == 1
+    assert capsys.readouterr().err == ("error: bc dirichlet needs boundary facets; "
+                                       "the mesh has none\n")
+    assert not out.exists()
+    assert run(argv("neumann")) == 0 and out.exists()
+
+
 def test_spectrum_rejects_negative_count(capsys):
     # a negative count used to slice off the last eigenvalues and exit 0
     assert run(["spectrum", "--generate", "square:2", "--bc", "neumann",

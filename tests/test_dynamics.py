@@ -95,6 +95,22 @@ def test_carried_kick_only_for_its_ops_and_scalar(square_36):
         assert np.array_equal(got.h, expect.h) and np.array_equal(got.u, expect.u)
 
 
+def test_simulate_interpolates_on_the_operators_mesh():
+    # operators assembled on a squashed square:8 carry that mesh, so a run
+    # on them starts from the interpolation there, not on the unit square
+    square = wf.generate_square_mesh(8)
+    squashed = wf.Mesh(2, square.vertices * [1.0, 0.5], square.cells,
+                       square.boundary_facets, square.boundary_markers)
+    dofs = wf.build_dof_maps(squashed)
+    ops = wf.assemble(squashed, dofs, wf.BcSpec.all_neumann(squashed))
+    h0, seen = gaussian_bump([0.5, 0.5]), {}
+    config = SimulationConfig(dt=1e-3, t_end=1e-3, snapshot_stride=1, ic_h=h0)
+    result = simulate(ops, config, lambda step, state: seen.setdefault(step, state))
+    start, unit = (interpolate_state(mesh, dofs, h0) for mesh in (squashed, square))
+    assert np.array_equal(seen[0].h, start.h)
+    assert result.energies[0] == energy(start, ops) != energy(unit, ops)
+
+
 def test_simulate_kicks_once_per_step(square_36, monkeypatch):
     # the second half-kick of a step serves the first of the next, so a run
     # of N steps computes N + 1 kicks
@@ -107,7 +123,7 @@ def test_simulate_kicks_once_per_step(square_36, monkeypatch):
 
     monkeypatch.setattr(type(ops), "kick", counted)
     config = SimulationConfig(dt=1e-3, t_end=0.017, ic_h=gaussian_bump([0.5, 0.5]))
-    simulate(square_36, ops, config)
+    simulate(ops, config)
     assert len(calls) == config.n_steps + 1 == 18
 
 
@@ -152,7 +168,7 @@ def test_simulate_matches_two_kick_reference(request, name, bc_kind):
     dt = 0.5 * 2.0 / np.sqrt(cell_lambda_bound(ops))
     config = SimulationConfig(dt=dt, t_end=20 * dt, c=1.3,
                               ic_h=gaussian_bump([0.4] * mesh.dim, width=0.2))
-    final = simulate(mesh, ops, config).final_state
+    final = simulate(ops, config).final_state
     u, h = two_kick_reference(mesh, ops, config)
     assert np.abs(final.h - h).max() <= 1e-13 * np.abs(h).max()
     assert np.abs(final.u - u).max() <= 1e-13 * np.abs(u).max()
@@ -318,7 +334,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     bc = wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0])
     ops = wf.assemble(mesh, dofs, bc)
     config = SimulationConfig(dt=1e-3, t_end=0.05, ic_h=gaussian_bump([0.3]))
-    h = simulate(mesh, ops, config).final_state.h
+    h = simulate(ops, config).final_state.h
     assert sorted(h[ops.h_fixed]) == [1.0, 2.0]
 
     # with g = 0 the energy error is second order in dt; h0 is not zero at
@@ -329,7 +345,7 @@ def test_interval_dirichlet_run_fixed_dofs():
 
     def max_error(dt):
         config = SimulationConfig(dt=dt, t_end=0.5, ic_h=gaussian_bump([0.3]))
-        return np.abs(simulate(mesh, ops, config).energy_errors).max()
+        return np.abs(simulate(ops, config).energy_errors).max()
 
     e1 = max_error(0.2 * est)
     e2 = max_error(0.1 * est)
@@ -348,7 +364,7 @@ def test_standing_wave_space_time_order():
         mesh = wf.generate_square_mesh(n)
         dofs, ops = assemble_all(mesh, "neumann")
         config = SimulationConfig(dt=0.04 / n, t_end=0.5, ic_h=mode)
-        state = simulate(mesh, ops, config).final_state
+        state = simulate(ops, config).final_state
         exact = np.cos(np.sqrt(2.0) * np.pi * state.time) * mode(h_dof_coords(mesh, dofs))
         return np.abs(state.h - exact).max()
 
@@ -366,7 +382,7 @@ def standing_wave_error(kind, n, modes, dt):
     def mode(x):
         return np.prod(np.cos(k * x), axis=-1)
 
-    state = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=0.5, ic_h=mode)).final_state
+    state = simulate(ops, SimulationConfig(dt=dt, t_end=0.5, ic_h=mode)).final_state
     exact = np.cos(np.linalg.norm(k) * state.time) * mode(h_dof_coords(mesh, dofs))
     error = state.h - exact
     return np.sqrt(error @ (ops.h_mass @ error) / (exact @ (ops.h_mass @ exact)))
@@ -402,7 +418,7 @@ def test_simulate_energy_rows(square_36):
     _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=1e-3, t_end=0.3, stride=100,
                               ic_h=gaussian_bump([0.5, 0.5]))
-    result = simulate(square_36, ops, config)
+    result = simulate(ops, config)
     assert len(result.times) == 4  # steps 0, 100, 200, 300
     assert result.abort_step is None
     assert np.abs(result.energy_errors).max() <= 1e-3
@@ -412,7 +428,7 @@ def test_simulate_rejects_unstable_dt(square_36):
     _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=1.0, t_end=10.0, ic_h=gaussian_bump([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="stability"):
-        simulate(square_36, ops, config)
+        simulate(ops, config)
 
 
 def test_dt_check_paths(square_36, monkeypatch):
@@ -428,7 +444,7 @@ def test_dt_check_paths(square_36, monkeypatch):
 
     def run(dt):
         config = SimulationConfig(dt=dt, t_end=2 * dt, ic_h=gaussian_bump([0.5, 0.5]))
-        return simulate(square_36, ops, config)
+        return simulate(ops, config)
 
     def no_eigensolve(ops, **kw):
         raise RuntimeError("eigensolve called")
@@ -446,9 +462,9 @@ def test_dt_check_paths(square_36, monkeypatch):
             assert check["cell_bound_limit"] < between
     with pytest.raises(ConfigurationError, match="stability estimate"):
         run((1.0 + 1e-6) * exact)
-    forced = simulate(square_36, ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
-                                                       ic_h=gaussian_bump([0.5, 0.5]),
-                                                       allow_unstable_dt=True))
+    forced = simulate(ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
+                                            ic_h=gaussian_bump([0.5, 0.5]),
+                                            allow_unstable_dt=True))
     assert forced.dt_check == {"path": "forced", "cell_bound_limit": None}
 
 
@@ -462,8 +478,7 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = simulate(square_36, ops, SimulationConfig(dt=dt, t_end=dt,
-                                                       ic_h=gaussian_bump([0.5, 0.5])))
+    result = simulate(ops, SimulationConfig(dt=dt, t_end=dt, ic_h=gaussian_bump([0.5, 0.5])))
     assert result.dt_check["path"] == "inertia"
     assert calls == [(square_36.n_cells, 6, 6)]
 
@@ -475,7 +490,7 @@ def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
     _, ops = assemble_all(square_36, "dirichlet")
     monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: LambdaMax(lam, 0.0, 0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
-        simulate(square_36, ops, SimulationConfig(dt=1.0, t_end=3.0))
+        simulate(ops, SimulationConfig(dt=1.0, t_end=3.0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
         stable_dt_estimate(ops)
 
@@ -491,7 +506,7 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
     dt = (1.0 - 1e-6) * exact
-    result = simulate(mesh, ops, SimulationConfig(dt=dt, t_end=dt, ic_h=gaussian_bump([0.5])))
+    result = simulate(ops, SimulationConfig(dt=dt, t_end=dt, ic_h=gaussian_bump([0.5])))
     limit = result.dt_check["cell_bound_limit"]
     assert (1.0 - 1e-9) * exact <= limit <= exact
 
@@ -501,7 +516,7 @@ def test_simulate_abort_keeps_partial_series(square_36):
     config = SimulationConfig(dt=0.5, t_end=1000.0, stride=1,
                               ic_h=gaussian_bump([0.5, 0.5]),
                               allow_unstable_dt=True)
-    result = simulate(square_36, ops, config)
+    result = simulate(ops, config)
     assert result.abort_step is not None
     assert len(result.times) >= 1
     assert np.all(np.isfinite(result.energies))
@@ -523,7 +538,7 @@ def test_simulate_blowup_between_energy_samples():
     def run(stride):
         config = SimulationConfig(dt=0.5, t_end=50.0, stride=stride,
                                   ic_h=gaussian_bump([0.5, 0.5]), allow_unstable_dt=True)
-        return simulate(mesh, ops, config)
+        return simulate(ops, config)
 
     every = run(1)
     abort = every.abort_step
@@ -549,12 +564,11 @@ def test_snapshot_callback(square_36):
     seen = []
     config = SimulationConfig(dt=1e-3, t_end=0.01, stride=5, snapshot_stride=5,
                               ic_h=gaussian_bump([0.5, 0.5]))
-    simulate(square_36, ops, config,
-             snapshot_callback=lambda step, state: seen.append(step))
+    simulate(ops, config, snapshot_callback=lambda step, state: seen.append(step))
     assert seen == [0, 5, 10]
     # without a snapshot stride the callback never runs, step 0 included
     seen.clear()
-    simulate(square_36, ops, SimulationConfig(dt=1e-3, t_end=0.01, ic_h=gaussian_bump([0.5, 0.5])),
+    simulate(ops, SimulationConfig(dt=1e-3, t_end=0.01, ic_h=gaussian_bump([0.5, 0.5])),
              snapshot_callback=lambda step, state: seen.append(step))
     assert seen == []
     # a stride below 1 would snapshot never (0) or on multiples of |stride|
@@ -583,7 +597,7 @@ def test_simulate_rejects_non_finite_initial_data(square_36):
     _, ops = assemble_all(square_36, "neumann")
     config = SimulationConfig(dt=1e-3, t_end=1e-2, ic_h=lambda x: np.full(len(x), np.nan))
     with pytest.raises(ConfigurationError, match="initial energy is nan"):
-        simulate(square_36, ops, config)
+        simulate(ops, config)
 
 
 @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
@@ -594,9 +608,9 @@ def test_simulate_rejects_zero_data(square_36, kind):
     _, ops = assemble_all(square_36, kind)
     with pytest.raises(ConfigurationError, match="^initial energy and boundary data are "
                                                  "zero: the solution is zero$"):
-        simulate(square_36, ops, config)
+        simulate(ops, config)
     one = lambda x: 1.0  # noqa: E731
     bc = (wf.BcSpec.all_neumann(square_36, f=one) if kind == "neumann"
           else wf.BcSpec.all_dirichlet(square_36, g=one))
-    result = simulate(square_36, wf.assemble(square_36, ops.dofs, bc), config)
+    result = simulate(wf.assemble(square_36, ops.dofs, bc), config)
     assert result.energies[0] == 0.0 < result.energies[-1]
