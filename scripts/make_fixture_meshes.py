@@ -97,7 +97,7 @@ def first_good(factory, seeds=range(100), kernel_free=None):
         except ValueError:
             continue
         if kernel_free is not None:
-            ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_dirichlet(mesh))
+            ops = wf.assemble(wf.build_dof_maps(mesh), wf.BcSpec.all_dirichlet(mesh))
             if (wf.laplacian_spectrum(ops).null_count == 0) != kernel_free:
                 continue
         return mesh, seed

@@ -80,7 +80,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elements import DofMap, h_dof_coords, p2_basis, quadrature
-from .mesh import CELL_FACETS, BcSpec, Mesh
+from .mesh import CELL_FACETS, BcSpec
 
 __all__ = [
     "AssembledOperators",
@@ -95,22 +95,21 @@ DISSECTION_LEAF = 16  # parts up to this many DOFs are not split further
 class AssembledOperators:
     """Global matrices and boundary vectors of the semi-discrete system.
 
-    The fields below are the mesh the operators were assembled on and what
+    The fields below are the DOF map, which carries the mesh, and what
     assembly computes per reference cell, cell or boundary facet.
-    ``__post_init__``, which ``dataclasses.replace`` reruns, derives the
-    rest from them: ``dim``, the determinants ``cell_dets`` of the affine
-    maps (d! |K|), the scalar mass ``h_mass`` scattered from its cell
-    blocks, the free scalar DOFs ``h_free``, ascending, and on 3D meshes the
-    order ``h_order`` of the module docstring (None in 1D and 2D). The
-    per-cell gradient blocks ``grad_cells`` are derived on every read, and
-    the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them on
-    first access, so only a run that applies the kick or the divergence
-    builds it; a ``replace`` copy scatters its own. Scalar vectors and
-    matrices span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
-    vertices, 1D only) hold ``h_fixed_values``.
+    ``__post_init__``, which ``dataclasses.replace`` reruns, derives the rest
+    from them: ``mesh`` (``dofs.mesh``), ``dim``, the determinants
+    ``cell_dets`` of the affine maps (d! |K|), the scalar mass ``h_mass``
+    scattered from its cell blocks, the free scalar DOFs ``h_free``,
+    ascending, and on 3D meshes the order ``h_order`` of the module docstring
+    (None in 1D and 2D). The per-cell gradient blocks ``grad_cells`` are
+    derived on every read, and the d-tuple ``grad`` of (m_u, m_h) gradients is
+    scattered from them on first access, so only a run that applies the kick
+    or the divergence builds it; a ``replace`` copy scatters its own. Scalar
+    vectors and matrices span all ``m_h`` scalar DOFs; the fixed ones (strong
+    Dirichlet vertices, 1D only) hold ``h_fixed_values``.
     """
 
-    mesh: Mesh
     dofs: DofMap
     grad_ref: np.ndarray        # (n1, n2, d) reference gradient tensor
     facet_cells: np.ndarray     # (F,) owner cells of the weak Dirichlet
@@ -127,13 +126,13 @@ class AssembledOperators:
 
     def __post_init__(self):
         hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
-        self.dim = self.mesh.dim
+        self.mesh, self.dim = self.dofs.mesh, self.dofs.mesh.dim
         self.cell_dets = self.mesh.cell_measures * factorial(self.dim)  # det J = d! |K|
         self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
         self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
         self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
         # every DOF is free in 3D, so the order spans the whole mass
-        self.h_order = (_dissection_order(self.h_mass, h_dof_coords(self.mesh, self.dofs))
+        self.h_order = (_dissection_order(self.h_mass, h_dof_coords(self.dofs))
                         if self.dim == 3 else None)
 
     @property
@@ -299,13 +298,14 @@ def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarra
                        minlength=length).astype(float, copy=False)
 
 
-def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
-    """Assemble all global operators for a mesh and boundary assignment;
-    the operators keep ``mesh`` and derive its geometry from it.
+def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:
+    """Assemble all global operators on ``dofs.mesh`` for the boundary
+    assignment ``bc``; the operators keep ``dofs`` and derive its mesh.
 
     Every marker in ``bc`` must be present on the mesh boundary and every
     boundary marker must be assigned to one of the two sets.
     """
+    mesh = dofs.mesh
     present = set(np.unique(mesh.boundary_markers).tolist())
     declared = set(bc.dirichlet_markers) | set(bc.neumann_markers)
     if declared - present:
@@ -369,5 +369,5 @@ def assemble(mesh: Mesh, dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
 
-    return AssembledOperators(mesh, dofs, grad_ref, cD, facet_grad, mu_ref, mh_ref,
+    return AssembledOperators(dofs, grad_ref, cD, facet_grad, mu_ref, mh_ref,
                               dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values)

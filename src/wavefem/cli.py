@@ -72,12 +72,8 @@ def _load_mesh(args) -> tuple[Mesh, str]:
 
 
 def _bc_for(mesh: Mesh, kind: str) -> BcSpec:
-    """All facets under ``kind``; Dirichlet data on a mesh with no boundary
-    facet (a periodic interval) would leave a Neumann problem."""
+    """All facets under ``kind``."""
     if kind == "dirichlet":
-        if not len(mesh.boundary_facets):
-            raise dynamics.ConfigurationError("bc dirichlet needs boundary facets; "
-                                              "the mesh has none")
         return BcSpec.all_dirichlet(mesh)
     if kind == "neumann":
         return BcSpec.all_neumann(mesh)
@@ -131,7 +127,7 @@ def cmd_spectrum(args):
     mesh, source = _load_mesh(args)
     dofs = build_dof_maps(mesh)
     bc = _bc_for(mesh, args.bc)
-    ops = assembly.assemble(mesh, dofs, bc)
+    ops = assembly.assemble(dofs, bc)
     spec = spectral.laplacian_spectrum(ops)
     count = min(args.count, len(spec.eigenvalues))
     leading = spec.eigenvalues[:count]
@@ -252,12 +248,12 @@ def cmd_simulate(args):
 
     def snapshot(step, state):
         path = os.path.join(out_dir, f"fields_{step:07d}.vtk")
-        vtk_io.write_vtk(path, mesh, dofs, h=state.h, u=state.u)
+        vtk_io.write_vtk(path, dofs, h=state.h, u=state.u)
         outputs.append(path)
 
     try:
         dofs = build_dof_maps(mesh)
-        ops = assembly.assemble(mesh, dofs, bc)
+        ops = assembly.assemble(dofs, bc)
         result = dynamics.simulate(ops, config, snapshot_callback=snapshot)
     except Exception:
         if made is not None:

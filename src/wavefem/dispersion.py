@@ -89,7 +89,7 @@ def dispersion_branches(phis) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((phis > 0.0) & (phis <= np.pi)):
         raise ValueError("every wavenumber must lie in (0, pi]")
     mesh = generate_interval_mesh(2, 2.0, periodic=True)
-    ops = assemble(mesh, build_dof_maps(mesh), BcSpec())
+    ops = assemble(build_dof_maps(mesh), BcSpec())
     det = ops.cell_dets[0]
     u_mass_inv = np.linalg.inv(det * ops.u_mass_ref)
     shift = np.exp(1j * phis)

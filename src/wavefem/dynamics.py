@@ -9,8 +9,8 @@ drifting, so any energy growth signals a stability violation. Nonzero
 boundary data do work on the fields and change the energy at any dt;
 its error is then no stability signal.
 
-``simulate`` takes the operators alone: they carry the mesh they were
-assembled on, and the initial data are interpolated on that mesh.
+``simulate`` takes the operators alone: their DOF map carries the mesh
+(``ops.dofs.mesh``), on which the initial data are interpolated.
 
 A half-kick applies ``AssembledOperators.kick`` to the velocity array
 (d, m_u). A step's second kick, of its new scalar, travels with the state
@@ -44,7 +44,6 @@ import numpy as np
 
 from .assembly import AssembledOperators
 from .elements import DofMap, h_dof_coords
-from .mesh import Mesh
 from .spectral import cell_lambda_bound, max_eigenvalue, pivot_inertia
 
 __all__ = [
@@ -83,14 +82,14 @@ class FieldState:
         self._kick = (None, None, None)  # (ops, h, ops.kick(h)) of ``verlet_step``
 
 
-def interpolate_state(mesh: Mesh, dofs: DofMap, h0: Callable) -> FieldState:
-    """Nodal interpolation of the initial scalar ``h0``, with the velocity
-    at rest. ``h0`` is called once with the ``(m_h, dim)`` array of the
-    scalar nodes (vertices and midpoints), and its result is broadcast to
-    ``(m_h,)``."""
-    coords = h_dof_coords(mesh, dofs)
+def interpolate_state(dofs: DofMap, h0: Callable) -> FieldState:
+    """Nodal interpolation of the initial scalar ``h0`` on ``dofs.mesh``,
+    with the velocity at rest. ``h0`` is called once with the ``(m_h, dim)``
+    array of the scalar nodes (vertices and midpoints), and its result is
+    broadcast to ``(m_h,)``."""
+    coords = h_dof_coords(dofs)
     h = np.broadcast_to(np.asarray(h0(coords), dtype=float), (dofs.m_h,)).copy()
-    return FieldState(u=np.zeros((mesh.dim, dofs.m_u)), h=h, time=0.0)
+    return FieldState(u=np.zeros((dofs.mesh.dim, dofs.m_u)), h=h, time=0.0)
 
 
 def verlet_step(state: FieldState, ops: AssembledOperators, dt: float,
@@ -257,7 +256,7 @@ def simulate(ops: AssembledOperators, config: SimulationConfig,
         if config.snapshot_stride and step % config.snapshot_stride == 0:
             snapshot_callback(step, state)
 
-    state = interpolate_state(ops.mesh, ops.dofs, config.ic_h)
+    state = interpolate_state(ops.dofs, config.ic_h)
     state.h[ops.h_fixed] = ops.h_fixed_values
     if not np.isfinite(e := energy(state, ops)):
         raise ConfigurationError(f"the initial energy is {e!r}; the initial data must be finite")

@@ -92,13 +92,15 @@ def quadrature(dim: int, degree: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Element-local to global index maps for both function spaces.
+    """Element-local to global index maps for both function spaces on
+    ``mesh``; a function given the map reads the mesh there, never apart.
 
     Velocity DOFs are contiguous per cell and never shared; scalar DOFs
     are numbered vertices first, then edge DOFs in canonical edge-table
     order (per-cell midpoints in 1D).
     """
 
+    mesh: Mesh
     u_cell_dofs: np.ndarray  # (C, dim+1)
     h_cell_dofs: np.ndarray  # (C, local P2 size)
     m_u: int
@@ -120,13 +122,13 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         m_h = mesh.n_vertices + mesh.n_edges
     for arr in (u_map, h_map):
         arr.setflags(write=False)
-    return DofMap(u_map, h_map, m_u=n_cells * nv, m_h=m_h)
+    return DofMap(mesh, u_map, h_map, m_u=n_cells * nv, m_h=m_h)
 
 
-def h_dof_coords(mesh: Mesh, dofs: DofMap) -> np.ndarray:
-    """Physical coordinates of the scalar DOFs (vertices, then midpoints);
-    each cell writes its own edge midpoints, the periodic wrap cell too."""
-    d = mesh.dim
+def h_dof_coords(dofs: DofMap) -> np.ndarray:
+    """Physical coordinates of the scalar DOFs of ``dofs.mesh`` (vertices,
+    then midpoints); each cell writes its own, the periodic wrap cell too."""
+    mesh, d = dofs.mesh, dofs.mesh.dim
     coords = np.empty((dofs.m_h, d))
     coords[:mesh.n_vertices] = mesh.vertices
     coords[dofs.h_cell_dofs[:, d + 1:]] = mesh.cell_coords[:, CELL_EDGES[d]].mean(axis=2)

@@ -258,6 +258,9 @@ class BcSpec:
 
     @staticmethod
     def all_dirichlet(mesh: Mesh, g: Callable = _zero) -> "BcSpec":
+        """Dirichlet data on every boundary facet, of which there must be one."""
+        if not len(mesh.boundary_facets):
+            raise ValueError("bc dirichlet needs boundary facets; the mesh has none")
         return BcSpec(frozenset(np.unique(mesh.boundary_markers).tolist()),
                       frozenset(), g=g)
 
@@ -280,8 +283,8 @@ def generate_interval_mesh(n_elements: int, length: float,
     """
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not 0 < length < np.inf:
+        raise ValueError("length must be positive and finite")
     if not periodic:
         x = np.linspace(0.0, length, n_elements + 1).reshape(-1, 1)
         cells = np.column_stack([np.arange(n_elements),

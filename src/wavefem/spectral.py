@@ -21,8 +21,8 @@ The velocity mass is block-diagonal, with block M_u,K = det_K
 to its owner cell, so A = sum_K scatter(A_K) exactly, with the cell
 Laplacian A_K = sum_i G_Ki^T M_u,K^{-1} G_Ki (``_cell_laplacian``), where
 G_Ki = ``ops.grad_cells[K, i]``, derived from the reference gradient
-tensor, the facet blocks and J_K^{-1} of the mesh ``ops.mesh``, acts on
-row i of the velocity array. No global gradient matrix is built.
+tensor, the facet blocks and J_K^{-1} of ``ops.mesh`` (``ops.dofs.mesh``),
+acts on row i of the velocity array. No global gradient matrix is built.
 Both ``laplacian_pencil`` and ``cell_lambda_bound`` read these blocks.
 Since grad P2 lies in P1_DG^d (the paper's stability argument), M_u,K^{-1}
 G_Ki h is the exact gradient of h on K, so A_K is the P2 stiffness matrix

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elements import DofMap
-from .mesh import Mesh, _format_rows
+from .mesh import _format_rows
 
 __all__ = ["write_vtk"]
 
@@ -27,17 +27,17 @@ def _xyz(d: int) -> str:
     return " ".join(["%.16g"] * d + ["0"] * (3 - d)) + "\n"
 
 
-def write_vtk(path, mesh: Mesh, dofs: DofMap, h, u):
-    """Write quadratic cells with the scalar as point data.
+def write_vtk(path, dofs: DofMap, h, u):
+    """Write the quadratic cells of ``dofs.mesh``, the scalar as point data.
 
     Point order matches the scalar DOF numbering (vertices, then edge or
     cell midpoints), so ``h`` is written verbatim. ``u``, the velocity
     array of shape (d, m_u), is written as cell-averaged vectors.
     """
-    d = mesh.dim
+    d = dofs.mesh.dim
     from .elements import h_dof_coords
 
-    points = h_dof_coords(mesh, dofs)
+    points = h_dof_coords(dofs)
     conn = dofs.h_cell_dofs[:, np.r_[0:d + 1, d + 1 + np.array(_EDGE_PERM[d])]]
     n_cells, k = conn.shape
     means = np.asarray(u, dtype=float).reshape(d, n_cells, d + 1).mean(axis=2).T

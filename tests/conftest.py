@@ -60,7 +60,7 @@ def assemble_all(mesh, bc_kind="neumann"):
         bc = wf.BcSpec.all_neumann(mesh)
     else:
         bc = wf.BcSpec.all_dirichlet(mesh)
-    return dofs, wf.assemble(mesh, dofs, bc)
+    return dofs, wf.assemble(dofs, bc)
 
 
 def gaussian_bump(center, width=0.1):

@@ -95,7 +95,7 @@ def divergence_reference(mesh, dofs, bc):
 def one_element_ops(dx):
     mesh = wf.generate_interval_mesh(1, dx)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh))
+    ops = assemble(dofs, wf.BcSpec.all_neumann(mesh))
     return ops
 
 
@@ -161,7 +161,7 @@ def test_adjointness(square_36, bc_kind):
     dofs = wf.build_dof_maps(mesh)
     bc = (wf.BcSpec.all_neumann(mesh) if bc_kind == "neumann"
           else wf.BcSpec.all_dirichlet(mesh))
-    ops = assemble(mesh, dofs, bc)
+    ops = assemble(dofs, bc)
     div = divergence_reference(mesh, dofs, bc)
     for i in range(mesh.dim):
         diff = abs(div[i] - ops.grad[i].T)
@@ -173,7 +173,7 @@ def test_adjointness(square_36, bc_kind):
 def test_adjointness_3d(cube_44):
     dofs = wf.build_dof_maps(cube_44)
     bc = wf.BcSpec.all_dirichlet(cube_44)
-    ops = assemble(cube_44, dofs, bc)
+    ops = assemble(dofs, bc)
     div = divergence_reference(cube_44, dofs, bc)
     for i in range(3):
         assert abs(div[i] - ops.grad[i].T).max() <= 1e-13 * abs(ops.grad[i]).max()
@@ -185,7 +185,7 @@ def test_dirichlet_facet_term_vs_boundary_data(square_150):
     # scalar equals minus the assembled boundary vector
     mesh = square_150
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0))
+    ops = assemble(dofs, wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0))
     ones = np.ones(dofs.m_h)
     for i in range(mesh.dim):
         assert np.abs(ops.grad[i] @ ones + ops.dirichlet_rhs[i]).max() <= 1e-13
@@ -221,7 +221,7 @@ def test_velocity_mass_reference_form(name, request):
     else:
         mesh = request.getfixturevalue(name)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0]))
+    ops = assemble(dofs, wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0]))
     M_u = velocity_mass_reference(mesh, dofs)
     rng = np.random.default_rng(5)
     state = wf.FieldState(u=[rng.standard_normal(dofs.m_u) for _ in range(mesh.dim)],
@@ -295,7 +295,7 @@ def test_dissection_keeps_the_one_layer_separator():
     mesh = wf.generate_interval_mesh(9, 1.0)
     dofs, ops = assemble_all(mesh)
     assert dofs.m_h == 19 > assembly.DISSECTION_LEAF
-    x = h_dof_coords(mesh, dofs)[:, 0]
+    x = h_dof_coords(dofs)[:, 0]
     order = assembly._dissection_order(ops.h_mass, x[:, None])
     assert np.array_equal(np.sort(order), np.arange(19))
     assert x[order[-1]] == 5.0 / 9.0
@@ -342,7 +342,7 @@ def test_only_3d_operators_carry_an_order(square_36):
     interval = wf.generate_interval_mesh(8, 1.0)
     for mesh, bc in [(interval, wf.BcSpec(dirichlet_markers={1, 2})),
                      (square_36, wf.BcSpec.all_dirichlet(square_36))]:
-        ops = assemble(mesh, wf.build_dof_maps(mesh), bc)
+        ops = assemble(wf.build_dof_maps(mesh), bc)
         assert ops.h_order is None
         b = np.random.default_rng(0).standard_normal(len(ops.h_free))
         M = ops.free_block(ops.h_mass)
@@ -374,7 +374,7 @@ def test_replace_rederives_global_operators():
     # gradients already, and the copy must not carry them over.
     mesh = wf.generate_square_mesh(8)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, lambda x: x[:, 0] + 2 * x[:, 1]))
+    ops = assemble(dofs, wf.BcSpec.all_dirichlet(mesh, lambda x: x[:, 0] + 2 * x[:, 1]))
     rng = np.random.default_rng(0)
     h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((2, dofs.m_u))
     zero = np.zeros(dofs.m_h)
@@ -397,11 +397,11 @@ def test_replace_rederives_global_operators():
 
 @pytest.mark.parametrize("name", ["cube:3", "cube_200"])
 def test_operators_derive_geometry_from_their_mesh(name, request):
-    # the operators keep their mesh instead of copies of its geometry, and
-    # derive the determinants, the cell gradient blocks and the 3D order
-    # from it as assembly did
+    # the operators keep their DOF map, which carries the mesh, instead of
+    # copies of its geometry, and derive the mesh, the determinants, the
+    # cell gradient blocks and the 3D order from it as assembly did
     init = [f.name for f in fields(wf.AssembledOperators) if f.init]
-    assert len(init) == 11 and "mesh" in init
+    assert len(init) == 10 and "dofs" in init and "mesh" not in init
     assert not {"cell_jinv", "cell_dets", "h_order"} & set(init)
     mesh = wf.generate_cube_mesh(3) if name == "cube:3" else request.getfixturevalue(name)
     dofs, ops = assemble_all(mesh, "dirichlet")
@@ -409,17 +409,38 @@ def test_operators_derive_geometry_from_their_mesh(name, request):
     blocks = np.einsum("abk,cki->ciab", ops.grad_ref, mesh.barycentric_gradients[:, 1:])
     blocks = det[:, None, None, None] * blocks
     np.add.at(blocks, ops.facet_cells, ops.facet_grad)
-    order = assembly._dissection_order(ops.h_mass, h_dof_coords(mesh, dofs))
-    assert ops.mesh is mesh and len(ops.facet_cells)
+    order = assembly._dissection_order(ops.h_mass, h_dof_coords(dofs))
+    assert ops.mesh is dofs.mesh is mesh and len(ops.facet_cells)
     assert np.array_equal(ops.cell_dets, det) and np.array_equal(ops.grad_cells, blocks)
     assert np.array_equal(ops.h_order, order)
+
+
+@pytest.mark.parametrize("name", ["square:8", "cube:2", "cube_200"])
+def test_renumbered_cells_keep_the_spectrum(name, request):
+    # each DOF map carries the mesh it numbers, so listing the cells in
+    # another order (reversed in 2D, a random permutation in 3D) renumbers
+    # the DOFs but leaves both spectra as they were
+    generated = {"square:8": lambda: wf.generate_square_mesh(8),
+                 "cube:2": lambda: wf.generate_cube_mesh(2)}
+    mesh = generated[name]() if name in generated else request.getfixturevalue(name)
+    order = (np.arange(mesh.n_cells)[::-1] if mesh.dim == 2
+             else np.random.default_rng(0).permutation(mesh.n_cells))
+    other = wf.Mesh(mesh.dim, mesh.vertices, mesh.cells[order], mesh.boundary_facets,
+                    mesh.boundary_markers)
+    for bc in (wf.BcSpec.all_neumann, wf.BcSpec.all_dirichlet):
+        want, got = (spectral.laplacian_spectrum(assemble(wf.build_dof_maps(m), bc(m)))
+                     for m in (mesh, other))
+        assert want.complete and got.complete
+        scale = want.eigenvalues[-1]
+        assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-10 * scale
+        assert got.null_count == want.null_count
 
 
 def test_replace_rederives_free_dofs():
     # a 1D copy with one of its two Dirichlet vertices fixed leaves the other free
     mesh = wf.generate_interval_mesh(8, 1.0)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec(dirichlet_markers={1, 2}, g=lambda x: 1.0 + x[:, 0]))
+    ops = assemble(dofs, wf.BcSpec(dirichlet_markers={1, 2}, g=lambda x: 1.0 + x[:, 0]))
     assert len(ops.h_fixed) == 2 and len(ops.h_free) == dofs.m_h - 2
     one = replace(ops, h_fixed=ops.h_fixed[:1], h_fixed_values=ops.h_fixed_values[:1])
     assert len(one.h_free) == dofs.m_h - 1
@@ -453,7 +474,7 @@ def test_periodic_stencil_rows():
     n, length = 8, 8.0  # dx = 1
     mesh = wf.generate_interval_mesh(n, length, periodic=True)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec())
+    ops = assemble(dofs, wf.BcSpec())
     cell = 3
     mid = dofs.h_cell_dofs[cell, 2]
     left, right = dofs.h_cell_dofs[cell, 0], dofs.h_cell_dofs[cell, 1]
@@ -477,8 +498,8 @@ def test_periodic_stencil_rows():
 def test_assembly_deterministic(square_36):
     dofs = wf.build_dof_maps(square_36)
     bc = wf.BcSpec.all_dirichlet(square_36)
-    a = assemble(square_36, dofs, bc)
-    b = assemble(square_36, dofs, bc)
+    a = assemble(dofs, bc)
+    b = assemble(dofs, bc)
     assert np.array_equal(a.h_mass.data, b.h_mass.data)
     assert np.array_equal(a.grad[0].data, b.grad[0].data)
     assert np.array_equal(a.cell_dets[:, None, None] * a.u_mass_ref,
@@ -488,10 +509,10 @@ def test_assembly_deterministic(square_36):
 def test_unknown_marker_rejected(square_150):
     dofs = wf.build_dof_maps(square_150)
     with pytest.raises(ValueError, match="not on mesh boundary"):
-        assemble(square_150, dofs, wf.BcSpec(dirichlet_markers={9},
+        assemble(dofs, wf.BcSpec(dirichlet_markers={9},
                                              neumann_markers={1}))
     with pytest.raises(ValueError, match="not\\s+assigned"):
-        assemble(square_150, dofs, wf.BcSpec())
+        assemble(dofs, wf.BcSpec())
 
 
 def test_neumann_data_vector():
@@ -499,7 +520,7 @@ def test_neumann_data_vector():
     # must sum to the boundary length
     mesh = wf.generate_square_mesh(2)
     dofs = wf.build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh, f=lambda x: 1.0))
+    ops = assemble(dofs, wf.BcSpec.all_neumann(mesh, f=lambda x: 1.0))
     assert abs(ops.neumann_rhs.sum() - 4.0) <= 1e-13
     # with no Dirichlet facets the Dirichlet vectors are float zeros
     rhs = ops.dirichlet_rhs

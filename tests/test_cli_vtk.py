@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import wavefem as wf
 from wavefem import assembly, cli, dispersion, dynamics, spectral
 from wavefem.cli import main
+from wavefem.elements import h_dof_coords
 from wavefem.vtk_io import write_vtk
 
 from conftest import mesh_path
@@ -302,7 +304,7 @@ def test_simulate_manifest_dt_check(tmp_path, capsys):
     # on the inertia path, sigma and the factor that decided it
     mesh = wf.read_mesh(*(mesh_path(f"square_36.{ext}")
                                    for ext in ("node", "ele", "edge")))
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
+    ops = wf.assemble(wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
     exact = wf.stable_dt_estimate(ops)
     certified = 2.0 / np.sqrt(wf.cell_lambda_bound(ops))
     cfg = write_config(tmp_path, "bc = neumann\n")
@@ -342,7 +344,7 @@ def test_simulate_manifest_mass_solve_3d(tmp_path):
     # a 3D run factors the mass in the nested-dissection order and records
     # the factor's stored entry count
     mesh = wf.generate_cube_mesh(3)
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec.all_dirichlet(mesh))
+    ops = wf.assemble(wf.build_dof_maps(mesh), wf.BcSpec.all_dirichlet(mesh))
     cfg = write_config(tmp_path, "dt = 0.01\nt_end = 0.02\nbc = dirichlet\n")
     out_dir = str(tmp_path / "out")
     assert run(["simulate", "--generate", "cube:3", "--config", cfg, "--out-dir", out_dir]) == 0
@@ -667,10 +669,12 @@ def test_spectrum_rejects_negative_count(capsys):
     assert capsys.readouterr().err.startswith("error: --count must be >= 0")
 
 
+@pytest.mark.filterwarnings("error")
 def test_bad_generate_spec(tmp_path, capsys):
     # an unknown generator, a misspelt flag and trailing fields are all
     # input errors, found before any mesh is built; so are a size that does
-    # not parse and one the generator rejects
+    # not parse and one the generator rejects, an infinite or NaN length
+    # before numpy sees it and warns
     usage = "use square:N, cube:N or interval:N[:LENGTH[:periodic]]"
     cases = {"torus:3": f"unknown generator 'torus'; {usage}",
              **{spec: f"bad --generate spec {spec!r}; {usage}"
@@ -679,7 +683,9 @@ def test_bad_generate_spec(tmp_path, capsys):
              "square:x": "bad --generate spec 'square:x': "
                          "invalid literal for int() with base 10: 'x'",
              "cube:0": "bad --generate spec 'cube:0': n must be >= 1",
-             "interval:3:-1": "bad --generate spec 'interval:3:-1': length must be positive",
+             **{f"interval:3:{length}": f"bad --generate spec 'interval:3:{length}': "
+                                        "length must be positive and finite"
+                for length in ("-1", "inf", "nan")},
              "interval:1:1:periodic": "bad --generate spec 'interval:1:1:periodic': "
                                       "periodic interval needs at least 2 elements"}
     for spec, message in cases.items():
@@ -704,7 +710,7 @@ def test_vtk_quadratic_output(tmp_path):
     h = np.arange(dofs.m_h, dtype=float)
     u = [np.ones(dofs.m_u), 2.0 * np.ones(dofs.m_u)]
     path = tmp_path / "f.vtk"
-    write_vtk(str(path), mesh, dofs, h=h, u=u)
+    write_vtk(str(path), dofs, h=h, u=u)
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     n_points = mesh.n_vertices + mesh.n_edges
@@ -742,6 +748,28 @@ def test_vtk_bytes_match_reference(tmp_path, name):
     h = awkward_values(dofs.m_h, 0)
     u = [awkward_values(dofs.m_u, i + 1) for i in range(mesh.dim)]
     got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
-    write_vtk(str(got), mesh, dofs, h=h, u=u)
+    write_vtk(str(got), dofs, h=h, u=u)
     reference_write_vtk(str(want), mesh, dofs, h=h, u=u)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_writers_read_the_mesh_of_the_dof_map(tmp_path):
+    # h_dof_coords, interpolate_state and write_vtk take no mesh: they read
+    # the one the DOF map carries, so a map onto a squashed copy of the
+    # same topology gives that copy's nodes and file
+    square = wf.generate_square_mesh(3)
+    squashed = wf.Mesh(2, square.vertices * [1.0, 0.5], square.cells,
+                       square.boundary_facets, square.boundary_markers)
+    dofs = wf.build_dof_maps(square)
+    moved = replace(dofs, mesh=squashed)
+    coords = h_dof_coords(moved)
+    assert np.array_equal(coords, h_dof_coords(wf.build_dof_maps(squashed)))
+    assert np.array_equal(coords, h_dof_coords(dofs) * [1.0, 0.5])
+    state = wf.interpolate_state(moved, lambda x: x[:, 1])
+    assert np.array_equal(state.h, coords[:, 1]) and state.u.shape == (2, dofs.m_u)
+    h, u = awkward_values(dofs.m_h, 0), [awkward_values(dofs.m_u, i + 1) for i in range(2)]
+    got, want, unit = (tmp_path / f"{name}.vtk" for name in ("got", "want", "unit"))
+    write_vtk(str(got), moved, h=h, u=u)
+    reference_write_vtk(str(want), squashed, dofs, h=h, u=u)
+    write_vtk(str(unit), dofs, h=h, u=u)
+    assert got.read_bytes() == want.read_bytes() != unit.read_bytes()

@@ -195,7 +195,7 @@ def semidiscrete_consistency_check(n_elements: int, tol: float = 1e-8) -> Consis
     mesh = generate_interval_mesh(n_elements, 1.0, periodic=True)
     dx = 1.0 / n_elements
     dofs = build_dof_maps(mesh)
-    ops = assemble(mesh, dofs, BcSpec())
+    ops = assemble(dofs, BcSpec())
     A, M = laplacian_pencil(ops)
     lam = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     # The constant mode's eigenvalue is zero up to rounding of either sign;

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -102,11 +103,11 @@ def test_simulate_interpolates_on_the_operators_mesh():
     squashed = wf.Mesh(2, square.vertices * [1.0, 0.5], square.cells,
                        square.boundary_facets, square.boundary_markers)
     dofs = wf.build_dof_maps(squashed)
-    ops = wf.assemble(squashed, dofs, wf.BcSpec.all_neumann(squashed))
+    ops = wf.assemble(dofs, wf.BcSpec.all_neumann(squashed))
     h0, seen = gaussian_bump([0.5, 0.5]), {}
     config = SimulationConfig(dt=1e-3, t_end=1e-3, snapshot_stride=1, ic_h=h0)
     result = simulate(ops, config, lambda step, state: seen.setdefault(step, state))
-    start, unit = (interpolate_state(mesh, dofs, h0) for mesh in (squashed, square))
+    start, unit = (interpolate_state(wf.build_dof_maps(mesh), h0) for mesh in (squashed, square))
     assert np.array_equal(seen[0].h, start.h)
     assert result.energies[0] == energy(start, ops) != energy(unit, ops)
 
@@ -127,7 +128,7 @@ def test_simulate_kicks_once_per_step(square_36, monkeypatch):
     assert len(calls) == config.n_steps + 1 == 18
 
 
-def two_kick_reference(mesh, ops, config):
+def two_kick_reference(ops, config):
     """Final (u, h) of Verlet with two kicks per step, each a solve with the
     global block-diagonal velocity mass, and the scalar mass solved by
     SciPy's default sparse factor."""
@@ -138,7 +139,7 @@ def two_kick_reference(mesh, ops, config):
     def kick(h):
         return np.array([u_solve(g @ h + r) for g, r in zip(ops.grad, ops.dirichlet_rhs)])
 
-    state = interpolate_state(mesh, ops.dofs, config.ic_h)
+    state = interpolate_state(ops.dofs, config.ic_h)
     u, h = state.u, state.h
     h[ops.h_fixed] = ops.h_fixed_values
     half = 0.5 * config.dt * config.c
@@ -164,12 +165,12 @@ def test_simulate_matches_two_kick_reference(request, name, bc_kind):
     data = lambda x: 0.5 + x[..., 0] - 0.3 * x[..., -1] ** 2  # noqa: E731
     bc = (wf.BcSpec.all_dirichlet(mesh, g=data) if bc_kind == "dirichlet"
           else wf.BcSpec.all_neumann(mesh, f=data))
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    ops = wf.assemble(wf.build_dof_maps(mesh), bc)
     dt = 0.5 * 2.0 / np.sqrt(cell_lambda_bound(ops))
     config = SimulationConfig(dt=dt, t_end=20 * dt, c=1.3,
                               ic_h=gaussian_bump([0.4] * mesh.dim, width=0.2))
     final = simulate(ops, config).final_state
-    u, h = two_kick_reference(mesh, ops, config)
+    u, h = two_kick_reference(ops, config)
     assert np.abs(final.h - h).max() <= 1e-13 * np.abs(h).max()
     assert np.abs(final.u - u).max() <= 1e-13 * np.abs(u).max()
 
@@ -189,7 +190,7 @@ def test_plane_wave_frequency_matches_leapfrog_relation():
     # Omega = 2 asin(w_semi dt / 2) / dt from the semi-discrete frequency
     mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
     dofs = wf.build_dof_maps(mesh)
-    ops = wf.assemble(mesh, dofs, wf.BcSpec())
+    ops = wf.assemble(dofs, wf.BcSpec())
     A, M = laplacian_pencil(ops)
     lam, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
     k = 3  # an interior nonzero mode
@@ -288,7 +289,7 @@ def test_wave_speed_scales_stable_dt(square_36):
 def test_stability_boundary(square_36):
     dofs, ops = assemble_all(square_36, "neumann")
     est = stable_dt_estimate(ops)
-    state0 = interpolate_state(square_36, dofs, gaussian_bump([0.5, 0.5]))
+    state0 = interpolate_state(dofs, gaussian_bump([0.5, 0.5]))
     e0 = energy(state0, ops)
 
     def max_energy(dt, n):
@@ -313,7 +314,7 @@ def test_energy_error_amplitude_second_order(square_36):
     est = stable_dt_estimate(ops)
 
     def amplitude(dt):
-        state = interpolate_state(square_36, dofs, gaussian_bump([0.4, 0.6]))
+        state = interpolate_state(dofs, gaussian_bump([0.4, 0.6]))
         e0 = energy(state, ops)
         peak = 0.0
         for _ in range(400):
@@ -332,7 +333,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     mesh = wf.generate_interval_mesh(64, 1.0)
     dofs = wf.build_dof_maps(mesh)
     bc = wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[..., 0])
-    ops = wf.assemble(mesh, dofs, bc)
+    ops = wf.assemble(dofs, bc)
     config = SimulationConfig(dt=1e-3, t_end=0.05, ic_h=gaussian_bump([0.3]))
     h = simulate(ops, config).final_state.h
     assert sorted(h[ops.h_fixed]) == [1.0, 2.0]
@@ -340,7 +341,7 @@ def test_interval_dirichlet_run_fixed_dofs():
     # with g = 0 the energy error is second order in dt; h0 is not zero at
     # x = 0, so leaving it on the fixed DOF would stall the error near 3e-2
     bc = wf.BcSpec.all_dirichlet(mesh)
-    ops = wf.assemble(mesh, dofs, bc)
+    ops = wf.assemble(dofs, bc)
     est = stable_dt_estimate(ops)
 
     def max_error(dt):
@@ -365,7 +366,7 @@ def test_standing_wave_space_time_order():
         dofs, ops = assemble_all(mesh, "neumann")
         config = SimulationConfig(dt=0.04 / n, t_end=0.5, ic_h=mode)
         state = simulate(ops, config).final_state
-        exact = np.cos(np.sqrt(2.0) * np.pi * state.time) * mode(h_dof_coords(mesh, dofs))
+        exact = np.cos(np.sqrt(2.0) * np.pi * state.time) * mode(h_dof_coords(dofs))
         return np.abs(state.h - exact).max()
 
     assert np.log2(max_error(16) / max_error(32)) >= 2.8
@@ -383,7 +384,7 @@ def standing_wave_error(kind, n, modes, dt):
         return np.prod(np.cos(k * x), axis=-1)
 
     state = simulate(ops, SimulationConfig(dt=dt, t_end=0.5, ic_h=mode)).final_state
-    exact = np.cos(np.linalg.norm(k) * state.time) * mode(h_dof_coords(mesh, dofs))
+    exact = np.cos(np.linalg.norm(k) * state.time) * mode(h_dof_coords(dofs))
     error = state.h - exact
     return np.sqrt(error @ (ops.h_mass @ error) / (exact @ (ops.h_mass @ exact)))
 
@@ -408,8 +409,8 @@ def test_standing_wave_rate_in_time():
 
 def test_interpolate_state_nodal(square_36):
     dofs = wf.build_dof_maps(square_36)
-    state = interpolate_state(square_36, dofs, lambda x: x[..., 0] + 2.0 * x[..., 1])
-    coords = h_dof_coords(square_36, dofs)
+    state = interpolate_state(dofs, lambda x: x[..., 0] + 2.0 * x[..., 1])
+    coords = h_dof_coords(dofs)
     assert np.allclose(state.h, coords[:, 0] + 2.0 * coords[:, 1])
     assert state.u.shape == (2, dofs.m_u) and not state.u.any()
 
@@ -436,7 +437,7 @@ def test_dt_check_paths(square_36, monkeypatch):
     # does one between that and the exact limit, accepted by the pivot
     # signs of sigma M - A; one above the exact limit is rejected
     bc = wf.BcSpec.all_neumann(square_36)
-    ops = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
+    ops = wf.assemble(wf.build_dof_maps(square_36), bc)
     exact = stable_dt_estimate(ops)
     certified = 2.0 / np.sqrt(cell_lambda_bound(ops))
     assert certified < 0.6 * exact  # slivers: the bound is 3.6x lambda_max
@@ -472,9 +473,9 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     # a dt past the cell bound evaluates the per-cell eigenproblems once,
     # and the inertia test that accepts it solves no eigenproblem
     bc = wf.BcSpec.all_neumann(square_36)
-    probe = wf.assemble(square_36, wf.build_dof_maps(square_36), bc)
+    probe = wf.assemble(wf.build_dof_maps(square_36), bc)
     dt = 0.5 * (2.0 / np.sqrt(cell_lambda_bound(probe)) + stable_dt_estimate(probe))
-    ops = wf.assemble(square_36, probe.dofs, bc)
+    ops = wf.assemble(probe.dofs, bc)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
@@ -503,7 +504,7 @@ def test_cell_bound_limit_at_most_exact_1d(periodic):
     # inertia test may reject it
     mesh = wf.generate_interval_mesh(16, 1.0, periodic=periodic)
     bc = wf.BcSpec.all_neumann(mesh)
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    ops = wf.assemble(wf.build_dof_maps(mesh), bc)
     exact = stable_dt_estimate(ops)
     dt = (1.0 - 1e-6) * exact
     result = simulate(ops, SimulationConfig(dt=dt, t_end=dt, ic_h=gaussian_bump([0.5])))
@@ -612,5 +613,19 @@ def test_simulate_rejects_zero_data(square_36, kind):
     one = lambda x: 1.0  # noqa: E731
     bc = (wf.BcSpec.all_neumann(square_36, f=one) if kind == "neumann"
           else wf.BcSpec.all_dirichlet(square_36, g=one))
-    result = simulate(wf.assemble(square_36, ops.dofs, bc), config)
+    result = simulate(wf.assemble(ops.dofs, bc), config)
     assert result.energies[0] == 0.0 < result.energies[-1]
+
+
+def test_readme_library_example_runs():
+    # the "As a library" block of README.md runs as written, so the
+    # signatures it documents are the library's
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## As a library\n", 1)[1]
+    lines = section.lstrip("\n").split("\n\n", 1)[0].splitlines()
+    assert lines and all(line.startswith("    ") for line in lines)
+    scope = {}
+    exec("\n".join(line[4:] for line in lines), scope)
+    assert scope["run"].abort_step is None and scope["spectrum"].null_count == 4
+    assert scope["ops"].mesh is scope["mesh"]

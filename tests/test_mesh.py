@@ -160,10 +160,14 @@ def test_mesh_rejects_bad_arrays(args, kwargs, match):
 @pytest.mark.parametrize("make,match", [
     (lambda: wf.generate_interval_mesh(0, 1.0), "n_elements must be >= 1"),
     (lambda: wf.generate_interval_mesh(4, 0.0), "length must be positive"),
+    (lambda: wf.generate_interval_mesh(4, np.inf), "length must be positive and finite"),
+    (lambda: wf.generate_interval_mesh(4, np.nan, periodic=True),
+     "length must be positive and finite"),
     (lambda: wf.generate_interval_mesh(1, 1.0, periodic=True),
      "periodic interval needs at least 2 elements"),
     (lambda: wf.generate_square_mesh(0), "n must be >= 1")],
-    ids=["interval-0", "interval-length", "periodic-1", "square-0"])
+    ids=["interval-0", "interval-length", "interval-inf", "interval-nan", "periodic-1",
+         "square-0"])
 def test_generators_reject_bad_sizes(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -259,6 +263,18 @@ def test_periodic_interval_mesh():
     assert np.allclose(mesh.cell_measures, 0.5)
     dofs = wf.build_dof_maps(mesh)
     assert (dofs.m_u, dofs.m_h) == (8, 8)  # one h DOF fewer than the bounded interval
+
+
+def test_dirichlet_data_need_a_boundary():
+    # a periodic interval has no boundary facet, so Dirichlet data on it
+    # would leave the Neumann problem (a constant null mode); Neumann data
+    # are what the mesh admits
+    mesh = wf.generate_interval_mesh(4, 1.0, periodic=True)
+    with pytest.raises(ValueError, match="^bc dirichlet needs boundary facets; "
+                                         "the mesh has none$"):
+        wf.BcSpec.all_dirichlet(mesh)
+    ops = wf.assemble(wf.build_dof_maps(mesh), wf.BcSpec.all_neumann(mesh))
+    assert len(ops.h_fixed) == 0 and wf.laplacian_spectrum(ops).null_count == 1
 
 
 def test_square_mesh_counts():

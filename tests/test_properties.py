@@ -40,8 +40,8 @@ def test_gradient_exact_for_quadratics(name, data):
     def p(x):
         return c + x @ b + np.einsum("...i,ij,...j->...", x, A, x)
 
-    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh, g=p))
-    h = wf.interpolate_state(mesh, dofs, p).h
+    ops = wf.assemble(dofs, wf.BcSpec.all_dirichlet(mesh, g=p))
+    h = wf.interpolate_state(dofs, p).h
     corners = mesh.cell_coords.reshape(-1, d)
     exact = b + corners @ (A + A.T)
     scale = max(1.0, np.abs(exact).max())
@@ -56,7 +56,7 @@ def test_verlet_step_time_reversible(name, kind, seed, fraction):
     # with g = 0 and f = 0, a step of -dt undoes a step of dt
     mesh, dofs = MESHES[name], DOFS[name]
     bc = wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet" else wf.BcSpec.all_neumann(mesh)
-    ops = wf.assemble(mesh, dofs, bc)
+    ops = wf.assemble(dofs, bc)
     dt = fraction * 2.0 / np.sqrt(wf.cell_lambda_bound(ops))
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(dofs.m_h)
@@ -87,7 +87,7 @@ def test_gradient_adjoint_to_divergence(kind, n, bc_kind, seed):
     mesh = jittered(kind, n, seed)
     dofs = wf.build_dof_maps(mesh)
     bc = wf.BcSpec.all_dirichlet(mesh) if bc_kind == "dirichlet" else wf.BcSpec.all_neumann(mesh)
-    ops = wf.assemble(mesh, dofs, bc)
+    ops = wf.assemble(dofs, bc)
     for grad, div in zip(ops.grad, divergence_reference(mesh, dofs, bc)):
         assert abs(div - grad.T).max() <= 1e-13 * abs(grad).max()
 

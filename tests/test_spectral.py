@@ -33,7 +33,7 @@ def test_interval_dirichlet_spectrum():
     mesh = wf.generate_interval_mesh(64, 1.0)
     dofs = wf.build_dof_maps(mesh)
     for kind, shift, n_neumann in (("dirichlet", 0.0, 0), ("mixed", 0.5, 1)):
-        ops = wf.assemble(mesh, dofs, interval_bc(kind, f=lambda x: 1.0))
+        ops = wf.assemble(dofs, interval_bc(kind, f=lambda x: 1.0))
         # the Neumann end still receives its boundary datum
         assert abs(ops.neumann_rhs.sum() - n_neumann) <= 1e-14
         spec = laplacian_spectrum(ops)
@@ -50,7 +50,7 @@ def test_interval_null_space_trivial(n, kind):
     # 2N + 1 - (number of Dirichlet ends) free scalar DOFs and no kernel
     mesh = wf.generate_interval_mesh(n, 1.0)
     dofs = wf.build_dof_maps(mesh)
-    ops = wf.assemble(mesh, dofs, interval_bc(kind))
+    ops = wf.assemble(dofs, interval_bc(kind))
     n_fixed = 2 if kind == "dirichlet" else 1
     assert len(ops.h_fixed) == n_fixed
     assert np.array_equal(np.sort(np.concatenate([ops.h_free, ops.h_fixed])),
@@ -216,7 +216,7 @@ def operators(name, kind, request):
     else:
         bc = (wf.BcSpec.all_dirichlet(mesh) if kind == "dirichlet"
               else wf.BcSpec.all_neumann(mesh))
-    return mesh, wf.assemble(mesh, wf.build_dof_maps(mesh), bc)
+    return mesh, wf.assemble(wf.build_dof_maps(mesh), bc)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -347,7 +347,7 @@ def test_spectral_verbs_build_no_gradient_matrix(square_36, monkeypatch):
     cell_lambda_bound(ops)
     assert calls == [True, False]
     assert "grad" not in vars(ops) and "_grad_T" not in vars(ops)
-    state = dynamics.interpolate_state(square_36, ops.dofs, lambda x: np.sin(x[:, 0]))
+    state = dynamics.interpolate_state(ops.dofs, lambda x: np.sin(x[:, 0]))
     state = dynamics.verlet_step(state, ops, 1e-3, 1.0)
     grad = vars(ops)["grad"]
     dynamics.verlet_step(state, ops, 1e-3, 1.0)
@@ -356,7 +356,7 @@ def test_spectral_verbs_build_no_gradient_matrix(square_36, monkeypatch):
 
 def test_cell_bound_periodic_interval():
     mesh = wf.generate_interval_mesh(8, 1.0, periodic=True)
-    ops = wf.assemble(mesh, wf.build_dof_maps(mesh), wf.BcSpec())
+    ops = wf.assemble(wf.build_dof_maps(mesh), wf.BcSpec())
     lam = max_eigenvalue(ops).value
     assert abs(cell_lambda_bound(ops) - lam) <= 1e-10 * lam
 
@@ -393,11 +393,11 @@ def test_laplacian_is_p2_stiffness(name):
     mesh = IDENTITY_MESHES[name]()
     dofs = wf.build_dof_maps(mesh)
     K = p2_stiffness(mesh, dofs)
-    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh))
+    ops = wf.assemble(dofs, wf.BcSpec.all_neumann(mesh))
     A = laplacian_pencil(ops)[0].toarray()
     assert np.linalg.norm(A - K) <= 1e-14 * np.linalg.norm(K)
 
-    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh))
+    ops = wf.assemble(dofs, wf.BcSpec.all_dirichlet(mesh))
     A = laplacian_pencil(ops)[0].toarray()
     if mesh.dim == 1:
         # strong Dirichlet vertices: A is the free block of K
@@ -440,8 +440,8 @@ def test_dirichlet_laplacian_is_stiffness_minus_flux_plus_lifting(name):
             "cube_44": lambda: load_cube("cube_44"),
             "cube:2": lambda: wf.generate_cube_mesh(2)}[name]()
     dofs = wf.build_dof_maps(mesh)
-    ops = wf.assemble(mesh, dofs, wf.BcSpec.all_dirichlet(mesh))
-    volume = wf.assemble(mesh, dofs, wf.BcSpec.all_neumann(mesh)).grad
+    ops = wf.assemble(dofs, wf.BcSpec.all_dirichlet(mesh))
+    volume = wf.assemble(dofs, wf.BcSpec.all_neumann(mesh)).grad
     n_cells, n1 = dofs.u_cell_dofs.shape
     u_inv = np.linalg.inv(ops.u_mass_ref) / ops.cell_dets[:, None, None]
     L = np.zeros((dofs.m_h, dofs.m_h))
