@@ -91,42 +91,46 @@ QUAD_DEGREE = 4  # highest assembled integrand: quadratic x quadratic
 DISSECTION_LEAF = 16  # parts up to this many DOFs are not split further
 
 
-@dataclass
+@dataclass(eq=False)
 class AssembledOperators:
     """Global matrices and boundary vectors of the semi-discrete system.
 
-    The fields below are the DOF map, which carries the mesh, and what
-    assembly computes per reference cell, cell or boundary facet.
-    ``__post_init__``, which ``dataclasses.replace`` reruns, derives the rest
-    from them: ``mesh`` (``dofs.mesh``), ``dim``, the determinants
-    ``cell_dets`` of the affine maps (d! |K|), the scalar mass ``h_mass``
-    scattered from its cell blocks, the free scalar DOFs ``h_free``,
-    ascending, and on 3D meshes the order ``h_order`` of the module docstring
-    (None in 1D and 2D). The per-cell gradient blocks ``grad_cells`` are
-    derived on every read, and the d-tuple ``grad`` of (m_u, m_h) gradients is
-    scattered from them on first access, so only a run that applies the kick
-    or the divergence builds it; a ``replace`` copy scatters its own. Scalar
-    vectors and matrices span all ``m_h`` scalar DOFs; the fixed ones (strong
-    Dirichlet vertices, 1D only) hold ``h_fixed_values``.
+    The two fields are the inputs: the DOF map ``dofs``, which carries the
+    mesh, and the boundary assignment ``bc``. ``__post_init__``, which
+    ``dataclasses.replace`` reruns, derives everything else from them:
+    ``mesh`` (``dofs.mesh``), ``dim``, the determinants ``cell_dets`` of the
+    affine maps (d! |K|), the reference velocity and scalar masses
+    ``u_mass_ref`` (n1, n1) and ``h_mass_ref`` (n2, n2), whose cell K blocks
+    are ``cell_dets[K]`` times these, the (n1, n2, d) reference gradient
+    tensor ``grad_ref``, the boundary terms ``facet_cells``, ``facet_grad``,
+    ``dirichlet_rhs``, ``neumann_rhs``, ``h_fixed`` and ``h_fixed_values``
+    (``_boundary_terms``), the scalar mass ``h_mass`` scattered from its cell
+    blocks, the free scalar DOFs ``h_free``, ascending, and on 3D meshes the
+    order ``h_order`` of the module docstring (None in 1D and 2D). The
+    per-cell gradient blocks ``grad_cells`` are derived on every read, and
+    the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them on
+    first access, so only a run that applies the kick or the divergence
+    builds it; a ``replace`` copy scatters its own. Scalar vectors and
+    matrices span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
+    vertices, 1D only) hold ``h_fixed_values``.
     """
 
     dofs: DofMap
-    grad_ref: np.ndarray        # (n1, n2, d) reference gradient tensor
-    facet_cells: np.ndarray     # (F,) owner cells of the weak Dirichlet
-    facet_grad: np.ndarray      # facets and (F, d, n1, n2) their blocks
-    u_mass_ref: np.ndarray      # (n1, n1) velocity and (n2, n2) scalar mass
-    h_mass_ref: np.ndarray      # of the reference cell; cell K's blocks are
-                                # cell_dets[K] times these
-    dirichlet_rhs: np.ndarray   # (d, m_u)
-    neumann_rhs: np.ndarray     # length m_h
-    h_fixed: np.ndarray         # fixed scalar DOFs
-    h_fixed_values: np.ndarray  # g at the fixed scalar DOFs
+    bc: BcSpec
     # Cache filled on first use; ``dataclasses.replace`` does not copy it.
-    _h_factor: object = field(default=None, init=False, repr=False, compare=False)
+    _h_factor: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
         self.mesh, self.dim = self.dofs.mesh, self.dofs.mesh.dim
+        (self.facet_cells, self.facet_grad, self.dirichlet_rhs, self.neumann_rhs,
+         self.h_fixed, self.h_fixed_values) = _boundary_terms(self.dofs, self.bc)
+        rule = quadrature(self.dim, QUAD_DEGREE)
+        v1 = rule.points  # P1_DG values (module docstring)
+        v2, g2 = p2_basis(rule.points)
+        self.u_mass_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
+        self.h_mass_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
+        self.grad_ref = np.einsum("q,qa,qbk->abk", rule.weights, v1, g2)
         self.cell_dets = self.mesh.cell_measures * factorial(self.dim)  # det J = d! |K|
         self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
         self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
@@ -298,13 +302,12 @@ def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarra
                        minlength=length).astype(float, copy=False)
 
 
-def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:
-    """Assemble all global operators on ``dofs.mesh`` for the boundary
-    assignment ``bc``; the operators keep ``dofs`` and derive its mesh.
-
-    Every marker in ``bc`` must be present on the mesh boundary and every
-    boundary marker must be assigned to one of the two sets.
-    """
+def _boundary_terms(dofs: DofMap, bc: BcSpec):
+    """The boundary-facet pass of ``AssembledOperators``: ``facet_cells``
+    (F,) and ``facet_grad`` (F, d, n1, n2), the weak Dirichlet facets' owner
+    cells and gradient blocks, ``dirichlet_rhs`` (d, m_u), ``neumann_rhs``
+    (m_h,), ``h_fixed`` and ``h_fixed_values``. A ``ValueError`` unless the
+    markers of ``bc`` are exactly those of the mesh boundary."""
     mesh = dofs.mesh
     present = set(np.unique(mesh.boundary_markers).tolist())
     declared = set(bc.dirichlet_markers) | set(bc.neumann_markers)
@@ -315,18 +318,6 @@ def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:
                          "assigned to either condition")
 
     d = mesh.dim
-    rule = quadrature(d, QUAD_DEGREE)
-    v1 = rule.points  # P1_DG values (module docstring)
-    v2, g2 = p2_basis(rule.points)
-
-    # Affine cells: both mass matrices are the reference ones scaled by det_K.
-    mu_ref = np.einsum("q,qa,qb->ab", rule.weights, v1, v1)
-    mh_ref = np.einsum("q,qa,qb->ab", rule.weights, v2, v2)
-
-    # Volume gradient term: each cell's inverse Jacobian contracts this
-    # reference tensor (``AssembledOperators.grad_cells``).
-    grad_ref = np.einsum("q,qa,qbk->abk", rule.weights, v1, g2)
-
     m_u, m_h, hd, ud = dofs.m_u, dofs.m_h, dofs.h_cell_dofs, dofs.u_cell_dofs
 
     # Boundary facets, all at once: each facet's quadrature points are the
@@ -368,6 +359,10 @@ def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
+    return cD, facet_grad, dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values
 
-    return AssembledOperators(dofs, grad_ref, cD, facet_grad, mu_ref, mh_ref,
-                              dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values)
+
+def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:
+    """``AssembledOperators(dofs, bc)``: all global operators on ``dofs.mesh``
+    for the boundary assignment ``bc`` (``ValueError`` on a marker mismatch)."""
+    return AssembledOperators(dofs, bc)

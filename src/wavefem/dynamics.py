@@ -44,7 +44,7 @@ import numpy as np
 
 from .assembly import AssembledOperators
 from .elements import DofMap, h_dof_coords
-from .spectral import cell_lambda_bound, max_eigenvalue, pivot_inertia
+from .spectral import cell_lambda_bound, laplacian_pencil, max_eigenvalue, pivot_inertia
 
 __all__ = [
     "FieldState",
@@ -68,7 +68,7 @@ class ConfigurationError(ValueError):
     """A run configuration violates its preconditions."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldState:
     """Coefficient vectors of the velocity components and the scalar."""
 
@@ -183,7 +183,7 @@ class SimulationConfig:
         return max(1, int(round(self.t_end / self.dt)))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Recorded energy series and final state of a run.
 
@@ -239,7 +239,7 @@ def simulate(ops: AssembledOperators, config: SimulationConfig,
         if not config.dt <= bound:  # a NaN bound certifies nothing
             tau = c * config.dt
             sigma = 4.0 / (tau * tau)  # 0 where tau * tau overflows: no dt passes
-            count, nnz = pivot_inertia(ops, sigma)
+            count, nnz = pivot_inertia(*laplacian_pencil(ops), sigma, ops.h_order)
             dt_check.update(path="inertia", sigma=sigma, nonpositive_pivots=count, factor_nnz=nnz)
             if count:
                 raise ConfigurationError(

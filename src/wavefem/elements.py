@@ -47,7 +47,7 @@ def p2_basis(points):
     return vals, grads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     points: np.ndarray   # barycentric, shape (n, dim+1)
     weights: np.ndarray  # sum to the reference-simplex measure 1/dim!
@@ -90,39 +90,41 @@ def quadrature(dim: int, degree: int) -> QuadratureRule:
     return QuadratureRule(points, np.outer(wu, base.weights).ravel())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Element-local to global index maps for both function spaces on
-    ``mesh``; a function given the map reads the mesh there, never apart.
-
-    Velocity DOFs are contiguous per cell and never shared; scalar DOFs
-    are numbered vertices first, then edge DOFs in canonical edge-table
-    order (per-cell midpoints in 1D).
+    ``mesh``, the one field; a function given the map reads the mesh there,
+    never apart. ``__post_init__``, which ``dataclasses.replace`` reruns,
+    derives the read-only maps from it. Cell K owns the velocity DOFs
+    K (d+1) ... K (d+1) + d, row K of ``u_cell_dofs`` (C, d+1), never
+    shared, so ``m_u`` = C (d+1). ``h_cell_dofs`` (C, local P2 size)
+    numbers the ``m_h`` scalar DOFs vertices first, then edge DOFs in
+    canonical edge-table order (per-cell midpoints in 1D).
     """
 
     mesh: Mesh
-    u_cell_dofs: np.ndarray  # (C, dim+1)
-    h_cell_dofs: np.ndarray  # (C, local P2 size)
-    m_u: int
-    m_h: int
+
+    def __post_init__(self):
+        mesh, d = self.mesh, self.mesh.dim
+        nv, n_cells = d + 1, mesh.n_cells
+        u_map = np.arange(n_cells * nv, dtype=np.int64).reshape(n_cells, nv)
+        if d == 1:
+            # the interior P2 node lives on the cell itself
+            mids = mesh.n_vertices + np.arange(n_cells, dtype=np.int64)
+            h_map = np.column_stack([mesh.cells, mids])
+            m_h = mesh.n_vertices + n_cells
+        else:
+            h_map = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
+            m_h = mesh.n_vertices + mesh.n_edges
+        for arr in (u_map, h_map):
+            arr.setflags(write=False)
+        # frozen, so the derived attributes go past ``__setattr__``
+        self.__dict__.update(u_cell_dofs=u_map, h_cell_dofs=h_map, m_u=n_cells * nv, m_h=m_h)
 
 
 def build_dof_maps(mesh: Mesh) -> DofMap:
-    d = mesh.dim
-    nv = d + 1
-    n_cells = mesh.n_cells
-    u_map = np.arange(n_cells * nv, dtype=np.int64).reshape(n_cells, nv)
-    if d == 1:
-        # the interior P2 node lives on the cell itself
-        mids = mesh.n_vertices + np.arange(n_cells, dtype=np.int64)
-        h_map = np.column_stack([mesh.cells, mids])
-        m_h = mesh.n_vertices + n_cells
-    else:
-        h_map = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
-        m_h = mesh.n_vertices + mesh.n_edges
-    for arr in (u_map, h_map):
-        arr.setflags(write=False)
-    return DofMap(mesh, u_map, h_map, m_u=n_cells * nv, m_h=m_h)
+    """The DOF maps of ``mesh``: ``DofMap(mesh)``."""
+    return DofMap(mesh)
 
 
 def h_dof_coords(dofs: DofMap) -> np.ndarray:

@@ -148,7 +148,7 @@ def laplacian_pencil(ops: AssembledOperators):
     return ops.free_block(A.tocsr()), M
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """Eigenvalues of the discrete Laplacian, sorted ascending.
 
@@ -268,17 +268,17 @@ def max_eigenvalue(ops: AssembledOperators) -> LambdaMax:
     return _lambda_max(A, M, ops)
 
 
-def pivot_inertia(ops: AssembledOperators, sigma: float) -> tuple[int, int]:
-    """Count of the pivots of ``_factor(sigma M - A)`` that are not positive
-    (NaN included), and its stored L+U entries. Its U is D L^T, so by
-    Sylvester's law of inertia the count is that of the eigenvalues at or
-    above sigma; 0 proves sigma M - A definite, since the computed factor is
-    exact for a nearby definite matrix (backward stability of Cholesky).
-    SuperLU leaves the diagonal (``perm_r != perm_c``), or refuses the
-    matrix (0 entries), only at an exactly zero pivot: a count of 1 or more."""
-    A, M = laplacian_pencil(ops)
+def pivot_inertia(A, N, sigma: float, order) -> tuple[int, int]:
+    """Count of the pivots of ``_factor(sigma N - A, order)`` that are not
+    positive (NaN included), and its stored L+U entries, for a symmetric
+    pencil (A, N) with N definite. Its U is D L^T, so by Sylvester's law of
+    inertia the count is that of the eigenvalues at or above sigma; 0 proves
+    sigma N - A definite, since the computed factor is exact for a nearby
+    definite matrix (backward stability of Cholesky). SuperLU leaves the
+    diagonal (``perm_r != perm_c``), or refuses the matrix (0 entries), only
+    at an exactly zero pivot: a count of 1 or more."""
     try:
-        lu = _factor(sigma * M - A, ops.h_order).lu
+        lu = _factor(sigma * N - A, order).lu
     except RuntimeError:  # "Factor is exactly singular"
         return 1, 0
     count = int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))

@@ -54,6 +54,12 @@ def cube_400():
     return load_cube("cube_400")
 
 
+def generate(spec):
+    """The mesh of a ``square:N``, ``cube:N`` or ``interval:N`` (length 1) spec."""
+    kind, n = spec.split(":")
+    return getattr(wf, f"generate_{kind}_mesh")(int(n), *([1.0] if kind == "interval" else []))
+
+
 def assemble_all(mesh, bc_kind="neumann"):
     dofs = wf.build_dof_maps(mesh)
     if bc_kind == "neumann":

@@ -10,7 +10,7 @@ from wavefem import assembly, spectral
 from wavefem.assembly import QUAD_DEGREE, _factor, assemble
 from wavefem.elements import h_dof_coords, p2_basis, quadrature
 
-from conftest import assemble_all
+from conftest import assemble_all, generate
 
 # 1D element matrices in spatial node order (left vertex, midpoint, right
 # vertex); the P2 DOF order is (left, right, midpoint), permutation below.
@@ -240,9 +240,11 @@ def test_velocity_mass_reference_form(name, request):
     x = rng.standard_normal(dofs.m_u)
     x2 = x.copy()
     x2[dofs.u_cell_dofs[3]] += 1.0
-    zero = np.zeros(dofs.m_h)
-    y, y2 = (replace(ops, dirichlet_rhs=np.array([r] * mesh.dim)).kick(zero)[0]
-             for r in (x, x2))
+    zero, copy, kicks = np.zeros(dofs.m_h), replace(ops), []
+    for r in (x, x2):
+        copy.dirichlet_rhs = np.array([r] * mesh.dim)
+        kicks.append(copy.kick(zero)[0])
+    y, y2 = kicks
     changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
     assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
 
@@ -349,29 +351,45 @@ def test_only_3d_operators_carry_an_order(square_36):
         assert np.array_equal(ops.h_mass_solver()(b), mmd_splu(M).solve(b))
 
 
+def doubled(dofs):
+    """The DOF map of ``dofs.mesh`` with every vertex coordinate doubled, so
+    that each derived quantity scales by a power of 2."""
+    m = dofs.mesh
+    return replace(dofs, mesh=wf.Mesh(m.dim, 2.0 * m.vertices, m.cells, m.boundary_facets,
+                                      m.boundary_markers))
+
+
+def scaled_by(new, old, ratio, tol=1e-14):
+    """Whether ``new`` is ``ratio * old`` to ``tol`` relative to its largest
+    entry. The doubled mesh's measures are 4 times the original's only to
+    rounding: ``np.linalg.det`` goes through the log of the determinant."""
+    return np.max(abs(new - ratio * old)) <= tol * np.max(abs(ratio * old))
+
+
 def test_replace_drops_cached_solvers(square_36):
-    # a copy with a new scalar mass must factor that mass, not reuse the
-    # original's factor; the kick and the cell bound of a copy with a new
-    # velocity mass invert that mass
+    # a copy on the mesh scaled by 2, where both masses quadruple, must
+    # factor its scalar mass, not reuse the original's factor; its kick and
+    # cell bound invert its velocity mass
     _, ops = assemble_all(square_36)
     ops.h_mass_solver()
     b = np.random.default_rng(0).standard_normal(ops.dofs.m_h)
     kick = ops.kick(b)
     bound = wf.cell_lambda_bound(ops)
-    scaled = replace(ops, h_mass_ref=2.0 * ops.h_mass_ref, u_mass_ref=2.0 * ops.u_mass_ref)
-    assert np.array_equal(scaled.h_mass.data, 2.0 * ops.h_mass.data)
+    scaled = replace(ops, dofs=doubled(ops.dofs))
+    assert scaled_by(scaled.h_mass, ops.h_mass, 4.0)
     x = scaled.h_mass_solver()(b)
     assert np.abs(scaled.h_mass @ x - b).max() <= 1e-12 * np.abs(b).max()
-    # A halves with the velocity mass and the scalar mass doubles
-    assert abs(4.0 * wf.cell_lambda_bound(scaled) - bound) <= 1e-12 * bound
-    assert np.abs(2.0 * scaled.kick(b) - kick).max() <= 1e-14 * np.abs(kick).max()
+    # A stays (the gradients double) and the scalar mass quadruples
+    assert scaled_by(wf.cell_lambda_bound(scaled), bound, 0.25, 1e-12)
+    assert scaled_by(scaled.kick(b), kick, 0.5)
 
 
 def test_replace_rederives_global_operators():
-    # the global matrices of a copy follow its reference tensor and facet
-    # blocks: doubling both doubles the cell blocks, the kick and the
-    # divergence and quadruples the Laplacian. The original has applied its
-    # gradients already, and the copy must not carry them over.
+    # the global matrices of a copy follow its mesh: scaling square:8 by 2
+    # doubles the cell blocks, the facet blocks and the divergence, halves
+    # the kick, keeps the Laplacian and quarters the cell bound, since both
+    # masses quadruple. The original has applied its gradients already, and
+    # the copy must not carry them over.
     mesh = wf.generate_square_mesh(8)
     dofs = wf.build_dof_maps(mesh)
     ops = assemble(dofs, wf.BcSpec.all_dirichlet(mesh, lambda x: x[:, 0] + 2 * x[:, 1]))
@@ -379,19 +397,18 @@ def test_replace_rederives_global_operators():
     h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((2, dofs.m_u))
     zero = np.zeros(dofs.m_h)
     ops.kick(h)
-    twice = replace(ops, grad_ref=2.0 * ops.grad_ref, facet_grad=2.0 * ops.facet_grad)
-    assert len(ops.facet_cells) and np.array_equal(twice.grad_cells, 2.0 * ops.grad_cells)
-    for new, old in [(twice.kick(h) - twice.kick(zero), ops.kick(h) - ops.kick(zero)),
-                     (twice.divergence(u) + twice.neumann_rhs,
-                      ops.divergence(u) + ops.neumann_rhs)]:
-        assert np.abs(new - 2.0 * old).max() <= 1e-12 * np.abs(old).max()
-    A, A2 = wf.laplacian_pencil(ops)[0], wf.laplacian_pencil(twice)[0]
-    assert abs(A2 - 4.0 * A).max() <= 1e-12 * abs(A).max()
-    bound = wf.cell_lambda_bound(ops)
-    assert abs(wf.cell_lambda_bound(twice) - 4.0 * bound) <= 1e-12 * bound
+    twice = replace(ops, dofs=doubled(dofs))
+    assert len(ops.facet_cells) and scaled_by(twice.facet_grad, ops.facet_grad, 2.0)
+    assert scaled_by(twice.grad_cells, ops.grad_cells, 2.0)
+    assert scaled_by(twice.kick(h) - twice.kick(zero), ops.kick(h) - ops.kick(zero), 0.5, 1e-12)
+    assert scaled_by(twice.divergence(u) + twice.neumann_rhs,
+                     ops.divergence(u) + ops.neumann_rhs, 2.0, 1e-12)
+    (A, M), (A2, M2) = wf.laplacian_pencil(ops), wf.laplacian_pencil(twice)
+    assert scaled_by(A2, A, 1.0, 1e-12) and scaled_by(M2, M, 4.0, 1e-12)
+    assert scaled_by(wf.cell_lambda_bound(twice), wf.cell_lambda_bound(ops), 0.25, 1e-12)
     # a 3D copy derives its own order of the free scalar DOFs, the original's
     _, cube = assemble_all(wf.generate_cube_mesh(3), "dirichlet")
-    copy = replace(cube, neumann_rhs=cube.neumann_rhs.copy())
+    copy = replace(cube, bc=wf.BcSpec.all_dirichlet(cube.mesh))
     assert copy.h_order is not cube.h_order and np.array_equal(copy.h_order, cube.h_order)
 
 
@@ -400,9 +417,7 @@ def test_operators_derive_geometry_from_their_mesh(name, request):
     # the operators keep their DOF map, which carries the mesh, instead of
     # copies of its geometry, and derive the mesh, the determinants, the
     # cell gradient blocks and the 3D order from it as assembly did
-    init = [f.name for f in fields(wf.AssembledOperators) if f.init]
-    assert len(init) == 10 and "dofs" in init and "mesh" not in init
-    assert not {"cell_jinv", "cell_dets", "h_order"} & set(init)
+    assert [f.name for f in fields(wf.AssembledOperators) if f.init] == ["dofs", "bc"]
     mesh = wf.generate_cube_mesh(3) if name == "cube:3" else request.getfixturevalue(name)
     dofs, ops = assemble_all(mesh, "dirichlet")
     det = mesh.cell_measures * 6
@@ -442,9 +457,58 @@ def test_replace_rederives_free_dofs():
     dofs = wf.build_dof_maps(mesh)
     ops = assemble(dofs, wf.BcSpec(dirichlet_markers={1, 2}, g=lambda x: 1.0 + x[:, 0]))
     assert len(ops.h_fixed) == 2 and len(ops.h_free) == dofs.m_h - 2
-    one = replace(ops, h_fixed=ops.h_fixed[:1], h_fixed_values=ops.h_fixed_values[:1])
+    one = replace(ops, bc=replace(ops.bc, dirichlet_markers={1}, neumann_markers={2}))
+    left = mesh.boundary_markers == 1
+    assert np.array_equal(one.h_fixed, ops.h_fixed[left]) and len(one.h_fixed) == 1
+    assert np.array_equal(one.h_fixed_values, ops.h_fixed_values[left])
     assert len(one.h_free) == dofs.m_h - 1
-    assert np.array_equal(one.h_free, np.delete(np.arange(dofs.m_h), ops.h_fixed[0]))
+    assert np.array_equal(one.h_free, np.delete(np.arange(dofs.m_h), one.h_fixed[0]))
+
+
+DERIVED = ["grad_ref", "facet_cells", "facet_grad", "u_mass_ref", "h_mass_ref", "dirichlet_rhs",
+           "neumann_rhs", "h_fixed", "h_fixed_values", "h_free", "cell_dets", "grad_cells"]
+
+
+@pytest.mark.parametrize("name,before,after", [
+    ("interval:8", "neumann", "dirichlet"), ("square:8", "dirichlet", "neumann"),
+    ("cube:3", "neumann", "dirichlet")])
+def test_replace_bc_reassembles(name, before, after):
+    # the operators' inputs are the DOF map and the boundary assignment
+    # alone: a copy with another bc (g and f nonzero) is the assembly for
+    # that bc, array for array, and the original keeps its own
+    mesh = generate(name)
+    bcs = {"dirichlet": wf.BcSpec.all_dirichlet(mesh, g=lambda x: 1.0 + x[:, 0] ** 2),
+           "neumann": wf.BcSpec.all_neumann(mesh, f=lambda x: 2.0 - x[:, -1])}
+    dofs = wf.build_dof_maps(mesh)
+    ops = assemble(dofs, bcs[before])
+    ops.kick(np.ones(dofs.m_h))
+    copy, want = replace(ops, bc=bcs[after]), assemble(dofs, bcs[after])
+    assert copy.bc is bcs[after] and ops.bc is bcs[before] and copy.dofs is dofs
+    for got, ref in [(copy, want), (ops, assemble(dofs, bcs[before]))]:
+        for field in DERIVED:
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert (got.h_order is None) == (ref.h_order is None) == (mesh.dim < 3)
+        assert got.h_order is None or np.array_equal(got.h_order, ref.h_order)
+        for a, b in zip([got.h_mass, *got.grad], [ref.h_mass, *ref.grad]):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert not np.array_equal(copy.neumann_rhs, ops.neumann_rhs)
+    if mesh.dim == 1:
+        assert len(copy.h_fixed) == 2 and np.array_equal(copy.h_fixed_values, [1.0, 2.0])
+
+
+def test_records_compare_by_identity():
+    # records that hold arrays compare and hash by identity: equal inputs
+    # give two different records, and neither comparison nor hashing raises
+    mesh = wf.generate_square_mesh(2)
+    dofs, ops = assemble_all(mesh, "dirichlet")
+    config = wf.SimulationConfig(dt=0.01, t_end=0.02, ic_h=lambda x: x[:, 0])
+    makers = [lambda: wf.build_dof_maps(mesh), lambda: quadrature(2, 4),
+              lambda: assemble(dofs, ops.bc), lambda: wf.interpolate_state(dofs, config.ic_h),
+              lambda: wf.laplacian_spectrum(ops), lambda: wf.simulate(ops, config)]
+    for a, b in ((make(), make()) for make in makers):
+        assert a == a and a != b and a in [a] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_semidiscrete_rhs_zero_state(square_36):
@@ -507,12 +571,14 @@ def test_assembly_deterministic(square_36):
 
 
 def test_unknown_marker_rejected(square_150):
-    dofs = wf.build_dof_maps(square_150)
-    with pytest.raises(ValueError, match="not on mesh boundary"):
-        assemble(dofs, wf.BcSpec(dirichlet_markers={9},
-                                             neumann_markers={1}))
-    with pytest.raises(ValueError, match="not\\s+assigned"):
-        assemble(dofs, wf.BcSpec())
+    # the marker check is part of the operators' construction, so a copy
+    # with a bc that does not match the mesh boundary raises too
+    dofs, ops = assemble_all(square_150)
+    for build in (lambda bc: assemble(dofs, bc), lambda bc: replace(ops, bc=bc)):
+        with pytest.raises(ValueError, match="not on mesh boundary"):
+            build(wf.BcSpec(dirichlet_markers={9}, neumann_markers={1}))
+        with pytest.raises(ValueError, match="not\\s+assigned"):
+            build(wf.BcSpec())
 
 
 def test_neumann_data_vector():

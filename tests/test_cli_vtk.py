@@ -202,6 +202,7 @@ def test_simulate_refuses_unstable_dt(tmp_path, capsys, text):
                 "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "stability estimate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def max_energy_error(path):

@@ -73,7 +73,7 @@ def test_carried_kick_only_for_its_ops_and_scalar(square_36):
     # step on another ops or from a changed scalar kicks anew, and so
     # matches the step from the same fields without a carried kick
     dofs, ops = assemble_all(square_36, "dirichlet")
-    other = replace(ops, dirichlet_rhs=ops.dirichlet_rhs + 1.0)
+    other = replace(ops, bc=replace(ops.bc, g=lambda x: 1.0))
     state = stepped_state(dofs, ops)
     with pytest.raises(ValueError):
         state.h[0] = 1.0

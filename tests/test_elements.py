@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import wavefem as wf
 from wavefem.elements import (_gauss_jacobi, build_dof_maps, h_dof_coords, p2_basis,
                               quadrature)
 from wavefem.mesh import CELL_EDGES
+
+from conftest import generate
 
 
 def random_interior_points(dim, n, rng):
@@ -147,6 +150,22 @@ def test_dof_map_invariants(square_150):
             key = tuple(sorted((cell[a], cell[b])))
             assert dofs.h_cell_dofs[c, 3 + k] == edge_index[key]
     assert dofs.m_h == mesh.n_vertices + mesh.n_edges
+
+
+@pytest.mark.parametrize("old,new", [("square:2", "cube:2"), ("cube:2", "interval:3"),
+                                     ("interval:3", "square:3")])
+def test_replace_mesh_rederives_dof_maps(old, new):
+    # the mesh is the map's one input: a copy onto another mesh, of another
+    # dimension too, is that mesh's map, read-only like it
+    assert [f.name for f in dataclasses.fields(wf.DofMap) if f.init] == ["mesh"]
+    mesh = generate(new)
+    dofs, want = build_dof_maps(generate(old)), build_dof_maps(mesh)
+    copy = dataclasses.replace(dofs, mesh=mesh)
+    counts = [(m.m_u, m.m_h) for m in (copy, want, dofs)]
+    assert copy.mesh is mesh and counts[0] == counts[1] != counts[2]
+    for name in ("u_cell_dofs", "h_cell_dofs"):
+        got = getattr(copy, name)
+        assert np.array_equal(got, getattr(want, name)) and not got.flags.writeable
 
 
 def test_dof_ratio_trends():
