@@ -13,8 +13,8 @@ entry count of the scalar-mass factor, ``assembly._factor``) and
 ``energy_error_max`` (the max |E - E0| / E0 it prints, over the energy
 rows kept), and keeps its manifest when a run aborts; a run rejected
 before its first step removes the output directories it made. Exit codes: 0
-success, 1 input, usage or output-path error, 2 numerical failure, 3
-invariant violation.
+success, 1 input, usage or output-path error or a request too large for
+memory, 2 numerical failure, 3 invariant violation.
 
 A ``simulate`` config file's keys besides ``bc`` and the ``ic`` preset are
 tabled, with their defaults and checks, in ``dynamics.SimulationConfig``.
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -99,27 +99,20 @@ class DofMap:
     K (d+1) ... K (d+1) + d, row K of ``u_cell_dofs`` (C, d+1), never
     shared, so ``m_u`` = C (d+1). ``h_cell_dofs`` (C, local P2 size)
     numbers the ``m_h`` scalar DOFs vertices first, then edge DOFs in
-    canonical edge-table order (per-cell midpoints in 1D).
+    canonical edge-table order, in every dimension.
     """
 
     mesh: Mesh
 
     def __post_init__(self):
-        mesh, d = self.mesh, self.mesh.dim
-        nv, n_cells = d + 1, mesh.n_cells
+        mesh, nv, n_cells = self.mesh, self.mesh.dim + 1, self.mesh.n_cells
         u_map = np.arange(n_cells * nv, dtype=np.int64).reshape(n_cells, nv)
-        if d == 1:
-            # the interior P2 node lives on the cell itself
-            mids = mesh.n_vertices + np.arange(n_cells, dtype=np.int64)
-            h_map = np.column_stack([mesh.cells, mids])
-            m_h = mesh.n_vertices + n_cells
-        else:
-            h_map = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
-            m_h = mesh.n_vertices + mesh.n_edges
+        h_map = np.hstack([mesh.cells, mesh.n_vertices + mesh.cell_edges])
         for arr in (u_map, h_map):
             arr.setflags(write=False)
         # frozen, so the derived attributes go past ``__setattr__``
-        self.__dict__.update(u_cell_dofs=u_map, h_cell_dofs=h_map, m_u=n_cells * nv, m_h=m_h)
+        self.__dict__.update(u_cell_dofs=u_map, h_cell_dofs=h_map, m_u=n_cells * nv,
+                             m_h=mesh.n_vertices + mesh.n_edges)
 
 
 def build_dof_maps(mesh: Mesh) -> DofMap:

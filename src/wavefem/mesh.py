@@ -82,8 +82,8 @@ class Mesh:
         Vertex coordinates.
     cells : (C, dim+1) array
         Vertex indices per cell, at least one cell. Cells are reoriented
-        so every signed measure is positive; zero-measure cells are
-        rejected.
+        so every signed measure is positive; zero-measure cells, and a
+        facet shared by more than two cells, are rejected.
     boundary_facets : (B, dim) array, optional
         Vertex indices of boundary facets. Derived (all facets incident to
         exactly one cell, marker 1) when omitted. Derived and given facets
@@ -95,17 +95,18 @@ class Mesh:
         Per-cell corner coordinates, overriding ``vertices[cells]``. Used
         by the periodic interval generator for the wrap-around cell.
 
-    Derived attributes: ``edges`` (E, 2), the unique vertex pairs (a < b)
-    in lexicographic order, and ``cell_edges`` (C, local edges), each
-    cell's rows of that table in ``CELL_EDGES`` order. Cell K is the image
-    x = x_0 + J xi of the reference cell, column k of J the edge from
-    corner 0 to corner k + 1. ``cell_measures`` is det(J) / d!, and row j
-    of ``barycentric_gradients`` (C, d+1, d) is grad lambda_j: rows 1..d
-    are J^{-1}, row 0 minus their sum. Boundary facet b is local facet
-    j = ``boundary_local_facets[b]`` (``CELL_FACETS`` order) of cell
-    K = ``boundary_cells[b]`` and lies on lambda_j = 0, so its outward
-    unit normal ``boundary_normals[b]`` is -grad lambda_j / |grad lambda_j|
-    and its measure ``boundary_measures[b]`` is d |K| |grad lambda_j|
+    Derived attributes: ``edges`` (E, 2), the unique vertex pairs (a < b) in
+    lexicographic order, and ``cell_edges`` (C, local edges), each cell's
+    rows of that table in ``CELL_EDGES`` order; a 1D cell is its own and
+    only edge, so there ``edges`` are the sorted cells in cell order. Cell K
+    is the image x = x_0 + J xi of the reference cell, column k of J the
+    edge from corner 0 to corner k + 1. ``cell_measures`` is det(J) / d!,
+    and row j of ``barycentric_gradients`` (C, d+1, d) is grad lambda_j:
+    rows 1..d are J^{-1}, row 0 minus their sum. Boundary facet b is local
+    facet j = ``boundary_local_facets[b]`` (``CELL_FACETS`` order) of cell
+    K = ``boundary_cells[b]`` and lies on lambda_j = 0, so its outward unit
+    normal ``boundary_normals[b]`` is -grad lambda_j / |grad lambda_j| and
+    its measure ``boundary_measures[b]`` is d |K| |grad lambda_j|
     (Ciarlet 1978, section 2.2), 1 for the points bounding an interval.
     """
 
@@ -156,7 +157,10 @@ class Mesh:
         # unique gives each cell's global edge indices.
         local_edges = np.array(CELL_EDGES[dim])
         edge_rows = np.sort(cells[:, local_edges], axis=2).reshape(-1, 2)
-        self.edges, _, edge_index, _ = _unique_rows(edge_rows)
+        if dim == 1:  # a 1D cell is its own and only edge (class docstring)
+            self.edges, edge_index = edge_rows, np.arange(len(cells))
+        else:
+            self.edges, _, edge_index, _ = _unique_rows(edge_rows)
         self.cell_edges = edge_index.reshape(len(cells), len(local_edges))
 
         # Facet incidence: one sorted row per (cell, local facet); a facet
@@ -165,6 +169,9 @@ class Mesh:
         # facets go through the same lookup.
         facet_rows = np.sort(cells[:, np.array(CELL_FACETS[dim])], axis=2).reshape(-1, dim)
         facets, first, _, counts = _unique_rows(facet_rows)
+        if counts.max() > 2:
+            raise ValueError(f"facet {tuple(facets[counts.argmax()].tolist())} "
+                             f"is shared by {counts.max()} cells")
         if boundary_facets is None:
             boundary_facets = facets[counts == 1]
         boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64).reshape(-1, dim)

@@ -30,8 +30,8 @@ def _xyz(d: int) -> str:
 def write_vtk(path, dofs: DofMap, h, u):
     """Write the quadratic cells of ``dofs.mesh``, the scalar as point data.
 
-    Point order matches the scalar DOF numbering (vertices, then edge or
-    cell midpoints), so ``h`` is written verbatim. ``u``, the velocity
+    Point order matches the scalar DOF numbering (vertices, then edge
+    midpoints), so ``h`` is written verbatim. ``u``, the velocity
     array of shape (d, m_u), is written as cell-averaged vectors.
     """
     d = dofs.mesh.dim

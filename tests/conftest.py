@@ -55,9 +55,13 @@ def cube_400():
 
 
 def generate(spec):
-    """The mesh of a ``square:N``, ``cube:N`` or ``interval:N`` (length 1) spec."""
-    kind, n = spec.split(":")
-    return getattr(wf, f"generate_{kind}_mesh")(int(n), *([1.0] if kind == "interval" else []))
+    """The mesh of a ``square:N``, ``cube:N`` or ``interval:N[:LENGTH[:periodic]]``
+    spec, as ``--generate`` reads it (length 1 by default)."""
+    kind, n, *rest = spec.split(":")
+    if kind != "interval":
+        return getattr(wf, f"generate_{kind}_mesh")(int(n))
+    length = float(rest[0]) if rest else 1.0
+    return wf.generate_interval_mesh(int(n), length, periodic=rest[1:] == ["periodic"])
 
 
 def assemble_all(mesh, bc_kind="neumann"):

@@ -41,6 +41,24 @@ def test_dof_report_fixture(capsys, tmp_path):
     assert os.path.exists(out_csv + ".manifest.json")
 
 
+def test_dof_report_periodic_pair_of_cells(tmp_path):
+    # the two cells of the periodic 2-cell interval are two edges, so
+    # edges and edge DOFs agree: 2 vertices + 2 edges = 4 scalar DOFs
+    out_csv = str(tmp_path / "f.csv")
+    assert run(["dof-report", "--generate", "interval:2:1:periodic", "--out", out_csv]) == 0
+    assert open(out_csv, newline="").read().splitlines()[1] == "1,2,2,2,4,4,1.0"
+
+
+def test_repeated_triangle_is_an_input_error(tmp_path, capsys):
+    # the unit square as triangles 1-2-3, 1-3-4 and 1-2-3 again
+    node, ele = tmp_path / "sq.node", tmp_path / "sq.ele"
+    node.write_text("4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n")
+    ele.write_text("3 3 0\n1 1 2 3\n2 1 3 4\n3 1 2 3\n")
+    assert run(["spectrum", "--mesh", str(node), str(ele), "--bc", "dirichlet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("facet (0, 2) is shared by 3 cells\n")
+
+
 def test_dof_report_missing_file(capsys):
     assert run(["dof-report", "--mesh", "nope.node", "nope.ele"]) == 1
 
@@ -526,11 +544,12 @@ def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("error,code,prefix", [
     (np.linalg.LinAlgError, 2, "numerical failure: "),
-    (dispersion.AnalysisError, 3, "invariant violation: ")],
-    ids=["linalg", "analysis"])
+    (dispersion.AnalysisError, 3, "invariant violation: "),
+    (MemoryError, 1, "error: ")],
+    ids=["linalg", "analysis", "memory"])
 def test_numerical_error_exit_codes(capsys, monkeypatch, error, code, prefix):
     # LinAlgError subclasses ValueError, yet it is a numerical failure,
-    # not an input error
+    # not an input error; a request too large for memory is an input error
     def fail(ops):
         raise error("injected")
 

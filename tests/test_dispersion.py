@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wavefem import cli
+from wavefem import cli, dispersion
 from wavefem.assembly import assemble
-from wavefem.dispersion import (dispersion_branches, dispersion_closed_form,
+from wavefem.dispersion import (AnalysisError, dispersion_branches, dispersion_closed_form,
                                 dispersion_sweep)
 from wavefem.elements import build_dof_maps
 from wavefem.mesh import BcSpec, generate_interval_mesh
@@ -149,6 +149,22 @@ def test_sweep_two_samples():
 def test_sweep_rejects_bad_count():
     with pytest.raises(ValueError):
         dispersion_sweep(1)
+
+
+@pytest.mark.parametrize("lower,upper,match", [
+    (lambda phis: 2.0 - phis, lambda phis: 10.0 + 0.0 * phis,
+     r"lower dispersion branch is not monotone on \(0, pi\]"),
+    (lambda phis: 1.0 + phis, lambda phis: phis, "spectral gap is not positive")],
+    ids=["falling", "closed-gap"])
+def test_sweep_invariants_raise(monkeypatch, lower, upper, match):
+    # a broken implementation, not the discretization: the sweep checks
+    # its branches and raises AnalysisError
+    def branches(phis):
+        return np.column_stack([lower(phis), upper(phis)]), np.zeros((len(phis), 2))
+
+    monkeypatch.setattr(dispersion, "dispersion_branches", branches)
+    with pytest.raises(AnalysisError, match=match):
+        dispersion_sweep(8)
 
 
 def test_lower_branch_accuracy():

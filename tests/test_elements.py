@@ -152,6 +152,20 @@ def test_dof_map_invariants(square_150):
     assert dofs.m_h == mesh.n_vertices + mesh.n_edges
 
 
+@pytest.mark.parametrize("name", [
+    "interval:1", "interval:7", "interval:2:1:periodic", "interval:3:2:periodic", "square:3",
+    "cube:2", "square_36", "square_150", "square_1500", "cube_44", "cube_200", "cube_400"])
+def test_p2_numbering_is_vertices_then_edges(request, name):
+    # one rule in every dimension: the cell's vertices, then its edges; a
+    # 1D cell is its own edge, so the periodic 2-cell interval, whose two
+    # cells join the same two vertices, has two edge DOFs, not one
+    mesh = generate(name) if ":" in name else request.getfixturevalue(name)
+    dofs, d = build_dof_maps(mesh), mesh.dim
+    assert dofs.m_h == mesh.n_vertices + mesh.n_edges
+    assert np.array_equal(dofs.h_cell_dofs[:, :d + 1], mesh.cells)
+    assert np.array_equal(dofs.h_cell_dofs[:, d + 1:], mesh.n_vertices + mesh.cell_edges)
+
+
 @pytest.mark.parametrize("old,new", [("square:2", "cube:2"), ("cube:2", "interval:3"),
                                      ("interval:3", "square:3")])
 def test_replace_mesh_rederives_dof_maps(old, new):
@@ -186,8 +200,8 @@ def test_dof_ratio_trends():
 
 
 def test_h_dof_coords_midpoints():
-    # vertices, then edge midpoints in 2D and 3D and cell midpoints in 1D;
-    # the periodic wrap cell spans [2/3, 1], so its midpoint is 5/6
+    # vertices, then edge midpoints, a 1D cell being its own edge; the
+    # periodic wrap cell spans [2/3, 1], so its midpoint is 5/6
     for mesh in (wf.generate_square_mesh(1), wf.generate_cube_mesh(2)):
         dofs = build_dof_maps(mesh)
         coords = h_dof_coords(dofs)

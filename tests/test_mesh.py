@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ def test_node_id_out_of_range(tmp_path):
         wf.read_mesh(str(node), ele)
 
 
+def test_first_node_index_must_be_0_or_1(tmp_path):
+    _, ele = write_single_triangle(tmp_path)
+    node = tmp_path / "two.node"
+    node.write_text("3 2 0 0\n2 0.0 0.0\n3 1.0 0.0\n4 0.0 1.0\n")
+    with pytest.raises(MeshFormatError, match="two.node: first node index must be 0 or 1, got 2"):
+        wf.read_mesh(str(node), ele)
+
+
+@pytest.mark.parametrize("verts,cells,facet", [
+    ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], [(0, 1, 2), (0, 2, 3), (0, 1, 2)], (0, 2)),
+    ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.5, 2.0)],
+     [(0, 1, 2), (0, 1, 3), (0, 1, 4)], (0, 1))],
+    ids=["repeated-triangle", "fan"])
+def test_facet_of_three_cells_rejected(verts, cells, facet):
+    # the unit square with one triangle repeated would have area 1.5 and
+    # 2 boundary facets; a fan puts three triangles on one edge
+    with pytest.raises(ValueError, match=re.escape(f"facet {facet} is shared by 3 cells")):
+        Mesh(2, verts, cells)
+
+
 def test_all_interior_edge_file_derives_facets(tmp_path):
     # an .edge file whose rows all have marker 0 names no boundary facet,
     # so the facets are derived, with marker 1
@@ -350,6 +371,17 @@ def test_edge_extraction_order_independent():
         for k, (a, b) in enumerate(CELL_EDGES[2]):
             edge = shuffled.edges[shuffled.cell_edges[c, k]]
             assert edge.tolist() == sorted(cell[[a, b]].tolist())
+
+
+@pytest.mark.parametrize("n,periodic", [(1, False), (5, False), (2, True), (5, True)])
+def test_interval_cells_are_their_edges(n, periodic):
+    # a 1D cell is its own and only edge, in cell order, the wrap cell
+    # (n - 1, 0) too; both cells of the periodic 2-cell interval join
+    # vertices 0 and 1, and each is an edge
+    mesh = wf.generate_interval_mesh(n, 1.0, periodic=periodic)
+    assert np.array_equal(mesh.edges, np.sort(mesh.cells, axis=1))
+    assert mesh.cell_edges.tolist() == [[k] for k in range(n)]
+    assert mesh.n_edges == n
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (40, 1), (200, 2), (300, 3)])
