@@ -7,13 +7,13 @@ Assembles, with quadrature exact for every integrand:
   matrix (``u_mass_ref``), so it is stored as that matrix alone and
   inverted once,
 * the sparse symmetric scalar mass matrix,
-* one sparse gradient matrix per spatial direction, including the
-  boundary facet term that imposes Dirichlet data on the scalar weakly
-  in 2D and 3D; on affine cells each volume block is det_K times one
-  reference tensor contracted with J_K^{-1}, so that tensor, the
-  inverse Jacobians and the facet blocks are stored, and the per-cell
-  blocks, each facet term folded into its owner cell's, are derived
-  from them for element-by-element bounds,
+* one gradient per spatial direction, including the boundary facet
+  term that imposes Dirichlet data on the scalar weakly in 2D and 3D;
+  on affine cells each volume block is det_K times one reference tensor
+  contracted with J_K^{-1}, and each facet block is -n_i times one, so
+  those tensors, the inverse Jacobians and the normals are stored, and
+  the per-cell blocks, each facet term folded into its owner cell's,
+  are derived from them for element-by-element bounds,
 * the boundary data vectors entering the two semi-discrete equations.
 
 On a cell the P1_DG basis is the barycentric coordinates, so its values
@@ -42,12 +42,11 @@ modes in a cell with d Dirichlet facets, such as a corner cell of
 ``square:N`` (see ``spectral.Spectrum.null_count``).
 
 Every global matrix is a scatter of per-cell dense blocks (``_scatter``).
-``AssembledOperators.__post_init__`` scatters the scalar mass, each
-gradient is scattered the first time the kick or the divergence applies
-it, and ``spectral`` scatters the discrete Laplacian A = sum_K scatter(A_K)
-from the cell blocks alone. The kick applies u_mass^{-1} cell by cell
-after the gradients, so no matrix u_mass^{-1} grad is built. Because
-grad P2 lies in P1_DG^d, u_mass^{-1} grad_i h is the exact gradient of h,
+``AssembledOperators.__post_init__`` scatters the scalar mass, and
+``spectral`` scatters the discrete Laplacian A = sum_K scatter(A_K) from
+the cell blocks alone. The kick and the divergence apply the gradients
+cell by cell, so no verb scatters one. Because grad P2 lies in P1_DG^d,
+u_mass^{-1} grad_i h is the exact gradient of h at each cell's vertices,
 so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
 Dirichlet facet blocks change A only on the DOFs of their owner cells.
 
@@ -102,17 +101,17 @@ class AssembledOperators:
     affine maps (d! |K|), the reference velocity and scalar masses
     ``u_mass_ref`` (n1, n1) and ``h_mass_ref`` (n2, n2), whose cell K blocks
     are ``cell_dets[K]`` times these, the (n1, n2, d) reference gradient
-    tensor ``grad_ref``, the boundary terms ``facet_cells``, ``facet_grad``,
-    ``dirichlet_rhs``, ``neumann_rhs``, ``h_fixed`` and ``h_fixed_values``
-    (``_boundary_terms``), the scalar mass ``h_mass`` scattered from its cell
-    blocks, the free scalar DOFs ``h_free``, ascending, and on 3D meshes the
-    order ``h_order`` of the module docstring (None in 1D and 2D). The
-    per-cell gradient blocks ``grad_cells`` are derived on every read, and
-    the d-tuple ``grad`` of (m_u, m_h) gradients is scattered from them on
-    first access, so only a run that applies the kick or the divergence
-    builds it; a ``replace`` copy scatters its own. Scalar vectors and
-    matrices span all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet
-    vertices, 1D only) hold ``h_fixed_values``.
+    tensor ``grad_ref``, the boundary terms ``facet_cells``,
+    ``facet_normals``, ``facet_blocks``, ``dirichlet_rhs``, ``neumann_rhs``,
+    ``h_fixed`` and ``h_fixed_values`` (``_boundary_terms``), the scalar mass
+    ``h_mass`` scattered from its cell blocks, the free scalar DOFs
+    ``h_free``, ascending, and on 3D meshes the order ``h_order`` of the
+    module docstring (None in 1D and 2D). The blocks ``facet_grad`` and
+    ``grad_cells`` are derived on every read; no verb reads the d-tuple
+    ``grad`` of (m_u, m_h) gradients, scattered from them on first access
+    (a ``replace`` copy scatters its own). Scalar vectors and matrices span
+    all ``m_h`` scalar DOFs; the fixed ones (strong Dirichlet vertices, 1D
+    only) hold ``h_fixed_values``.
     """
 
     dofs: DofMap
@@ -123,8 +122,8 @@ class AssembledOperators:
     def __post_init__(self):
         hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
         self.mesh, self.dim = self.dofs.mesh, self.dofs.mesh.dim
-        (self.facet_cells, self.facet_grad, self.dirichlet_rhs, self.neumann_rhs,
-         self.h_fixed, self.h_fixed_values) = _boundary_terms(self.dofs, self.bc)
+        (self.facet_cells, self.facet_normals, self.facet_blocks, self.dirichlet_rhs,
+         self.neumann_rhs, self.h_fixed, self.h_fixed_values) = _boundary_terms(self.dofs, self.bc)
         rule = quadrature(self.dim, QUAD_DEGREE)
         v1 = rule.points  # P1_DG values (module docstring)
         v2, g2 = p2_basis(rule.points)
@@ -135,9 +134,16 @@ class AssembledOperators:
         self.h_mass = _scatter(hd, hd, self.cell_dets[:, None, None] * self.h_mass_ref, (m_h, m_h))
         self.h_free = np.setdiff1d(np.arange(m_h), self.h_fixed)
         self._u_mass_inv = np.linalg.inv(self.u_mass_ref)
+        vg = np.einsum("ac,cbk->bak", self._u_mass_inv, self.grad_ref)  # d(basis b)/dxi_k at a
+        self._vertex_grad = vg.reshape(len(vg), -1)  # row b, column a d + k
         # every DOF is free in 3D, so the order spans the whole mass
         self.h_order = (_dissection_order(self.h_mass, h_dof_coords(self.dofs))
                         if self.dim == 3 else None)
+
+    @property
+    def facet_grad(self) -> np.ndarray:
+        """(F, d, n1, n2) weak Dirichlet facet blocks -n_i (v, h), rank one in i."""
+        return -self.facet_normals[:, :, None, None] * self.facet_blocks[:, None]
 
     @property
     def grad_cells(self) -> np.ndarray:
@@ -157,10 +163,6 @@ class AssembledOperators:
         shape = (self.dofs.m_u, self.dofs.m_h)
         return tuple(_scatter(ud, hd, blocks[:, i], shape) for i in range(self.dim))
 
-    @cached_property
-    def _grad_T(self) -> tuple:
-        return tuple(g.T for g in self.grad)  # CSC views
-
     def free_block(self, mat):
         """Free-by-free block of a scalar-space matrix; ``mat`` itself
         when no scalar DOF is fixed."""
@@ -169,20 +171,33 @@ class AssembledOperators:
         return mat[self.h_free][:, self.h_free]
 
     def divergence(self, u):
-        """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of
-        the scalar equation."""
-        return sum((g @ u_i for g, u_i in zip(self._grad_T, u)), -self.neumann_rhs)
+        """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of the
+        scalar equation, cell by cell: rows det_K (J_K^{-1} u_K) ``grad_ref``
+        and the facet blocks' transposes, summed over ``h_cell_dofs``."""
+        hd, (C, n1), d = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs.shape, self.dim
+        u, fc, m_h = np.reshape(u, (d, C, n1)), self.facet_cells, self.dofs.m_h
+        w = self.mesh.barycentric_gradients[:, 1:] @ (u * self.cell_dets[:, None]).swapaxes(0, 1)
+        rows = w.reshape(C, -1) @ self.grad_ref.transpose(2, 0, 1).reshape(d * n1, -1)
+        facets = np.einsum("fab,fa->fb", self.facet_blocks,
+                           np.einsum("ifa,fi->fa", u[:, fc], self.facet_normals))
+        return _accumulate(hd, rows, m_h) - _accumulate(hd[fc], facets, m_h) - self.neumann_rhs
 
     def kick(self, h):
         """``u_mass^{-1} (grad h + dirichlet_rhs)`` as a (d, m_u) array, so
-        ``du/dt = -kick(h)``. Cell K's block of ``u_mass^{-1}`` is
-        ``inv(u_mass_ref) / cell_dets[K]`` and K's velocity DOFs are row K
-        of ``r.reshape(C, n1)``: one gemm applies every block."""
-        d, C = self.dim, len(self.cell_dets)
-        r = (np.stack([g @ h for g in self.grad]) + self.dirichlet_rhs).reshape(d * C, -1)
-        r = (r @ self._u_mass_inv).reshape(d, C, -1)  # the inverse is symmetric
-        r /= self.cell_dets[:, None]
-        return r.reshape(d, -1)
+        ``du/dt = -kick(h)``, cell by cell: the gradient of h at K's vertices,
+        h_K ``_vertex_grad`` J_K^{-1}, needs no mass inverse; the rest (none under
+        Neumann data or in 1D) takes K's block ``inv(u_mass_ref) / cell_dets[K]``,
+        all in one gemm, since K's velocity DOFs are row K of ``r.reshape(C, n1)``."""
+        hd, (C, n1), d = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs.shape, self.dim
+        k = (h[hd] @ self._vertex_grad).reshape(C, n1, d) @ self.mesh.barycentric_gradients[:, 1:]
+        k, fc, r = k.transpose(2, 0, 1).reshape(d, -1), self.facet_cells, self.dirichlet_rhs
+        if len(fc) or r.any():
+            v = np.einsum("fab,fb->fa", self.facet_blocks, h[hd[fc]])
+            rows = np.arange(d)[:, None, None] * self.dofs.m_u + self.dofs.u_cell_dofs[fc]
+            r = r - _accumulate(rows, self.facet_normals.T[..., None] * v, r.size).reshape(d, -1)
+            r = (r.reshape(-1, n1) @ self._u_mass_inv).reshape(d, C, n1)  # the inverse is symmetric
+            k = k + (r / self.cell_dets[:, None]).reshape(d, -1)
+        return k
 
     def h_mass_solver(self):
         """Cached solve with the free block of the scalar mass, factored by
@@ -304,8 +319,8 @@ def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarra
 
 def _boundary_terms(dofs: DofMap, bc: BcSpec):
     """The boundary-facet pass of ``AssembledOperators``: ``facet_cells``
-    (F,) and ``facet_grad`` (F, d, n1, n2), the weak Dirichlet facets' owner
-    cells and gradient blocks, ``dirichlet_rhs`` (d, m_u), ``neumann_rhs``
+    (F,), ``facet_normals`` (F, d) and ``facet_blocks`` (F, n1, n2) (v, h),
+    of the weak Dirichlet facets, ``dirichlet_rhs`` (d, m_u), ``neumann_rhs``
     (m_h,), ``h_fixed`` and ``h_fixed_values``. A ``ValueError`` unless the
     markers of ``bc`` are exactly those of the mesh boundary."""
     mesh = dofs.mesh
@@ -345,12 +360,11 @@ def _boundary_terms(dofs: DofMap, bc: BcSpec):
     h_fixed_values = sample(bc.g, strong).ravel()
 
     # Weak Dirichlet facets: -n_i (v, h) is a gradient block of the owner
-    # cell; n_i (v, g) goes to the right-hand side.
+    # cell (``facet_grad``); n_i (v, g) goes to the right-hand side.
     weak = dirichlet & ~strong
     cD, lfD, wD = cell[weak], lf[weak], w[weak]
     nD = mesh.boundary_normals[weak]
     blocks = np.einsum("bq,bqa,bqc->bac", wD, lam[lfD], fv2[lfD])
-    facet_grad = -nD[:, :, None, None] * blocks[:, None]
     gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), lam[lfD])
     rows = np.arange(d)[:, None, None] * m_u + ud[cD]
     dirichlet_rhs = _accumulate(rows, nD.T[:, :, None] * gvec, d * m_u).reshape(d, m_u)
@@ -359,7 +373,7 @@ def _boundary_terms(dofs: DofMap, bc: BcSpec):
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
-    return cD, facet_grad, dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values
+    return cD, nD, blocks, dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values
 
 
 def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:

@@ -13,8 +13,9 @@ its error is then no stability signal.
 (``ops.dofs.mesh``), on which the initial data are interpolated.
 
 A half-kick applies ``AssembledOperators.kick`` to the velocity array
-(d, m_u). A step's second kick, of its new scalar, travels with the state
-it returns and serves the next step's first, so a step costs one kick.
+(d, m_u), and the drift ``divergence``, both cell by cell: no step builds a
+gradient matrix. A step's second kick, of its new scalar, travels with the
+state it returns and serves the next step's first, so a step costs one kick.
 The scalar mass matrix is factorized once, in the order of the
 ``assembly`` module docstring (``assembly._factor``), and reused.
 

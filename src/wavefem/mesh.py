@@ -82,8 +82,10 @@ class Mesh:
         Vertex coordinates.
     cells : (C, dim+1) array
         Vertex indices per cell, at least one cell. Cells are reoriented
-        so every signed measure is positive; zero-measure cells, and a
-        facet shared by more than two cells, are rejected.
+        so every signed measure is positive. Rejected: zero-measure cells,
+        a facet shared by more than two cells, and measures that do not sum
+        to the flux of x / d out of the facets of one cell, as a domain's do
+        (a cell listed twice, a fold); disjoint overlapping cells pass.
     boundary_facets : (B, dim) array, optional
         Vertex indices of boundary facets. Derived (all facets incident to
         exactly one cell, marker 1) when omitted. Derived and given facets
@@ -92,8 +94,8 @@ class Mesh:
     boundary_markers : (B,) array, optional
         Integer marker per boundary facet; defaults to 1.
     cell_coords : (C, dim+1, dim) array, optional
-        Per-cell corner coordinates, overriding ``vertices[cells]``. Used
-        by the periodic interval generator for the wrap-around cell.
+        Per-cell corner coordinates, overriding ``vertices[cells]`` and the
+        flux check; the periodic interval generator's wrap-around cell.
 
     Derived attributes: ``edges`` (E, 2), the unique vertex pairs (a < b) in
     lexicographic order, and ``cell_edges`` (C, local edges), each cell's
@@ -128,7 +130,7 @@ class Mesh:
         if cells.min() < 0 or cells.max() >= len(self.vertices):
             raise ValueError("cell vertex index out of range")
 
-        if cell_coords is None:
+        if from_vertices := cell_coords is None:
             cell_coords = self.vertices[cells]
         else:
             cell_coords = np.ascontiguousarray(cell_coords, dtype=float)
@@ -172,6 +174,12 @@ class Mesh:
         if counts.max() > 2:
             raise ValueError(f"facet {tuple(facets[counts.argmax()].tolist())} "
                              f"is shared by {counts.max()} cells")
+        K, j = np.divmod(first[counts == 1], dim + 1)  # (x . n) |F| / d = -|K| x . grad lambda_j
+        x = (cell_coords[K].sum(axis=1) - cell_coords[K, j]) / dim - self.vertices.mean(axis=0)
+        flux = -self.cell_measures[K] * np.einsum("bx,bx->b", x, self.barycentric_gradients[K, j])
+        if from_vertices and abs(flux.sum() - self.cell_measures.sum()) > 1e-10 * abs(flux).sum():
+            raise ValueError(f"cell measures sum to {self.cell_measures.sum():.6g}, the flux of "
+                             f"x / d out of the facets of one cell to {flux.sum():.6g}")
         if boundary_facets is None:
             boundary_facets = facets[counts == 1]
         boundary_facets = np.ascontiguousarray(boundary_facets, dtype=np.int64).reshape(-1, dim)

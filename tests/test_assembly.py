@@ -146,11 +146,8 @@ def test_h_mass_symmetric(cube_44):
 
 def assert_no_stored_zeros(ops):
     """The cell blocks of the gradient hold exact zeros (even on these
-    unstructured meshes); ``grad_i`` may not store them, and the
-    transposes that the divergence applies share its arrays."""
+    unstructured meshes); ``grad_i`` may not store them."""
     assert all((g.data != 0.0).all() for g in ops.grad)
-    assert all(np.shares_memory(t.data, g.data) and np.shares_memory(t.indices, g.indices)
-               for t, g in zip(ops._grad_T, ops.grad))
 
 
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
@@ -178,6 +175,39 @@ def test_adjointness_3d(cube_44):
     for i in range(3):
         assert abs(div[i] - ops.grad[i].T).max() <= 1e-13 * abs(ops.grad[i]).max()
     assert_no_stored_zeros(ops)
+
+
+CELL_BY_CELL = [(name, kind) for name in ["square_36", "square_150", "square_1500", "cube_44",
+                                          "cube_200", "cube_400", "interval:5",
+                                          "interval:4:1:periodic", "square:8", "cube:3"]
+                for kind in ("neumann", "dirichlet") if not (name.endswith("periodic")
+                                                             and kind == "dirichlet")]
+
+
+@pytest.mark.parametrize("name,bc_kind", CELL_BY_CELL)
+def test_kick_and_divergence_match_the_assembled_gradients(name, bc_kind, request):
+    # the cell-by-cell products against u_mass^{-1} (grad h + dirichlet_rhs)
+    # and sum_i grad_i^T u_i - neumann_rhs with the scattered gradients, under
+    # nonzero data; the corner cells of square:8 own d = 2 Dirichlet facets,
+    # and cells of cube:3 own 2 (no Kuhn tetrahedron owns 3)
+    mesh = request.getfixturevalue(name) if "_" in name else generate(name)
+    data = lambda x: 0.5 + x[..., 0] - 0.3 * x[..., -1] ** 2  # noqa: E731
+    bc = (wf.BcSpec.all_dirichlet(mesh, g=data) if bc_kind == "dirichlet"
+          else wf.BcSpec.all_neumann(mesh, f=data))
+    dofs = wf.build_dof_maps(mesh)
+    ops = assemble(dofs, bc)
+    if bc_kind == "dirichlet" and ":" in name and mesh.dim > 1:
+        assert np.bincount(ops.facet_cells).max() == 2
+    rng = np.random.default_rng(7)
+    h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((mesh.dim, dofs.m_u))
+    shape = (mesh.dim, mesh.n_cells, mesh.dim + 1)
+    rhs = (np.stack([g @ h for g in ops.grad]) + ops.dirichlet_rhs).reshape(shape)
+    blocks = np.linalg.inv(ops.cell_dets[:, None, None] * ops.u_mass_ref)
+    kick = np.einsum("cab,icb->ica", blocks, rhs).reshape(mesh.dim, -1)
+    div = sum(g.T @ u_i for g, u_i in zip(ops.grad, u)) - ops.neumann_rhs
+    for got, want in ((ops.kick(h), kick), (ops.divergence(u), div)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_dirichlet_facet_term_vs_boundary_data(square_150):
@@ -330,8 +360,11 @@ def test_scattered_matrices_own_their_entries(monkeypatch, spec):
     mesh = (wf.generate_cube_mesh if kind == "cube" else wf.generate_square_mesh)(int(n))
     _, ops = assemble_all(mesh, "dirichlet")
     ops.kick(np.ones(ops.dofs.m_h))
+    ops.divergence(np.ones((mesh.dim, ops.dofs.m_u)))
+    assert len(made) == 1  # the mass; the kick and the divergence scatter none
+    assert len(ops.grad) == mesh.dim
     spectral.laplacian_pencil(ops)
-    assert len(made) == 2 + mesh.dim  # mass, d gradients, A; the kick scatters none
+    assert len(made) == 2 + mesh.dim  # mass, d gradients, A
     for mat in made:
         for entries in (mat.data, mat.indices):
             assert entries.base is None and len(entries) == mat.nnz

@@ -108,6 +108,19 @@ def test_edge_file_facet_listed_twice(capsys, tmp_path):
     assert err.startswith("error:") and "listed more than once" in err
 
 
+def test_doubled_triangle_file_rejected(capsys, tmp_path):
+    # a .ele file listing triangle 1-2-3 twice built a closed 2-cell mesh,
+    # and spectrum --bc neumann exited 0 with 6 scalar DOFs
+    (tmp_path / "t.node").write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    (tmp_path / "t.ele").write_text("2 3 0\n1 1 2 3\n2 1 2 3\n")
+    paths = [str(tmp_path / f"t.{ext}") for ext in ("node", "ele")]
+    with pytest.raises(wf.MeshFormatError, match="t.ele: cell measures sum to 1, the flux"):
+        wf.read_mesh(*paths)
+    assert run(["spectrum", "--mesh", *paths, "--bc", "neumann"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cell measures sum to 1" in err
+
+
 def test_spectrum_json(capsys, tmp_path):
     out = str(tmp_path / "eigs.json")
     code = run(["spectrum", "--mesh", mesh_path("square_150.node"),

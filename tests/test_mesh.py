@@ -8,7 +8,7 @@ import pytest
 import wavefem as wf
 from wavefem.mesh import CELL_EDGES, CELL_FACETS, Mesh, MeshFormatError, _unique_rows
 
-from conftest import load_cube, load_square, mesh_path
+from conftest import generate, load_cube, load_square, mesh_path
 
 
 TRI_NODE = "3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n"
@@ -200,6 +200,36 @@ def test_facet_of_three_cells_rejected(verts, cells, facet):
     # 2 boundary facets; a fan puts three triangles on one edge
     with pytest.raises(ValueError, match=re.escape(f"facet {facet} is shared by 3 cells")):
         Mesh(2, verts, cells)
+
+
+@pytest.mark.parametrize("dim,verts,cells,sums", [
+    (2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2), (0, 1, 2)], ("1", "0")),
+    (3, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+     [(0, 1, 2, 3), (0, 1, 2, 3)], ("0.333333", "0")),
+    (2, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.5, 0.5)],
+     [(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0)], ("1.5", "0.7"))],
+    ids=["doubled-triangle", "doubled-tetrahedron", "folded-fan"])
+def test_cells_that_tile_no_domain_rejected(dim, verts, cells, sums):
+    # no facet has three cells, yet the measures cannot sum to the flux of
+    # x / d out of the facets of one cell, as a domain's do: a cell listed
+    # twice leaves no such facet, and a fan centred outside the unit square
+    # covers the triangle between centre and square twice, once inverted
+    # (measures 1.5, the square's 1)
+    match = f"cell measures sum to {sums[0]}, the flux of x / d out of the facets of one cell to"
+    with pytest.raises(ValueError, match=re.escape(match) + f" {sums[1]}$"):
+        Mesh(dim, verts, cells)
+
+
+@pytest.mark.parametrize("name", ["square_36", "square_150", "square_1500", "cube_44", "cube_200",
+                                  "cube_400", "interval:7", "interval:3:2.5:periodic",
+                                  "square:1", "square:16", "cube:1", "cube:5"])
+def test_fixtures_and_generated_meshes_tile_their_domains(name, request):
+    # every fixture and generator passes the flux check; the measures sum to
+    # the domain's (1 but for square_36, which covers part of the square)
+    mesh = request.getfixturevalue(name) if "_" in name else generate(name)
+    length = 2.5 if name.startswith("interval:3") else 1.0
+    total = mesh.cell_measures.sum()
+    assert name == "square_36" or abs(total - length) <= 1e-14 * length
 
 
 def test_all_interior_edge_file_derives_facets(tmp_path):
