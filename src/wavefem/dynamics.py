@@ -26,8 +26,9 @@ eigenproblem and certifies every dt up to its limit; it is loose on
 sliver cells, so it never rejects a dt by itself. A larger dt is stable
 iff sigma M - A is positive definite, sigma = 4 / (c dt)^2, and the pivot
 signs of one factorization of it decide that (``spectral.pivot_inertia``).
-Only a rejected dt pays for an eigensolve, to name the limit in the error
-(``stable_dt_estimate``).
+Their count of non-positive pivots, that of the eigenvalues at or above
+sigma, and the certified limit explain a rejected dt: no stage solves an
+eigenproblem (``wavefem spectrum`` reports lambda_max).
 
 ``simulate`` evaluates the energy after every step, and the first
 non-finite one ends the run whatever ``stride`` records: ``h_mass`` and
@@ -133,7 +134,7 @@ def stable_dt_estimate(ops: AssembledOperators, c: float = 1.0) -> float:
     oscillation is resolved with dt * frequency <= 2. lambda_max is the
     rho of ``spectral.max_eigenvalue`` (module docstring), so the estimate
     is at or above the limit, within eta / (2 rho) of it; a rho that is
-    not finite and positive is a ``RuntimeError``."""
+    not finite and positive is a ``RuntimeError``. ``simulate`` never calls it."""
     lam = max_eigenvalue(ops).value
     if not 0.0 < lam < np.inf:
         raise RuntimeError(f"lambda_max {lam!r} gives no stability limit")
@@ -222,16 +223,14 @@ def simulate(ops: AssembledOperators, config: SimulationConfig,
 
     Unless ``config.allow_unstable_dt`` is set, the dt check of the module
     docstring (its bound inflated by ``BOUND_MARGIN``) comes first: a dt
-    above its limit is a ``ConfigurationError``, a lambda_max that gives no
-    limit a ``RuntimeError``. A non-finite initial energy is a
-    ``ConfigurationError``, as is a zero one with zero boundary data (the
-    zero solution). The first step whose energy is non-finite aborts the
-    run (module docstring); the result keeps the rows and state from
-    before that step and names it ``abort_step``. Rows are kept at step 0,
-    the multiples of ``config.stride`` and the last step;
-    ``snapshot_callback(step, state)`` runs at step 0 and the multiples of
-    ``config.snapshot_stride``, never when that is None.
-    """
+    above its limit is a ``ConfigurationError``, as are a non-finite initial
+    energy and a zero one with zero boundary data (the zero solution). The
+    first step whose energy is non-finite aborts the run (module docstring);
+    the result keeps the rows and state from before that step and names it
+    ``abort_step``. Rows are kept at step 0, the multiples of
+    ``config.stride`` and the last step; ``snapshot_callback(step, state)``
+    runs at step 0 and the multiples of ``config.snapshot_stride``, never
+    when that is None."""
     dt_check = {"path": "forced", "cell_bound_limit": None}
     if not config.allow_unstable_dt:
         c = config.c
@@ -244,8 +243,9 @@ def simulate(ops: AssembledOperators, config: SimulationConfig,
             dt_check.update(path="inertia", sigma=sigma, nonpositive_pivots=count, factor_nnz=nnz)
             if count:
                 raise ConfigurationError(
-                    f"dt={config.dt} is not below the stability limit, which the stability "
-                    f"estimate {stable_dt_estimate(ops, c):.6g} bounds from above; "
+                    f"dt={config.dt} is not below the stability limit: the count of eigenvalues "
+                    f"at or above sigma = 4/(c dt)^2 = {sigma:.6g} is {count}, and the cell bound "
+                    f"certifies dt <= {bound:.6g} (wavefem spectrum reports lambda_max); "
                     "reduce dt or force the run")
 
     times, energies = [], []

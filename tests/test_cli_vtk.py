@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wavefem as wf
-from wavefem import assembly, cli, dispersion, dynamics, spectral
+from wavefem import assembly, cli, dispersion, spectral
 from wavefem.cli import main
 from wavefem.elements import h_dof_coords
 from wavefem.vtk_io import write_vtk
@@ -232,7 +232,8 @@ def test_simulate_refuses_unstable_dt(tmp_path, capsys, text):
     code = run(["simulate", "--generate", "square:3", "--config", cfg,
                 "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert "stability estimate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt=") and "the cell bound certifies dt <= " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -351,7 +352,7 @@ def test_simulate_manifest_dt_check(tmp_path, capsys):
                     "--config", cfg, "--dt", repr(float(dt)), "--t-end", repr(float(2 * dt)),
                     "--out-dir", out_dir, *flags])
         if path is None:
-            assert code == 1 and "stability estimate" in capsys.readouterr().err
+            assert code == 1 and "the cell bound certifies dt <= " in capsys.readouterr().err
             assert not os.path.exists(out_dir)
             continue
         assert code == 0
@@ -541,17 +542,15 @@ def test_simulate_rejects_duplicate_config_key(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_simulate_exact_limit_nan_exit_code(tmp_path, capsys, monkeypatch):
-    # a rejected dt names the limit; a NaN one stops the run before step 1
-    # as a numerical failure, and no manifest records the NaN. The run
-    # removes the directories it made, the new parent too.
-    monkeypatch.setattr(dynamics, "max_eigenvalue",
-                        lambda ops: spectral.LambdaMax(np.nan, 0.0, 0))
+def test_simulate_rejected_dt_removes_new_parent(tmp_path, capsys):
+    # a rejected dt stops the run before step 1 with one error line, and
+    # the run removes the directories it made, the new parent too
     cfg = write_config(tmp_path, "dt = 1.0\nt_end = 3.0\nbc = dirichlet\n")
     out_dir = tmp_path / "new" / "out"
     assert run(["simulate", "--generate", "square:8", "--config", cfg,
-                "--out-dir", str(out_dir)]) == 2
-    assert "lambda_max nan gives no stability limit" in capsys.readouterr().err
+                "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt=1.0 is not below the stability limit") and err.count("\n") == 1
     assert not (tmp_path / "new").exists() and (tmp_path / "run.cfg").exists()
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import wavefem as wf
-from wavefem import dynamics
+from wavefem import dynamics, spectral
 from wavefem.dynamics import (ConfigurationError, FieldState,
                               SimulationConfig, energy, interpolate_state,
                               simulate, stable_dt_estimate, verlet_step)
@@ -494,7 +495,8 @@ def test_simulate_rejects_unstable_dt(square_36):
 def test_dt_check_paths(square_36, monkeypatch):
     # a dt below the cell-bound limit runs without an eigensolve, and so
     # does one between that and the exact limit, accepted by the pivot
-    # signs of sigma M - A; one above the exact limit is rejected
+    # signs of sigma M - A; one above the exact limit is rejected, with no
+    # eigensolve either, naming the certified limit
     bc = wf.BcSpec.all_neumann(square_36)
     ops = wf.assemble(wf.build_dof_maps(square_36), bc)
     exact = stable_dt_estimate(ops)
@@ -520,8 +522,8 @@ def test_dt_check_paths(square_36, monkeypatch):
                              "sigma": 4.0 / dt ** 2, "nonpositive_pivots": 0,
                              "factor_nnz": ops.h_mass_solver().lu.nnz}
             assert check["cell_bound_limit"] < between
-    with pytest.raises(ConfigurationError, match="stability estimate"):
-        run((1.0 + 1e-6) * exact)
+        with pytest.raises(ConfigurationError, match="the cell bound certifies dt <= "):
+            run((1.0 + 1e-6) * exact)
     forced = simulate(ops, SimulationConfig(dt=0.9 * certified, t_end=1.8 * certified,
                                             ic_h=gaussian_bump([0.5, 0.5]),
                                             allow_unstable_dt=True))
@@ -542,15 +544,54 @@ def test_exact_dt_path_evaluates_cell_bound_once(square_36, monkeypatch):
     assert result.dt_check["path"] == "inertia"
     assert calls == [(square_36.n_cells, 6, 6)]
 
+    # a rejected dt takes the same single pass: one batch of per-cell
+    # eigenproblems, one factorization of sigma M - A and no eigensolve
+    def no_eigsh(*args, **kw):
+        raise AssertionError("eigensolve called")
+
+    factors, spectral_factor = [], spectral._factor
+    monkeypatch.setattr(spectral, "_eigsh", no_eigsh)
+    monkeypatch.setattr(spectral, "_factor", lambda *a: factors.append(1) or spectral_factor(*a))
+    calls.clear()
+    with pytest.raises(ConfigurationError, match="the cell bound certifies dt <= "):
+        simulate(ops, SimulationConfig(dt=3.0 * dt, t_end=3.0 * dt))
+    assert calls == [(square_36.n_cells, 6, 6)] and factors == [1]
+
+
+REJECTION = re.compile(r"sigma = 4/\(c dt\)\^2 = (\S+) is (\d+), and the cell bound "
+                       r"certifies dt <= (\S+) \(wavefem spectrum reports lambda_max\); "
+                       r"reduce dt or force the run$")
+
+
+@pytest.mark.parametrize("name,kind", [("square_36", "neumann"), ("square_36", "dirichlet"),
+                                       ("square:8", "dirichlet"), ("interval:12", "dirichlet")])
+def test_rejection_counts_eigenvalues_by_inertia(name, kind, request):
+    # a rejected dt's error gives sigma, the count of eigenvalues at or
+    # above it, which by Sylvester's law is the dense one, and the limit the
+    # cell bound certifies. interval:12 fixes its Dirichlet ends: the pencil
+    # is the free block.
+    mesh = request.getfixturevalue(name) if "_" in name else generate(name)
+    _, ops = assemble_all(mesh, kind)
+    A, M = laplacian_pencil(ops)
+    eigenvalues = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    bound = cell_lambda_bound(ops) * (1.0 + dynamics.BOUND_MARGIN)
+    for c in (1.0, 2.0):
+        limit = 2.0 / (c * np.sqrt(eigenvalues[-1]))
+        for factor in (1.5, 3.0):
+            dt = factor * limit
+            with pytest.raises(ConfigurationError, match=REJECTION) as err:
+                simulate(ops, SimulationConfig(dt=dt, t_end=dt, c=c))
+            sigma, count, certified = REJECTION.search(str(err.value)).groups()
+            assert sigma == f"{4.0 / (c * dt) ** 2:.6g}"
+            assert int(count) == np.count_nonzero(eigenvalues >= 4.0 / (c * dt) ** 2) > 0
+            assert certified == f"{2.0 / (c * np.sqrt(bound)):.6g}"
+
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
 def test_exact_limit_must_be_finite_and_positive(square_36, monkeypatch, lam):
-    # a rejected dt names the limit; a lambda_max that gives none stops the
-    # run before step 1
+    # a lambda_max that gives no limit is a numerical failure
     _, ops = assemble_all(square_36, "dirichlet")
     monkeypatch.setattr(dynamics, "max_eigenvalue", lambda ops: LambdaMax(lam, 0.0, 0))
-    with pytest.raises(RuntimeError, match="gives no stability limit"):
-        simulate(ops, SimulationConfig(dt=1.0, t_end=3.0))
     with pytest.raises(RuntimeError, match="gives no stability limit"):
         stable_dt_estimate(ops)
 

@@ -266,8 +266,9 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch)
     assert max_eigenvalue(ops) == lam
 
     # the dt check decides at the dense limit to 1e-6, never accepts a dt
-    # above it, and accepts with no eigensolve, on the cell bound's path or
-    # the inertia test's
+    # above it, and decides with no eigensolve: it accepts on the cell
+    # bound's path or the inertia test's, and a rejection names the
+    # certified limit
     def run(dt):
         config = wf.SimulationConfig(dt=dt, t_end=dt, ic_h=lambda x: 1.0)
         return wf.simulate(ops, config).dt_check
@@ -279,17 +280,18 @@ def test_lambda_max_shift_invert_matches_dense(name, kind, request, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "max_eigenvalue", no_eigensolve)
         check = run((1.0 - 1e-6) * limit)
-    assert check["path"] in ("cell_bound", "inertia")
-    for above in (1e-6, 1e-13):
-        with pytest.raises(wf.ConfigurationError, match="stability estimate"):
-            run((1.0 + above) * limit)
-    if n == 1:
-        # at the limit itself sigma M - A is exactly 0, which SuperLU refuses
-        # to factor as singular: a rejected dt, not a numerical failure
-        dt = wf.stable_dt_estimate(ops)
-        assert (4.0 / dt ** 2 * M - A).count_nonzero() == 0
-        with pytest.raises(wf.ConfigurationError, match="stability estimate"):
-            run(dt)
+        assert check["path"] in ("cell_bound", "inertia")
+        for above in (1e-6, 1e-13):
+            with pytest.raises(wf.ConfigurationError, match="the cell bound certifies dt <= "):
+                run((1.0 + above) * limit)
+        if n == 1:
+            # at the limit itself sigma M - A is exactly 0, which SuperLU
+            # refuses to factor as singular: a rejected dt, not a numerical
+            # failure
+            dt = 2.0 / np.sqrt(lam.value)  # stable_dt_estimate(ops)
+            assert (4.0 / dt ** 2 * M - A).count_nonzero() == 0
+            with pytest.raises(wf.ConfigurationError, match="the cell bound certifies dt <= "):
+                run(dt)
 
 
 @pytest.mark.parametrize("a,sigma,count", [
