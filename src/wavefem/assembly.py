@@ -10,10 +10,10 @@ Assembles, with quadrature exact for every integrand:
 * one gradient per spatial direction, including the boundary facet
   term that imposes Dirichlet data on the scalar weakly in 2D and 3D;
   on affine cells each volume block is det_K times one reference tensor
-  contracted with J_K^{-1}, and each facet block is -n_i times one, so
-  those tensors, the inverse Jacobians and the normals are stored, and
-  the per-cell blocks, each facet term folded into its owner cell's,
-  are derived from them for element-by-element bounds,
+  contracted with J_K^{-1}, so that tensor and the inverse Jacobians are
+  stored, and the facet terms are stored once per owner cell, summed over
+  its Dirichlet facets; the per-cell blocks are derived from both for
+  element-by-element bounds,
 * the boundary data vectors entering the two semi-discrete equations.
 
 On a cell the P1_DG basis is the barycentric coordinates, so its values
@@ -48,7 +48,7 @@ the cell blocks alone. The kick and the divergence apply the gradients
 cell by cell, so no verb scatters one. Because grad P2 lies in P1_DG^d,
 u_mass^{-1} grad_i h is the exact gradient of h at each cell's vertices,
 so under Neumann data (and in 1D) A is the P2 stiffness matrix. Weak
-Dirichlet facet blocks change A only on the DOFs of their owner cells.
+Dirichlet facet terms change A only on the DOFs of their owner cells.
 
 One routine, ``_factor``, factors every sparse matrix: the free block of
 the scalar mass and the shifted pencils A - sigma M of ``spectral``. A
@@ -101,12 +101,11 @@ class AssembledOperators:
     affine maps (d! |K|), the reference velocity and scalar masses
     ``u_mass_ref`` (n1, n1) and ``h_mass_ref`` (n2, n2), whose cell K blocks
     are ``cell_dets[K]`` times these, the (n1, n2, d) reference gradient
-    tensor ``grad_ref``, the boundary terms ``facet_cells``,
-    ``facet_normals``, ``facet_blocks``, ``dirichlet_rhs``, ``neumann_rhs``,
-    ``h_fixed`` and ``h_fixed_values`` (``_boundary_terms``), the scalar mass
-    ``h_mass`` scattered from its cell blocks, the free scalar DOFs
-    ``h_free``, ascending, and on 3D meshes the order ``h_order`` of the
-    module docstring (None in 1D and 2D). The blocks ``facet_grad`` and
+    tensor ``grad_ref``, the boundary terms ``facet_cells``, ``facet_grad``,
+    ``dirichlet_rhs``, ``neumann_rhs``, ``h_fixed`` and ``h_fixed_values``
+    (``_boundary_terms``), the scalar mass ``h_mass`` scattered from its cell
+    blocks, the free scalar DOFs ``h_free``, ascending, and on 3D meshes the
+    order ``h_order`` of the module docstring (None in 1D and 2D). The blocks
     ``grad_cells`` are derived on every read; no verb reads the d-tuple
     ``grad`` of (m_u, m_h) gradients, scattered from them on first access
     (a ``replace`` copy scatters its own). Scalar vectors and matrices span
@@ -122,8 +121,8 @@ class AssembledOperators:
     def __post_init__(self):
         hd, m_h = self.dofs.h_cell_dofs, self.dofs.m_h
         self.mesh, self.dim = self.dofs.mesh, self.dofs.mesh.dim
-        (self.facet_cells, self.facet_normals, self.facet_blocks, self.dirichlet_rhs,
-         self.neumann_rhs, self.h_fixed, self.h_fixed_values) = _boundary_terms(self.dofs, self.bc)
+        (self.facet_cells, self.facet_grad, self.dirichlet_rhs, self.neumann_rhs,
+         self.h_fixed, self.h_fixed_values) = _boundary_terms(self.dofs, self.bc)
         rule = quadrature(self.dim, QUAD_DEGREE)
         v1 = rule.points  # P1_DG values (module docstring)
         v2, g2 = p2_basis(rule.points)
@@ -141,20 +140,15 @@ class AssembledOperators:
                         if self.dim == 3 else None)
 
     @property
-    def facet_grad(self) -> np.ndarray:
-        """(F, d, n1, n2) weak Dirichlet facet blocks -n_i (v, h), rank one in i."""
-        return -self.facet_normals[:, :, None, None] * self.facet_blocks[:, None]
-
-    @property
     def grad_cells(self) -> np.ndarray:
         """(C, d, n1, n2) per-cell gradient blocks: det_K times the reference
         tensor contracted with J_K^{-1}, rows 1..d of the mesh's barycentric
-        gradients (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]), plus the
-        weak Dirichlet facet blocks of K."""
+        gradients (d(basis)/dx_i = d(basis)/dxi_k * Jinv[k, i]), plus
+        ``facet_grad`` on the owner cells."""
         jinv = self.mesh.barycentric_gradients[:, 1:]
         blocks = np.einsum("abk,cki->ciab", self.grad_ref, jinv)
         blocks = self.cell_dets[:, None, None, None] * blocks
-        np.add.at(blocks, self.facet_cells, self.facet_grad)
+        blocks[self.facet_cells] += self.facet_grad
         return blocks
 
     @cached_property
@@ -172,32 +166,31 @@ class AssembledOperators:
 
     def divergence(self, u):
         """``sum_i grad_i^T u_i - neumann_rhs``, the right-hand side of the
-        scalar equation, cell by cell: rows det_K (J_K^{-1} u_K) ``grad_ref``
-        and the facet blocks' transposes, summed over ``h_cell_dofs``."""
-        hd, (C, n1), d = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs.shape, self.dim
-        u, fc, m_h = np.reshape(u, (d, C, n1)), self.facet_cells, self.dofs.m_h
+        scalar equation, cell by cell: rows det_K (J_K^{-1} u_K) ``grad_ref``,
+        plus u_K ``facet_grad`` on the owner cells, summed over ``h_cell_dofs``."""
+        (C, n1), (_, n2), d = self.dofs.u_cell_dofs.shape, self.dofs.h_cell_dofs.shape, self.dim
+        u, fc = np.reshape(u, (d, C, n1)), self.facet_cells
         w = self.mesh.barycentric_gradients[:, 1:] @ (u * self.cell_dets[:, None]).swapaxes(0, 1)
-        rows = w.reshape(C, -1) @ self.grad_ref.transpose(2, 0, 1).reshape(d * n1, -1)
-        facets = np.einsum("fab,fa->fb", self.facet_blocks,
-                           np.einsum("ifa,fi->fa", u[:, fc], self.facet_normals))
-        return _accumulate(hd, rows, m_h) - _accumulate(hd[fc], facets, m_h) - self.neumann_rhs
+        rows = w.reshape(C, -1) @ self.grad_ref.transpose(2, 0, 1).reshape(d * n1, n2)
+        u_fc = np.take(u, fc, axis=1).swapaxes(0, 1).reshape(len(fc), 1, d * n1)
+        rows[fc] += (u_fc @ self.facet_grad.reshape(len(fc), d * n1, n2))[:, 0]
+        return _accumulate(self.dofs.h_cell_dofs, rows, self.dofs.m_h) - self.neumann_rhs
 
     def kick(self, h):
         """``u_mass^{-1} (grad h + dirichlet_rhs)`` as a (d, m_u) array, so
         ``du/dt = -kick(h)``, cell by cell: the gradient of h at K's vertices,
-        h_K ``_vertex_grad`` J_K^{-1}, needs no mass inverse; the rest (none under
-        Neumann data or in 1D) takes K's block ``inv(u_mass_ref) / cell_dets[K]``,
-        all in one gemm, since K's velocity DOFs are row K of ``r.reshape(C, n1)``."""
+        h_K ``_vertex_grad`` J_K^{-1}, needs no mass inverse; on the owner cells
+        (``dirichlet_rhs`` is zero off them) ``facet_grad`` h_K plus K's rows of
+        ``dirichlet_rhs`` takes K's block ``inv(u_mass_ref) / cell_dets[K]``."""
         hd, (C, n1), d = self.dofs.h_cell_dofs, self.dofs.u_cell_dofs.shape, self.dim
         k = (h[hd] @ self._vertex_grad).reshape(C, n1, d) @ self.mesh.barycentric_gradients[:, 1:]
-        k, fc, r = k.transpose(2, 0, 1).reshape(d, -1), self.facet_cells, self.dirichlet_rhs
-        if len(fc) or r.any():
-            v = np.einsum("fab,fb->fa", self.facet_blocks, h[hd[fc]])
-            rows = np.arange(d)[:, None, None] * self.dofs.m_u + self.dofs.u_cell_dofs[fc]
-            r = r - _accumulate(rows, self.facet_normals.T[..., None] * v, r.size).reshape(d, -1)
-            r = (r.reshape(-1, n1) @ self._u_mass_inv).reshape(d, C, n1)  # the inverse is symmetric
-            k = k + (r / self.cell_dets[:, None]).reshape(d, -1)
-        return k
+        fc = self.facet_cells
+        if len(fc):  # no owner cells under Neumann data or in 1D
+            r = (self.facet_grad.reshape(len(fc), d * n1, -1) @ h[hd[fc], None]).reshape(-1, d, n1)
+            r += np.take(self.dirichlet_rhs.reshape(d, C, n1), fc, axis=1).swapaxes(0, 1)
+            r = (r.reshape(-1, n1) @ self._u_mass_inv).reshape(r.shape)  # the inverse is symmetric
+            k[fc] += (r / self.cell_dets[fc, None, None]).swapaxes(1, 2)
+        return k.transpose(2, 0, 1).reshape(d, -1)
 
     def h_mass_solver(self):
         """Cached solve with the free block of the scalar mass, factored by
@@ -318,11 +311,13 @@ def _accumulate(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarra
 
 
 def _boundary_terms(dofs: DofMap, bc: BcSpec):
-    """The boundary-facet pass of ``AssembledOperators``: ``facet_cells``
-    (F,), ``facet_normals`` (F, d) and ``facet_blocks`` (F, n1, n2) (v, h),
-    of the weak Dirichlet facets, ``dirichlet_rhs`` (d, m_u), ``neumann_rhs``
-    (m_h,), ``h_fixed`` and ``h_fixed_values``. A ``ValueError`` unless the
-    markers of ``bc`` are exactly those of the mesh boundary."""
+    """The boundary-facet pass of ``AssembledOperators``: the ascending cells
+    ``facet_cells`` that own a weak Dirichlet facet, their (owners, d, n1, n2)
+    blocks ``facet_grad``, each the sum of -n_i (v, h) over the owner's
+    Dirichlet facets, ``dirichlet_rhs`` (d, m_u), zero off the owner cells,
+    ``neumann_rhs`` (m_h,), ``h_fixed`` and ``h_fixed_values``. A
+    ``ValueError`` unless the markers of ``bc`` are exactly those of the
+    mesh boundary."""
     mesh = dofs.mesh
     present = set(np.unique(mesh.boundary_markers).tolist())
     declared = set(bc.dirichlet_markers) | set(bc.neumann_markers)
@@ -360,11 +355,13 @@ def _boundary_terms(dofs: DofMap, bc: BcSpec):
     h_fixed_values = sample(bc.g, strong).ravel()
 
     # Weak Dirichlet facets: -n_i (v, h) is a gradient block of the owner
-    # cell (``facet_grad``); n_i (v, g) goes to the right-hand side.
+    # cell, summed per owner (``facet_grad``); n_i (v, g) goes to the right-hand side.
     weak = dirichlet & ~strong
-    cD, lfD, wD = cell[weak], lf[weak], w[weak]
-    nD = mesh.boundary_normals[weak]
-    blocks = np.einsum("bq,bqa,bqc->bac", wD, lam[lfD], fv2[lfD])
+    cD, lfD, wD, nD = cell[weak], lf[weak], w[weak], mesh.boundary_normals[weak]
+    owners, owner = np.unique(cD, return_inverse=True)
+    facet_grad = np.zeros((len(owners), d, d + 1, fv2.shape[-1]))
+    np.add.at(facet_grad, owner, np.einsum("bi,bq,bqa,bqc->biac", -nD, wD, lam[lfD], fv2[lfD],
+                                           optimize=True))
     gvec = np.einsum("bq,bqa->ba", wD * sample(bc.g, weak), lam[lfD])
     rows = np.arange(d)[:, None, None] * m_u + ud[cD]
     dirichlet_rhs = _accumulate(rows, nD.T[:, :, None] * gvec, d * m_u).reshape(d, m_u)
@@ -373,7 +370,7 @@ def _boundary_terms(dofs: DofMap, bc: BcSpec):
     cN, lfN, wN = cell[~dirichlet], lf[~dirichlet], w[~dirichlet]
     fvec = np.einsum("bq,bqc->bc", wN * sample(bc.f, ~dirichlet), fv2[lfN])
     neumann_rhs = _accumulate(hd[cN], fvec, m_h)
-    return cD, nD, blocks, dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values
+    return owners, facet_grad, dirichlet_rhs, neumann_rhs, h_fixed, h_fixed_values
 
 
 def assemble(dofs: DofMap, bc: BcSpec) -> AssembledOperators:

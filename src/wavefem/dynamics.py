@@ -196,7 +196,8 @@ class SimulationResult:
     or ``"forced"`` (no check); ``cell_bound_limit`` is the certified limit
     whenever the check ran, else None. The inertia path adds ``sigma`` =
     4 / (c dt)^2, ``nonpositive_pivots`` (0 on every accepted run) and
-    ``factor_nnz`` (``spectral.pivot_inertia``).
+    ``factor_nnz`` (``spectral.pivot_inertia``); at sigma = 0 ((c dt)^2
+    overflows) they are the pencil size and 0, as nothing is factored.
     """
 
     times: np.ndarray
@@ -238,8 +239,9 @@ def simulate(ops: AssembledOperators, config: SimulationConfig,
         dt_check = {"path": "cell_bound", "cell_bound_limit": bound}
         if not config.dt <= bound:  # a NaN bound certifies nothing
             tau = c * config.dt
-            sigma = 4.0 / (tau * tau)  # 0 where tau * tau overflows: no dt passes
-            count, nnz = pivot_inertia(*laplacian_pencil(ops), sigma, ops.h_order)
+            sigma = 4.0 / (tau * tau)  # 0 where tau * tau overflows: every eigenvalue of A counts
+            count, nnz = ((len(ops.h_free), 0) if sigma == 0.0
+                          else pivot_inertia(*laplacian_pencil(ops), sigma, ops.h_order))
             dt_check.update(path="inertia", sigma=sigma, nonpositive_pivots=count, factor_nnz=nnz)
             if count:
                 raise ConfigurationError(

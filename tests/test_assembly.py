@@ -184,6 +184,25 @@ CELL_BY_CELL = [(name, kind) for name in ["square_36", "square_150", "square_150
                                                              and kind == "dirichlet")]
 
 
+def assert_owner_sums_its_facets(ops):
+    """The weak Dirichlet facets of an all-Dirichlet mesh outnumber their
+    owner cells, and the owner array of a cell with two of them is the sum
+    of -n_f (v, h)_f over both, each block integrated here on its facet."""
+    mesh, d = ops.mesh, ops.dim
+    assert len(mesh.boundary_cells) > len(ops.facet_cells)
+    assert np.array_equal(ops.facet_cells, np.unique(mesh.boundary_cells))
+    cell = np.flatnonzero(np.bincount(mesh.boundary_cells) == 2)[0]
+    lam, weights = assembly._facet_rule(d)
+    want = 0.0
+    for f in np.flatnonzero(mesh.boundary_cells == cell):
+        points = lam[mesh.boundary_local_facets[f]]
+        block = np.einsum("q,qa,qc->ac", mesh.boundary_measures[f] * weights, points,
+                          p2_basis(points)[0])
+        want = want - mesh.boundary_normals[f][:, None, None] * block
+    got = ops.facet_grad[np.searchsorted(ops.facet_cells, cell)]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("name,bc_kind", CELL_BY_CELL)
 def test_kick_and_divergence_match_the_assembled_gradients(name, bc_kind, request):
     # the cell-by-cell products against u_mass^{-1} (grad h + dirichlet_rhs)
@@ -197,7 +216,7 @@ def test_kick_and_divergence_match_the_assembled_gradients(name, bc_kind, reques
     dofs = wf.build_dof_maps(mesh)
     ops = assemble(dofs, bc)
     if bc_kind == "dirichlet" and ":" in name and mesh.dim > 1:
-        assert np.bincount(ops.facet_cells).max() == 2
+        assert_owner_sums_its_facets(ops)
     rng = np.random.default_rng(7)
     h, u = rng.standard_normal(dofs.m_h), rng.standard_normal((mesh.dim, dofs.m_u))
     shape = (mesh.dim, mesh.n_cells, mesh.dim + 1)
@@ -265,18 +284,23 @@ def test_velocity_mass_reference_form(name, request):
         ref = solve(ops.grad[i] @ state.h + ops.dirichlet_rhs[i])
         assert np.abs(kick[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    # M_u^{-1} is cell-local: changing one cell's entries of the
-    # right-hand side changes exactly that cell's entries of the kick
-    x = rng.standard_normal(dofs.m_u)
-    x2 = x.copy()
-    x2[dofs.u_cell_dofs[3]] += 1.0
-    zero, copy, kicks = np.zeros(dofs.m_h), replace(ops), []
-    for r in (x, x2):
-        copy.dirichlet_rhs = np.array([r] * mesh.dim)
-        kicks.append(copy.kick(zero)[0])
-    y, y2 = kicks
-    changed = np.nonzero(np.abs(y2 - y) > 1e-14 * np.abs(y).max())[0]
-    assert changed.tolist() == sorted(dofs.u_cell_dofs[3].tolist())
+    # M_u^{-1} is cell-local: changing an owner cell's entries of the
+    # right-hand side changes exactly that cell's entries of the kick. The
+    # right-hand side is zero off the owner cells, and none exist in 1D, so
+    # the kick reads no other cell's entries.
+    owners = ops.facet_cells
+    others = np.setdiff1d(np.arange(mesh.n_cells), owners)
+    assert not ops.dirichlet_rhs.reshape(mesh.dim, mesh.n_cells, -1)[:, others].any()
+    assert (len(owners) > 0) == (mesh.dim > 1)
+    zero, copy = np.zeros(dofs.m_h), replace(ops)
+    y = ops.kick(zero)
+    for cell, moves in [(owners[:1], True), (others[:1], False)]:
+        copy.dirichlet_rhs = ops.dirichlet_rhs.copy()
+        copy.dirichlet_rhs[:, dofs.u_cell_dofs[cell]] += 1.0
+        y2 = copy.kick(zero)
+        changed = np.nonzero((np.abs(y2 - y) > 1e-14 * np.abs(y).max()).any(axis=0))[0]
+        want = np.sort(dofs.u_cell_dofs[cell].ravel()) if moves else []
+        assert changed.tolist() == list(want)
 
 
 def mmd_splu(mat):

@@ -237,6 +237,22 @@ def test_simulate_refuses_unstable_dt(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec,bc,count", [("square:3", "neumann", 49),
+                                           ("square:3", "dirichlet", 49),
+                                           ("interval:4", "dirichlet", 7)])
+def test_overflowing_dt_counts_the_whole_pencil(tmp_path, capsys, spec, bc, count):
+    # at sigma = 0 every eigenvalue of the Gram matrix A is at or above
+    # sigma, so the count is the pencil size: 7^2 scalar DOFs on square:3,
+    # and the 9 of interval:4 less its 2 fixed Dirichlet vertices
+    cfg = write_config(tmp_path, f"dt = 1e160\nt_end = 1e160\nbc = {bc}\n")
+    code = run(["simulate", "--generate", spec, "--config", cfg,
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len([line for line in lines if line.startswith("error:")]) == 1
+    assert f"at or above sigma = 4/(c dt)^2 = 0 is {count}," in lines[0]
+
+
 def max_energy_error(path):
     """Largest |energy_error| of an ``energy.csv``."""
     with open(path) as fh:
